@@ -668,6 +668,15 @@ impl Interp {
         let func = Value::Func(Rc::new(Function::new(def, Rc::clone(&self.globals))));
         self.globals.borrow_mut().insert(name, func);
     }
+
+    /// Drop this interpreter and free its namespace. Every function bound
+    /// in `globals` holds an `Rc` to `globals`, so a plain drop leaves that
+    /// cycle alive; emptying the map first breaks it. Call this only where
+    /// no value of the namespace escapes the interpreter.
+    pub fn release(self) {
+        let namespace = std::mem::take(&mut *self.globals.borrow_mut());
+        drop(namespace);
+    }
 }
 
 /// Apply a unary operator to an already-evaluated value. Public for the

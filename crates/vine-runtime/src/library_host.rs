@@ -95,6 +95,7 @@ fn daemon_main(
         }
         Err(error) => {
             let _ = events.send((worker, instance, LibraryToWorker::StartupFailed { error }));
+            interp.release();
             return;
         }
     }
@@ -122,6 +123,8 @@ fn daemon_main(
             }
         }
     }
+    // the retained context dies with the daemon: free it
+    interp.release();
 }
 
 /// Direct option: execute synchronously inside the daemon's own memory
@@ -169,27 +172,32 @@ fn run_forked(interp: &Interp, function: &str, args_blob: &[u8]) -> Result<Vec<u
         .spawn(move || -> Result<Vec<u8>, String> {
             let mut child_interp = Interp::with_registry(registry);
             child_interp.engine = Engine::Vm;
-            for (k, blob) in plain {
-                let v = pickle::deserialize_value(&blob, &child_interp.globals)
-                    .map_err(|e| e.to_string())?;
-                child_interp.set_global(k, v);
-            }
-            for blob in funcs {
-                let v = pickle::deserialize_value(&blob, &child_interp.globals)
-                    .map_err(|e| e.to_string())?;
-                if let Value::Func(f) = &v {
-                    let name = f.def.name.clone();
-                    if !name.is_empty() {
-                        child_interp.set_global(name, v);
+            let result = (|| {
+                for (k, blob) in plain {
+                    let v = pickle::deserialize_value(&blob, &child_interp.globals)
+                        .map_err(|e| e.to_string())?;
+                    child_interp.set_global(k, v);
+                }
+                for blob in funcs {
+                    let v = pickle::deserialize_value(&blob, &child_interp.globals)
+                        .map_err(|e| e.to_string())?;
+                    if let Value::Func(f) = &v {
+                        let name = f.def.name.clone();
+                        if !name.is_empty() {
+                            child_interp.set_global(name, v);
+                        }
                     }
                 }
-            }
-            let args = pickle::deserialize_args(&args_blob, &child_interp.globals)
-                .map_err(|e| e.to_string())?;
-            let out = child_interp
-                .call_global(&function, &args)
-                .map_err(|e| e.to_string())?;
-            pickle::serialize_value(&out).map_err(|e| e.to_string())
+                let args = pickle::deserialize_args(&args_blob, &child_interp.globals)
+                    .map_err(|e| e.to_string())?;
+                let out = child_interp
+                    .call_global(&function, &args)
+                    .map_err(|e| e.to_string())?;
+                pickle::serialize_value(&out).map_err(|e| e.to_string())
+            })();
+            // only the result bytes leave the child: free its namespace
+            child_interp.release();
+            result
         })
         .map_err(|e| format!("fork failed: {e}"))?;
     child

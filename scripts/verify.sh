@@ -8,8 +8,9 @@
 # (a multi-process run over framed sockets must byte-match the in-process
 # run, with and without a worker killed mid-run), the federated-sharding
 # smoke (router + 2 shard processes byte-match the single manager, with
-# and without a shard killed -9 mid-run), and the benchmark trajectory
-# table merged from every BENCH_*.json.
+# and without a shard killed -9 mid-run), a live end-to-end smoke of both
+# livebench workloads, and the benchmark trajectory table merged from
+# every BENCH_*.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,6 +54,21 @@ echo "reactor connection-scaling smoke: OK (BENCH_net.json written)"
 ./target/release/repro shard --scale 0.02
 echo "federated sharding sweep: OK (BENCH_shard.json written)"
 ./scripts/shard_smoke.sh ./target/release/repro
+
+# live end-to-end smoke: both benchmark workloads run through manager,
+# reactor, worker relay and library daemons or task threads, and every
+# result is checked; a relay hang, a lost UnitDone or a wrong result fails
+for workload in lnni-invoke lnni-task; do
+    last="$(timeout 300 cargo run --release --offline --quiet --manifest-path livebench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    case "$last" in
+        *'"correct": true'*) echo "livebench $workload smoke: OK" ;;
+        *)
+            echo "livebench $workload smoke failed: $last" >&2
+            exit 1
+            ;;
+    esac
+done
 
 # one-page performance picture across every benchmark artifact
 ./scripts/bench_summary.sh

@@ -1,25 +1,66 @@
 //! Offline stand-in for the `crossbeam` crate, covering the subset this
-//! workspace uses: `channel::unbounded`, blocking/timeout/non-blocking
-//! receives, and a `select!` macro over `recv(rx) -> pat => body` arms.
+//! workspace uses: `channel::unbounded` with blocking, timed and
+//! non-blocking receives.
 //!
-//! The channel is a Mutex+Condvar VecDeque with sender-count tracking for
-//! disconnect semantics. `select!` readiness-polls the arms in order (fair
-//! enough for the runtime's two-arm loops) and runs each handler *outside*
-//! the internal wait loop, so `break`/`continue` inside a handler target
-//! the caller's enclosing loop exactly as with real crossbeam.
+//! The channel is a Mutex+Condvar VecDeque. Every receive blocks on the
+//! condvar, so a hand-off is one wake with no sleep-poll; a send notifies
+//! only when the receiver is parked, so handing a message to a busy
+//! receiver costs no wake-up syscall. There is no
+//! `select!`: a thread that serves two channels is written as two threads,
+//! each blocked in `recv()` on one of them.
+//!
+//! Disconnect is tracked in both directions:
+//! - a sender count; the last `Sender::drop` notifies while holding the
+//!   queue lock, so a receiver between its disconnect check and its wait
+//!   cannot miss the wake-up;
+//! - a receiver-alive flag that `Receiver::drop` clears and `send` reads
+//!   under the queue lock, so a concurrent `Sender::clone` can never make a
+//!   live channel look closed.
 
 pub mod channel {
     use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
-
-    pub use crate::select;
 
     struct Inner<T> {
         queue: Mutex<VecDeque<T>>,
         ready: Condvar,
         senders: AtomicUsize,
+        receiver_alive: AtomicBool,
+        /// Receivers parked on `ready`; changed and read only under the
+        /// queue lock, so `send` skips the wake-up when nobody waits.
+        waiting: AtomicUsize,
+    }
+
+    impl<T> Inner<T> {
+        fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
+            self.queue.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
+        /// Park on `ready` until notified or `timeout` passes.
+        fn wait<'a>(
+            &self,
+            q: MutexGuard<'a, VecDeque<T>>,
+            timeout: Option<Duration>,
+        ) -> MutexGuard<'a, VecDeque<T>> {
+            self.waiting.fetch_add(1, Ordering::Relaxed);
+            let q = match timeout {
+                None => self.ready.wait(q).unwrap_or_else(|e| e.into_inner()),
+                Some(t) => {
+                    self.ready
+                        .wait_timeout(q, t)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
+            self.waiting.fetch_sub(1, Ordering::Relaxed);
+            q
+        }
+
+        fn disconnected(&self) -> bool {
+            self.senders.load(Ordering::SeqCst) == 0
+        }
     }
 
     /// Receiving half of a channel has been disconnected and drained.
@@ -55,6 +96,8 @@ pub mod channel {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
+            receiver_alive: AtomicBool::new(true),
+            waiting: AtomicUsize::new(0),
         });
         (
             Sender {
@@ -77,7 +120,9 @@ pub mod channel {
         fn drop(&mut self) {
             if self.inner.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
                 // last sender gone: wake blocked receivers so they observe
-                // the disconnect
+                // the disconnect. Taking the lock first orders this after
+                // any receiver's check-then-wait, so the wake cannot be lost.
+                let _q = self.inner.lock();
                 self.inner.ready.notify_all();
             }
         }
@@ -85,40 +130,49 @@ pub mod channel {
 
     impl<T> Sender<T> {
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            // Receivers existing is implied by Arc count > senders; an
-            // unbounded send never blocks, and with the receiver dropped the
-            // message would be unobservable — report that case.
-            if Arc::strong_count(&self.inner) <= self.inner.senders.load(Ordering::SeqCst) {
+            let mut q = self.inner.lock();
+            // an unbounded send never blocks; with the receiver dropped the
+            // message would be unobservable, so report that case
+            if !self.inner.receiver_alive.load(Ordering::SeqCst) {
                 return Err(SendError(value));
             }
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
             q.push_back(value);
+            let parked = self.inner.waiting.load(Ordering::Relaxed) > 0;
             drop(q);
-            self.inner.ready.notify_one();
+            if parked {
+                self.inner.ready.notify_one();
+            }
             Ok(())
+        }
+    }
+
+    impl<T> Drop for Receiver<T> {
+        fn drop(&mut self) {
+            let _q = self.inner.lock();
+            self.inner.receiver_alive.store(false, Ordering::SeqCst);
         }
     }
 
     impl<T> Receiver<T> {
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut q = self.inner.lock();
             loop {
                 if let Some(v) = q.pop_front() {
                     return Ok(v);
                 }
-                if self.inner.senders.load(Ordering::SeqCst) == 0 {
+                if self.inner.disconnected() {
                     return Err(RecvError);
                 }
-                q = self.inner.ready.wait(q).unwrap_or_else(|e| e.into_inner());
+                q = self.inner.wait(q, None);
             }
         }
 
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut q = self.inner.lock();
             if let Some(v) = q.pop_front() {
                 return Ok(v);
             }
-            if self.inner.senders.load(Ordering::SeqCst) == 0 {
+            if self.inner.disconnected() {
                 Err(TryRecvError::Disconnected)
             } else {
                 Err(TryRecvError::Empty)
@@ -127,99 +181,28 @@ pub mod channel {
 
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut q = self.inner.lock();
             loop {
                 if let Some(v) = q.pop_front() {
                     return Ok(v);
                 }
-                if self.inner.senders.load(Ordering::SeqCst) == 0 {
+                if self.inner.disconnected() {
                     return Err(RecvTimeoutError::Disconnected);
                 }
                 let now = Instant::now();
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, _) = self
-                    .inner
-                    .ready
-                    .wait_timeout(q, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-        }
-
-        /// select! support: is a message available, or is the channel
-        /// disconnected (either makes a recv arm runnable)?
-        #[doc(hidden)]
-        pub fn __select_ready(&self) -> bool {
-            let q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            !q.is_empty() || self.inner.senders.load(Ordering::SeqCst) == 0
-        }
-
-        /// select! support: the recv performed once an arm is chosen. Falls
-        /// back to blocking if another consumer raced us to the message.
-        #[doc(hidden)]
-        pub fn __select_recv(&self) -> Result<T, RecvError> {
-            match self.try_recv() {
-                Ok(v) => Ok(v),
-                Err(TryRecvError::Disconnected) => Err(RecvError),
-                Err(TryRecvError::Empty) => self.recv(),
+                q = self.inner.wait(q, Some(deadline - now));
             }
         }
     }
-
-    /// Readiness-poll wait used by `select!` between scans. Short sleep
-    /// rather than a multi-channel waker: the runtime's select loops are
-    /// control-plane, not throughput-critical.
-    #[doc(hidden)]
-    pub fn __select_park() {
-        std::thread::sleep(Duration::from_micros(100));
-    }
-}
-
-/// Blocking select over `recv` arms, mirroring crossbeam's
-/// `select! { recv(rx) -> msg => { .. } .. }` form. Each handler body is
-/// expanded in the caller's scope (not inside the wait loop), so
-/// `break`/`continue`/`return` behave as they would with the real macro.
-#[macro_export]
-macro_rules! select {
-    ( $( recv($rx:expr) -> $res:pat => $body:block )+ ) => {{
-        let __chosen: usize = loop {
-            let mut __arm = 0usize;
-            let mut __ready: Option<usize> = None;
-            $(
-                if __ready.is_none() && $rx.__select_ready() {
-                    __ready = Some(__arm);
-                }
-                __arm += 1;
-            )+
-            let _ = __arm;
-            if let Some(i) = __ready {
-                break i;
-            }
-            $crate::channel::__select_park();
-        };
-        let mut __arm = 0usize;
-        $(
-            if {
-                let __this = __arm;
-                __arm += 1;
-                __chosen == __this
-            } {
-                let $res = $rx.__select_recv();
-                $body
-            } else
-        )+
-        {
-            let _ = __arm;
-            unreachable!("select! chose an arm out of range")
-        }
-    }};
 }
 
 #[cfg(test)]
 mod tests {
     use super::channel;
+    use std::sync::{Arc, Barrier};
     use std::time::Duration;
 
     #[test]
@@ -243,6 +226,15 @@ mod tests {
         // queued message still delivered before disconnect surfaces
         assert_eq!(rx2.recv(), Ok(1));
         assert_eq!(rx2.try_recv(), Err(channel::TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn send_to_dropped_receiver_returns_the_message() {
+        let (tx, rx) = channel::unbounded::<u32>();
+        let tx2 = tx.clone();
+        drop(rx);
+        assert_eq!(tx.send(5), Err(channel::SendError(5)));
+        assert_eq!(tx2.send(6), Err(channel::SendError(6)));
     }
 
     #[test]
@@ -277,53 +269,64 @@ mod tests {
     }
 
     #[test]
-    fn select_picks_ready_arm_and_break_targets_caller_loop() {
-        let (tx_a, rx_a) = channel::unbounded::<u32>();
-        let (tx_b, rx_b) = channel::unbounded::<&'static str>();
-        tx_b.send("hello").unwrap();
-        let mut seen_num = None;
-        let mut seen_str = None;
-        let mut rounds = 0;
-        loop {
-            rounds += 1;
-            select! {
-                recv(rx_a) -> v => {
-                    let Ok(v) = v else { break };
-                    seen_num = Some(v);
-                    break;
-                }
-                recv(rx_b) -> s => {
-                    let Ok(s) = s else { break };
-                    seen_str = Some(s);
-                    tx_a.send(9).unwrap();
-                }
-            }
+    fn clone_while_sending_delivers_every_message() {
+        // every thread clones the sender and sends while the others do the
+        // same; a clone landing in the middle of a send must never make
+        // the live channel look closed
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 100_000;
+        let (tx, rx) = channel::unbounded::<usize>();
+        let start = Arc::new(Barrier::new(THREADS));
+        let producers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let tx = tx.clone();
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut refused = 0usize;
+                    for i in 0..PER_THREAD {
+                        let clone = tx.clone();
+                        if tx.send(i).is_err() {
+                            refused += 1;
+                        }
+                        drop(clone);
+                    }
+                    refused
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut received = 0usize;
+        while rx.recv().is_ok() {
+            received += 1;
         }
-        assert_eq!(seen_str, Some("hello"));
-        assert_eq!(seen_num, Some(9));
-        assert_eq!(rounds, 2);
+        let refused: usize = producers.into_iter().map(|p| p.join().unwrap()).sum();
+        assert_eq!(refused, 0, "sends refused on a live channel");
+        assert_eq!(received, THREADS * PER_THREAD);
     }
 
     #[test]
-    #[allow(clippy::never_loop)] // the select arms both exit; the loop mirrors real call sites
-    fn select_observes_disconnect() {
-        let (tx, rx) = channel::unbounded::<u32>();
-        let (_tx_keep, rx_other) = channel::unbounded::<u32>();
-        drop(tx);
-        let mut disconnected = false;
-        loop {
-            select! {
-                recv(rx) -> v => {
-                    if v.is_err() {
-                        disconnected = true;
-                    }
-                    break;
-                }
-                recv(rx_other) -> _v => {
-                    unreachable!("no message ever sent here");
-                }
-            }
+    fn last_sender_drop_wakes_a_blocked_receiver() {
+        // race the last sender's drop against a receiver entering recv();
+        // every round must see the disconnect, never block forever
+        for _ in 0..2_000 {
+            let (tx, rx) = channel::unbounded::<u32>();
+            let start = Arc::new(Barrier::new(2));
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let receiver = {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let _ = done_tx.send(rx.recv());
+                })
+            };
+            start.wait();
+            drop(tx);
+            let outcome = done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("receiver stayed blocked after the last sender dropped");
+            assert_eq!(outcome, Err(channel::RecvError));
+            receiver.join().unwrap();
         }
-        assert!(disconnected);
     }
 }
