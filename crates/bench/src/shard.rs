@@ -3,12 +3,13 @@
 //! Sim substrate: [`shard_sweep`] runs a manager-bound submission storm
 //! through 1→8 scheduling shards (`vine_sim::simulate_sharded`) and
 //! reports aggregate submission throughput per shard count, writing
-//! `BENCH_shard.json`. The single-manager scheduling path serializes
-//! every dispatch behind one service queue (Table 2's per-invocation
-//! overhead plus pending-table scans), so sharding the manager is
-//! near-linear until routing imbalance bites; per-shard pending tables
-//! also shrink, which is why the scan term makes the speedup slightly
-//! superlinear at full scale.
+//! `BENCH_shard.json` (labelled `"clock": "modeled"`: the times are the
+//! simulator's, not wall-clock). The single-manager scheduling path
+//! serializes every dispatch behind one service queue (Table 2's
+//! per-invocation overhead plus pending-table scans), so sharding the
+//! manager is near-linear until routing imbalance bites; per-shard
+//! pending tables also shrink, which is why the scan term makes the
+//! speedup slightly superlinear at full scale.
 //!
 //! Live substrate: [`serve_shard`] and [`route`] are the process drivers
 //! behind `repro serve --shard` / `repro route` (see DESIGN.md §6.11).
@@ -150,8 +151,9 @@ pub fn shard_sweep(scale: f64) -> Table {
     ));
 
     let json = format!(
-        "{{\n  \"benchmark\": \"shard_throughput\",\n  \"units\": {n},\n  \
-         \"libraries\": {libs},\n  \"workers\": {workers},\n  \"sweep\": [\n{entries}\n  ]\n}}\n"
+        "{{\n  \"benchmark\": \"shard_throughput\",\n  \"clock\": \"modeled\",\n  \
+         \"units\": {n},\n  \"libraries\": {libs},\n  \"workers\": {workers},\n  \
+         \"sweep\": [\n{entries}\n  ]\n}}\n"
     );
     if let Err(e) = std::fs::write("BENCH_shard.json", json) {
         eprintln!("warning: could not write BENCH_shard.json: {e}");

@@ -126,8 +126,8 @@ typed_id!(
     /// cache lookups and peer transfers.
     FileId, u64, "f");
 typed_id!(
-    /// One scheduling shard in a federated deployment: an embedded
-    /// `vine_manager::Shard` owning a partition of the workers, behind
+    /// One scheduling shard in a federated deployment: a
+    /// `vine_manager::Manager` owning a partition of the workers, behind
     /// the routing front-end.
     ShardId, u32, "s");
 

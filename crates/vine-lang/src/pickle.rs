@@ -20,6 +20,11 @@ use vine_core::{Result, VineError};
 
 const MAGIC: &[u8; 4] = b"VPK1";
 
+/// Deepest nesting of values, expressions and statements a blob may encode
+/// (one shared budget): the decoder recurses once per level, so the bound
+/// keeps a hostile blob from overflowing the decoding thread's stack.
+const MAX_DEPTH: usize = 256;
+
 // ---------- writer ----------
 
 struct Writer {
@@ -65,6 +70,7 @@ impl Writer {
 struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn derr(msg: impl std::fmt::Display) -> VineError {
@@ -76,7 +82,25 @@ impl<'a> Reader<'a> {
         if data.len() < 4 || &data[..4] != MAGIC {
             return Err(derr("bad magic header"));
         }
-        Ok(Reader { data, pos: 4 })
+        Ok(Reader {
+            data,
+            pos: 4,
+            depth: 0,
+        })
+    }
+
+    /// Enter one nesting level. No matching exit on the error path: a
+    /// failed decode discards the reader.
+    fn descend(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(derr(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        Ok(())
+    }
+
+    fn ascend(&mut self) {
+        self.depth -= 1;
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -206,8 +230,9 @@ fn write_value(w: &mut Writer, v: &Value) -> Result<()> {
 }
 
 fn read_value(r: &mut Reader, globals: &Rc<RefCell<BTreeMap<String, Value>>>) -> Result<Value> {
+    r.descend()?;
     let t = r.u8()?;
-    Ok(match t {
+    let v = match t {
         tag::NONE => Value::None,
         tag::BOOL => Value::Bool(r.u8()? != 0),
         tag::INT => Value::Int(r.i64()?),
@@ -241,11 +266,12 @@ fn read_value(r: &mut Reader, globals: &Rc<RefCell<BTreeMap<String, Value>>>) ->
             for _ in 0..ndim {
                 shape.push(r.u32()? as usize);
             }
-            let n: usize = shape.iter().product();
             // guard against bogus lengths before allocating
-            if r.data.len() - r.pos < n * 8 {
-                return Err(derr("truncated tensor data"));
-            }
+            let n = shape
+                .iter()
+                .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+                .filter(|n| n.checked_mul(8).is_some_and(|b| b <= r.data.len() - r.pos))
+                .ok_or_else(|| derr("truncated tensor data"))?;
             let mut data = Vec::with_capacity(n);
             for _ in 0..n {
                 data.push(r.f64()?);
@@ -260,7 +286,9 @@ fn read_value(r: &mut Reader, globals: &Rc<RefCell<BTreeMap<String, Value>>>) ->
             Value::Func(Rc::new(Function::new(Rc::new(def), Rc::clone(globals))))
         }
         other => return Err(derr(format!("unknown value tag {other}"))),
-    })
+    };
+    r.ascend();
+    Ok(v)
 }
 
 // ---------- AST encoding ----------
@@ -410,8 +438,9 @@ fn write_expr(w: &mut Writer, e: &Expr) {
 }
 
 fn read_expr(r: &mut Reader) -> Result<Expr> {
+    r.descend()?;
     let t = r.u8()?;
-    Ok(match t {
+    let e = match t {
         etag::NONE => Expr::None,
         etag::BOOL => Expr::Bool(r.u8()? != 0),
         etag::INT => Expr::Int(r.i64()?),
@@ -467,7 +496,9 @@ fn read_expr(r: &mut Reader) -> Result<Expr> {
         }
         etag::LAMBDA => Expr::Lambda(Rc::new(read_funcdef(r)?)),
         other => return Err(derr(format!("unknown expr tag {other}"))),
-    })
+    };
+    r.ascend();
+    Ok(e)
 }
 
 fn write_stmts(w: &mut Writer, stmts: &[Stmt]) {
@@ -558,6 +589,7 @@ fn write_stmt(w: &mut Writer, s: &Stmt) {
 }
 
 fn read_stmt(r: &mut Reader) -> Result<Stmt> {
+    r.descend()?;
     let t = r.u8()?;
     let kind = match t {
         stag::IMPORT => StmtKind::Import(r.str()?),
@@ -614,6 +646,7 @@ fn read_stmt(r: &mut Reader) -> Result<Stmt> {
         stag::EXPR => StmtKind::Expr(read_expr(r)?),
         other => return Err(derr(format!("unknown stmt tag {other}"))),
     };
+    r.ascend();
     Ok(Stmt::dummy(kind))
 }
 
@@ -874,11 +907,74 @@ mod tests {
 
     #[test]
     fn bogus_tensor_length_does_not_overallocate() {
-        // craft: magic + TENSOR tag + ndim=1 + dim=u32::MAX, no data
+        // craft: magic + TENSOR tag + ndim + dims, no data; the second
+        // shape's element count fits a usize but its byte size does not
+        for shape in [&[u32::MAX][..], &[1 << 31, 1 << 30]] {
+            let mut blob = MAGIC.to_vec();
+            blob.push(tag::TENSOR);
+            blob.extend_from_slice(&(shape.len() as u32).to_le_bytes());
+            for d in shape {
+                blob.extend_from_slice(&d.to_le_bytes());
+            }
+            assert!(deserialize_value(&blob, &fresh_globals()).is_err());
+        }
+    }
+
+    /// Decode on a thread with the default 2 MiB stack, as the library
+    /// and worker threads that receive peer blobs run.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn deeply_nested_blob_is_rejected_not_overflowing() {
         let mut blob = MAGIC.to_vec();
-        blob.push(tag::TENSOR);
-        blob.extend_from_slice(&1u32.to_le_bytes());
-        blob.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(deserialize_value(&blob, &fresh_globals()).is_err());
+        for _ in 0..100_000 {
+            blob.push(tag::LIST);
+            blob.extend_from_slice(&1u32.to_le_bytes());
+        }
+        blob.push(tag::NONE);
+        let err = on_small_stack(move || {
+            deserialize_value(&blob, &fresh_globals())
+                .unwrap_err()
+                .to_string()
+        });
+        assert!(err.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_round_trips_on_a_small_stack() {
+        on_small_stack(|| {
+            // `levels` nested values: lists around a leaf
+            let values = |levels: usize| (1..levels).fold(Value::None, |v, _| Value::list(vec![v]));
+            assert_eq!(roundtrip(&values(MAX_DEPTH)), values(MAX_DEPTH));
+            let blob = serialize_value(&values(MAX_DEPTH + 1)).unwrap();
+            assert!(deserialize_value(&blob, &fresh_globals()).is_err());
+
+            // a statement holding `levels - 1` nested expressions
+            let exprs = |levels: usize| {
+                let e = (2..levels).fold(Expr::Int(1), |e, _| Expr::Unary(UnOp::Neg, Box::new(e)));
+                FuncDef::new("f", vec![], vec![Stmt::dummy(StmtKind::Return(Some(e)))])
+            };
+            // `levels - 1` nested loops, the innermost condition the last level
+            let stmts = |levels: usize| {
+                let body = (1..levels).fold(Vec::new(), |body, _| {
+                    vec![Stmt::dummy(StmtKind::While(Expr::Bool(true), body))]
+                });
+                FuncDef::new("g", vec![], body)
+            };
+            for def in [exprs(MAX_DEPTH), stmts(MAX_DEPTH)] {
+                let back = deserialize_funcdef(&serialize_funcdef(&def)).unwrap();
+                assert_eq!(*back, def);
+            }
+            for def in [exprs(MAX_DEPTH + 1), stmts(MAX_DEPTH + 1)] {
+                assert!(deserialize_funcdef(&serialize_funcdef(&def)).is_err());
+            }
+        });
     }
 }

@@ -14,24 +14,27 @@
 //!   the manager "instructs the worker to remove that [empty] library and
 //!   reclaim resources" ([`Decision::EvictLibrary`]).
 //!
-//! [`Manager`] is — like [`vine_worker::WorkerState`] — a pure state
-//! machine: [`Manager::next_decision`] emits [`Decision`]s and applies
-//! their bookkeeping immediately; the execution substrate (simulator or
-//! live runtime) attaches time and I/O and feeds back completion events.
+//! [`Manager`] is a pure state machine: [`Manager::next_decision`] emits
+//! [`Decision`]s and applies their bookkeeping immediately to its
+//! per-worker model ([`WorkerState`] — slots, resources, cached files and
+//! [`LibraryInstance`]s); the execution substrate (simulator or live
+//! runtime) attaches time and I/O and feeds back completion events.
 //!
-//! For federated deployments, the same core embeds as a [`Shard`] — N of
-//! them run side by side, each owning a worker partition — behind a
-//! [`ShardRouter`] front-end that hashes each submission's
-//! function-context digest onto a virtual-node ring of shards ([`router`]).
+//! For federated deployments, N substrates each drive their own `Manager`
+//! over a worker partition, behind a [`ShardRouter`] front-end that hashes
+//! each submission's function-context digest onto a virtual-node ring of
+//! shards ([`router`]).
 
 pub mod index;
+pub mod library;
 pub mod manager;
 pub mod reference;
 pub mod ring;
 pub mod router;
-pub mod shard;
+pub mod state;
 
+pub use library::{LibState, LibraryInstance};
 pub use manager::{Decision, Manager, Placement};
 pub use ring::HashRing;
 pub use router::{ShardRouter, SHARD_VNODES};
-pub use shard::{Shard, ShardLoad};
+pub use state::WorkerState;

@@ -6,7 +6,6 @@
 //! worker: it owns a fixed resource allocation, a number of invocation
 //! slots, and a share counter (its Fig 11 "share value").
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vine_core::context::LibrarySpec;
 use vine_core::ids::{InvocationId, LibraryInstanceId};
@@ -14,7 +13,7 @@ use vine_core::resources::Resources;
 use vine_core::{Result, VineError};
 
 /// Lifecycle of a deployed library.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LibState {
     /// Files staged; the daemon is booting and running context setup.
     Starting,
@@ -25,7 +24,7 @@ pub enum LibState {
 }
 
 /// One deployed library daemon.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LibraryInstance {
     pub id: LibraryInstanceId,
     /// Shared with the manager's registry and every sibling instance —
@@ -69,10 +68,6 @@ impl LibraryInstance {
     /// reclaim it (§3.5.2).
     pub fn is_empty(&self) -> bool {
         self.running.is_empty()
-    }
-
-    pub fn can_accept(&self, function: &str) -> bool {
-        self.state == LibState::Ready && self.free_slots() > 0 && self.spec.hosts_function(function)
     }
 
     pub(crate) fn begin(&mut self, id: InvocationId) -> Result<()> {
@@ -137,7 +132,6 @@ mod tests {
         l.begin(InvocationId(1)).unwrap();
         l.begin(InvocationId(2)).unwrap();
         assert_eq!(l.free_slots(), 0);
-        assert!(!l.can_accept("infer"));
         let e = l.begin(InvocationId(3)).unwrap_err();
         assert!(e.to_string().contains("no free slots"));
         l.finish(InvocationId(1)).unwrap();
@@ -149,7 +143,6 @@ mod tests {
     fn not_ready_rejects_invocations() {
         let mut l = lib(1);
         l.state = LibState::Starting;
-        assert!(!l.can_accept("infer"));
         assert!(l.begin(InvocationId(1)).is_err());
         l.state = LibState::Failed;
         assert!(l.begin(InvocationId(1)).is_err());
@@ -158,8 +151,8 @@ mod tests {
     #[test]
     fn function_matching() {
         let l = lib(1);
-        assert!(l.can_accept("infer"));
-        assert!(!l.can_accept("train"));
+        assert!(l.spec.hosts_function("infer"));
+        assert!(!l.spec.hosts_function("train"));
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! `tests/differential.rs`).
 
 use crate::index::FitIndex;
+use crate::library::LibraryInstance;
 use crate::ring::HashRing;
+use crate::state::WorkerState;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use vine_core::context::{FileRef, LibrarySpec};
@@ -31,7 +33,6 @@ use vine_core::ids::{ContentHash, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
 use vine_core::task::{FunctionCall, TaskSpec, UnitId, WorkUnit};
 use vine_core::{Result, VineError};
-use vine_worker::WorkerState;
 
 /// Where a running unit lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -212,9 +213,10 @@ impl Manager {
         self.rebuild_fit();
     }
 
-    /// A worker died or disconnected. Its running units are requeued (at
-    /// the front — they have waited longest) and returned so the substrate
-    /// can cancel in-flight activity.
+    /// A worker died or disconnected. Its instances and running placements
+    /// are dropped and the units that were running there are returned: the
+    /// substrate cancels their in-flight activity and hands them back with
+    /// [`Manager::requeue`] (at the front — they have waited longest).
     pub fn worker_left(&mut self, id: WorkerId) -> Vec<UnitId> {
         self.ring.remove(id);
         let Some(state) = self.workers.remove(&id) else {
@@ -247,7 +249,7 @@ impl Manager {
             !ws.is_empty()
         });
         self.rebuild_fit();
-        // requeue its running units
+        // hand back its running units
         let lost: Vec<UnitId> = self
             .running
             .iter()
@@ -570,7 +572,7 @@ impl Manager {
         &mut self,
         worker: WorkerId,
         instance: LibraryInstanceId,
-    ) -> Result<vine_worker::LibraryInstance> {
+    ) -> Result<LibraryInstance> {
         let w = self
             .workers
             .get_mut(&worker)
@@ -663,7 +665,7 @@ impl Manager {
     }
 
     /// All deployed instances (telemetry for Figs 10 & 11).
-    pub fn instances(&self) -> impl Iterator<Item = (WorkerId, &vine_worker::LibraryInstance)> {
+    pub fn instances(&self) -> impl Iterator<Item = (WorkerId, &LibraryInstance)> {
         self.workers
             .values()
             .flat_map(|w| w.libraries.values().map(move |l| (w.id, l)))

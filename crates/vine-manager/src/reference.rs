@@ -18,8 +18,10 @@
 //! staging-failure rule (a file the worker's cache rejects is flagged
 //! `cache: false` in the emitted decision).
 
+use crate::library::LibraryInstance;
 use crate::manager::{Decision, Placement};
 use crate::ring::HashRing;
+use crate::state::WorkerState;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use vine_core::context::{FileRef, LibrarySpec};
@@ -27,7 +29,6 @@ use vine_core::ids::{LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
 use vine_core::task::{FunctionCall, TaskSpec, UnitId, WorkUnit};
 use vine_core::{Result, VineError};
-use vine_worker::WorkerState;
 
 /// Per-library index of instances with free slots.
 type SlotIndex = BTreeMap<String, BTreeMap<(WorkerId, LibraryInstanceId), u32>>;
@@ -353,7 +354,7 @@ impl NaiveManager {
         &mut self,
         worker: WorkerId,
         instance: LibraryInstanceId,
-    ) -> Result<vine_worker::LibraryInstance> {
+    ) -> Result<LibraryInstance> {
         let w = self
             .workers
             .get_mut(&worker)

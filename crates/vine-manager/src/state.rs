@@ -1,17 +1,26 @@
-//! The worker state machine: accounting and transitions, no timing.
+//! The manager's model of one worker (paper §2.2.3, §3.4): its
+//! content-addressed cache (context on disk, L2), its deployed
+//! [`LibraryInstance`]s (context in memory, L3), and strict resource
+//! accounting (§2.1.3: "a worker must be able to account for such resource
+//! occupation ... and report such consumption back to the manager").
+//!
+//! [`WorkerState`] is a pure state machine: it validates and applies
+//! transitions but attaches no timing and performs no I/O. The
+//! [`crate::Manager`] owns one per admitted worker and updates it as it
+//! emits decisions; the substrates (simulator or live runtime) execute the
+//! work and report completions back through the manager.
 
 use crate::library::{LibState, LibraryInstance};
-use crate::sandbox::Sandbox;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vine_core::context::LibrarySpec;
-use vine_core::ids::{ContentHash, InvocationId, LibraryInstanceId, WorkerId};
+use vine_core::ids::{ContentHash, InvocationId, LibraryInstanceId, TaskId, WorkerId};
 use vine_core::resources::Resources;
-use vine_core::task::{FunctionCall, TaskSpec, UnitId};
+use vine_core::task::{FunctionCall, TaskSpec};
 use vine_core::{Result, VineError};
 use vine_data::WorkerCache;
 
-/// One worker's complete local state.
+/// The manager's view of one worker.
 #[derive(Debug)]
 pub struct WorkerState {
     pub id: WorkerId,
@@ -22,9 +31,9 @@ pub struct WorkerState {
     /// On-disk content cache.
     pub cache: WorkerCache,
     pub libraries: BTreeMap<LibraryInstanceId, LibraryInstance>,
-    pub sandboxes: BTreeMap<UnitId, Sandbox>,
-    /// Resources held by plain (non-library) tasks.
-    tasks: BTreeMap<UnitId, Resources>,
+    /// Plain (non-library) tasks: the resources each holds and the cached
+    /// inputs it pinned.
+    tasks: BTreeMap<TaskId, (Resources, Vec<ContentHash>)>,
 }
 
 impl WorkerState {
@@ -35,7 +44,6 @@ impl WorkerState {
             available: total,
             cache: WorkerCache::new(total.disk_mb * 1024 * 1024),
             libraries: BTreeMap::new(),
-            sandboxes: BTreeMap::new(),
             tasks: BTreeMap::new(),
         }
     }
@@ -73,16 +81,6 @@ impl WorkerState {
     /// A file arrived (from manager, peer, or unpacking); cache it.
     pub fn file_arrived(&mut self, hash: ContentHash, materialized_bytes: u64) -> Result<()> {
         self.cache.insert(hash, materialized_bytes)
-    }
-
-    /// Which of `hashes` are not yet cached here (what a dispatch must
-    /// stage first).
-    pub fn missing_files(&self, hashes: &[ContentHash]) -> Vec<ContentHash> {
-        hashes
-            .iter()
-            .filter(|h| !self.cache.contains(**h))
-            .copied()
-            .collect()
     }
 
     // ---- libraries ----
@@ -157,15 +155,6 @@ impl WorkerState {
             .ok_or_else(|| VineError::Protocol(format!("no library instance {id}")))
     }
 
-    /// Find a Ready instance of `library` hosting `function` with a free
-    /// slot.
-    pub fn find_library_for(&self, library: &str, function: &str) -> Option<LibraryInstanceId> {
-        self.libraries
-            .values()
-            .find(|l| l.spec.name == library && l.can_accept(function))
-            .map(|l| l.id)
-    }
-
     /// Instances that are Ready and idle (eviction candidates).
     pub fn empty_libraries(&self) -> Vec<LibraryInstanceId> {
         self.libraries
@@ -177,84 +166,58 @@ impl WorkerState {
 
     // ---- invocations ----
 
-    /// Begin an invocation on a library: occupy a slot and create its
-    /// sandbox (§3.4 step 3).
+    /// Begin an invocation on a library: occupy a slot (§3.4 step 3).
     pub fn begin_call(&mut self, lib: LibraryInstanceId, call: &FunctionCall) -> Result<()> {
-        {
-            let l = self.library_mut(lib)?;
-            if !l.spec.hosts_function(&call.function) {
-                return Err(VineError::UnknownFunction {
-                    library: l.spec.name.clone(),
-                    function: call.function.clone(),
-                });
-            }
-            l.begin(call.id)?;
+        let l = self.library_mut(lib)?;
+        if !l.spec.hosts_function(&call.function) {
+            return Err(VineError::UnknownFunction {
+                library: l.spec.name.clone(),
+                function: call.function.clone(),
+            });
         }
-        let unit = UnitId::Call(call.id);
-        self.sandboxes.insert(unit, Sandbox::new(unit));
-        Ok(())
+        l.begin(call.id)
     }
 
-    /// Finish an invocation: free the slot, bump the share value, destroy
-    /// the sandbox (§3.4 step 4).
+    /// Finish an invocation: free the slot and bump the share value (§3.4
+    /// step 4).
     pub fn finish_call(&mut self, lib: LibraryInstanceId, id: InvocationId) -> Result<()> {
-        self.library_mut(lib)?.finish(id)?;
-        self.sandboxes
-            .remove(&UnitId::Call(id))
-            .ok_or_else(|| VineError::Protocol(format!("no sandbox for {id}")))?;
-        Ok(())
+        self.library_mut(lib)?.finish(id)
     }
 
     // ---- plain tasks ----
 
-    /// Begin a stateless task: allocate resources, pin its cached inputs,
-    /// create a sandbox.
+    /// Begin a stateless task: allocate resources and pin its cached
+    /// inputs for the task's lifetime.
     pub fn begin_task(&mut self, task: &TaskSpec) -> Result<()> {
-        let unit = UnitId::Task(task.id);
-        if self.tasks.contains_key(&unit) {
+        if self.tasks.contains_key(&task.id) {
             return Err(VineError::Protocol(format!(
                 "task {} already running",
                 task.id
             )));
         }
         self.allocate(&task.resources)?;
-        let mut sandbox = Sandbox::new(unit);
+        let mut pinned = Vec::new();
         for f in &task.inputs {
             if self.cache.contains(f.hash) {
                 self.cache.pin(f.hash)?;
-                sandbox.linked.push(f.hash);
+                pinned.push(f.hash);
             }
         }
-        self.tasks.insert(unit, task.resources);
-        self.sandboxes.insert(unit, sandbox);
+        self.tasks.insert(task.id, (task.resources, pinned));
         Ok(())
     }
 
-    /// Finish a stateless task: release resources, unpin inputs, destroy
-    /// the sandbox.
-    pub fn finish_task(&mut self, id: vine_core::ids::TaskId) -> Result<()> {
-        let unit = UnitId::Task(id);
-        let held = self
+    /// Finish a stateless task: release resources and unpin inputs.
+    pub fn finish_task(&mut self, id: TaskId) -> Result<()> {
+        let (held, pinned) = self
             .tasks
-            .remove(&unit)
+            .remove(&id)
             .ok_or_else(|| VineError::Protocol(format!("task {id} not running")))?;
         self.release(&held);
-        if let Some(sb) = self.sandboxes.remove(&unit) {
-            for h in sb.linked {
-                self.cache.unpin(h)?;
-            }
+        for h in pinned {
+            self.cache.unpin(h)?;
         }
         Ok(())
-    }
-
-    /// Concurrent running units (tasks + invocations).
-    pub fn running_units(&self) -> usize {
-        self.tasks.len()
-            + self
-                .libraries
-                .values()
-                .map(|l| l.running.len())
-                .sum::<usize>()
     }
 
     /// Fraction of total cores currently allocated to *executing* work
@@ -264,7 +227,7 @@ impl WorkerState {
         if self.total.cores == 0 {
             return 0.0;
         }
-        let task_cores: u32 = self.tasks.values().map(|r| r.cores).sum();
+        let task_cores: u32 = self.tasks.values().map(|(r, _)| r.cores).sum();
         let lib_cores: u32 = self
             .libraries
             .values()
@@ -281,7 +244,7 @@ impl WorkerState {
 mod tests {
     use super::*;
     use vine_core::context::{ContextSpec, FileRef};
-    use vine_core::ids::{FileId, TaskId};
+    use vine_core::ids::FileId;
 
     fn file(i: u64, size: u64) -> FileRef {
         FileRef::new(
@@ -334,8 +297,7 @@ mod tests {
         let (mut w, id) = ready_worker();
         w.begin_call(id, &call(1)).unwrap();
         w.begin_call(id, &call(2)).unwrap();
-        assert_eq!(w.running_units(), 2);
-        assert_eq!(w.sandboxes.len(), 2);
+        assert_eq!(w.libraries[&id].running.len(), 2);
 
         // busy library cannot be removed
         assert!(w.remove_library(id).is_err());
@@ -343,7 +305,7 @@ mod tests {
         w.finish_call(id, InvocationId(1)).unwrap();
         w.finish_call(id, InvocationId(2)).unwrap();
         assert_eq!(w.libraries[&id].served, 2);
-        assert!(w.sandboxes.is_empty());
+        assert!(w.libraries[&id].is_empty());
 
         // now removable; resources return
         w.remove_library(id).unwrap();
@@ -421,9 +383,8 @@ mod tests {
         )
         .unwrap();
         assert!(w.begin_call(id, &call(1)).is_err(), "still Starting");
-        assert!(w.find_library_for("lnni", "infer").is_none());
         w.library_ready(id).unwrap();
-        assert_eq!(w.find_library_for("lnni", "infer"), Some(id));
+        w.begin_call(id, &call(1)).unwrap();
     }
 
     #[test]
@@ -442,7 +403,7 @@ mod tests {
             w.begin_call(id, &call(i)).unwrap();
         }
         assert!(w.begin_call(id, &call(16)).is_err());
-        assert!(w.find_library_for("lnni", "infer").is_none());
+        assert_eq!(w.libraries[&id].free_slots(), 0);
         assert!((w.occupancy() - 1.0).abs() < 1e-9);
     }
 
@@ -455,25 +416,16 @@ mod tests {
         w.file_arrived(t.inputs[0].hash, 100).unwrap();
 
         w.begin_task(&t).unwrap();
-        assert_eq!(w.running_units(), 1);
+        assert_eq!(w.tasks.len(), 1);
         assert!(w.begin_task(&t).is_err(), "duplicate task");
         // the input is pinned while the task runs
         assert!(w.cache.remove(t.inputs[0].hash).is_err());
 
         w.finish_task(TaskId(1)).unwrap();
         assert_eq!(w.available, w.total);
-        assert_eq!(w.running_units(), 0);
+        assert!(w.tasks.is_empty());
         w.cache.remove(t.inputs[0].hash).unwrap();
         assert!(w.finish_task(TaskId(1)).is_err(), "double finish");
-    }
-
-    #[test]
-    fn missing_files_reports_gap() {
-        let mut w = WorkerState::paper(WorkerId(0));
-        let a = ContentHash::of_str("a");
-        let b = ContentHash::of_str("b");
-        w.file_arrived(a, 10).unwrap();
-        assert_eq!(w.missing_files(&[a, b]), vec![b]);
     }
 
     #[test]

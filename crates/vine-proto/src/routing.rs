@@ -1,7 +1,7 @@
 //! The router ↔ shard protocol plane (federated sharding).
 //!
 //! A federated deployment runs N scheduling shards — each a
-//! `vine_manager::Shard` embedded in its own serve process, owning its
+//! `vine_manager::Manager` driven by its own serve process, owning its
 //! own workers — behind one thin routing front-end. The front-end speaks
 //! this plane: shards announce themselves with [`ShardToRouter::ShardJoin`],
 //! the router forwards each submission with [`RouterToShard::Route`] to
@@ -43,9 +43,9 @@ pub enum ShardToRouter {
     ShardStats { stats: ShardStats },
 }
 
-/// Per-shard load and wire aggregates — the scheduling counters from
-/// `vine_manager::ShardLoad` plus the shard's worker-transport totals,
-/// rendered in the `repro route` stderr table.
+/// Per-shard load and wire aggregates — the shard's scheduling counters
+/// plus its worker-transport totals, rendered in the `repro route` stderr
+/// table.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStats {
     pub shard: ShardId,

@@ -2,11 +2,6 @@
 //! protocol planes round-trips exactly through the framed codec, and the
 //! decoder rejects — never panics on, never misreads — truncated,
 //! oversized, and corrupt frames.
-//!
-//! These generated round-trips replace the hand-rolled
-//! `messages_roundtrip_through_serde` sample that previously lived in
-//! `vine-worker`: instead of three fixed values, the whole message space
-//! is sampled.
 
 use proptest::prelude::*;
 use std::io::Cursor;

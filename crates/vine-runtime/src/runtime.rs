@@ -4,7 +4,7 @@
 
 use crate::transport::{InProcTransport, RecvError, Transport, TransportEvent, TransportStats};
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use vine_core::context::LibrarySpec;
 use vine_core::ids::{ContentHash, WorkerId};
 use vine_core::resources::Resources;
@@ -57,22 +57,13 @@ struct LibraryTemplate {
 pub struct Runtime {
     mgr: Manager,
     transport: Box<dyn Transport>,
-    /// Workers currently admitted; guards double-processing of a leave
-    /// observed both by an explicit kill and by the transport.
-    connected: BTreeSet<WorkerId>,
     templates: BTreeMap<String, LibraryTemplate>,
     in_flight: BTreeMap<UnitId, WorkUnit>,
     outcomes: Vec<Outcome>,
-    /// Wall-clock per completed unit (dispatch → result), for the live
-    /// Table 2 measurements.
-    pub unit_durations: Vec<(UnitId, Duration)>,
-    dispatch_times: BTreeMap<UnitId, Instant>,
     idle_timeout: Duration,
     /// Module names the workers' activated environment provides, retained
     /// for install-time pre-flight analysis.
     module_names: BTreeSet<String>,
-    /// Capacity of each admitted worker, retained for placement pre-flight.
-    worker_caps: Vec<Resources>,
     /// Units re-admitted after a worker loss or an explicit worker-side
     /// requeue — the load-report counter a federated shard exposes.
     requeues: u64,
@@ -99,20 +90,16 @@ impl Runtime {
         let mut rt = Runtime {
             mgr: Manager::new(),
             transport,
-            connected: BTreeSet::new(),
             templates: BTreeMap::new(),
             in_flight: BTreeMap::new(),
             outcomes: Vec::new(),
-            unit_durations: Vec::new(),
-            dispatch_times: BTreeMap::new(),
             idle_timeout: cfg.idle_timeout,
             module_names,
-            worker_caps: Vec::new(),
             requeues: 0,
             images: CompiledImageStore::new(),
         };
-        while rt.connected.len() < cfg.workers {
-            let joined = rt.connected.len();
+        while rt.mgr.worker_count() < cfg.workers {
+            let joined = rt.mgr.worker_count();
             let ev = rt.transport.recv_timeout(rt.idle_timeout).map_err(|_| {
                 VineError::Timeout(format!(
                     "waiting for {} worker(s) to join, {} joined",
@@ -152,7 +139,7 @@ impl Runtime {
         let pre = vine_lint::LibraryPreflight {
             available_modules: self.module_names.clone(),
             declared_deps: None,
-            workers: self.worker_caps.clone(),
+            workers: self.worker_capacities(),
             serialized_functions: serialized_names,
             setup_argc: spec.context.setup.as_ref().map(|_| setup_args.len()),
         };
@@ -286,9 +273,10 @@ impl Runtime {
             .collect()
     }
 
-    /// Capacity of each worker in the cluster (placement pre-flight input).
-    pub fn worker_capacities(&self) -> &[Resources] {
-        &self.worker_caps
+    /// Capacity of each admitted worker, ascending by id (placement
+    /// pre-flight input).
+    pub fn worker_capacities(&self) -> Vec<Resources> {
+        self.mgr.workers.values().map(|w| w.total).collect()
     }
 
     pub fn submit(&mut self, unit: WorkUnit) {
@@ -299,18 +287,20 @@ impl Runtime {
     /// down; running units are requeued and rescheduled elsewhere.
     pub fn kill_worker(&mut self, id: WorkerId) {
         self.transport.disconnect(id);
-        if self.connected.remove(&id) {
-            self.worker_left(id);
-        }
+        self.worker_left(id);
     }
 
     /// A worker is gone (kill, crash, or disconnect): tell the manager and
-    /// requeue everything that was in flight there.
+    /// requeue everything that was in flight there. A leave observed twice
+    /// (an explicit kill, then the transport's own report) is a no-op the
+    /// second time: the manager no longer admits the worker.
     fn worker_left(&mut self, id: WorkerId) {
+        if !self.mgr.workers.contains_key(&id) {
+            return;
+        }
         let lost = self.mgr.worker_left(id);
         for unit in lost {
             if let Some(w) = self.in_flight.remove(&unit) {
-                self.dispatch_times.remove(&unit);
                 self.requeues += 1;
                 self.mgr.requeue(w);
             }
@@ -418,9 +408,8 @@ impl Runtime {
                     library,
                     call,
                 } => {
-                    let unit = UnitId::Call(call.id);
-                    self.dispatch_times.insert(unit, Instant::now());
-                    self.in_flight.insert(unit, WorkUnit::Call(call.clone()));
+                    self.in_flight
+                        .insert(UnitId::Call(call.id), WorkUnit::Call(call.clone()));
                     self.send(
                         worker,
                         ManagerToWorker::Invoke {
@@ -434,9 +423,8 @@ impl Runtime {
                     task,
                     missing,
                 } => {
-                    let unit = UnitId::Task(task.id);
-                    self.dispatch_times.insert(unit, Instant::now());
-                    self.in_flight.insert(unit, WorkUnit::Task(task.clone()));
+                    self.in_flight
+                        .insert(UnitId::Task(task.id), WorkUnit::Task(task.clone()));
                     self.send(
                         worker,
                         ManagerToWorker::RunTask {
@@ -475,9 +463,7 @@ impl Runtime {
         match result {
             Ok(()) => Ok(()),
             Err(VineError::WorkerLost(w)) => {
-                if self.connected.remove(&w) {
-                    self.worker_left(w);
-                }
+                self.worker_left(w);
                 Ok(())
             }
             Err(e) => Err(e),
@@ -487,18 +473,13 @@ impl Runtime {
     fn handle(&mut self, ev: TransportEvent) -> Result<()> {
         match ev {
             TransportEvent::Joined { worker, resources } => {
-                if self.connected.insert(worker) {
+                if !self.mgr.workers.contains_key(&worker) {
                     self.mgr.worker_joined(worker, resources);
-                    self.worker_caps.push(resources);
                 }
             }
-            TransportEvent::Left { worker } => {
-                if self.connected.remove(&worker) {
-                    self.worker_left(worker);
-                }
-            }
+            TransportEvent::Left { worker } => self.worker_left(worker),
             TransportEvent::Message { worker, msg } => {
-                if !self.connected.contains(&worker) {
+                if !self.mgr.workers.contains_key(&worker) {
                     // stragglers from a worker we already gave up on
                     return Ok(());
                 }
@@ -516,9 +497,6 @@ impl Runtime {
                         if self.in_flight.remove(&unit).is_none() {
                             return Ok(());
                         }
-                        if let Some(at) = self.dispatch_times.remove(&unit) {
-                            self.unit_durations.push((unit, at.elapsed()));
-                        }
                         self.mgr.unit_finished(unit)?;
                         self.outcomes.push(outcome);
                     }
@@ -528,7 +506,6 @@ impl Runtime {
                             WorkUnit::Task(t) => UnitId::Task(t.id),
                         };
                         if self.in_flight.remove(&id).is_some() {
-                            self.dispatch_times.remove(&id);
                             self.mgr.unit_finished(id)?;
                             self.requeues += 1;
                             self.mgr.requeue(unit);
@@ -536,9 +513,7 @@ impl Runtime {
                     }
                     WorkerToManager::Leave => {
                         self.transport.disconnect(worker);
-                        if self.connected.remove(&worker) {
-                            self.worker_left(worker);
-                        }
+                        self.worker_left(worker);
                     }
                     WorkerToManager::Join { .. } => {
                         // joins are transport-level handshakes; a repeat on

@@ -2,6 +2,7 @@
 //! libraries that could only fail after their context shipped.
 
 use vine_core::context::{LibrarySpec, SetupSpec};
+use vine_core::ids::WorkerId;
 use vine_core::resources::Resources;
 use vine_core::VineError;
 use vine_lang::pickle;
@@ -127,4 +128,20 @@ fn serialized_functions_satisfy_preflight_and_report_arity() {
     rt.install_library(spec(&["dyn"]), "", vec![blob], &[])
         .expect("serialized definition satisfies the function check");
     assert_eq!(rt.function_arity("lib", "dyn"), Some(3));
+}
+
+#[test]
+fn killed_worker_leaves_the_placement_preflight() {
+    let mut rt = Runtime::new(RuntimeConfig {
+        workers: 2,
+        worker_resources: Resources::new(4, 8 * 1024, 8 * 1024),
+        ..RuntimeConfig::default()
+    });
+    assert_eq!(rt.worker_capacities().len(), 2);
+    rt.kill_worker(WorkerId(0));
+    assert_eq!(
+        rt.worker_capacities().len(),
+        1,
+        "pre-flight must not count a dead worker's capacity"
+    );
 }

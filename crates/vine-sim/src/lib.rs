@@ -3,7 +3,7 @@
 //! A deterministic discrete-event simulator that executes vine-rs
 //! workloads on a modeled cluster — the substitution for the paper's
 //! 201-machine HTCondor pool (DESIGN.md §2). The real [`vine_manager`]
-//! scheduler and [`vine_worker`] accounting run unmodified; only *time* is
+//! scheduler and its per-worker accounting run unmodified; only *time* is
 //! simulated:
 //!
 //! * manager bookkeeping is a single-server queue with per-decision costs

@@ -30,12 +30,12 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
 use vine_core::config::{CostModel, ReuseLevel};
 use vine_core::context::{FileSource, LibrarySpec};
-use vine_core::ids::{InvocationId, LibraryInstanceId, ShardId, WorkerId};
+use vine_core::ids::{InvocationId, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
 use vine_core::task::{UnitId, WorkProfile, WorkUnit};
 use vine_core::time::{SimDuration, SimTime};
 use vine_core::trace::{InvocationRecord, LibraryRecord, PhaseBreakdown, Trace};
-use vine_manager::{Decision, Shard};
+use vine_manager::{Decision, Manager};
 
 /// What to simulate and on what cluster.
 #[derive(Clone, Debug)]
@@ -53,10 +53,6 @@ pub struct SimConfig {
     pub worker_resources: Resources,
     /// Kill worker (index) at time (seconds) — fault injection.
     pub fail_workers: Vec<(f64, usize)>,
-    /// Identity of the embedded scheduling shard. A standalone simulation
-    /// is shard 0 of a federation of one; `sharded::simulate_sharded` runs
-    /// one sub-simulation per shard with distinct ids.
-    pub shard: ShardId,
 }
 
 impl SimConfig {
@@ -72,7 +68,6 @@ impl SimConfig {
             colocated: false,
             worker_resources: Resources::paper_worker(),
             fail_workers: Vec::new(),
-            shard: ShardId(0),
         }
     }
 
@@ -289,10 +284,7 @@ struct Driver<'w> {
     q: EventQueue<Ev>,
     /// Dense pool storage; see [`PoolId`] for the layout.
     pools: Vec<FluidPool>,
-    /// The embedded scheduling shard (the `Manager` core plus federation
-    /// identity); a single-shard simulation drives it exactly like the
-    /// standalone manager, decision for decision.
-    mgr: Shard,
+    mgr: Manager,
     jobs: JobSlab,
     /// Live jobs per worker, for O(jobs-on-worker) failure handling.
     worker_jobs: Vec<Vec<JobId>>,
@@ -317,7 +309,7 @@ struct Driver<'w> {
 
 /// Run a workload to completion.
 pub fn simulate(cfg: SimConfig, workload: &mut dyn Workload) -> SimResult {
-    let mut mgr = Shard::new(cfg.shard);
+    let mut mgr = Manager::new();
     let mut setup_profiles = BTreeMap::new();
     for (spec, profile) in workload.libraries() {
         setup_profiles.insert(spec.name.clone(), profile);
@@ -825,7 +817,7 @@ impl<'w> Driver<'w> {
             if wid == dest {
                 continue;
             }
-            let ws = &self.mgr.core().workers[&wid];
+            let ws = &self.mgr.workers[&wid];
             if rest.iter().all(|f| ws.cache.contains(f.hash)) {
                 let key = self.uplink_pool(wid);
                 let load = self.pools[key.0 as usize].active();
@@ -861,7 +853,6 @@ impl<'w> Driver<'w> {
         let base = gflop / (rating * f64::from(cores.max(1)));
         let occupancy = self
             .mgr
-            .core()
             .workers
             .get(&worker)
             .map(|w| w.occupancy())

@@ -3,7 +3,9 @@
 # table: each benchmark's headline metric and speedup on a single line,
 # printed to stdout (CI runs this last so the log ends with the full
 # performance picture). Unrecognized schemas are listed, not dropped, so
-# a new benchmark shows up here the moment its file lands.
+# a new benchmark shows up here the moment its file lands. A file whose
+# "clock" is "modeled" reports simulated time from the cost model, not
+# wall-clock; its row is marked so the two are never read as one.
 #
 # Usage: scripts/bench_summary.sh
 set -euo pipefail
@@ -13,12 +15,15 @@ python3 - <<'EOF'
 import glob, json
 
 rows = []
+modeled = set()
 for path in sorted(glob.glob('BENCH_*.json')):
     try:
         d = json.load(open(path))
     except Exception as e:
         rows.append((path, '(unreadable)', str(e), None, None))
         continue
+    if d.get('clock') == 'modeled':
+        modeled.add(path)
     name = d.get('benchmark', '?')
     if name == 'sched_hot_path':
         rows.append((path, name, 'decisions/s (indexed vs naive)',
@@ -44,8 +49,12 @@ print(f"{'file':<18} {'benchmark':<22} {'headline':<38} {'value':>12} {'speedup'
 for path, name, head, value, sp in rows:
     v = f"{value:,.1f}" if isinstance(value, (int, float)) else '-'
     s = f"{sp:.2f}x" if isinstance(sp, (int, float)) else '-'
+    if path in modeled:
+        head += ' [modeled]'
     print(f"{path:<18} {name:<22} {head:<38} {v:>12} {s:>8}")
 print()
+if modeled:
+    print('[modeled] = simulated time from the cost model, not wall-clock')
 print('speedup baselines are per-benchmark (see each file); '
       'regenerate with: repro perf [--sim|--lang|--net] / repro shard')
 EOF

@@ -145,15 +145,22 @@ fn write_string(out: &mut String, s: &str) {
 
 // ---- parser ----
 
+/// Deepest array/object nesting `parse` accepts (serde_json's default
+/// recursion limit): the parser recurses once per level, so the bound keeps
+/// hostile input from overflowing the parsing thread's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 pub fn parse(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -197,11 +204,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             other => Err(Error(format!("unexpected {other:?} at byte {}", self.pos))),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn keyword(&mut self, word: &str, v: Value) -> Result<Value> {
@@ -400,6 +420,26 @@ mod tests {
         let s = to_string(&data).unwrap();
         let back: Vec<(u64, String)> = from_str(&s).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected_not_overflowing() {
+        // parse on a thread with the default 2 MiB stack, as the reactor
+        // and transport threads that decode peer frames run
+        let deep = "[".repeat(100_000);
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&deep).map(|_| ()))
+            .unwrap()
+            .join()
+            .unwrap()
+            .unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(parse(&over).is_err());
     }
 
     #[test]
