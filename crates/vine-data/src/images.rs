@@ -2,15 +2,9 @@
 //!
 //! A compiled vine-lang module is context in the paper's sense (§2.2.3):
 //! computed once, immutable, and named by the digest of the source it came
-//! from. This store is that naming made operational, on both sides of the
-//! wire:
-//!
-//! * the **manager** interns the image it compiles at `install_library`
-//!   time, so installing the same library source into many workers (or
-//!   re-installing after a worker loss) compiles exactly once;
-//! * each **worker** interns the bytes shipped inside a `LibraryImage`, so
-//!   N library instances on one worker hold one `Arc` of the bytes instead
-//!   of N copies, and a re-install after eviction is a map hit.
+//! from. The manager interns the image it compiles at `install_library`
+//! time, so installing the same library source into many workers (or
+//! re-installing after a worker loss) compiles exactly once.
 //!
 //! The store holds opaque bytes rather than decoded code on purpose: bytes
 //! are `Send`/`Sync` and identical on every host, while decoded bytecode
@@ -31,9 +25,9 @@ pub struct CompiledImageStore {
 /// Observability counters for the store.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ImageStoreStats {
-    /// Lookups answered from the table (no compile / no copy needed).
+    /// Lookups answered from the table (no compile needed).
     pub hits: u64,
-    /// Images produced and inserted (the compile-or-copy events).
+    /// Images produced and inserted (the compile events).
     pub misses: u64,
 }
 
@@ -43,8 +37,7 @@ impl CompiledImageStore {
     }
 
     /// The image for `digest`, producing (and interning) it on first
-    /// request. `produce` typically compiles source on the manager, or
-    /// copies shipped bytes on a worker.
+    /// request. `produce` compiles the source.
     pub fn intern_with(
         &mut self,
         digest: ContentHash,
@@ -60,25 +53,8 @@ impl CompiledImageStore {
         bytes
     }
 
-    /// The image for `digest`, if already interned.
-    pub fn get(&mut self, digest: ContentHash) -> Option<Arc<Vec<u8>>> {
-        let found = self.by_digest.get(&digest).map(Arc::clone);
-        if found.is_some() {
-            self.stats.hits += 1;
-        }
-        found
-    }
-
     pub fn stats(&self) -> ImageStoreStats {
         self.stats
-    }
-
-    pub fn len(&self) -> usize {
-        self.by_digest.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.by_digest.is_empty()
     }
 }
 
@@ -100,7 +76,6 @@ mod tests {
         }
         assert_eq!(compiles, 1);
         assert_eq!(store.stats(), ImageStoreStats { hits: 4, misses: 1 });
-        assert_eq!(store.len(), 1);
     }
 
     #[test]
@@ -110,10 +85,9 @@ mod tests {
         let b = ContentHash::of_str("b");
         store.intern_with(a, || vec![1]);
         store.intern_with(b, || vec![2]);
-        assert_eq!(store.len(), 2);
-        assert_eq!(*store.get(a).unwrap(), vec![1]);
-        assert_eq!(*store.get(b).unwrap(), vec![2]);
-        assert!(store.get(ContentHash::of_str("c")).is_none());
+        assert_eq!(*store.intern_with(a, || unreachable!()), vec![1]);
+        assert_eq!(*store.intern_with(b, || unreachable!()), vec![2]);
+        assert_eq!(store.stats(), ImageStoreStats { hits: 2, misses: 2 });
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //!
 //! * [`images::CompiledImageStore`] — content-addressed interning of
 //!   compiled library images by source digest: the manager compiles each
-//!   distinct library source once, and workers hold one copy of shipped
-//!   image bytes no matter how many library instances use them.
+//!   distinct library source once.
 //! * [`store::ContentStore`] — the manager's table of declared files.
 //!   Every transferable is immutable and content-addressed (paper §2.2.2:
 //!   unique, read-only naming is what makes worker-to-worker transfers safe

@@ -11,15 +11,14 @@
 //!   graph, with a curated builtin table ([`vine_lang::builtins`]) and
 //!   `eval`/`exec` as ⊤.
 //!
-//! On top sits [`hoist::discover`]: the flow-based upgrade of
-//! [`vine_lang::autocontext::discover`], the paper's §6 "seamless
-//! discovery of high-level contexts". It hoists module statements whose
-//! values are provably invocation-invariant *even through calls*, and
-//! constant-folds statements that read invocation state into hoistable
-//! constants. `vine-lint` builds its flow lints (dead store, unreachable
-//! code, constant condition, effectful setup in fork mode) on the same
-//! layers, and `vine-runtime` turns discoveries into installable
-//! `LibrarySpec`s.
+//! On top sits [`hoist::discover`], the system's one context-discovery
+//! pass: the paper's §6 "seamless discovery of high-level contexts". It
+//! hoists module statements whose values are provably
+//! invocation-invariant *even through calls*, and constant-folds
+//! statements that read invocation state into hoistable constants.
+//! `vine-lint` builds its flow lints (dead store, unreachable code,
+//! constant condition, effectful setup in fork mode) on the same layers,
+//! and `vine-runtime` turns discoveries into installable `LibrarySpec`s.
 
 pub mod analyses;
 pub mod cfg;
@@ -31,7 +30,7 @@ pub use analyses::{constprop, liveness, reaching, CVal, ConstEnv};
 pub use cfg::{Block, BlockId, Cfg, Terminator};
 pub use effects::{EffectEnv, EffectSummary};
 pub use fixpoint::{solve, Analysis, Direction, Lattice, Solution};
-pub use hoist::{discover, FlowDiscovery, HoistedStmt};
+pub use hoist::{discover, DiscoveredContext, FlowDiscovery, HoistedStmt};
 
 #[cfg(test)]
 mod tests {
@@ -54,13 +53,12 @@ mod tests {
     "#;
 
     #[test]
-    fn flow_hoists_strictly_more_than_syntactic() {
+    fn capacity_folds_through_the_mutated_counter() {
         let flow = discover(MODULE, &["classify"]).unwrap();
-        let syn = vine_lang::autocontext::discover(MODULE, &["classify"]).unwrap();
-        // syntactic: `capacity = served + 4096` reads the mutated counter
-        // and stays residue; flow folds it to `capacity = 4096;`
-        assert!(flow.hoisted.len() > 6 - syn.residue.len(), "sanity");
-        assert!(flow.context.residue.len() < syn.residue.len());
+        // the model build and labels hoist; the served counter stays
+        // residue, and `capacity = served + 4096`, which reads it, folds
+        assert_eq!(flow.hoisted.len(), 5, "{:?}", flow.hoisted);
+        assert_eq!(flow.context.residue, vec!["served = 0;".to_string()]);
         assert_eq!(flow.folded, 1);
         let fold = flow
             .hoisted
@@ -68,6 +66,42 @@ mod tests {
             .find(|h| h.folded_from.is_some())
             .unwrap();
         assert_eq!(fold.source, "capacity = 4096;");
+    }
+
+    #[test]
+    fn collects_imports_and_helpers() {
+        let src = r#"
+            import nn
+            import mathx
+            def preprocess(img) { return img % 64 }
+            def infer(img) { return nn.forward(preprocess(img)) }
+        "#;
+        let flow = discover(src, &["infer"]).unwrap();
+        // mathx is unused by `infer`, but module-level imports hoist
+        assert_eq!(flow.context.imports, vec!["mathx", "nn"]);
+        // the transitive helper travels with the work function
+        assert!(flow.context.code_source.contains("def preprocess"));
+        assert!(flow.context.code_source.contains("def infer"));
+    }
+
+    #[test]
+    fn unknown_function_errors() {
+        assert!(discover(MODULE, &["missing"]).is_err());
+    }
+
+    #[test]
+    fn container_mutation_counts_as_write() {
+        let src = r#"
+            cache = {}
+            def memo(k, v) {
+                global cache
+                cache[k] = v
+                return cache[k]
+            }
+        "#;
+        let flow = discover(src, &["memo"]).unwrap();
+        assert!(flow.context.provides.is_empty(), "{:?}", flow.context);
+        assert_eq!(flow.context.residue, vec!["cache = {};".to_string()]);
     }
 
     #[test]
@@ -84,8 +118,8 @@ mod tests {
 
     #[test]
     fn through_call_mutation_blocks_hoisting() {
-        // the helper's write is invisible to the syntactic pass (no
-        // `global` read in the statement itself) but flow sees through it
+        // the helper's write is not lexically visible in the statement
+        // (no `global` read in it), but the effect summaries see through it
         let src = r#"
             def bump() {
                 global hits

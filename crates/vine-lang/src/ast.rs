@@ -13,6 +13,7 @@
 //! program compares equal to the original and serialized code objects stay
 //! bit-identical to the pre-span format.
 
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 /// A half-open byte range `[start, end)` into the source text a node was
@@ -265,6 +266,67 @@ pub fn walk_exprs_in<'a>(e: &'a Expr, visit: &mut dyn FnMut(&'a Expr)) {
             walk_exprs_in(b, visit);
         }
         _ => {}
+    }
+}
+
+/// Free variable names an expression reads.
+pub fn expr_reads(e: &Expr, out: &mut BTreeSet<String>) {
+    walk_exprs_in(e, &mut |x| {
+        if let Expr::Var(name) = x {
+            out.insert(name.clone());
+        }
+    });
+}
+
+/// Names a statement (transitively, through nested blocks) reads.
+pub fn stmt_reads(stmt: &Stmt, out: &mut BTreeSet<String>) {
+    match &stmt.kind {
+        StmtKind::Import(_) | StmtKind::Break | StmtKind::Continue | StmtKind::Global(_) => {}
+        StmtKind::FuncDef(f) => {
+            // a function definition "reads" its free variables at call time;
+            // conservatively collect everything its body mentions
+            for s in &f.body {
+                stmt_reads(s, out);
+            }
+            for p in &f.params {
+                out.remove(p);
+            }
+        }
+        StmtKind::Assign(target, e) => {
+            if let Target::Index(obj, idx) = target {
+                expr_reads(obj, out);
+                expr_reads(idx, out);
+            }
+            expr_reads(e, out);
+        }
+        StmtKind::If(arms, els) => {
+            for (c, body) in arms {
+                expr_reads(c, out);
+                for s in body {
+                    stmt_reads(s, out);
+                }
+            }
+            if let Some(body) = els {
+                for s in body {
+                    stmt_reads(s, out);
+                }
+            }
+        }
+        StmtKind::While(c, body) => {
+            expr_reads(c, out);
+            for s in body {
+                stmt_reads(s, out);
+            }
+        }
+        StmtKind::For(var, iter, body) => {
+            expr_reads(iter, out);
+            for s in body {
+                stmt_reads(s, out);
+            }
+            out.remove(var);
+        }
+        StmtKind::Return(Some(e)) | StmtKind::Expr(e) => expr_reads(e, out),
+        StmtKind::Return(None) => {}
     }
 }
 

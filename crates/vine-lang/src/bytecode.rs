@@ -14,14 +14,16 @@
 //! computed once — at library install on the manager — shipped inside the
 //! library image as bytes, content-addressed by the digest of the source
 //! it was compiled from, and retained by the library daemon across
-//! invocations. [`to_bytes`]/[`from_bytes`] are the wire
-//! form; `vine-data`'s image store dedups by digest.
+//! invocations. [`to_bytes`]/[`from_bytes`] are the wire form, built on
+//! the bounded [`crate::wire`] core shared with pickles; `vine-data`'s
+//! image store dedups by digest.
 
 use crate::ast::{BinOp, FuncDef, UnOp};
 use crate::value::Value;
+use crate::wire::{Reader, Writer};
 use std::fmt::Write as _;
 use std::rc::Rc;
-use vine_core::{ContentHash, Result, VineError};
+use vine_core::{ContentHash, Result};
 
 /// Sentinel slot index: the called name has no local slot in this scope
 /// (resolution is globals-or-builtin only).
@@ -374,117 +376,12 @@ mod const_tag {
     pub const STR: u8 = 4;
 }
 
-fn binop_code(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::Mod => 4,
-        BinOp::Eq => 5,
-        BinOp::Ne => 6,
-        BinOp::Lt => 7,
-        BinOp::Le => 8,
-        BinOp::Gt => 9,
-        BinOp::Ge => 10,
-        // never emitted: lowered to short-circuit jumps
-        BinOp::And => 11,
-        BinOp::Or => 12,
-    }
-}
-
-fn binop_from(code: u8) -> Result<BinOp> {
-    Ok(match code {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::Mod,
-        5 => BinOp::Eq,
-        6 => BinOp::Ne,
-        7 => BinOp::Lt,
-        8 => BinOp::Le,
-        9 => BinOp::Gt,
-        10 => BinOp::Ge,
-        11 => BinOp::And,
-        12 => BinOp::Or,
-        other => return Err(bad(format!("binary opcode {other}"))),
-    })
-}
-
-fn bad(what: impl std::fmt::Display) -> VineError {
-    VineError::Lang(format!("invalid compiled image: {what}"))
-}
-
-struct Writer(Vec<u8>);
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.0.extend_from_slice(b);
-    }
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.data.len() - self.pos < n {
-            return Err(bad("truncated"));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec()).map_err(|_| bad("non-utf8 string"))
-    }
-    fn blob(&mut self) -> Result<&'a [u8]> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-}
-
 /// Encode a compiled function tree as bytes (the wire/cache form of a
 /// compiled image).
 pub fn to_bytes(f: &CompiledFn) -> Vec<u8> {
-    let mut w = Writer(Vec::with_capacity(256));
-    w.0.extend_from_slice(MAGIC);
+    let mut w = Writer::new(MAGIC);
     write_fn(&mut w, f);
-    w.0
+    w.buf
 }
 
 fn write_fn(w: &mut Writer, f: &CompiledFn) {
@@ -516,11 +413,11 @@ fn write_fn(w: &mut Writer, f: &CompiledFn) {
             }
             Value::Int(v) => {
                 w.u8(const_tag::INT);
-                w.u64(*v as u64);
+                w.i64(*v);
             }
             Value::Float(v) => {
                 w.u8(const_tag::FLOAT);
-                w.u64(v.to_bits());
+                w.f64(*v);
             }
             Value::Str(s) => {
                 w.u8(const_tag::STR);
@@ -595,7 +492,7 @@ fn write_instr(w: &mut Writer, instr: &Instr) {
         }
         Instr::Binary(op_) => {
             w.u8(op::BINARY);
-            w.u8(binop_code(*op_));
+            w.binop(*op_);
         }
         Instr::JumpIfFalse(t) => {
             w.u8(op::JUMP_IF_FALSE);
@@ -645,24 +542,24 @@ fn write_instr(w: &mut Writer, instr: &Instr) {
         }
         Instr::BinaryLL { op: op_, a, b } => {
             w.u8(op::BINARY_LL);
-            w.u8(binop_code(*op_));
+            w.binop(*op_);
             w.u16(*a);
             w.u16(*b);
         }
         Instr::BinaryLC { op: op_, a, c } => {
             w.u8(op::BINARY_LC);
-            w.u8(binop_code(*op_));
+            w.binop(*op_);
             w.u16(*a);
             w.u32(*c);
         }
         Instr::BinarySL { op: op_, s } => {
             w.u8(op::BINARY_SL);
-            w.u8(binop_code(*op_));
+            w.binop(*op_);
             w.u16(*s);
         }
         Instr::BinarySC { op: op_, c } => {
             w.u8(op::BINARY_SC);
-            w.u8(binop_code(*op_));
+            w.binop(*op_);
             w.u32(*c);
         }
         Instr::ForIter { target, slot } => {
@@ -682,15 +579,16 @@ fn write_instr(w: &mut Writer, instr: &Instr) {
 }
 
 /// Decode a compiled image produced by [`to_bytes`]. Validates structure
-/// (indices are checked lazily by the VM's pool bounds).
+/// and every pool index and slot number an instruction carries, so the VM
+/// never indexes past a decoded table (operand-stack depth is not
+/// verified).
 pub fn from_bytes(data: &[u8]) -> Result<Rc<CompiledFn>> {
-    let mut r = Reader { data, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(bad("bad magic"));
-    }
+    let mut r = Reader::new(data, MAGIC)?;
     let f = read_fn(&mut r)?;
-    if r.pos != data.len() {
-        return Err(bad("trailing bytes"));
+    r.finish()?;
+    // the VM runs module-level code without a slot frame
+    if f.n_slots != 0 {
+        return Err(r.err("module top level declares local slots"));
     }
     Ok(f)
 }
@@ -698,48 +596,36 @@ pub fn from_bytes(data: &[u8]) -> Result<Rc<CompiledFn>> {
 fn read_fn(r: &mut Reader) -> Result<Rc<CompiledFn>> {
     let def = match r.u8()? {
         0 => None,
-        1 => Some(crate::pickle::deserialize_funcdef(r.blob()?)?),
-        other => return Err(bad(format!("def tag {other}"))),
+        1 => Some(crate::pickle::deserialize_funcdef(r.bytes()?)?),
+        other => return Err(r.err(format!("def tag {other}"))),
     };
-    let name: Rc<str> = Rc::from(r.str()?.as_str());
+    let name: Rc<str> = r.str()?.into();
     let n_params = r.u16()?;
     let n_slots = r.u16()?;
-    let n = r.u32()? as usize;
-    let mut slot_names = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        slot_names.push(Rc::from(r.str()?.as_str()));
-    }
+    let slot_names: Vec<Rc<str>> = r.seq(|r| Ok(r.str()?.into()))?;
     if slot_names.len() != n_slots as usize {
-        return Err(bad("slot table size mismatch"));
+        return Err(r.err("slot table size mismatch"));
     }
-    let n = r.u32()? as usize;
-    let mut names = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        names.push(Rc::from(r.str()?.as_str()));
-    }
-    let n = r.u32()? as usize;
-    let mut consts = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        consts.push(match r.u8()? {
+    let names = r.seq(|r| Ok(r.str()?.into()))?;
+    let consts = r.seq(|r| {
+        Ok(match r.u8()? {
             const_tag::NONE => Value::None,
             const_tag::BOOL => Value::Bool(r.u8()? != 0),
-            const_tag::INT => Value::Int(r.u64()? as i64),
-            const_tag::FLOAT => Value::Float(f64::from_bits(r.u64()?)),
+            const_tag::INT => Value::Int(r.i64()?),
+            const_tag::FLOAT => Value::Float(r.f64()?),
             const_tag::STR => Value::str(r.str()?),
-            other => return Err(bad(format!("const tag {other}"))),
-        });
-    }
-    let n = r.u32()? as usize;
-    let mut funcs = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        funcs.push(read_fn(r)?);
-    }
-    let n = r.u32()? as usize;
-    let mut code = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        code.push(read_instr(r)?);
-    }
-    Ok(Rc::new(CompiledFn {
+            other => return Err(r.err(format!("const tag {other}"))),
+        })
+    })?;
+    // nested function tables share the decoder's nesting budget
+    let funcs = r.seq(|r| {
+        r.descend()?;
+        let f = read_fn(r)?;
+        r.ascend();
+        Ok(f)
+    })?;
+    let code = r.seq(read_instr)?;
+    let f = CompiledFn {
         def,
         name,
         n_params,
@@ -749,7 +635,43 @@ fn read_fn(r: &mut Reader) -> Result<Rc<CompiledFn>> {
         consts,
         funcs,
         code,
-    }))
+    };
+    match f.code.iter().find(|i| !operands_in_range(&f, i)) {
+        Some(bad) => Err(r.err(format!("operand out of range: {bad:?}"))),
+        None => Ok(Rc::new(f)),
+    }
+}
+
+/// Whether every pool index and slot number `instr` carries names an
+/// entry of `f`'s decoded tables (a `MakeFunc` target must also carry the
+/// definition its arity is checked against).
+fn operands_in_range(f: &CompiledFn, instr: &Instr) -> bool {
+    let slot = |s: &u16| *s < f.n_slots;
+    let name = |n: &u32| (*n as usize) < f.names.len();
+    let cnst = |c: &u32| (*c as usize) < f.consts.len();
+    match instr {
+        Instr::Const(c) | Instr::ReturnConst(c) | Instr::BinarySC { c, .. } => cnst(c),
+        Instr::LoadLocal(s)
+        | Instr::StoreLocal(s)
+        | Instr::ReturnLocal(s)
+        | Instr::BinarySL { s, .. }
+        | Instr::ForIter { slot: s, .. } => slot(s),
+        Instr::LoadGlobal(n) | Instr::StoreGlobal(n) | Instr::LoadAttr(n) | Instr::Import(n) => {
+            name(n)
+        }
+        Instr::CallNamed {
+            name: n, slot: s, ..
+        } => name(n) && (*s == NO_SLOT || slot(s)),
+        Instr::BinaryLL { a, b, .. } => slot(a) && slot(b),
+        Instr::BinaryLC { a, c, .. } => slot(a) && cnst(c),
+        Instr::Global(slots) => slots.iter().all(slot),
+        Instr::MakeFunc(i) => f.funcs.get(*i as usize).is_some_and(|g| {
+            g.def
+                .as_ref()
+                .is_some_and(|d| d.params.len() == g.n_params as usize)
+        }),
+        _ => true,
+    }
 }
 
 fn read_instr(r: &mut Reader) -> Result<Instr> {
@@ -774,9 +696,9 @@ fn read_instr(r: &mut Reader) -> Result<Instr> {
         op::UNARY => Instr::Unary(match r.u8()? {
             0 => UnOp::Neg,
             1 => UnOp::Not,
-            other => return Err(bad(format!("unary opcode {other}"))),
+            other => return Err(r.err(format!("unary opcode {other}"))),
         }),
-        op::BINARY => Instr::Binary(binop_from(r.u8()?)?),
+        op::BINARY => Instr::Binary(r.binop()?),
         op::JUMP_IF_FALSE => Instr::JumpIfFalse(r.u32()?),
         op::JUMP_IF_FALSE_KEEP => Instr::JumpIfFalseKeep(r.u32()?),
         op::JUMP_IF_TRUE_KEEP => Instr::JumpIfTrueKeep(r.u32()?),
@@ -787,31 +709,27 @@ fn read_instr(r: &mut Reader) -> Result<Instr> {
         op::IMPORT => Instr::Import(r.u32()?),
         op::GLOBAL => {
             let n = r.u16()? as usize;
-            let mut slots = Vec::with_capacity(n.min(256));
-            for _ in 0..n {
-                slots.push(r.u16()?);
-            }
-            Instr::Global(slots.into_boxed_slice())
+            Instr::Global(r.items(n, Reader::u16)?.into_boxed_slice())
         }
         op::MAKE_ITER => Instr::MakeIter,
         op::ITER_NEXT => Instr::IterNext(r.u32()?),
         op::POP_ITER => Instr::PopIter,
         op::BINARY_LL => Instr::BinaryLL {
-            op: binop_from(r.u8()?)?,
+            op: r.binop()?,
             a: r.u16()?,
             b: r.u16()?,
         },
         op::BINARY_LC => Instr::BinaryLC {
-            op: binop_from(r.u8()?)?,
+            op: r.binop()?,
             a: r.u16()?,
             c: r.u32()?,
         },
         op::BINARY_SL => Instr::BinarySL {
-            op: binop_from(r.u8()?)?,
+            op: r.binop()?,
             s: r.u16()?,
         },
         op::BINARY_SC => Instr::BinarySC {
-            op: binop_from(r.u8()?)?,
+            op: r.binop()?,
             c: r.u32()?,
         },
         op::FOR_ITER => Instr::ForIter {
@@ -823,9 +741,9 @@ fn read_instr(r: &mut Reader) -> Result<Instr> {
         op::RAISE => Instr::Raise(match r.u8()? {
             0 => RaiseKind::BreakContinueOutsideLoop,
             1 => RaiseKind::ReturnOutsideFunction,
-            other => return Err(bad(format!("raise kind {other}"))),
+            other => return Err(r.err(format!("raise kind {other}"))),
         }),
-        other => Err(bad(format!("opcode {other}")))?,
+        other => return Err(r.err(format!("opcode {other}"))),
     })
 }
 
@@ -867,6 +785,50 @@ mod tests {
         garbled[0] = b'X';
         assert!(from_bytes(&garbled).is_err(), "bad magic");
         assert!(from_bytes(&[]).is_err(), "empty");
+
+        // an operand one past the end of the table it indexes, and a slot
+        // at the top level, which runs without a slot frame
+        let top = compile_src("def f(a) { return a }\nx = f(7)\n").top;
+        let (c, n, f) = (top.consts.len(), top.names.len(), top.funcs.len());
+        let image = |n_slots: u16, instr: Instr| {
+            to_bytes(&CompiledFn {
+                def: None,
+                name: Rc::clone(&top.name),
+                n_params: 0,
+                n_slots,
+                slot_names: vec![Rc::from("a"); n_slots as usize],
+                names: top.names.clone(),
+                consts: top.consts.clone(),
+                funcs: top.funcs.clone(),
+                code: vec![instr],
+            })
+        };
+        assert!(from_bytes(&image(0, Instr::MakeFunc(f as u32 - 1))).is_ok());
+        for (n_slots, bad) in [
+            (0, Instr::Const(c as u32)),
+            (0, Instr::LoadGlobal(n as u32)),
+            (0, Instr::LoadLocal(0)),
+            (0, Instr::MakeFunc(f as u32)),
+            (1, Instr::LoadLocal(0)),
+        ] {
+            assert!(from_bytes(&image(n_slots, bad.clone())).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn deeply_nested_function_tables_are_rejected_not_overflowing() {
+        const LEVELS: usize = 100_000;
+        let mut image = MAGIC.to_vec();
+        for level in 0..LEVELS {
+            image.push(0); // no def
+            image.extend_from_slice(&[0; 4 + 2 + 2]); // name "", no params, no slots
+            image.extend_from_slice(&[0; 3 * 4]); // no slot names, names, consts
+            let nested = u32::from(level + 1 < LEVELS); // the next level
+            image.extend_from_slice(&nested.to_le_bytes());
+        }
+        image.extend_from_slice(&[0; 4 * LEVELS]); // every level's empty code
+        let err = crate::wire::on_small_stack(move || from_bytes(&image).unwrap_err().to_string());
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //!   dynamically `eval`-ed functions that have no source form) to bytes and
 //!   reconstruct it elsewhere (the cloudpickle analogue);
 //! * [`inspect::scan_imports`] — walk a function's AST collecting the
-//!   modules it imports (the Poncho dependency-discovery analogue);
-//! * [`autocontext::discover`] — *beyond the paper*: the §6 future-work
-//!   item, automatic context detection — classify module-level setup as
-//!   hoistable context vs per-invocation state and synthesize the
-//!   `context_setup` function without user intervention.
+//!   modules it imports (the Poncho dependency-discovery analogue).
+//!
+//! Source and both byte formats arrive from peers, so the parser and the
+//! decoders share one nesting bound, [`wire::MAX_DEPTH`].
+//!
+//! Automatic context detection, the paper's §6 future-work item, is the
+//! dataflow pass `vine_flow::discover`, built on this crate's AST.
 //!
 //! The language is deliberately boring: `def` functions, `global`
 //! declarations (how context setup publishes state to later invocations,
@@ -46,7 +48,6 @@
 //! ```
 
 pub mod ast;
-pub mod autocontext;
 pub mod builtins;
 pub mod bytecode;
 pub mod compile;
@@ -58,6 +59,7 @@ pub mod parser;
 pub mod pickle;
 pub mod value;
 pub(crate) mod vm;
+pub mod wire;
 
 pub use ast::{BinOp, Expr, FuncDef, Program, Span, Stmt, StmtKind, Target, UnOp};
 pub use bytecode::{CompiledFn, CompiledModule};

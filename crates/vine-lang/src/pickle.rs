@@ -8,141 +8,19 @@
 //! way (§3.4: the library "serializes the result into a result file in the
 //! invocation's sandbox").
 //!
-//! The format is a tagged byte stream with a 4-byte magic header `VPK1`.
-//! All integers are little-endian.
+//! The format is a tagged byte stream with a 4-byte magic header `VPK1`,
+//! built on the bounded [`crate::wire`] core it shares with compiled
+//! images.
 
-use crate::ast::{BinOp, Expr, FuncDef, Stmt, StmtKind, Target, UnOp};
+use crate::ast::{Expr, FuncDef, Stmt, StmtKind, Target, UnOp};
 use crate::value::{Function, Tensor, Value};
+use crate::wire::{Reader, Writer};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use vine_core::{Result, VineError};
 
 const MAGIC: &[u8; 4] = b"VPK1";
-
-/// Deepest nesting of values, expressions and statements a blob may encode
-/// (one shared budget): the decoder recurses once per level, so the bound
-/// keeps a hostile blob from overflowing the decoding thread's stack.
-const MAX_DEPTH: usize = 256;
-
-// ---------- writer ----------
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Writer {
-        Writer {
-            buf: MAGIC.to_vec(),
-        }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-}
-
-// ---------- reader ----------
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-fn derr(msg: impl std::fmt::Display) -> VineError {
-    VineError::Serialization(format!("vinepickle: {msg}"))
-}
-
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Result<Reader<'a>> {
-        if data.len() < 4 || &data[..4] != MAGIC {
-            return Err(derr("bad magic header"));
-        }
-        Ok(Reader {
-            data,
-            pos: 4,
-            depth: 0,
-        })
-    }
-
-    /// Enter one nesting level. No matching exit on the error path: a
-    /// failed decode discards the reader.
-    fn descend(&mut self) -> Result<()> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(derr(format!("nesting deeper than {MAX_DEPTH}")));
-        }
-        Ok(())
-    }
-
-    fn ascend(&mut self) {
-        self.depth -= 1;
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.data.len() {
-            return Err(derr("truncated input"));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| derr("invalid utf-8 in string"))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn finished(&self) -> bool {
-        self.pos == self.data.len()
-    }
-}
 
 // ---------- value encoding ----------
 
@@ -238,29 +116,16 @@ fn read_value(r: &mut Reader, globals: &Rc<RefCell<BTreeMap<String, Value>>>) ->
         tag::INT => Value::Int(r.i64()?),
         tag::FLOAT => Value::Float(r.f64()?),
         tag::STR => Value::str(r.str()?),
-        tag::BYTES => Value::Bytes(Rc::new(r.bytes()?)),
-        tag::LIST => {
-            let n = r.u32()? as usize;
-            let mut items = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                items.push(read_value(r, globals)?);
-            }
-            Value::list(items)
-        }
+        tag::BYTES => Value::Bytes(Rc::new(r.bytes()?.to_vec())),
+        tag::LIST => Value::list(r.seq(|r| read_value(r, globals))?),
         tag::DICT => {
-            let n = r.u32()? as usize;
-            let mut d = BTreeMap::new();
-            for _ in 0..n {
-                let k = r.str()?;
-                let v = read_value(r, globals)?;
-                d.insert(k, v);
-            }
-            Value::Dict(Rc::new(RefCell::new(d)))
+            let d = r.seq(|r| Ok((r.str()?, read_value(r, globals)?)))?;
+            Value::Dict(Rc::new(RefCell::new(d.into_iter().collect())))
         }
         tag::TENSOR => {
             let ndim = r.u32()? as usize;
             if ndim > 64 {
-                return Err(derr("tensor rank too large"));
+                return Err(r.err("tensor rank too large"));
             }
             let mut shape = Vec::with_capacity(ndim);
             for _ in 0..ndim {
@@ -270,8 +135,8 @@ fn read_value(r: &mut Reader, globals: &Rc<RefCell<BTreeMap<String, Value>>>) ->
             let n = shape
                 .iter()
                 .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-                .filter(|n| n.checked_mul(8).is_some_and(|b| b <= r.data.len() - r.pos))
-                .ok_or_else(|| derr("truncated tensor data"))?;
+                .filter(|n| n.checked_mul(8).is_some_and(|b| b <= r.remaining()))
+                .ok_or_else(|| r.err("truncated tensor data"))?;
             let mut data = Vec::with_capacity(n);
             for _ in 0..n {
                 data.push(r.f64()?);
@@ -285,7 +150,7 @@ fn read_value(r: &mut Reader, globals: &Rc<RefCell<BTreeMap<String, Value>>>) ->
             let def = read_funcdef(r)?;
             Value::Func(Rc::new(Function::new(Rc::new(def), Rc::clone(globals))))
         }
-        other => return Err(derr(format!("unknown value tag {other}"))),
+        other => return Err(r.err(format!("unknown value tag {other}"))),
     };
     r.ascend();
     Ok(v)
@@ -324,43 +189,6 @@ mod stag {
     pub const BREAK: u8 = 10;
     pub const CONTINUE: u8 = 11;
     pub const EXPR: u8 = 12;
-}
-
-fn binop_code(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::Mod => 4,
-        BinOp::Eq => 5,
-        BinOp::Ne => 6,
-        BinOp::Lt => 7,
-        BinOp::Le => 8,
-        BinOp::Gt => 9,
-        BinOp::Ge => 10,
-        BinOp::And => 11,
-        BinOp::Or => 12,
-    }
-}
-
-fn binop_from(code: u8) -> Result<BinOp> {
-    Ok(match code {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::Mod,
-        5 => BinOp::Eq,
-        6 => BinOp::Ne,
-        7 => BinOp::Lt,
-        8 => BinOp::Le,
-        9 => BinOp::Gt,
-        10 => BinOp::Ge,
-        11 => BinOp::And,
-        12 => BinOp::Or,
-        other => return Err(derr(format!("unknown binop {other}"))),
-    })
 }
 
 fn write_expr(w: &mut Writer, e: &Expr) {
@@ -426,7 +254,7 @@ fn write_expr(w: &mut Writer, e: &Expr) {
         }
         Expr::Binary(op, l, r) => {
             w.u8(etag::BINARY);
-            w.u8(binop_code(*op));
+            w.binop(*op);
             write_expr(w, l);
             write_expr(w, r);
         }
@@ -437,68 +265,38 @@ fn write_expr(w: &mut Writer, e: &Expr) {
     }
 }
 
+// Expressions nest through `read_expr`, so it keeps its frame small (see
+// `read_stmt`): forms with several parts decode in `read_compound_expr`.
 fn read_expr(r: &mut Reader) -> Result<Expr> {
     r.descend()?;
-    let t = r.u8()?;
-    let e = match t {
-        etag::NONE => Expr::None,
-        etag::BOOL => Expr::Bool(r.u8()? != 0),
-        etag::INT => Expr::Int(r.i64()?),
-        etag::FLOAT => Expr::Float(r.f64()?),
-        etag::STR => Expr::Str(r.str()?),
-        etag::LIST => {
-            let n = r.u32()? as usize;
-            let mut items = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                items.push(read_expr(r)?);
-            }
-            Expr::List(items)
-        }
-        etag::DICT => {
-            let n = r.u32()? as usize;
-            let mut pairs = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let k = read_expr(r)?;
-                let v = read_expr(r)?;
-                pairs.push((k, v));
-            }
-            Expr::Dict(pairs)
-        }
-        etag::VAR => Expr::Var(r.str()?),
-        etag::ATTR => {
-            let obj = read_expr(r)?;
-            let attr = r.str()?;
-            Expr::Attr(Box::new(obj), attr)
-        }
-        etag::INDEX => {
-            let obj = read_expr(r)?;
-            let idx = read_expr(r)?;
-            Expr::Index(Box::new(obj), Box::new(idx))
-        }
-        etag::CALL => {
-            let f = read_expr(r)?;
-            let n = r.u32()? as usize;
-            let mut args = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                args.push(read_expr(r)?);
-            }
-            Expr::Call(Box::new(f), args)
-        }
+    let e = match r.u8()? {
+        etag::NONE => Ok(Expr::None),
+        etag::BOOL => r.u8().map(|b| Expr::Bool(b != 0)),
+        etag::INT => r.i64().map(Expr::Int),
+        etag::FLOAT => r.f64().map(Expr::Float),
+        etag::STR => r.str().map(Expr::Str),
+        etag::LIST => r.seq(read_expr).map(Expr::List),
+        etag::VAR => r.str().map(Expr::Var),
+        etag::LAMBDA => read_funcdef(r).map(|def| Expr::Lambda(Rc::new(def))),
+        t => read_compound_expr(r, t),
+    }?;
+    r.ascend();
+    Ok(e)
+}
+
+fn read_compound_expr(r: &mut Reader, t: u8) -> Result<Expr> {
+    Ok(match t {
+        etag::DICT => Expr::Dict(r.seq(|r| Ok((read_expr(r)?, read_expr(r)?)))?),
+        etag::ATTR => Expr::Attr(Box::new(read_expr(r)?), r.str()?),
+        etag::INDEX => Expr::Index(Box::new(read_expr(r)?), Box::new(read_expr(r)?)),
+        etag::CALL => Expr::Call(Box::new(read_expr(r)?), r.seq(read_expr)?),
         etag::UNARY => {
             let op = if r.u8()? != 0 { UnOp::Not } else { UnOp::Neg };
             Expr::Unary(op, Box::new(read_expr(r)?))
         }
-        etag::BINARY => {
-            let op = binop_from(r.u8()?)?;
-            let l = read_expr(r)?;
-            let rhs = read_expr(r)?;
-            Expr::Binary(op, Box::new(l), Box::new(rhs))
-        }
-        etag::LAMBDA => Expr::Lambda(Rc::new(read_funcdef(r)?)),
-        other => return Err(derr(format!("unknown expr tag {other}"))),
-    };
-    r.ascend();
-    Ok(e)
+        etag::BINARY => Expr::Binary(r.binop()?, Box::new(read_expr(r)?), Box::new(read_expr(r)?)),
+        other => return Err(r.err(format!("unknown expr tag {other}"))),
+    })
 }
 
 fn write_stmts(w: &mut Writer, stmts: &[Stmt]) {
@@ -509,12 +307,7 @@ fn write_stmts(w: &mut Writer, stmts: &[Stmt]) {
 }
 
 fn read_stmts(r: &mut Reader) -> Result<Vec<Stmt>> {
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(read_stmt(r)?);
-    }
-    Ok(out)
+    r.seq(read_stmt)
 }
 
 // NOTE: spans are deliberately NOT serialized. The wire format (and thus
@@ -588,66 +381,58 @@ fn write_stmt(w: &mut Writer, s: &Stmt) {
     }
 }
 
+// Statements nest through `read_stmt`, so it only dispatches: each
+// compound form decodes in a function of its own, keeping the frame that
+// recurs small.
 fn read_stmt(r: &mut Reader) -> Result<Stmt> {
     r.descend()?;
-    let t = r.u8()?;
-    let kind = match t {
-        stag::IMPORT => StmtKind::Import(r.str()?),
-        stag::FUNCDEF => StmtKind::FuncDef(Rc::new(read_funcdef(r)?)),
-        stag::ASSIGN_VAR => {
-            let name = r.str()?;
-            let e = read_expr(r)?;
-            StmtKind::Assign(Target::Var(name), e)
-        }
-        stag::ASSIGN_INDEX => {
-            let obj = read_expr(r)?;
-            let idx = read_expr(r)?;
-            let e = read_expr(r)?;
-            StmtKind::Assign(Target::Index(obj, idx), e)
-        }
-        stag::GLOBAL => {
-            let n = r.u32()? as usize;
-            let mut names = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                names.push(r.str()?);
-            }
-            StmtKind::Global(names)
-        }
-        stag::IF => {
-            let n = r.u32()? as usize;
-            let mut arms = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let cond = read_expr(r)?;
-                let body = read_stmts(r)?;
-                arms.push((cond, body));
-            }
-            let els = if r.u8()? != 0 {
-                Some(read_stmts(r)?)
-            } else {
-                None
-            };
-            StmtKind::If(arms, els)
-        }
-        stag::WHILE => {
-            let cond = read_expr(r)?;
-            let body = read_stmts(r)?;
-            StmtKind::While(cond, body)
-        }
-        stag::FOR => {
-            let var = r.str()?;
-            let iter = read_expr(r)?;
-            let body = read_stmts(r)?;
-            StmtKind::For(var, iter, body)
-        }
-        stag::RETURN => StmtKind::Return(Some(read_expr(r)?)),
-        stag::RETURN_NONE => StmtKind::Return(None),
-        stag::BREAK => StmtKind::Break,
-        stag::CONTINUE => StmtKind::Continue,
-        stag::EXPR => StmtKind::Expr(read_expr(r)?),
-        other => return Err(derr(format!("unknown stmt tag {other}"))),
-    };
+    let kind = match r.u8()? {
+        stag::IMPORT => r.str().map(StmtKind::Import),
+        stag::FUNCDEF => read_funcdef(r).map(|def| StmtKind::FuncDef(Rc::new(def))),
+        stag::ASSIGN_VAR => read_assign(r, false),
+        stag::ASSIGN_INDEX => read_assign(r, true),
+        stag::GLOBAL => r.seq(Reader::str).map(StmtKind::Global),
+        stag::IF => read_if(r),
+        stag::WHILE => read_loop(r, false),
+        stag::FOR => read_loop(r, true),
+        stag::RETURN => read_expr(r).map(|e| StmtKind::Return(Some(e))),
+        stag::RETURN_NONE => Ok(StmtKind::Return(None)),
+        stag::BREAK => Ok(StmtKind::Break),
+        stag::CONTINUE => Ok(StmtKind::Continue),
+        stag::EXPR => read_expr(r).map(StmtKind::Expr),
+        other => Err(r.err(format!("unknown stmt tag {other}"))),
+    }?;
     r.ascend();
     Ok(Stmt::dummy(kind))
+}
+
+fn read_assign(r: &mut Reader, index: bool) -> Result<StmtKind> {
+    let target = if index {
+        Target::Index(read_expr(r)?, read_expr(r)?)
+    } else {
+        Target::Var(r.str()?)
+    };
+    Ok(StmtKind::Assign(target, read_expr(r)?))
+}
+
+fn read_if(r: &mut Reader) -> Result<StmtKind> {
+    let arms = r.seq(|r| Ok((read_expr(r)?, read_stmts(r)?)))?;
+    let els = if r.u8()? != 0 {
+        Some(read_stmts(r)?)
+    } else {
+        None
+    };
+    Ok(StmtKind::If(arms, els))
+}
+
+fn read_loop(r: &mut Reader, is_for: bool) -> Result<StmtKind> {
+    let var = if is_for { Some(r.str()?) } else { None };
+    let head = read_expr(r)?;
+    let body = read_stmts(r)?;
+    Ok(match var {
+        Some(var) => StmtKind::For(var, head, body),
+        None => StmtKind::While(head, body),
+    })
 }
 
 fn write_funcdef(w: &mut Writer, def: &FuncDef) {
@@ -661,11 +446,7 @@ fn write_funcdef(w: &mut Writer, def: &FuncDef) {
 
 fn read_funcdef(r: &mut Reader) -> Result<FuncDef> {
     let name = r.str()?;
-    let n = r.u32()? as usize;
-    let mut params = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        params.push(r.str()?);
-    }
+    let params = r.seq(Reader::str)?;
     let body = read_stmts(r)?;
     Ok(FuncDef::new(name, params, body))
 }
@@ -674,7 +455,7 @@ fn read_funcdef(r: &mut Reader) -> Result<FuncDef> {
 
 /// Serialize a value (arguments, results, or whole function objects).
 pub fn serialize_value(v: &Value) -> Result<Vec<u8>> {
-    let mut w = Writer::new();
+    let mut w = Writer::new(MAGIC);
     write_value(&mut w, v)?;
     Ok(w.buf)
 }
@@ -685,28 +466,24 @@ pub fn deserialize_value(
     data: &[u8],
     globals: &Rc<RefCell<BTreeMap<String, Value>>>,
 ) -> Result<Value> {
-    let mut r = Reader::new(data)?;
+    let mut r = Reader::new(data, MAGIC)?;
     let v = read_value(&mut r, globals)?;
-    if !r.finished() {
-        return Err(derr("trailing bytes after value"));
-    }
+    r.finish()?;
     Ok(v)
 }
 
 /// Serialize a bare function code object.
 pub fn serialize_funcdef(def: &FuncDef) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = Writer::new(MAGIC);
     write_funcdef(&mut w, def);
     w.buf
 }
 
 /// Deserialize a bare function code object.
 pub fn deserialize_funcdef(data: &[u8]) -> Result<Rc<FuncDef>> {
-    let mut r = Reader::new(data)?;
+    let mut r = Reader::new(data, MAGIC)?;
     let def = read_funcdef(&mut r)?;
-    if !r.finished() {
-        return Err(derr("trailing bytes after function"));
-    }
+    r.finish()?;
     Ok(Rc::new(def))
 }
 
@@ -722,8 +499,8 @@ pub fn deserialize_args(
 ) -> Result<Vec<Value>> {
     match deserialize_value(data, globals)? {
         Value::List(items) => Ok(items.borrow().clone()),
-        other => Err(derr(format!(
-            "argument blob is {}, expected list",
+        other => Err(VineError::Serialization(format!(
+            "VPK1: argument blob is {}, expected list",
             other.type_name()
         ))),
     }
@@ -733,6 +510,7 @@ pub fn deserialize_args(
 mod tests {
     use super::*;
     use crate::interp::Interp;
+    use crate::wire::{on_small_stack, MAX_DEPTH};
 
     fn fresh_globals() -> Rc<RefCell<BTreeMap<String, Value>>> {
         Rc::new(RefCell::new(BTreeMap::new()))
@@ -918,17 +696,6 @@ mod tests {
             }
             assert!(deserialize_value(&blob, &fresh_globals()).is_err());
         }
-    }
-
-    /// Decode on a thread with the default 2 MiB stack, as the library
-    /// and worker threads that receive peer blobs run.
-    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-        std::thread::Builder::new()
-            .stack_size(2 << 20)
-            .spawn(f)
-            .unwrap()
-            .join()
-            .unwrap()
     }
 
     #[test]

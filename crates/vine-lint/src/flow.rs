@@ -22,8 +22,9 @@ use crate::diag::Diagnostic;
 use std::collections::BTreeSet;
 use vine_flow::analyses::{const_transfer_stmt, eval_const, leaf_def, leaf_uses, CVal};
 use vine_flow::{constprop, liveness, Cfg, EffectEnv, Terminator};
-use vine_lang::ast::{walk_stmts, Expr, FuncDef, Program, Span, Stmt, StmtKind, Target};
-use vine_lang::autocontext::{expr_reads, stmt_reads};
+use vine_lang::ast::{
+    expr_reads, stmt_reads, walk_stmts, Expr, FuncDef, Program, Span, Stmt, StmtKind, Target,
+};
 
 /// All flow-layer lints over one parsed program: V017, V018, V019.
 pub fn lint_flow(prog: &Program) -> Vec<Diagnostic> {

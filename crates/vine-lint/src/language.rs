@@ -3,7 +3,7 @@
 //! These are the checks the paper's discover mechanism (§3.2) implies but
 //! never enforces: a work function that reads a name nothing defines will
 //! only fail on a worker, after the context shipped; a module-level
-//! statement that calls `eval` silently disables autocontext hoisting; a
+//! statement that calls `eval` silently disables context hoisting; a
 //! function that mutates a module-level global quietly demotes that
 //! binding to per-instance residue. Each of those becomes a diagnostic
 //! here, before anything is packaged.
@@ -452,8 +452,8 @@ fn dynamic_module_scope(prog: &Program, diags: &mut Vec<Diagnostic>) {
                 )
                 .with_span(s.span)
                 .with_help(
-                    "autocontext cannot classify this statement as hoistable context; \
-                     functions it defines must ship serialized, not as source",
+                    "context discovery cannot classify this statement as hoistable \
+                     context; functions it defines must ship serialized, not as source",
                 ),
             );
         }

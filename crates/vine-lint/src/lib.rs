@@ -14,7 +14,7 @@
 //!
 //! * **language** ([`language`]) — checks a parsed vinescript [`Program`]:
 //!   undefined names, unused bindings, shadowed globals, dynamic code in
-//!   hoistable positions, global writes that defeat autocontext hoisting,
+//!   hoistable positions, global writes that defeat context hoisting,
 //!   captures that will not survive fork-mode serialization.
 //! * **environment** ([`environment`]) — checks imports against what the
 //!   module registry and package catalog can actually provide, declared

@@ -23,9 +23,8 @@ pub struct LibrarySetup {
 
 /// A compiled library module, content-addressed by the digest of the
 /// source it was compiled from. The manager compiles once per distinct
-/// source at install time; workers intern the bytes by digest so many
-/// instances of one library share one copy, and daemons boot by executing
-/// the image instead of re-parsing the source.
+/// source at install time, and daemons boot by executing the image
+/// instead of re-parsing the source.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CompiledBlob {
     pub source_digest: ContentHash,

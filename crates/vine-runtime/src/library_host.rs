@@ -405,25 +405,34 @@ mod tests {
 
     #[test]
     fn corrupt_compiled_image_falls_back_to_source() {
-        let (etx, erx) = crossbeam::channel::unbounded();
-        let image = LibraryImage {
-            instance: LibraryInstanceId(5),
-            source: SRC.into(),
-            serialized_functions: vec![],
-            setup: Some(LibrarySetup {
-                function: "context_setup".into(),
-                args_blob: pickle::serialize_args(&[Value::Int(1000)]).unwrap(),
-            }),
-            default_mode: ExecMode::Direct,
-            compiled: Some(vine_proto::CompiledBlob {
-                source_digest: vine_core::ids::ContentHash::of_str(SRC),
-                bytes: vec![0xde, 0xad],
-            }),
-        };
-        let host = spawn_library(WorkerId(0), image, ModuleRegistry::new(), etx);
-        assert!(matches!(erx.recv().unwrap().2, LibraryToWorker::Ready));
-        let a = invoke(&host, &erx, 1, "bump", &[Value::Int(5)], ExecMode::Direct).unwrap();
-        assert_eq!(a, Value::Int(1006));
-        host.tx.send(WorkerToLibrary::Shutdown).unwrap();
+        // `x = 7` with its `const 0` patched to `const 999`: well-formed
+        // bytes whose operand points past the constant pool
+        let mut patched =
+            vine_lang::compile_module(&vine_lang::parse("x = 7").unwrap(), "x = 7").to_bytes();
+        let at = patched.len() - 10; // code: const 0; store_glb 0
+        assert_eq!(patched[at..at + 5], [0, 0, 0, 0, 0]);
+        patched[at + 1..at + 5].copy_from_slice(&999u32.to_le_bytes());
+        for bytes in [vec![0xde, 0xad], patched] {
+            let (etx, erx) = crossbeam::channel::unbounded();
+            let image = LibraryImage {
+                instance: LibraryInstanceId(5),
+                source: SRC.into(),
+                serialized_functions: vec![],
+                setup: Some(LibrarySetup {
+                    function: "context_setup".into(),
+                    args_blob: pickle::serialize_args(&[Value::Int(1000)]).unwrap(),
+                }),
+                default_mode: ExecMode::Direct,
+                compiled: Some(vine_proto::CompiledBlob {
+                    source_digest: vine_core::ids::ContentHash::of_str(SRC),
+                    bytes,
+                }),
+            };
+            let host = spawn_library(WorkerId(0), image, ModuleRegistry::new(), etx);
+            assert!(matches!(erx.recv().unwrap().2, LibraryToWorker::Ready));
+            let a = invoke(&host, &erx, 1, "bump", &[Value::Int(5)], ExecMode::Direct).unwrap();
+            assert_eq!(a, Value::Int(1006));
+            host.tx.send(WorkerToLibrary::Shutdown).unwrap();
+        }
     }
 }

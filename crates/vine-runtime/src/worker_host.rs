@@ -13,12 +13,9 @@ use std::thread::JoinHandle;
 use vine_core::context::CodeArtifact;
 use vine_core::ids::{LibraryInstanceId, WorkerId};
 use vine_core::task::{Outcome, TaskSpec, UnitId, WorkUnit};
-use vine_data::CompiledImageStore;
 use vine_lang::pickle;
 use vine_lang::{Interp, ModuleRegistry};
-use vine_proto::{
-    CompiledBlob, LibraryToWorker, ManagerToWorker, WorkerToLibrary, WorkerToManager,
-};
+use vine_proto::{LibraryToWorker, ManagerToWorker, WorkerToLibrary, WorkerToManager};
 
 /// Handle to a spawned in-process worker engine.
 pub struct WorkerHandle {
@@ -65,7 +62,6 @@ pub fn worker_engine(
     let relay = spawn_reply_relay(id, lib_rx, events.clone());
     let mut libraries: BTreeMap<LibraryInstanceId, LibraryHost> = BTreeMap::new();
     let mut task_threads: Vec<JoinHandle<()>> = Vec::new();
-    let mut images = CompiledImageStore::new();
 
     while let Ok(cmd) = rx.recv() {
         match cmd {
@@ -73,27 +69,10 @@ pub fn worker_engine(
                 // handshake concern; the transport consumed it already, a
                 // stray copy is harmless
             }
-            ManagerToWorker::InstallLibrary {
-                mut image,
-                stage: _,
-            } => {
+            ManagerToWorker::InstallLibrary { image, stage: _ } => {
                 // the in-process substrate shares one filesystem, so staged
                 // context files are already local; the directive matters to
                 // remote data planes
-                if let Some(CompiledBlob {
-                    source_digest,
-                    bytes,
-                }) = image.compiled.take()
-                {
-                    // intern shipped bytecode by source digest so N
-                    // instances of one library hold one copy and a
-                    // re-install after eviction is a map hit
-                    let interned = images.intern_with(source_digest, || bytes);
-                    image.compiled = Some(CompiledBlob {
-                        source_digest,
-                        bytes: (*interned).clone(),
-                    });
-                }
                 let host = spawn_library(id, image, registry.clone(), lib_tx.clone());
                 libraries.insert(host.instance, host);
             }

@@ -10,9 +10,14 @@
 # smoke (router + 2 shard processes byte-match the single manager, with
 # and without a shard killed -9 mid-run), a live end-to-end smoke of both
 # livebench workloads, and the benchmark trajectory table merged from
-# every BENCH_*.json.
+# every committed BENCH_*.json. Smoke-scale benchmarks write their
+# BENCH_*.json under target/bench-smoke/, and the run fails if any
+# committed BENCH_*.json changed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+repro="$PWD/target/release/repro"
+smoke="$PWD/target/bench-smoke"
+mkdir -p "$smoke"
 
 cargo build --release
 cargo test -q
@@ -22,8 +27,8 @@ cargo fmt --check
 # VM differential suite: the bytecode VM must stay bit-identical to the
 # tree-walking reference (proptest + hazard corpus + golden disassembly)
 cargo test -q --release -p vine-lang --test vm_differential --test disasm_golden
-./target/release/repro perf --lang
-echo "vine-lang VM differential + benchmark: OK (BENCH_lang.json written)"
+(cd "$smoke" && "$repro" perf --lang)
+echo "vine-lang VM differential + benchmark: OK (BENCH_lang.json in $smoke)"
 
 ./target/release/repro lint
 ./target/release/repro analyze --check | tee ANALYZE_report.txt
@@ -45,14 +50,14 @@ echo "repro --jobs determinism: OK (byte-identical at --jobs 1 and 4)"
 # reactor connection-scaling smoke: one manager thread must sustain a
 # 256-connection loopback fleet (the full 1000-connection run is the
 # local `repro perf --net`; CI keeps the bounded variant)
-./target/release/repro perf --net --conns 256 --scale 0.1
-echo "reactor connection-scaling smoke: OK (BENCH_net.json written)"
+(cd "$smoke" && "$repro" perf --net --conns 256 --scale 0.1)
+echo "reactor connection-scaling smoke: OK (BENCH_net.json in $smoke)"
 
 # federated sharding: the simulated 1→8 shard sweep (bounded; the
 # committed BENCH_shard.json is the full-scale run), then the live
 # 2-shard byte-identity + kill -9 smoke
-./target/release/repro shard --scale 0.02
-echo "federated sharding sweep: OK (BENCH_shard.json written)"
+(cd "$smoke" && "$repro" shard --scale 0.02)
+echo "federated sharding sweep: OK (BENCH_shard.json in $smoke)"
 ./scripts/shard_smoke.sh ./target/release/repro
 
 # live end-to-end smoke: both benchmark workloads run through manager,
@@ -72,3 +77,6 @@ done
 
 # one-page performance picture across every benchmark artifact
 ./scripts/bench_summary.sh
+
+# the committed full-scale results are inputs, never outputs, of this run
+git diff --exit-code -- 'BENCH_*.json'

@@ -1,13 +1,13 @@
 //! The paper's future-work extension end to end: automatically discover a
-//! function's context from plain module source — no user-written
-//! `context_setup`, no manual dependency list — and run it on the live
-//! cluster.
+//! function's context from plain module source with `vine_flow::discover`
+//! — no user-written `context_setup`, no manual dependency list — and run
+//! it on the live cluster.
 
 use vine_core::context::{ContextSpec, LibrarySpec, SetupSpec};
 use vine_core::ids::InvocationId;
 use vine_core::resources::Resources;
 use vine_core::task::{FunctionCall, WorkUnit};
-use vine_lang::{autocontext, pickle, Value};
+use vine_lang::{pickle, Value};
 use vine_runtime::{decode_result, Runtime, RuntimeConfig};
 
 /// A user writes ordinary module-level code: expensive setup inline, no
@@ -32,7 +32,9 @@ def classify(img) {
 fn auto_discovered_context_runs_on_live_cluster() {
     // discover: the model build and labels hoist; the served counter stays
     // per-invocation state
-    let ctx = autocontext::discover(USER_MODULE, &["classify"]).unwrap();
+    let ctx = vine_flow::discover(USER_MODULE, &["classify"])
+        .unwrap()
+        .context;
     assert!(ctx.provides.contains(&"model".to_string()));
     assert!(ctx.provides.contains(&"labels".to_string()));
     assert!(!ctx.provides.contains(&"served".to_string()));
@@ -102,7 +104,9 @@ fn auto_and_manual_context_agree() {
     let mut direct = vine_lang::Interp::with_registry(vine_apps::modules::full_registry());
     direct.exec_source(USER_MODULE).unwrap();
 
-    let ctx = autocontext::discover(USER_MODULE, &["classify"]).unwrap();
+    let ctx = vine_flow::discover(USER_MODULE, &["classify"])
+        .unwrap()
+        .context;
     let mut auto = vine_lang::Interp::with_registry(vine_apps::modules::full_registry());
     auto.exec_source(&ctx.setup_source).unwrap();
     auto.exec_source(&ctx.code_source).unwrap();

@@ -13,7 +13,7 @@ use vine_runtime::{decode_result, Runtime, RuntimeConfig};
 
 /// The naive module: model build and label table are invocation-invariant,
 /// `served` is mutable per-invocation state, and `capacity` reads the
-/// mutated counter — syntactically stuck as residue, but constant-foldable.
+/// mutated counter but constant-folds.
 const USER_MODULE: &str = r#"
 import nn
 
