@@ -1126,6 +1126,7 @@ def rescale(x, num, den) {
             let started = std::time::Instant::now();
             for i in 0..batch {
                 let mut interp = Interp::new();
+                interp.engine = Engine::Tree;
                 interp.exec_source(MODULE_SRC).expect("module boots");
                 match interp.call_global("score", &[Value::Int((i % 256) as i64)]) {
                     Ok(Value::Int(v)) => tree_acc = tree_acc.wrapping_add(v),
@@ -1136,7 +1137,6 @@ def rescale(x, num, den) {
             let started = std::time::Instant::now();
             for i in 0..batch {
                 let mut interp = Interp::new();
-                interp.engine = Engine::Vm;
                 interp
                     .exec_compiled(&module)
                     .expect("compiled module boots");

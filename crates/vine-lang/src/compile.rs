@@ -45,6 +45,15 @@ pub fn compile_program(prog: &Program) -> CompiledFn {
     c.finish(None, Rc::from("<module>"), 0, Vec::new())
 }
 
+/// Compile one expression evaluated in the global scope, leaving its value
+/// as the result: the unit of code of the `eval` builtin.
+pub(crate) fn compile_expr(expr: &Expr) -> CompiledFn {
+    let mut c = Compiler::new(None);
+    c.expr(expr);
+    c.emit(Instr::Return);
+    c.finish(None, Rc::from("<eval>"), 0, Vec::new())
+}
+
 /// Compile one function definition (body in its own slot scope).
 pub fn compile_function(def: &Rc<FuncDef>) -> CompiledFn {
     // slot layout: one slot per parameter *position* (duplicates get their

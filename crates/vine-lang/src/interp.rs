@@ -1,47 +1,50 @@
-//! The tree-walking interpreter.
+//! The interpreter: one [`Interp`] is one "interpreter process".
 //!
-//! One [`Interp`] is one "interpreter process": in the live runtime, each
-//! library daemon owns one, executes its context-setup function once, and
-//! then serves invocations against the retained global namespace — the
-//! paper's L3 retain mechanism (§2.2.3). Wrapped tasks (L1/L2) instead
-//! build a fresh `Interp` per execution, paying context reconstruction
-//! every time.
+//! In the live runtime, each library daemon owns one, executes its
+//! context-setup function once, and then serves invocations against the
+//! retained global namespace — the paper's L3 retain mechanism (§2.2.3).
+//! Wrapped tasks (L1/L2) instead build a fresh `Interp` per execution,
+//! paying context reconstruction every time.
+//!
+//! Every program, function body, `eval` and source-module import runs on
+//! the bytecode VM (`vm.rs`). The tree-walker in `reference.rs` is kept
+//! only as the VM's differential oracle; [`Engine::Tree`] selects it.
+//! Both engines enter user functions through one place,
+//! `Interp::call_function`, which checks arity and the
+//! [`MAX_CALL_DEPTH`] limit for both.
 
-use crate::ast::{BinOp, Expr, FuncDef, Program, Stmt, StmtKind, Target, UnOp};
-use crate::builtins;
+use crate::ast::{BinOp, FuncDef, Program, Stmt, StmtKind, UnOp};
 use crate::bytecode::{CompiledFn, CompiledModule};
 use crate::modules::ModuleRegistry;
 use crate::value::{Function, Value};
-use crate::{compile, vm};
+use crate::{compile, reference, vm};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use vine_core::{Result, VineError};
 
-/// Which execution engine this interpreter runs programs and function
-/// bodies on. Both engines share all other interpreter state (globals,
-/// modules, output, step budget) and are semantically identical; the VM is
-/// the fast path for retained library contexts, the tree-walker the
-/// differential reference.
+/// Most user-function activations one interpreter may have live at once.
+/// A call past it fails with an error, as Python's `RecursionError` does,
+/// instead of overflowing the thread's stack and aborting the process.
+pub const MAX_CALL_DEPTH: u32 = 800;
+
+/// Stack size for threads that run user code (library daemons, fork-mode
+/// children, task threads). It fits [`MAX_CALL_DEPTH`] activations of
+/// either engine in debug builds, which need ~18 KiB per level (~920
+/// levels fit); release builds need ~2 KiB. Thread spawns cost more with
+/// larger stacks, so it is no larger than that.
+pub const USER_STACK_BYTES: usize = 16 << 20;
+
+/// Which engine runs programs and function bodies. Both share all other
+/// interpreter state (globals, modules, output, step budget, call depth)
+/// and are semantically identical. Production code runs the VM, the
+/// default; `Tree` selects the tree-walking reference, which differential
+/// tests and `repro perf --lang` compare it against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
-    #[default]
     Tree,
+    #[default]
     Vm,
-}
-
-/// Local variable scope for one function activation. Keys are `Rc<str>`
-/// so re-assignment and parameter binding never re-clone the name text.
-struct Frame {
-    locals: BTreeMap<Rc<str>, Value>,
-    global_decls: BTreeSet<String>,
-}
-
-enum Flow {
-    Normal,
-    Return(Value),
-    Break,
-    Continue,
 }
 
 /// An interpreter instance: globals + module registry + captured output.
@@ -59,11 +62,10 @@ pub struct Interp {
     /// Abort execution after this many evaluation steps (guards tests and
     /// fuzzing against runaway loops).
     pub step_limit: u64,
+    /// Live user-function activations (bounded by [`MAX_CALL_DEPTH`]).
+    depth: u32,
     /// Which engine executes programs and function bodies.
     pub engine: Engine,
-    /// Bytecode cache keyed by `FuncDef` identity. The `Rc<FuncDef>` is
-    /// retained so the address can never be reused by a freed definition.
-    compiled: BTreeMap<usize, (Rc<FuncDef>, Rc<CompiledFn>)>,
     /// Recycled VM local-slot buffers, so steady-state calls allocate
     /// nothing.
     slot_pool: Vec<Vec<Option<Value>>>,
@@ -90,8 +92,8 @@ impl Interp {
             output: Vec::new(),
             steps: 0,
             step_limit: 200_000_000,
-            engine: Engine::Tree,
-            compiled: BTreeMap::new(),
+            depth: 0,
+            engine: Engine::Vm,
             slot_pool: Vec::new(),
             stack_pool: Vec::new(),
         }
@@ -109,27 +111,17 @@ impl Interp {
 
     /// Execute a parsed program at module level.
     pub fn exec_program(&mut self, prog: &Program) -> Result<()> {
-        if self.engine == Engine::Vm {
-            let top = compile::compile_program(prog);
-            return vm::run_toplevel(self, &top);
+        match self.engine {
+            Engine::Vm => vm::run_toplevel(self, &compile::compile_program(prog)).map(|_| ()),
+            Engine::Tree => reference::exec_program(self, prog),
         }
-        for stmt in prog {
-            match self.exec_stmt(stmt, None)? {
-                Flow::Normal => {}
-                Flow::Return(_) => return Err(VineError::Lang("return outside function".into())),
-                Flow::Break | Flow::Continue => {
-                    return Err(VineError::Lang("break/continue outside loop".into()))
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Execute an already-compiled module image at module level, skipping
     /// parse and compile entirely — the install-once/invoke-many path for
     /// shipped library contexts.
     pub fn exec_compiled(&mut self, module: &CompiledModule) -> Result<()> {
-        vm::run_toplevel(self, &module.top)
+        vm::run_toplevel(self, &module.top).map(|_| ())
     }
 
     /// Evaluate a single expression in the global scope.
@@ -139,7 +131,10 @@ impl Interp {
             [Stmt {
                 kind: StmtKind::Expr(e),
                 ..
-            }] => self.eval(e, None),
+            }] => match self.engine {
+                Engine::Vm => vm::run_toplevel(self, &compile::compile_expr(e)),
+                Engine::Tree => reference::eval_expr(self, e),
+            },
             _ => Err(VineError::Lang(
                 "eval_source expects exactly one expression".into(),
             )),
@@ -195,70 +190,27 @@ impl Interp {
                 args.len()
             )));
         }
+        if self.depth >= MAX_CALL_DEPTH {
+            return Err(VineError::Lang(format!(
+                "call depth limit exceeded ({MAX_CALL_DEPTH} nested calls)"
+            )));
+        }
         // the function executes against its *defining* globals, which may
         // belong to a different interpreter than `self` (e.g. a deserialized
         // function re-bound on a worker)
         let saved = Rc::clone(&self.globals);
         self.globals = Rc::clone(&f.globals);
-        let result = if self.engine == Engine::Vm {
-            let code = self.compiled_for(f);
-            vm::run_function(self, &code, args)
-        } else {
-            let mut frame = Frame {
-                locals: f
-                    .param_names
-                    .iter()
-                    .cloned()
-                    .zip(args.iter().cloned())
-                    .collect(),
-                global_decls: BTreeSet::new(),
-            };
-            (|| -> Result<Value> {
-                for stmt in &f.def.body {
-                    match self.exec_stmt(stmt, Some(&mut frame))? {
-                        Flow::Normal => {}
-                        Flow::Return(v) => return Ok(v),
-                        Flow::Break | Flow::Continue => {
-                            return Err(VineError::Lang("break/continue outside loop".into()))
-                        }
-                    }
-                }
-                Ok(Value::None)
-            })()
+        self.depth += 1;
+        let result = match self.engine {
+            Engine::Vm => {
+                let code = compiled_for(f);
+                vm::run_function(self, &code, args)
+            }
+            Engine::Tree => reference::call_function(self, f, args),
         };
+        self.depth -= 1;
         self.globals = saved;
         result
-    }
-
-    /// The bytecode for a function value: from its inline cache, the
-    /// interpreter-wide cache, or compiled on first call. Functions created
-    /// by VM `MakeFunc` (including ones decoded from a shipped image) are
-    /// pre-seeded and never hit the compiler here.
-    fn compiled_for(&mut self, f: &Function) -> Rc<CompiledFn> {
-        if let Some(c) = f.compiled.borrow().as_ref() {
-            return Rc::clone(c);
-        }
-        let key = Rc::as_ptr(&f.def) as usize;
-        let code = match self.compiled.get(&key) {
-            Some((_, c)) => Rc::clone(c),
-            None => {
-                let c = Rc::new(compile::compile_function(&f.def));
-                self.compiled
-                    .insert(key, (Rc::clone(&f.def), Rc::clone(&c)));
-                c
-            }
-        };
-        *f.compiled.borrow_mut() = Some(Rc::clone(&code));
-        code
-    }
-
-    /// Record already-compiled bytecode for a definition so later function
-    /// values over the same `FuncDef` reuse it.
-    pub(crate) fn cache_compiled(&mut self, def: &Rc<FuncDef>, code: &Rc<CompiledFn>) {
-        let key = Rc::as_ptr(def) as usize;
-        self.compiled
-            .entry(key)
-            .or_insert_with(|| (Rc::clone(def), Rc::clone(code)));
     }
 
     pub(crate) fn take_slot_buf(&mut self) -> Vec<Option<Value>> {
@@ -308,135 +260,6 @@ impl Interp {
         Ok(())
     }
 
-    fn exec_block(&mut self, stmts: &[Stmt], frame: Option<&mut Frame>) -> Result<Flow> {
-        // reborrow pattern: we need to pass the frame to each statement
-        let mut frame = frame;
-        for stmt in stmts {
-            let flow = self.exec_stmt(stmt, frame.as_deref_mut())?;
-            if !matches!(flow, Flow::Normal) {
-                return Ok(flow);
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn exec_stmt(&mut self, stmt: &Stmt, mut frame: Option<&mut Frame>) -> Result<Flow> {
-        self.tick()?;
-        match &stmt.kind {
-            StmtKind::Import(name) => {
-                let module = self.import_module(name)?;
-                self.assign_var(name, module, frame);
-                Ok(Flow::Normal)
-            }
-            StmtKind::FuncDef(def) => {
-                let func = Value::Func(Rc::new(Function::new(
-                    Rc::clone(def),
-                    Rc::clone(&self.globals),
-                )));
-                self.assign_var(&def.name, func, frame);
-                Ok(Flow::Normal)
-            }
-            StmtKind::Global(names) => {
-                if let Some(fr) = frame.as_deref_mut() {
-                    for n in names {
-                        fr.global_decls.insert(n.clone());
-                    }
-                }
-                // at module level `global` is a no-op
-                Ok(Flow::Normal)
-            }
-            StmtKind::Assign(target, expr) => {
-                let value = self.eval(expr, frame.as_deref_mut())?;
-                match target {
-                    Target::Var(name) => self.assign_var(name, value, frame),
-                    Target::Index(obj, idx) => {
-                        let obj_v = self.eval(obj, frame.as_deref_mut())?;
-                        let idx_v = self.eval(idx, frame.as_deref_mut())?;
-                        self.index_assign(&obj_v, &idx_v, value)?;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            StmtKind::If(arms, els) => {
-                for (cond, body) in arms {
-                    if self.eval(cond, frame.as_deref_mut())?.truthy() {
-                        return self.exec_block(body, frame);
-                    }
-                }
-                if let Some(body) = els {
-                    return self.exec_block(body, frame);
-                }
-                Ok(Flow::Normal)
-            }
-            StmtKind::While(cond, body) => {
-                while self.eval(cond, frame.as_deref_mut())?.truthy() {
-                    self.tick()?;
-                    match self.exec_block(body, frame.as_deref_mut())? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            StmtKind::For(var, iter, body) => {
-                let items = self.iterable_items(iter, frame.as_deref_mut())?;
-                for item in items {
-                    self.tick()?;
-                    self.assign_var(var, item, frame.as_deref_mut());
-                    match self.exec_block(body, frame.as_deref_mut())? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            StmtKind::Return(value) => {
-                let v = match value {
-                    Some(e) => self.eval(e, frame)?,
-                    None => Value::None,
-                };
-                Ok(Flow::Return(v))
-            }
-            StmtKind::Break => Ok(Flow::Break),
-            StmtKind::Continue => Ok(Flow::Continue),
-            StmtKind::Expr(e) => {
-                self.eval(e, frame)?;
-                Ok(Flow::Normal)
-            }
-        }
-    }
-
-    fn iterable_items(&mut self, iter: &Expr, frame: Option<&mut Frame>) -> Result<Vec<Value>> {
-        let v = self.eval(iter, frame)?;
-        match v {
-            Value::List(items) => Ok(items.borrow().clone()),
-            Value::Dict(d) => Ok(d.borrow().keys().map(|k| Value::str(k.clone())).collect()),
-            Value::Str(s) => Ok(s.chars().map(|c| Value::str(c.to_string())).collect()),
-            other => Err(VineError::Lang(format!(
-                "{} is not iterable",
-                other.type_name()
-            ))),
-        }
-    }
-
-    fn assign_var(&mut self, name: &str, value: Value, frame: Option<&mut Frame>) {
-        match frame {
-            Some(fr) if !fr.global_decls.contains(name) => {
-                // re-assignment overwrites in place; the name text is only
-                // cloned the first time a local is created
-                match fr.locals.get_mut(name) {
-                    Some(slot) => *slot = value,
-                    None => {
-                        fr.locals.insert(Rc::from(name), value);
-                    }
-                }
-            }
-            _ => self.set_global_fast(name, value),
-        }
-    }
-
     pub(crate) fn index_assign(&mut self, obj: &Value, idx: &Value, value: Value) -> Result<()> {
         match obj {
             Value::List(items) => {
@@ -464,7 +287,11 @@ impl Interp {
         }
     }
 
-    pub(crate) fn import_module(&mut self, name: &str) -> Result<Value> {
+    /// Import a module by name, as an `import` statement does: native
+    /// modules are built from the registry, source modules executed in a
+    /// fresh namespace on this interpreter's engine. Each module is
+    /// imported once per interpreter.
+    pub fn import_module(&mut self, name: &str) -> Result<Value> {
         if let Some(m) = self.loaded.get(name) {
             return Ok(m.clone());
         }
@@ -489,122 +316,25 @@ impl Interp {
         Ok(module)
     }
 
-    fn eval(&mut self, expr: &Expr, mut frame: Option<&mut Frame>) -> Result<Value> {
-        self.tick()?;
-        match expr {
-            Expr::None => Ok(Value::None),
-            Expr::Bool(b) => Ok(Value::Bool(*b)),
-            Expr::Int(v) => Ok(Value::Int(*v)),
-            Expr::Float(v) => Ok(Value::Float(*v)),
-            Expr::Str(s) => Ok(Value::str(s.clone())),
-            Expr::List(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    out.push(self.eval(item, frame.as_deref_mut())?);
-                }
-                Ok(Value::list(out))
-            }
-            Expr::Dict(pairs) => {
-                let mut out = BTreeMap::new();
-                for (k, v) in pairs {
-                    let key = self.eval(k, frame.as_deref_mut())?.as_str()?.to_string();
-                    let val = self.eval(v, frame.as_deref_mut())?;
-                    out.insert(key, val);
-                }
-                Ok(Value::Dict(Rc::new(RefCell::new(out))))
-            }
-            Expr::Var(name) => self.lookup(name, frame.as_deref()),
-            Expr::Attr(obj, attr) => {
-                let obj = self.eval(obj, frame)?;
-                match obj {
-                    Value::Module(m) => m.members.borrow().get(attr).cloned().ok_or_else(|| {
-                        VineError::Lang(format!("module {} has no member {attr}", m.name))
-                    }),
-                    other => Err(VineError::Lang(format!(
-                        "{} has no attributes",
-                        other.type_name()
-                    ))),
-                }
-            }
-            Expr::Index(obj, idx) => {
-                let obj = self.eval(obj, frame.as_deref_mut())?;
-                let idx = self.eval(idx, frame)?;
-                self.index_get(&obj, &idx)
-            }
-            Expr::Call(callee, args) => {
-                // builtins may need interpreter services (print capture,
-                // eval), so builtin dispatch happens here
-                let mut arg_vals = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_vals.push(self.eval(a, frame.as_deref_mut())?);
-                }
-                if let Expr::Var(name) = callee.as_ref() {
-                    let shadowed = self.name_resolves(name, frame.as_deref());
-                    if !shadowed {
-                        if let Some(result) = builtins::call_builtin(self, name, &arg_vals)? {
-                            return Ok(result);
-                        }
-                    }
-                }
-                let callee = self.eval(callee, frame)?;
-                self.call_value(&callee, &arg_vals)
-            }
-            Expr::Unary(op, inner) => {
-                let v = self.eval(inner, frame)?;
-                unary_op(*op, &v)
-            }
-            Expr::Binary(op, lhs, rhs) => {
-                // short-circuit logical operators
-                match op {
-                    BinOp::And => {
-                        let l = self.eval(lhs, frame.as_deref_mut())?;
-                        if !l.truthy() {
-                            return Ok(l);
-                        }
-                        return self.eval(rhs, frame);
-                    }
-                    BinOp::Or => {
-                        let l = self.eval(lhs, frame.as_deref_mut())?;
-                        if l.truthy() {
-                            return Ok(l);
-                        }
-                        return self.eval(rhs, frame);
-                    }
-                    _ => {}
-                }
-                let l = self.eval(lhs, frame.as_deref_mut())?;
-                let r = self.eval(rhs, frame)?;
-                binary_op(*op, &l, &r)
-            }
-            Expr::Lambda(def) => Ok(Value::Func(Rc::new(Function::new(
-                Rc::clone(def),
-                Rc::clone(&self.globals),
-            )))),
+    /// Where an imported value came from, so that another interpreter over
+    /// the same registry can rebuild it with [`Interp::import_module`]: the
+    /// module's name, plus the member's name for a native bound on its own
+    /// (as in `sq = mathx.square`). `None` for anything else.
+    pub fn import_origin(&self, v: &Value) -> Option<(String, Option<String>)> {
+        match v {
+            Value::Module(m) => Some((m.name.clone(), None)),
+            Value::Native(n) => self.loaded.iter().find_map(|(module, loaded)| {
+                let Value::Module(m) = loaded else {
+                    return None;
+                };
+                let members = m.members.borrow();
+                let (member, _) = members
+                    .iter()
+                    .find(|(_, v)| matches!(v, Value::Native(x) if Rc::ptr_eq(x, n)))?;
+                Some((module.clone(), Some(member.clone())))
+            }),
+            _ => None,
         }
-    }
-
-    fn name_resolves(&self, name: &str, frame: Option<&Frame>) -> bool {
-        if let Some(fr) = frame {
-            if fr.locals.contains_key(name) && !fr.global_decls.contains(name) {
-                return true;
-            }
-        }
-        self.globals.borrow().contains_key(name)
-    }
-
-    fn lookup(&self, name: &str, frame: Option<&Frame>) -> Result<Value> {
-        if let Some(fr) = frame {
-            if !fr.global_decls.contains(name) {
-                if let Some(v) = fr.locals.get(name) {
-                    return Ok(v.clone());
-                }
-            }
-        }
-        self.globals
-            .borrow()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| VineError::Lang(format!("undefined variable: {name}")))
     }
 
     #[inline]
@@ -677,6 +407,14 @@ impl Interp {
         let namespace = std::mem::take(&mut *self.globals.borrow_mut());
         drop(namespace);
     }
+}
+
+/// The bytecode for a function value, compiled on its first call and kept
+/// in the function's own cache. Functions created by VM `MakeFunc`
+/// (including ones decoded from a shipped image) come pre-seeded.
+fn compiled_for(f: &Function) -> Rc<CompiledFn> {
+    let mut cached = f.compiled.borrow_mut();
+    Rc::clone(cached.get_or_insert_with(|| Rc::new(compile::compile_function(&f.def))))
 }
 
 /// Apply a unary operator to an already-evaluated value. Public for the
@@ -794,6 +532,7 @@ fn compare(l: &Value, r: &Value) -> Result<std::cmp::Ordering> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Expr;
     use crate::modules::native;
 
     fn run(src: &str) -> Interp {
@@ -1041,6 +780,33 @@ mod tests {
         interp.set_global("state", Value::Int(7));
         interp.bind_function(def);
         assert_eq!(interp.call_global("probe", &[]).unwrap(), Value::Int(7));
+    }
+
+    #[test]
+    fn deserialized_function_argument_is_freed_after_the_call() {
+        // a function value decoded per invocation compiles into its own
+        // cache, so the interpreter keeps nothing of it once the call ends
+        let mut origin = Interp::new();
+        origin.exec_source("def inc(v) { return v + 1 }").unwrap();
+        let blob =
+            crate::pickle::serialize_args(&[origin.get_global("inc").unwrap(), Value::Int(41)])
+                .unwrap();
+        let mut interp = Interp::new();
+        interp.engine = Engine::Vm;
+        interp
+            .exec_source("def apply(f, x) { return f(x) }")
+            .unwrap();
+        let args = crate::pickle::deserialize_args(&blob, &interp.globals).unwrap();
+        let def = match &args[0] {
+            Value::Func(f) => Rc::downgrade(&f.def),
+            other => panic!("expected a function, got {other:?}"),
+        };
+        assert_eq!(interp.call_global("apply", &args).unwrap(), Value::Int(42));
+        drop(args);
+        assert!(
+            def.upgrade().is_none(),
+            "the interpreter kept the definition"
+        );
     }
 
     #[test]

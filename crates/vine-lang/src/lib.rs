@@ -25,6 +25,13 @@
 //! paper Fig 4), `import`, control flow, lists/dicts/tensors, and a native
 //! module registry for "software dependencies".
 //!
+//! Code runs on one production engine: [`compile`] lowers the AST to the
+//! [`bytecode`] ISA and a stack VM executes it, for library contexts,
+//! stateless tasks, `eval` and imports alike. A tree-walking interpreter
+//! over the same [`Interp`] state is kept as the VM's differential oracle,
+//! selected by [`Engine::Tree`]. Both engines bound call depth at
+//! [`interp::MAX_CALL_DEPTH`].
+//!
 //! ## Example
 //!
 //! ```
@@ -57,6 +64,7 @@ pub mod lexer;
 pub mod modules;
 pub mod parser;
 pub mod pickle;
+mod reference;
 pub mod value;
 pub(crate) mod vm;
 pub mod wire;

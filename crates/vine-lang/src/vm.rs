@@ -1,14 +1,17 @@
 //! The stack VM: a dispatch loop over [`Instr`] that runs *against* an
 //! [`Interp`] — it borrows the interpreter's globals, module registry,
-//! output capture, step budget, and builtin dispatch, so VM execution and
-//! tree-walking are two engines over one runtime state and can be compared
-//! bit-for-bit (the differential proptest in `tests/vm_differential.rs`
-//! holds them to identical results, prints, globals, and error strings).
+//! output capture, step budget, and builtin dispatch. It is the one
+//! production engine: module code, function bodies, `eval` expressions and
+//! source-module imports all run here. The tree-walker in
+//! [`crate::reference`] runs over the same state, so the two can be
+//! compared bit-for-bit (the differential proptest in
+//! `tests/vm_differential.rs` holds them to identical results, prints,
+//! globals, and error strings).
 //!
-//! Calls re-enter through [`Interp::call_value`], which dispatches by the
-//! interpreter's engine — so VM code calling a function compiled from a
-//! dynamically `exec`-ed definition, or `eval`/`exec` builtins re-entering
-//! the interpreter, all stay on one engine without special cases.
+//! Calls re-enter through [`Interp::call_value`], which counts call depth
+//! and dispatches by the interpreter's engine. So VM code calling a
+//! function defined by `exec`, or `eval`/`exec` re-entering the
+//! interpreter, stays on the interpreter's engine without special cases.
 
 use crate::builtins;
 use crate::bytecode::{CompiledFn, Instr, NO_SLOT};
@@ -20,10 +23,11 @@ use std::rc::Rc;
 use vine_core::{Result, VineError};
 
 /// Execute module-level compiled code. All its names are globals, so no
-/// slot frame is needed.
-pub(crate) fn run_toplevel(interp: &mut Interp, top: &CompiledFn) -> Result<()> {
+/// slot frame is needed. Module code runs off its end and yields none; a
+/// compiled `eval` expression returns its value.
+pub(crate) fn run_toplevel(interp: &mut Interp, top: &CompiledFn) -> Result<Value> {
     let mut slots: Vec<Option<Value>> = Vec::new();
-    execute(interp, top, &mut slots).map(|_| ())
+    execute(interp, top, &mut slots)
 }
 
 /// Execute a compiled function body. The caller has already swapped the
@@ -360,7 +364,6 @@ fn dispatch(
             Instr::MakeFunc(i) => {
                 let cf = &f.funcs[*i as usize];
                 let def = Rc::clone(cf.def.as_ref().expect("function literal carries its def"));
-                interp.cache_compiled(&def, cf);
                 let func = Function::new(def, Rc::clone(&interp.globals));
                 *func.compiled.borrow_mut() = Some(Rc::clone(cf));
                 stack.push(Value::Func(Rc::new(func)));

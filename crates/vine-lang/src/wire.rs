@@ -214,8 +214,9 @@ const BINOPS: [BinOp; 13] = [
     BinOp::Or,
 ];
 
-/// Run `f` on a thread with the default 2 MiB stack, as the library
-/// daemons and task threads that decode and parse peer input run.
+/// Run `f` on a thread with the default 2 MiB stack. Decoding and parsing
+/// peer input must fit in it, well inside the `USER_STACK_BYTES` of the
+/// library daemons and task threads that do it.
 #[cfg(test)]
 pub(crate) fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     std::thread::Builder::new()

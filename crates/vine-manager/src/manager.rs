@@ -626,6 +626,23 @@ impl Manager {
         Ok(())
     }
 
+    /// Take every queued call of `library` off the queue, for a substrate
+    /// that gives up on the library (the live runtime does so when its
+    /// context setup keeps failing). The caller reports the returned calls
+    /// as failed.
+    pub fn fail_queued_calls(&mut self, library: &str) -> Vec<UnitId> {
+        let failed: Vec<UnitId> = self
+            .queue_calls
+            .remove(library)
+            .into_iter()
+            .flatten()
+            .map(|c| UnitId::Call(c.id))
+            .collect();
+        self.queued_calls -= failed.len();
+        self.reindex_lib(library);
+        failed
+    }
+
     /// A dispatched unit finished (successfully or not); frees its slot or
     /// resources.
     pub fn unit_finished(&mut self, unit: UnitId) -> Result<Placement> {
@@ -998,6 +1015,24 @@ mod tests {
             Decision::InstallLibrary { .. } => {}
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn failing_queued_calls_drops_the_librarys_demand() {
+        let mut m = manager_with_workers(1);
+        m.submit(call(1));
+        m.submit(call(2));
+        let Some(Decision::InstallLibrary {
+            worker, instance, ..
+        }) = m.next_decision()
+        else {
+            panic!()
+        };
+        m.library_startup_failed(worker, instance).unwrap();
+        let failed = m.fail_queued_calls("lnni");
+        assert_eq!(failed.len(), 2);
+        assert!(m.is_idle());
+        assert!(m.next_decision().is_none(), "nothing left to install for");
     }
 
     #[test]

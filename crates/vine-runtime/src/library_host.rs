@@ -4,8 +4,9 @@ use crossbeam::channel::{Receiver, Sender};
 use std::thread::JoinHandle;
 use vine_core::ids::{LibraryInstanceId, WorkerId};
 use vine_core::task::ExecMode;
+use vine_lang::interp::USER_STACK_BYTES;
 use vine_lang::pickle;
-use vine_lang::{Engine, Interp, ModuleRegistry, Value};
+use vine_lang::{Interp, ModuleRegistry, Value};
 use vine_proto::{LibraryToWorker, WorkerToLibrary};
 
 pub use vine_proto::{LibraryImage, LibrarySetup};
@@ -33,6 +34,7 @@ pub fn spawn_library(
     let default_mode = image.default_mode;
     let thread = std::thread::Builder::new()
         .name(format!("library-{instance}"))
+        .stack_size(USER_STACK_BYTES)
         .spawn(move || daemon_main(worker, image, registry, rx, events))
         .expect("spawn library thread");
     LibraryHost {
@@ -52,29 +54,23 @@ fn daemon_main(
 ) {
     let instance = image.instance;
     // §3.4 step 2: boot, reconstruct code, run all context setup, report.
-    // Library daemons run on the bytecode VM: the compiled module is part
-    // of the retained context, so every invocation skips tree-walking.
     let mut interp = Interp::with_registry(registry);
-    interp.engine = Engine::Vm;
     let boot = (|| -> Result<(), String> {
         match &image.compiled {
             // the manager shipped a compiled image: boot without parsing
-            // or compiling (decode errors fall back to the source text)
-            Some(blob) => match vine_lang::bytecode::from_bytes(&blob.bytes) {
-                Ok(top) => interp
-                    .exec_compiled(&vine_lang::CompiledModule {
-                        top,
-                        source_digest: blob.source_digest,
-                    })
-                    .map_err(|e| format!("library source: {e}"))?,
-                Err(_) => interp
-                    .exec_source(&image.source)
-                    .map_err(|e| format!("library source: {e}"))?,
-            },
-            None => interp
-                .exec_source(&image.source)
-                .map_err(|e| format!("library source: {e}"))?,
+            // or compiling. An image that fails to decode fails the boot;
+            // the source is not a second way in.
+            Some(blob) => {
+                let top = vine_lang::bytecode::from_bytes(&blob.bytes)
+                    .map_err(|e| format!("compiled image: {e}"))?;
+                interp.exec_compiled(&vine_lang::CompiledModule {
+                    top,
+                    source_digest: blob.source_digest,
+                })
+            }
+            None => interp.exec_source(&image.source),
         }
+        .map_err(|e| format!("library source: {e}"))?;
         for blob in &image.serialized_functions {
             let def = pickle::deserialize_funcdef(blob).map_err(|e| format!("code object: {e}"))?;
             interp.bind_function(def);
@@ -137,28 +133,30 @@ fn run_direct(interp: &mut Interp, function: &str, args_blob: &[u8]) -> Result<V
     pickle::serialize_value(&out).map_err(|e| e.to_string())
 }
 
-/// Fork option: the "child" gets a deep copy of the namespace (fork's
+/// Fork option: the "child" gets a copy of the namespace (fork's
 /// copy-on-write semantics) and runs on its own thread; mutations stay in
 /// the child (§2.1.4: invocations "can freely mutate the environment in
 /// its memory space" without corrupting the shared context).
 fn run_forked(interp: &Interp, function: &str, args_blob: &[u8]) -> Result<Vec<u8>, String> {
-    // snapshot the namespace: serializable state deep-clones; module and
-    // native values are rebuilt in the child from the same registry
-    let parent_globals: Vec<(String, Value)> = interp
-        .globals
-        .borrow()
-        .iter()
-        .filter(|(_, v)| !matches!(v, Value::Module(_) | Value::Native(_)))
-        .map(|(k, v)| (k.clone(), v.deep_clone()))
-        .collect();
-    // functions must be re-serialized so the child rebinds them to ITS
-    // globals, not the parent's
+    // snapshot the namespace as bytes: plain values serialize; functions
+    // are re-serialized so the child rebinds them to ITS globals, not the
+    // parent's; imported modules and their native members are re-imported
+    // in the child from the same registry
     let mut plain = Vec::new();
     let mut funcs = Vec::new();
-    for (k, v) in parent_globals {
-        match &v {
-            Value::Func(_) => funcs.push(pickle::serialize_value(&v).map_err(|e| e.to_string())?),
-            _ => plain.push((k, pickle::serialize_value(&v).map_err(|e| e.to_string())?)),
+    let mut imports = Vec::new();
+    for (k, v) in interp.globals.borrow().iter() {
+        match v {
+            Value::Module(_) | Value::Native(_) => {
+                if let Some(origin) = interp.import_origin(v) {
+                    imports.push((k.clone(), origin));
+                }
+            }
+            Value::Func(_) => funcs.push(pickle::serialize_value(v).map_err(|e| e.to_string())?),
+            _ => plain.push((
+                k.clone(),
+                pickle::serialize_value(v).map_err(|e| e.to_string())?,
+            )),
         }
     }
     let registry = interp.registry().clone();
@@ -169,10 +167,14 @@ fn run_forked(interp: &Interp, function: &str, args_blob: &[u8]) -> Result<Vec<u
     // exactly like a real fork boundary
     let child = std::thread::Builder::new()
         .name("library-fork".into())
+        .stack_size(USER_STACK_BYTES)
         .spawn(move || -> Result<Vec<u8>, String> {
             let mut child_interp = Interp::with_registry(registry);
-            child_interp.engine = Engine::Vm;
             let result = (|| {
+                for (k, (module, member)) in imports {
+                    let v = reimport(&mut child_interp, &module, member.as_deref())?;
+                    child_interp.set_global(k, v);
+                }
                 for (k, blob) in plain {
                     let v = pickle::deserialize_value(&blob, &child_interp.globals)
                         .map_err(|e| e.to_string())?;
@@ -203,6 +205,20 @@ fn run_forked(interp: &Interp, function: &str, args_blob: &[u8]) -> Result<Vec<u
     child
         .join()
         .map_err(|_| "forked invocation panicked".to_string())?
+}
+
+/// Import `module` into a fork child, or one `member` of it: the value an
+/// [`Interp::import_origin`] of the parent names.
+fn reimport(interp: &mut Interp, module: &str, member: Option<&str>) -> Result<Value, String> {
+    let m = interp.import_module(module).map_err(|e| e.to_string())?;
+    let Some(member) = member else {
+        return Ok(m);
+    };
+    match &m {
+        Value::Module(obj) => obj.members.borrow().get(member).cloned(),
+        _ => None,
+    }
+    .ok_or_else(|| format!("module {module} has no member {member}"))
 }
 
 #[cfg(test)]
@@ -404,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_compiled_image_falls_back_to_source() {
+    fn corrupt_compiled_image_fails_startup() {
         // `x = 7` with its `const 0` patched to `const 999`: well-formed
         // bytes whose operand points past the constant pool
         let mut patched =
@@ -428,11 +444,47 @@ mod tests {
                     bytes,
                 }),
             };
-            let host = spawn_library(WorkerId(0), image, ModuleRegistry::new(), etx);
-            assert!(matches!(erx.recv().unwrap().2, LibraryToWorker::Ready));
-            let a = invoke(&host, &erx, 1, "bump", &[Value::Int(5)], ExecMode::Direct).unwrap();
-            assert_eq!(a, Value::Int(1006));
-            host.tx.send(WorkerToLibrary::Shutdown).unwrap();
+            // the intact source alongside must not boot the daemon instead
+            let mut host = spawn_library(WorkerId(0), image, ModuleRegistry::new(), etx);
+            match erx.recv().unwrap() {
+                (_, _, LibraryToWorker::StartupFailed { error }) => {
+                    assert!(error.contains("compiled image"), "{error}");
+                }
+                other => panic!("expected StartupFailed, got {other:?}"),
+            }
+            host.thread.take().unwrap().join().unwrap();
         }
+    }
+
+    #[test]
+    fn fork_mode_reimports_module_scope_imports() {
+        // modules imported at module scope, and a native member bound on
+        // its own, must resolve in every forked child as in the parent
+        let mut registry = ModuleRegistry::new();
+        registry.register_source("helpers", "def triple(x) { return x * 3 }");
+        registry.register_native("mathx", || {
+            vec![vine_lang::modules::native("square", |args| {
+                let x = args[0].as_int()?;
+                Ok(Value::Int(x * x))
+            })]
+        });
+        let (etx, erx) = crossbeam::channel::unbounded();
+        let image = LibraryImage {
+            instance: LibraryInstanceId(6),
+            source: "import helpers\nimport mathx\nsq = mathx.square\n\
+                     def work(x) { return helpers.triple(x) + sq(x) + mathx.square(1) }"
+                .into(),
+            serialized_functions: vec![],
+            setup: None,
+            default_mode: ExecMode::Fork,
+            compiled: None,
+        };
+        let host = spawn_library(WorkerId(0), image, registry, etx);
+        assert!(matches!(erx.recv().unwrap().2, LibraryToWorker::Ready));
+        for (id, mode) in [(1, ExecMode::Direct), (2, ExecMode::Fork)] {
+            let out = invoke(&host, &erx, id, "work", &[Value::Int(4)], mode);
+            assert_eq!(out, Ok(Value::Int(12 + 16 + 1)), "{mode:?}");
+        }
+        host.tx.send(WorkerToLibrary::Shutdown).unwrap();
     }
 }

@@ -6,7 +6,7 @@ use crate::transport::{InProcTransport, RecvError, Transport, TransportEvent, Tr
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 use vine_core::context::LibrarySpec;
-use vine_core::ids::{ContentHash, WorkerId};
+use vine_core::ids::{ContentHash, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
 use vine_core::task::{ExecMode, Outcome, UnitId, WorkUnit};
 use vine_core::{Result, VineError};
@@ -17,6 +17,10 @@ use vine_manager::{Decision, Manager};
 use vine_proto::{
     CompiledBlob, Frame, LibraryImage, LibrarySetup, ManagerToWorker, WorkerToManager,
 };
+
+/// Startup failures in a row after which a library's queued calls fail
+/// with the daemon's error instead of waiting for yet another install.
+const MAX_STARTUP_FAILURES: u32 = 3;
 
 /// Live cluster configuration.
 #[derive(Clone)]
@@ -70,6 +74,9 @@ pub struct Runtime {
     /// Compiled library images interned by source digest: installing the
     /// same source N times (or into N workers) compiles once.
     images: CompiledImageStore,
+    /// Startup failures in a row per library, reset by a `LibraryReady`
+    /// and when the count reaches [`MAX_STARTUP_FAILURES`].
+    startup_failures: BTreeMap<String, u32>,
 }
 
 impl Runtime {
@@ -97,6 +104,7 @@ impl Runtime {
             module_names,
             requeues: 0,
             images: CompiledImageStore::new(),
+            startup_failures: BTreeMap::new(),
         };
         while rt.mgr.worker_count() < cfg.workers {
             let joined = rt.mgr.worker_count();
@@ -486,9 +494,16 @@ impl Runtime {
                 match msg {
                     WorkerToManager::LibraryReady { instance } => {
                         self.mgr.library_ready(worker, instance)?;
+                        if let Some(library) = self.library_of(worker, instance) {
+                            self.startup_failures.remove(&library);
+                        }
                     }
-                    WorkerToManager::LibraryFailed { instance, error: _ } => {
+                    WorkerToManager::LibraryFailed { instance, error } => {
+                        let library = self.library_of(worker, instance);
                         self.mgr.library_startup_failed(worker, instance)?;
+                        if let Some(library) = library {
+                            self.startup_failed(library, &error);
+                        }
                     }
                     WorkerToManager::UnitDone { outcome } => {
                         let unit = outcome.unit;
@@ -526,6 +541,28 @@ impl Runtime {
             }
         }
         Ok(())
+    }
+
+    /// The library a deployed instance belongs to.
+    fn library_of(&self, worker: WorkerId, instance: LibraryInstanceId) -> Option<String> {
+        let lib = self.mgr.workers.get(&worker)?.libraries.get(&instance)?;
+        Some(lib.spec.name.clone())
+    }
+
+    /// Count a failed startup of `library`. A context setup that fails on
+    /// every install would otherwise be reinstalled forever, each failure
+    /// counting as progress, so the run would neither finish nor time out.
+    fn startup_failed(&mut self, library: String, error: &str) {
+        let failures = self.startup_failures.entry(library.clone()).or_insert(0);
+        *failures += 1;
+        if *failures < MAX_STARTUP_FAILURES {
+            return;
+        }
+        self.startup_failures.remove(&library);
+        for unit in self.mgr.fail_queued_calls(&library) {
+            let error = format!("library {library} failed to start: {error}");
+            self.outcomes.push(Outcome::failed(unit, error));
+        }
     }
 
     /// Hit/miss counters of the manager's compiled-image store: misses are

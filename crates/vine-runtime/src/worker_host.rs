@@ -13,6 +13,7 @@ use std::thread::JoinHandle;
 use vine_core::context::CodeArtifact;
 use vine_core::ids::{LibraryInstanceId, WorkerId};
 use vine_core::task::{Outcome, TaskSpec, UnitId, WorkUnit};
+use vine_lang::interp::USER_STACK_BYTES;
 use vine_lang::pickle;
 use vine_lang::{Interp, ModuleRegistry};
 use vine_proto::{LibraryToWorker, ManagerToWorker, WorkerToLibrary, WorkerToManager};
@@ -61,7 +62,7 @@ pub fn worker_engine(
         crossbeam::channel::unbounded::<(WorkerId, LibraryInstanceId, LibraryToWorker)>();
     let relay = spawn_reply_relay(id, lib_rx, events.clone());
     let mut libraries: BTreeMap<LibraryInstanceId, LibraryHost> = BTreeMap::new();
-    let mut task_threads: Vec<JoinHandle<()>> = Vec::new();
+    let mut tasks = TaskThreads::new(id, registry.clone(), events.clone());
 
     while let Ok(cmd) = rx.recv() {
         match cmd {
@@ -70,6 +71,7 @@ pub fn worker_engine(
                 // stray copy is harmless
             }
             ManagerToWorker::InstallLibrary { image, stage: _ } => {
+                reap_exited(&mut libraries);
                 // the in-process substrate shares one filesystem, so staged
                 // context files are already local; the directive matters to
                 // remote data planes
@@ -111,22 +113,7 @@ pub fn worker_engine(
                     }
                 }
             }
-            ManagerToWorker::RunTask { task, stage: _ } => {
-                // a finished task's handle only pins its stack: let it go
-                task_threads.retain(|t| !t.is_finished());
-                // each task gets its own thread — stateless tasks on one
-                // worker run concurrently, like separate processes
-                let events = events.clone();
-                let registry = registry.clone();
-                let t = std::thread::Builder::new()
-                    .name(format!("task-{}", task.id))
-                    .spawn(move || {
-                        let outcome = execute_task(&task, registry);
-                        let _ = events.send((id, WorkerToManager::UnitDone { outcome }));
-                    })
-                    .expect("spawn task thread");
-                task_threads.push(t);
-            }
+            ManagerToWorker::RunTask { task, stage: _ } => tasks.run(task),
             ManagerToWorker::Shutdown => break,
         }
     }
@@ -139,11 +126,106 @@ pub fn worker_engine(
             let _ = t.join();
         }
     }
-    for t in task_threads {
-        let _ = t.join();
-    }
+    tasks.join();
     drop(lib_tx);
     let _ = relay.join();
+}
+
+/// The worker's task threads. Each runs one task at a time, on a fresh
+/// interpreter, so tasks stay stateless and run concurrently like separate
+/// processes; a thread that finishes its task waits for the next one
+/// instead of exiting. A task therefore pays no thread spawn, which on
+/// `USER_STACK_BYTES` stacks costs more than the interpreter work of a
+/// small task.
+struct TaskThreads {
+    worker: WorkerId,
+    registry: ModuleRegistry,
+    events: Sender<(WorkerId, WorkerToManager)>,
+    /// Each thread's task channel, by thread index.
+    senders: Vec<Sender<TaskSpec>>,
+    threads: Vec<JoinHandle<()>>,
+    /// Indices of threads waiting for a task.
+    idle_tx: Sender<usize>,
+    idle_rx: Receiver<usize>,
+}
+
+impl TaskThreads {
+    fn new(
+        worker: WorkerId,
+        registry: ModuleRegistry,
+        events: Sender<(WorkerId, WorkerToManager)>,
+    ) -> TaskThreads {
+        let (idle_tx, idle_rx) = crossbeam::channel::unbounded();
+        TaskThreads {
+            worker,
+            registry,
+            events,
+            senders: Vec::new(),
+            threads: Vec::new(),
+            idle_tx,
+            idle_rx,
+        }
+    }
+
+    /// Hand `task` to an idle thread, or to a new one when all are busy.
+    fn run(&mut self, task: TaskSpec) {
+        match self.idle_rx.try_recv() {
+            Ok(i) => {
+                let _ = self.senders[i].send(task);
+            }
+            Err(_) => self.spawn(task),
+        }
+    }
+
+    /// Start a thread on its first task, which it takes at spawn rather
+    /// than from its channel, so it need not be woken for it.
+    fn spawn(&mut self, first: TaskSpec) {
+        let i = self.senders.len();
+        let (tx, rx) = crossbeam::channel::unbounded::<TaskSpec>();
+        let worker = self.worker;
+        let registry = self.registry.clone();
+        let events = self.events.clone();
+        let idle = self.idle_tx.clone();
+        let thread = std::thread::Builder::new()
+            .name(format!("worker-{worker}-task-{i}"))
+            .stack_size(USER_STACK_BYTES)
+            .spawn(move || {
+                let mut next = Some(first);
+                while let Some(task) = next {
+                    let outcome = execute_task(&task, registry.clone());
+                    let _ = events.send((worker, WorkerToManager::UnitDone { outcome }));
+                    let _ = idle.send(i);
+                    next = rx.recv().ok();
+                }
+            })
+            .expect("spawn task thread");
+        self.senders.push(tx);
+        self.threads.push(thread);
+    }
+
+    /// Close every task channel and join the threads once their tasks
+    /// are done, so every `UnitDone` is on `events` before this returns.
+    fn join(self) {
+        drop(self.senders);
+        for thread in self.threads {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Join and forget the daemons that exited on their own, which is what a
+/// daemon does when its startup fails: the manager has already dropped
+/// their instances, and a kept handle pins the thread's stack. A daemon
+/// that panicked stays listed without its thread, so an `Invoke` for it is
+/// not answered with a `Requeue` that the manager would send straight back.
+fn reap_exited(libraries: &mut BTreeMap<LibraryInstanceId, LibraryHost>) {
+    libraries.retain(|_, host| {
+        if !host.thread.as_ref().is_some_and(JoinHandle::is_finished) {
+            return true;
+        }
+        let thread = host.thread.take().expect("checked above");
+        thread.join().is_err()
+    });
 }
 
 /// The reply relay: forward what library daemons report, as the manager
@@ -383,15 +465,16 @@ mod tests {
         assert_eq!((ready, done), (1, CALLS));
     }
 
+    fn mappings() -> usize {
+        std::fs::read_to_string("/proc/self/maps")
+            .map(|m| m.lines().count())
+            .unwrap_or(0)
+    }
+
     #[test]
     fn finished_task_threads_are_reaped() {
-        // a retained handle of a finished thread keeps its stack mapped;
-        // thousands of tasks must not grow the address space map with them
-        fn mappings() -> usize {
-            std::fs::read_to_string("/proc/self/maps")
-                .map(|m| m.lines().count())
-                .unwrap_or(0)
-        }
+        // task threads must not pile up: thousands of tasks must not grow
+        // the address space map with their stacks
         let (etx, erx) = crossbeam::channel::unbounded();
         let mut h = spawn_worker(WorkerId(6), ModuleRegistry::new(), etx);
         let mut next = 0u64;
@@ -422,5 +505,72 @@ mod tests {
         assert!(grown < 1_000, "{grown} new mappings after 3000 tasks");
         h.tx.send(ManagerToWorker::Shutdown).unwrap();
         h.thread.take().unwrap().join().unwrap();
+    }
+
+    #[test]
+    fn failed_library_daemons_are_reaped() {
+        // a daemon whose startup failed has exited; thousands of failed
+        // installs must not keep their stacks mapped
+        let (etx, erx) = crossbeam::channel::unbounded();
+        let mut h = spawn_worker(WorkerId(7), ModuleRegistry::new(), etx);
+        let mut next = 0u64;
+        let mut install = |n: u64| {
+            for _ in 0..n {
+                next += 1;
+                let image = vine_proto::LibraryImage {
+                    instance: LibraryInstanceId(next),
+                    source: "x = 1 / 0".into(),
+                    serialized_functions: vec![],
+                    setup: None,
+                    default_mode: vine_core::task::ExecMode::Direct,
+                    compiled: None,
+                };
+                h.tx.send(ManagerToWorker::InstallLibrary {
+                    image,
+                    stage: vec![],
+                })
+                .unwrap();
+                match erx.recv().unwrap() {
+                    (_, WorkerToManager::LibraryFailed { error, .. }) => {
+                        assert!(error.contains("division by zero"), "{error}")
+                    }
+                    (_, other) => panic!("unexpected {other:?}"),
+                }
+            }
+        };
+        install(200);
+        let before = mappings();
+        install(3_000);
+        let grown = mappings().saturating_sub(before);
+        assert!(
+            grown < 1_000,
+            "{grown} new mappings after 3000 failed installs"
+        );
+        h.tx.send(ManagerToWorker::Shutdown).unwrap();
+        h.thread.take().unwrap().join().unwrap();
+    }
+
+    #[test]
+    fn reaping_keeps_panicked_daemons_listed() {
+        let (tx, _rx) = crossbeam::channel::unbounded();
+        let mut libraries = BTreeMap::new();
+        for (i, panics) in [(1, false), (2, true)] {
+            let thread = std::thread::spawn(move || assert!(!panics, "daemon bug"));
+            while !thread.is_finished() {
+                std::thread::yield_now();
+            }
+            let instance = LibraryInstanceId(i);
+            let host = LibraryHost {
+                instance,
+                default_mode: vine_core::task::ExecMode::Direct,
+                tx: tx.clone(),
+                thread: Some(thread),
+            };
+            libraries.insert(instance, host);
+        }
+        reap_exited(&mut libraries);
+        let left: Vec<_> = libraries.keys().copied().collect();
+        assert_eq!(left, [LibraryInstanceId(2)]);
+        assert!(libraries[&LibraryInstanceId(2)].thread.is_none());
     }
 }

@@ -286,3 +286,47 @@ fn lnni_application_runs_live() {
     }
     rt.shutdown();
 }
+
+#[test]
+fn library_whose_setup_always_fails_fails_its_calls() {
+    // every install of this library fails its context setup; after a few
+    // failures in a row its queued calls must fail with the daemon's error
+    // instead of the library being reinstalled forever. The run is on its
+    // own thread, left detached, so that a hang fails the test instead of
+    // blocking the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut rt = Runtime::new(RuntimeConfig {
+            workers: 1,
+            idle_timeout: std::time::Duration::from_secs(2),
+            ..Default::default()
+        });
+        let source = "def context_setup(base) {\n    global model\n    model = base / 0\n}\n\
+                      def f(x) { return model + x }\n\
+                      def accumulate(x) { return x }\n";
+        rt.install_library(
+            lnni_like_spec(2, ExecMode::Direct),
+            source,
+            vec![],
+            &[Value::Int(1)],
+        )
+        .unwrap();
+        for i in 0..5 {
+            rt.submit(call(i, "f", 1));
+        }
+        let _ = tx.send(rt.run_until_idle().map_err(|e| e.to_string()));
+    });
+    let outcomes = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("watchdog: the run neither finished nor timed out")
+        .unwrap();
+    assert_eq!(outcomes.len(), 5);
+    for o in &outcomes {
+        assert!(!o.success);
+        let error = o.error.as_deref().unwrap_or_default();
+        assert!(
+            error.contains("library testlib failed to start") && error.contains("division by zero"),
+            "{error}"
+        );
+    }
+}

@@ -8,7 +8,7 @@
 # (a multi-process run over framed sockets must byte-match the in-process
 # run, with and without a worker killed mid-run), the federated-sharding
 # smoke (router + 2 shard processes byte-match the single manager, with
-# and without a shard killed -9 mid-run), a live end-to-end smoke of both
+# and without a shard killed -9 mid-run), a live end-to-end smoke of the
 # livebench workloads, and the benchmark trajectory table merged from
 # every committed BENCH_*.json. Smoke-scale benchmarks write their
 # BENCH_*.json under target/bench-smoke/, and the run fails if any
@@ -25,8 +25,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
 # VM differential suite: the bytecode VM must stay bit-identical to the
-# tree-walking reference (proptest + hazard corpus + golden disassembly)
-cargo test -q --release -p vine-lang --test vm_differential --test disasm_golden
+# tree-walking reference (proptest + hazard corpus + golden disassembly);
+# the call-depth limit must hold in release stack layouts too
+cargo test -q --release -p vine-lang --test vm_differential --test disasm_golden --test call_depth
 (cd "$smoke" && "$repro" perf --lang)
 echo "vine-lang VM differential + benchmark: OK (BENCH_lang.json in $smoke)"
 
@@ -60,10 +61,11 @@ echo "reactor connection-scaling smoke: OK (BENCH_net.json in $smoke)"
 echo "federated sharding sweep: OK (BENCH_shard.json in $smoke)"
 ./scripts/shard_smoke.sh ./target/release/repro
 
-# live end-to-end smoke: both benchmark workloads run through manager,
+# live end-to-end smoke: the benchmark workloads run through manager,
 # reactor, worker relay and library daemons or task threads, and every
-# result is checked; a relay hang, a lost UnitDone or a wrong result fails
-for workload in lnni-invoke lnni-task; do
+# result is checked; a relay hang, a lost UnitDone or a wrong result fails.
+# tenant-churn is the one that installs and evicts daemons mid-run.
+for workload in lnni-invoke lnni-task tenant-churn; do
     last="$(timeout 300 cargo run --release --offline --quiet --manifest-path livebench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
     case "$last" in
