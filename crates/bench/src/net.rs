@@ -5,7 +5,9 @@
 //! serving a fleet of live worker connections — 2, 64, 256, 1000 — with
 //! flat per-message cost, plus the serialize-once broadcast win
 //! ([`vine_proto::Frame`]): a library-image install fanned out to N
-//! workers encoded once instead of N times.
+//! workers encoded once instead of N times. One more row sizes the frame
+//! codec on its largest message: a compiled-image install's frame over
+//! its blob, and the blob's decode rate.
 //!
 //! The load generator is its own single-threaded epoll loop
 //! ([`EchoFleet`]): every client dials in, performs the `Join` handshake,
@@ -26,11 +28,12 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
-use vine_core::ids::{LibraryInstanceId, WorkerId};
+use vine_core::ids::{ContentHash, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
 use vine_core::task::ExecMode;
 use vine_proto::{
-    encode_frame, Frame, FrameDecoder, LibraryImage, ManagerToWorker, WorkerToManager,
+    decode_frame, encode_frame, CompiledBlob, Frame, FrameDecoder, LibraryImage, ManagerToWorker,
+    WorkerToManager,
 };
 use vine_runtime::{TcpTransport, Transport, TransportEvent, TransportStats};
 
@@ -355,6 +358,36 @@ impl FleetBench {
 /// dominates the fan-out, small enough to stay far from MAX_FRAME.
 const BROADCAST_PAYLOAD: usize = 128 * 1024;
 
+/// Decodes timed by [`install_codec`].
+const INSTALL_DECODES: usize = 200;
+
+/// Encode an install carrying a [`BROADCAST_PAYLOAD`]-byte compiled image
+/// and time [`INSTALL_DECODES`] decodes of it. Returns the frame's bytes
+/// and the blob bytes decoded per second.
+fn install_codec() -> (usize, f64) {
+    let msg = ManagerToWorker::InstallLibrary {
+        image: LibraryImage {
+            instance: LibraryInstanceId(1),
+            source: String::new(),
+            serialized_functions: vec![],
+            setup: None,
+            default_mode: ExecMode::Direct,
+            compiled: Some(CompiledBlob {
+                source_digest: ContentHash(u128::MAX / 3),
+                bytes: (0..BROADCAST_PAYLOAD).map(|i| (i * 31) as u8).collect(),
+            }),
+        },
+        stage: vec![],
+    };
+    let frame = encode_frame(&msg).expect("install encodes");
+    let started = Instant::now();
+    for _ in 0..INSTALL_DECODES {
+        std::hint::black_box(decode_frame::<ManagerToWorker>(&frame).expect("install decodes"));
+    }
+    let rate = (BROADCAST_PAYLOAD * INSTALL_DECODES) as f64 / started.elapsed().as_secs_f64();
+    (frame.len(), rate)
+}
+
 /// `perf --net`: the scaling table. `max_conns` caps the largest fleet
 /// (CI smoke runs at 256); `scale` shrinks the per-size message budget.
 pub fn perf_net(scale: f64, max_conns: usize) -> Table {
@@ -426,15 +459,27 @@ pub fn perf_net(scale: f64, max_conns: usize) -> Table {
         assert_eq!(stats.handshake_rejects, 0, "no rejected handshakes");
     }
 
+    let (frame_bytes, decode_rate) = install_codec();
+    let inflation = frame_bytes as f64 / BROADCAST_PAYLOAD as f64;
+    let decode_mb_s = decode_rate / 1e6;
+    t.row(
+        "install frame: bytes/payload, payload MB/s decoded",
+        vec![inflation, 0.0, decode_mb_s],
+    );
+
     t.note(format!(
         "echo fleet on one epoll client thread; a wave = 1 ping to every \
          conn + all echoes; ~{budget} messages per fleet size; broadcast \
-         payload {BROADCAST_PAYLOAD} B at the largest size"
+         payload {BROADCAST_PAYLOAD} B at the largest size; install frame \
+         carries a {BROADCAST_PAYLOAD} B compiled image, {INSTALL_DECODES} decodes"
     ));
     t.note("wall-clock, varies run to run; writes BENCH_net.json");
 
     let json = format!(
         "{{\n  \"benchmark\": \"net_reactor_scaling\",\n  \"sizes\": [\n{}\n  ],\n{}  \
+         \"install_frame\": {{ \"payload_bytes\": {BROADCAST_PAYLOAD}, \"frame_bytes\": {frame_bytes}, \
+         \"inflation\": {inflation:.4}, \"decodes\": {INSTALL_DECODES}, \
+         \"decode_mb_per_s\": {decode_mb_s:.1} }},\n  \
          \"budget_messages\": {budget}\n}}\n",
         rows_json.join(",\n"),
         broadcast_json,

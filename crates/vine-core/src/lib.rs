@@ -28,6 +28,8 @@
 //!   summary statistics and histograms matching the paper's evaluation
 //!   artifacts (Tables 4 & 5, Figures 7, 10, 11).
 //! * [`error`] — the shared error type.
+//! * [`wire`] — the bounded byte reader and writer under every binary
+//!   codec: pickles, compiled images and wire frames.
 
 pub mod config;
 pub mod context;
@@ -37,6 +39,7 @@ pub mod resources;
 pub mod task;
 pub mod time;
 pub mod trace;
+pub mod wire;
 
 pub use config::{CostModel, ReuseLevel};
 pub use context::{ContextSpec, FileRef, LibrarySpec, SetupSpec};

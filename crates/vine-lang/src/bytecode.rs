@@ -15,14 +15,15 @@
 //! library image as bytes, content-addressed by the digest of the source
 //! it was compiled from, and retained by the library daemon across
 //! invocations. [`to_bytes`]/[`from_bytes`] are the wire form, built on
-//! the bounded [`crate::wire`] core shared with pickles; `vine-data`'s
+//! the bounded [`vine_core::wire`] core shared with pickles; `vine-data`'s
 //! image store dedups by digest.
 
 use crate::ast::{BinOp, FuncDef, UnOp};
 use crate::value::Value;
-use crate::wire::{Reader, Writer};
+use crate::wire::{read_binop, write_binop};
 use std::fmt::Write as _;
 use std::rc::Rc;
+use vine_core::wire::{Reader, Writer};
 use vine_core::{ContentHash, Result};
 
 /// Sentinel slot index: the called name has no local slot in this scope
@@ -492,7 +493,7 @@ fn write_instr(w: &mut Writer, instr: &Instr) {
         }
         Instr::Binary(op_) => {
             w.u8(op::BINARY);
-            w.binop(*op_);
+            write_binop(w, *op_);
         }
         Instr::JumpIfFalse(t) => {
             w.u8(op::JUMP_IF_FALSE);
@@ -542,24 +543,24 @@ fn write_instr(w: &mut Writer, instr: &Instr) {
         }
         Instr::BinaryLL { op: op_, a, b } => {
             w.u8(op::BINARY_LL);
-            w.binop(*op_);
+            write_binop(w, *op_);
             w.u16(*a);
             w.u16(*b);
         }
         Instr::BinaryLC { op: op_, a, c } => {
             w.u8(op::BINARY_LC);
-            w.binop(*op_);
+            write_binop(w, *op_);
             w.u16(*a);
             w.u32(*c);
         }
         Instr::BinarySL { op: op_, s } => {
             w.u8(op::BINARY_SL);
-            w.binop(*op_);
+            write_binop(w, *op_);
             w.u16(*s);
         }
         Instr::BinarySC { op: op_, c } => {
             w.u8(op::BINARY_SC);
-            w.binop(*op_);
+            write_binop(w, *op_);
             w.u32(*c);
         }
         Instr::ForIter { target, slot } => {
@@ -698,7 +699,7 @@ fn read_instr(r: &mut Reader) -> Result<Instr> {
             1 => UnOp::Not,
             other => return Err(r.err(format!("unary opcode {other}"))),
         }),
-        op::BINARY => Instr::Binary(r.binop()?),
+        op::BINARY => Instr::Binary(read_binop(r)?),
         op::JUMP_IF_FALSE => Instr::JumpIfFalse(r.u32()?),
         op::JUMP_IF_FALSE_KEEP => Instr::JumpIfFalseKeep(r.u32()?),
         op::JUMP_IF_TRUE_KEEP => Instr::JumpIfTrueKeep(r.u32()?),
@@ -715,21 +716,21 @@ fn read_instr(r: &mut Reader) -> Result<Instr> {
         op::ITER_NEXT => Instr::IterNext(r.u32()?),
         op::POP_ITER => Instr::PopIter,
         op::BINARY_LL => Instr::BinaryLL {
-            op: r.binop()?,
+            op: read_binop(r)?,
             a: r.u16()?,
             b: r.u16()?,
         },
         op::BINARY_LC => Instr::BinaryLC {
-            op: r.binop()?,
+            op: read_binop(r)?,
             a: r.u16()?,
             c: r.u32()?,
         },
         op::BINARY_SL => Instr::BinarySL {
-            op: r.binop()?,
+            op: read_binop(r)?,
             s: r.u16()?,
         },
         op::BINARY_SC => Instr::BinarySC {
-            op: r.binop()?,
+            op: read_binop(r)?,
             c: r.u32()?,
         },
         op::FOR_ITER => Instr::ForIter {

@@ -56,6 +56,9 @@ pub struct Interp {
     registry: ModuleRegistry,
     /// Cache of already-imported modules.
     loaded: BTreeMap<String, Value>,
+    /// Source modules whose import is running this interpreter, outermost
+    /// first: an import of any of them again is a cycle.
+    importing: Vec<String>,
     /// Captured `print` output.
     pub output: Vec<String>,
     steps: u64,
@@ -89,6 +92,7 @@ impl Interp {
             globals: Rc::new(RefCell::new(BTreeMap::new())),
             registry,
             loaded: BTreeMap::new(),
+            importing: Vec::new(),
             output: Vec::new(),
             steps: 0,
             step_limit: 200_000_000,
@@ -290,7 +294,8 @@ impl Interp {
     /// Import a module by name, as an `import` statement does: native
     /// modules are built from the registry, source modules executed in a
     /// fresh namespace on this interpreter's engine. Each module is
-    /// imported once per interpreter.
+    /// imported once per interpreter. A source module that imports itself,
+    /// directly or through others, fails with the cycle named.
     pub fn import_module(&mut self, name: &str) -> Result<Value> {
         if let Some(m) = self.loaded.get(name) {
             return Ok(m.clone());
@@ -298,12 +303,18 @@ impl Interp {
         let module = if let Some(m) = self.registry.build_native(name) {
             m
         } else if let Some(src) = self.registry.source_module(name).map(str::to_string) {
+            if let Some(first) = self.importing.iter().position(|m| m == name) {
+                let cycle = self.importing[first..].join(" -> ");
+                return Err(VineError::Lang(format!("import cycle: {cycle} -> {name}")));
+            }
             // execute the module source in a fresh namespace sharing this
             // registry, then adopt its globals map *as* the module's member
             // table — the functions defined in it close over the same map,
             // so no copy is needed (or wanted)
             let mut sub = Interp::with_registry(self.registry.clone());
             sub.engine = self.engine;
+            sub.importing = self.importing.clone();
+            sub.importing.push(name.to_string());
             sub.exec_source(&src)?;
             Value::Module(Rc::new(crate::value::ModuleObj {
                 name: name.to_string(),
@@ -815,5 +826,38 @@ mod tests {
         interp.exec_source("def f(a, b) { return a }").unwrap();
         let e = interp.call_global("f", &[Value::Int(1)]).unwrap_err();
         assert!(e.to_string().contains("takes 2 arguments"));
+    }
+
+    #[test]
+    fn import_cycles_fail_with_the_cycle_named() {
+        // a cycle must fail, not re-run its modules in fresh interpreters
+        // until the stack overflows
+        let (own, pair, diamond) = crate::wire::on_small_stack(|| {
+            let import = |modules: &[(&str, &str)], name: &str| {
+                let mut registry = ModuleRegistry::new();
+                for (m, src) in modules {
+                    registry.register_source(*m, *src);
+                }
+                Interp::with_registry(registry)
+                    .exec_source(&format!("import {name}"))
+                    .map_err(|e| e.to_string())
+            };
+            let own = import(&[("a", "import a\nx = 1")], "a");
+            let pair = import(&[("a", "import b"), ("b", "import a")], "a");
+            // two modules importing a third is a diamond, not a cycle
+            let diamond = import(
+                &[
+                    ("top", "import left\nimport right\nv = left.v + right.v"),
+                    ("left", "import base\nv = base.v"),
+                    ("right", "import base\nv = base.v * 2"),
+                    ("base", "v = 1"),
+                ],
+                "top",
+            );
+            (own, pair, diamond)
+        });
+        assert!(own.unwrap_err().contains("import cycle: a -> a"));
+        assert!(pair.unwrap_err().contains("import cycle: a -> b -> a"));
+        diamond.expect("a diamond loads");
     }
 }

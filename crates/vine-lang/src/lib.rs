@@ -15,7 +15,7 @@
 //!   modules it imports (the Poncho dependency-discovery analogue).
 //!
 //! Source and both byte formats arrive from peers, so the parser and the
-//! decoders share one nesting bound, [`wire::MAX_DEPTH`].
+//! decoders share one nesting bound, [`vine_core::wire::MAX_DEPTH`].
 //!
 //! Automatic context detection, the paper's §6 future-work item, is the
 //! dataflow pass `vine_flow::discover`, built on this crate's AST.
@@ -67,7 +67,7 @@ pub mod pickle;
 mod reference;
 pub mod value;
 pub(crate) mod vm;
-pub mod wire;
+mod wire;
 
 pub use ast::{BinOp, Expr, FuncDef, Program, Span, Stmt, StmtKind, Target, UnOp};
 pub use bytecode::{CompiledFn, CompiledModule};

@@ -12,8 +12,8 @@
 
 use crate::ast::{BinOp, Expr, FuncDef, Program, Span, Stmt, StmtKind, Target, UnOp};
 use crate::lexer::{Tok, Token};
-use crate::wire::MAX_DEPTH;
 use std::rc::Rc;
+use vine_core::wire::MAX_DEPTH;
 use vine_core::{Result, VineError};
 
 struct Parser<'a> {
@@ -562,7 +562,7 @@ pub fn parse_program(toks: &[Token]) -> Result<Program> {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::wire::MAX_DEPTH;
+    use vine_core::wire::MAX_DEPTH;
 
     fn parse(src: &str) -> Program {
         parse_program(&lex(src).unwrap()).unwrap()

@@ -9,15 +9,16 @@
 //! invocation's sandbox").
 //!
 //! The format is a tagged byte stream with a 4-byte magic header `VPK1`,
-//! built on the bounded [`crate::wire`] core it shares with compiled
+//! built on the bounded [`vine_core::wire`] core it shares with compiled
 //! images.
 
 use crate::ast::{Expr, FuncDef, Stmt, StmtKind, Target, UnOp};
 use crate::value::{Function, Tensor, Value};
-use crate::wire::{Reader, Writer};
+use crate::wire::{read_binop, write_binop};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use vine_core::wire::{Reader, Writer};
 use vine_core::{Result, VineError};
 
 const MAGIC: &[u8; 4] = b"VPK1";
@@ -254,7 +255,7 @@ fn write_expr(w: &mut Writer, e: &Expr) {
         }
         Expr::Binary(op, l, r) => {
             w.u8(etag::BINARY);
-            w.binop(*op);
+            write_binop(w, *op);
             write_expr(w, l);
             write_expr(w, r);
         }
@@ -294,7 +295,11 @@ fn read_compound_expr(r: &mut Reader, t: u8) -> Result<Expr> {
             let op = if r.u8()? != 0 { UnOp::Not } else { UnOp::Neg };
             Expr::Unary(op, Box::new(read_expr(r)?))
         }
-        etag::BINARY => Expr::Binary(r.binop()?, Box::new(read_expr(r)?), Box::new(read_expr(r)?)),
+        etag::BINARY => Expr::Binary(
+            read_binop(r)?,
+            Box::new(read_expr(r)?),
+            Box::new(read_expr(r)?),
+        ),
         other => return Err(r.err(format!("unknown expr tag {other}"))),
     })
 }
@@ -510,7 +515,8 @@ pub fn deserialize_args(
 mod tests {
     use super::*;
     use crate::interp::Interp;
-    use crate::wire::{on_small_stack, MAX_DEPTH};
+    use crate::wire::on_small_stack;
+    use vine_core::wire::MAX_DEPTH;
 
     fn fresh_globals() -> Rc<RefCell<BTreeMap<String, Value>>> {
         Rc::new(RefCell::new(BTreeMap::new()))

@@ -493,49 +493,6 @@ fn hoist_defeated(prog: &Program, model: &ModuleModel, diags: &mut Vec<Diagnosti
     }
 }
 
-// --- V015: fork-mode unserializable capture (invoked per-spec) ---
-
-/// Lints that only apply when the hosting library executes invocations in
-/// fork mode: whatever context setup publishes must be serializable into
-/// the forked snapshot, and module handles are not.
-pub fn lint_fork_mode(prog: &Program) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let model = build_model(prog);
-    for f in &model.functions {
-        let mut declared_global = BTreeSet::new();
-        let mut imported: BTreeMap<String, Span> = BTreeMap::new();
-        walk_stmts(&f.body, &mut |s| match &s.kind {
-            StmtKind::Global(names) => declared_global.extend(names.iter().cloned()),
-            StmtKind::Import(n) => {
-                imported.entry(n.clone()).or_insert(s.span);
-            }
-            _ => {}
-        });
-        for (n, span) in &imported {
-            if declared_global.contains(n) {
-                diags.push(
-                    Diagnostic::warning(
-                        "V015",
-                        "fork-unserializable-capture",
-                        format!(
-                            "function `{}` publishes imported module `{n}` via `global` \
-                             under fork execution",
-                            f.name
-                        ),
-                    )
-                    .with_span(*span)
-                    .with_help(
-                        "module handles cannot be serialized into forked invocation \
-                         snapshots; import at module scope instead so each interpreter \
-                         re-imports",
-                    ),
-                );
-            }
-        }
-    }
-    diags
-}
-
 // --- V016: duplicate-definition ---
 
 fn duplicate_definitions(prog: &Program, diags: &mut Vec<Diagnostic>) {

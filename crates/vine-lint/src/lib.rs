@@ -14,8 +14,7 @@
 //!
 //! * **language** ([`language`]) — checks a parsed vinescript [`Program`]:
 //!   undefined names, unused bindings, shadowed globals, dynamic code in
-//!   hoistable positions, global writes that defeat context hoisting,
-//!   captures that will not survive fork-mode serialization.
+//!   hoistable positions, and global writes that defeat context hoisting.
 //! * **environment** ([`environment`]) — checks imports against what the
 //!   module registry and package catalog can actually provide, declared
 //!   dependencies against what the code imports, and a [`LibrarySpec`]'s
@@ -40,7 +39,7 @@ pub use dag::{lint_dag, DagNode};
 pub use diag::{Diagnostic, Report, Severity};
 pub use environment::{lint_environment, lint_spec, SpecFacts};
 pub use flow::{lint_flow, lint_fork_setup};
-pub use language::{lint_fork_mode, lint_language};
+pub use language::lint_language;
 pub use placement::lint_placement;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -183,7 +182,6 @@ pub fn lint_library(spec: &LibrarySpec, source: &str, pre: &LibraryPreflight) ->
         report.extend(lint_language(prog));
         report.extend(lint_flow(prog));
         if spec.exec_mode == ExecMode::Fork {
-            report.extend(lint_fork_mode(prog));
             if let Some(setup) = &spec.context.setup {
                 report.extend(lint_fork_setup(prog, &setup.function));
             }

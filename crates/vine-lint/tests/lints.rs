@@ -1,7 +1,7 @@
 //! One trigger test and one clean-variant test per lint code.
 
 use std::collections::{BTreeMap, BTreeSet};
-use vine_core::{ContentHash, ExecMode, FileId, FileRef, LibrarySpec, Resources, SetupSpec};
+use vine_core::{ContentHash, FileId, FileRef, LibrarySpec, Resources, SetupSpec};
 use vine_lint::{
     lint_dag, lint_library, lint_source, lint_source_with_env, DagNode, LibraryPreflight, Report,
     Severity,
@@ -130,62 +130,6 @@ fn v014_clean_when_globals_are_only_read() {
     let src = "table = [1, 2]\ndef f(i) { return table[i] }\n";
     let report = lint_source("t.vine", src);
     assert!(!report.has("V014"), "{}", report.render());
-}
-
-// --- V015: fork-unserializable-capture ---
-
-fn fork_spec(name: &str) -> LibrarySpec {
-    let mut spec = LibrarySpec::new(name);
-    spec.functions = vec!["work".into()];
-    spec.exec_mode = ExecMode::Fork;
-    spec
-}
-
-#[test]
-fn v015_triggers_on_published_import_under_fork() {
-    let src = "\
-def context_setup() {\n    global nn\n    import nn\n}\n\
-def work(x) { return nn.forward(x, x) }\n";
-    let mut spec = fork_spec("forky");
-    spec.context.setup = Some(SetupSpec {
-        function: "context_setup".into(),
-        args_blob: Vec::new(),
-    });
-    let pre = LibraryPreflight {
-        available_modules: modules(&["nn"]),
-        setup_argc: Some(0),
-        ..LibraryPreflight::default()
-    };
-    let report = lint_library(&spec, src, &pre);
-    assert!(report.has("V015"), "{}", report.render());
-    assert!(
-        !report.has_errors(),
-        "V015 is a warning: {}",
-        report.render()
-    );
-}
-
-#[test]
-fn v015_clean_under_direct_mode_or_module_scope_import() {
-    let src = "\
-def context_setup() {\n    global nn\n    import nn\n}\n\
-def work(x) { return nn.forward(x, x) }\n";
-    let mut direct = fork_spec("directy");
-    direct.exec_mode = ExecMode::Direct;
-    direct.context.setup = Some(SetupSpec {
-        function: "context_setup".into(),
-        args_blob: Vec::new(),
-    });
-    let pre = LibraryPreflight {
-        available_modules: modules(&["nn"]),
-        setup_argc: Some(0),
-        ..LibraryPreflight::default()
-    };
-    assert!(!lint_library(&direct, src, &pre).has("V015"));
-
-    // fork mode, but the import is at module scope: fine
-    let src2 = "import nn\ndef work(x) { return nn.forward(x, x) }\n";
-    assert!(!lint_library(&fork_spec("forky2"), src2, &pre).has("V015"));
 }
 
 // --- V016: duplicate-definition ---

@@ -3,14 +3,16 @@
 //! Wire format, per frame:
 //!
 //! ```text
-//! +----------------+----------------------------------+
-//! | length: u32 LE | payload: `length` bytes of JSON  |
-//! +----------------+----------------------------------+
+//! +----------------+--------------+------------------------------------+
+//! | length: u32 LE | magic `VFR1` | one binary-encoded value           |
+//! +----------------+--------------+------------------------------------+
+//!                  |<------------- payload: `length` bytes ------------->|
 //! ```
 //!
-//! The payload is the serde encoding of one message (this workspace's
-//! serde shim renders JSON text). Frames are self-delimiting, so a reader
-//! never needs lookahead, and every failure mode is explicit:
+//! The payload is the serde value of one message in the binary form of
+//! [`crate::codec`]: byte fields ride raw, and lengths, counts and
+//! integers are varints. Frames are self-delimiting, so a reader never
+//! needs lookahead, and every failure mode is explicit:
 //!
 //! * a stream that ends **between** frames is a clean close
 //!   ([`FrameError::Closed`] — how a worker's death is observed);
@@ -19,13 +21,17 @@
 //! * a header announcing more than [`MAX_FRAME`] bytes is
 //!   [`FrameError::Oversized`] and is rejected *before* any allocation —
 //!   a garbage header cannot make the receiver allocate gigabytes;
-//! * a payload that is not valid UTF-8/JSON or does not decode to the
-//!   expected message type is [`FrameError::Malformed`].
+//! * a payload without the magic (a peer speaking the older JSON frames
+//!   fails here), one that does not decode within the codec's nesting and
+//!   count limits, and one that does not decode to the expected message
+//!   type are [`FrameError::Malformed`].
 
+use crate::codec;
 use crate::messages::ManagerToWorker;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::sync::Arc;
+use vine_core::wire::{Reader, Writer};
 
 /// Largest payload a frame may carry (64 MiB). Library images ship whole
 /// module sources and serialized functions, so frames are allowed to be
@@ -74,21 +80,9 @@ impl From<std::io::Error> for FrameError {
 
 /// Encode one message and write it as a frame.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), FrameError> {
-    let payload = serde_json::to_string(msg)
-        .map_err(|e| FrameError::Malformed(e.to_string()))?
-        .into_bytes();
-    if payload.len() > MAX_FRAME {
-        return Err(FrameError::Oversized {
-            len: payload.len(),
-            max: MAX_FRAME,
-        });
-    }
     // one buffer, one write: header and payload must not straddle writes,
     // or Nagle's algorithm turns every frame into a delayed-ACK stall
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    w.write_all(&frame)?;
+    w.write_all(&encode_frame(msg)?)?;
     w.flush()?;
     Ok(())
 }
@@ -118,9 +112,6 @@ pub fn read_frame<T: Deserialize>(r: &mut impl Read) -> Result<T, FrameError> {
         got => return Err(FrameError::Truncated { expected: 4, got }),
     }
     let len = u32::from_le_bytes(header) as usize;
-    if len == 0 {
-        return Err(FrameError::Malformed("empty frame".into()));
-    }
     if len > MAX_FRAME {
         return Err(FrameError::Oversized {
             len,
@@ -132,17 +123,34 @@ pub fn read_frame<T: Deserialize>(r: &mut impl Read) -> Result<T, FrameError> {
     if got < len {
         return Err(FrameError::Truncated { expected: len, got });
     }
-    let text =
-        std::str::from_utf8(&payload).map_err(|e| FrameError::Malformed(format!("utf-8: {e}")))?;
-    serde_json::from_str(text).map_err(|e| FrameError::Malformed(e.to_string()))
+    decode_payload(&payload)
 }
 
-/// Encode one message as a standalone frame (header + payload), e.g. for
-/// tests that want to corrupt specific bytes.
+/// Decode one frame payload: the magic, then one value of type `T`.
+fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, FrameError> {
+    let malformed = |e: vine_core::VineError| FrameError::Malformed(e.to_string());
+    let mut r = Reader::new(payload, codec::MAGIC).map_err(malformed)?;
+    let value = codec::read_value(&mut r).map_err(malformed)?;
+    r.finish().map_err(malformed)?;
+    T::from_value(&value).map_err(|e| FrameError::Malformed(e.to_string()))
+}
+
+/// Encode one message as a standalone frame (header + payload), the bytes
+/// [`write_frame`] writes.
 pub fn encode_frame<T: Serialize>(msg: &T) -> Result<Vec<u8>, FrameError> {
-    let mut buf = Vec::new();
-    write_frame(&mut buf, msg)?;
-    Ok(buf)
+    // the header is patched in once the payload's length is known
+    let mut w = Writer::after(vec![0; 4], codec::MAGIC);
+    codec::write_value(&mut w, &msg.to_value());
+    let mut frame = w.buf;
+    let len = frame.len() - 4;
+    if len > MAX_FRAME {
+        return Err(FrameError::Oversized {
+            len,
+            max: MAX_FRAME,
+        });
+    }
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(frame)
 }
 
 /// Decode one message from a standalone frame.
@@ -162,7 +170,8 @@ pub fn decode_frame<T: Deserialize>(frame: &[u8]) -> Result<T, FrameError> {
 /// of the same bytes. A `LibraryImage` install fanned out to a fleet is
 /// the motivating case: the image (source + serialized functions +
 /// compiled bytecode) is the dominant payload in the system, and without
-/// this it would be re-encoded per worker.
+/// this it would be re-encoded per worker. Its byte fields travel raw, so
+/// the encode is mostly a copy, but still one copy rather than N.
 ///
 /// The typed message rides along so substrates that never serialize (the
 /// in-process transport moves typed values over channels) can deliver the
@@ -176,8 +185,7 @@ pub struct Frame {
 impl Frame {
     /// Encode `msg` exactly as [`write_frame`] would, once.
     pub fn encode_once(msg: ManagerToWorker) -> Result<Frame, FrameError> {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &msg)?;
+        let buf = encode_frame(&msg)?;
         Ok(Frame {
             bytes: Arc::from(buf.into_boxed_slice()),
             msg: Arc::new(msg),
@@ -268,9 +276,6 @@ impl FrameDecoder {
             .try_into()
             .expect("4-byte slice");
         let len = u32::from_le_bytes(header) as usize;
-        if len == 0 {
-            return Err(FrameError::Malformed("empty frame".into()));
-        }
         if len > MAX_FRAME {
             return Err(FrameError::Oversized {
                 len,
@@ -280,10 +285,7 @@ impl FrameDecoder {
         if avail < 4 + len {
             return Ok(None);
         }
-        let payload = &self.buf[self.start + 4..self.start + 4 + len];
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| FrameError::Malformed(format!("utf-8: {e}")))?;
-        let msg = serde_json::from_str(text).map_err(|e| FrameError::Malformed(e.to_string()))?;
+        let msg = decode_payload(&self.buf[self.start + 4..self.start + 4 + len])?;
         self.start += 4 + len;
         if self.start == self.buf.len() || self.start > COMPACT_THRESHOLD {
             self.buf.drain(..self.start);
@@ -317,8 +319,93 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::WorkerToManager;
+    use crate::messages::{CompiledBlob, LibraryImage, WorkerToManager};
+    use vine_core::ids::{ContentHash, LibraryInstanceId};
     use vine_core::resources::Resources;
+    use vine_core::task::ExecMode;
+    use vine_core::wire::MAX_DEPTH;
+
+    /// A frame whose payload is `depth` sequences, each inside the last.
+    fn nested_frame(depth: usize) -> Vec<u8> {
+        let mut payload = codec::MAGIC.to_vec();
+        for _ in 1..depth {
+            payload.extend_from_slice(&[9, 1]); // a one-element sequence
+        }
+        payload.extend_from_slice(&[9, 0]); // the innermost, empty
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    /// Nests like [`nested_frame`]'s payload.
+    #[derive(Debug, serde::Deserialize)]
+    struct Nest(Vec<Nest>);
+
+    #[test]
+    fn deep_nesting_is_malformed_not_a_stack_overflow() {
+        // on a thread with the default 2 MiB stack, as the reactor and
+        // worker threads that decode peer frames run
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| decode_frame::<Nest>(&nested_frame(100_000)).unwrap_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(
+            matches!(&err, FrameError::Malformed(m) if m.contains("nesting deeper than")),
+            "{err}"
+        );
+        fn depth(n: &Nest) -> usize {
+            1 + n.0.first().map_or(0, depth)
+        }
+        let at_limit = decode_frame::<Nest>(&nested_frame(MAX_DEPTH)).expect("limit decodes");
+        assert_eq!(depth(&at_limit), MAX_DEPTH);
+        assert!(matches!(
+            decode_frame::<Nest>(&nested_frame(MAX_DEPTH + 1)),
+            Err(FrameError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn install_frame_is_its_blob_plus_a_small_header() {
+        let payload = 128 * 1024;
+        let msg = ManagerToWorker::InstallLibrary {
+            image: LibraryImage {
+                instance: LibraryInstanceId(7),
+                source: String::new(),
+                serialized_functions: vec![],
+                setup: None,
+                default_mode: ExecMode::Direct,
+                compiled: Some(CompiledBlob {
+                    source_digest: ContentHash(u128::MAX),
+                    bytes: (0..payload).map(|i| i as u8).collect(),
+                }),
+            },
+            stage: vec![],
+        };
+        let frame = encode_frame(&msg).unwrap();
+        assert!(
+            frame.len() <= payload + 1024,
+            "{} B frame for a {payload} B blob",
+            frame.len()
+        );
+        assert_eq!(decode_frame::<ManagerToWorker>(&frame).unwrap(), msg);
+    }
+
+    #[test]
+    fn payloads_without_the_magic_are_malformed() {
+        // an empty frame, and a JSON-era frame: both fail on the magic
+        let json =
+            br#"{"Join":{"resources":{"cores":4,"memory_mb":1024,"disk_mb":1024,"gpus":0}}}"#;
+        for payload in [&b""[..], json] {
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(payload);
+            match decode_frame::<WorkerToManager>(&frame) {
+                Err(FrameError::Malformed(m)) => assert!(m.contains("VFR1: bad magic"), "{m}"),
+                other => panic!("expected Malformed, got {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_and_clean_close() {

@@ -14,10 +14,14 @@
 //!
 //! Both planes are plain serde types with no substrate baked in. The
 //! in-process runtime moves them over channels untouched; the TCP runtime
-//! moves them through [`framing`] — a length-prefixed codec with explicit
+//! moves them through [`framing`] — length-prefixed frames with explicit
 //! maximum-frame, truncation, and garbage-frame error paths — so a worker
-//! can live in a different OS process (or machine) from its manager.
+//! can live in a different OS process (or machine) from its manager. A
+//! frame's payload is binary ([`codec`]): byte fields such as arguments,
+//! results and compiled images ride raw, decoded under the same nesting
+//! and count limits as the language's pickles and compiled images.
 
+pub mod codec;
 pub mod framing;
 pub mod library;
 pub mod messages;

@@ -458,9 +458,10 @@ mod tests {
 
     #[test]
     fn fork_mode_reimports_module_scope_imports() {
-        // modules imported at module scope, and a native member bound on
-        // its own, must resolve in every forked child as in the parent
-        let mut registry = ModuleRegistry::new();
+        // modules imported at module scope, a native member bound on its
+        // own, and a module that context setup imports and publishes with
+        // `global` must all resolve in every forked child as in the parent
+        let mut registry = vine_apps::modules::full_registry();
         registry.register_source("helpers", "def triple(x) { return x * 3 }");
         registry.register_native("mathx", || {
             vec![vine_lang::modules::native("square", |args| {
@@ -468,8 +469,12 @@ mod tests {
                 Ok(Value::Int(x * x))
             })]
         });
-        let (etx, erx) = crossbeam::channel::unbounded();
-        let image = LibraryImage {
+        let mut local = vine_lang::Interp::with_registry(registry.clone());
+        local.exec_source("import nn").unwrap();
+        let served = local
+            .eval_source("nn.forward(nn.load_model(2, 4), 5)")
+            .unwrap();
+        let module_scope = LibraryImage {
             instance: LibraryInstanceId(6),
             source: "import helpers\nimport mathx\nsq = mathx.square\n\
                      def work(x) { return helpers.triple(x) + sq(x) + mathx.square(1) }"
@@ -479,12 +484,31 @@ mod tests {
             default_mode: ExecMode::Fork,
             compiled: None,
         };
-        let host = spawn_library(WorkerId(0), image, registry, etx);
-        assert!(matches!(erx.recv().unwrap().2, LibraryToWorker::Ready));
-        for (id, mode) in [(1, ExecMode::Direct), (2, ExecMode::Fork)] {
-            let out = invoke(&host, &erx, id, "work", &[Value::Int(4)], mode);
-            assert_eq!(out, Ok(Value::Int(12 + 16 + 1)), "{mode:?}");
+        let published_by_setup = LibraryImage {
+            instance: LibraryInstanceId(7),
+            source: "def context_setup() {\n    global nn\n    import nn\n}\n\
+                     def work(x) { return nn.forward(nn.load_model(2, 4), x) }"
+                .into(),
+            serialized_functions: vec![],
+            setup: Some(LibrarySetup {
+                function: "context_setup".into(),
+                args_blob: pickle::serialize_args(&[]).unwrap(),
+            }),
+            default_mode: ExecMode::Fork,
+            compiled: None,
+        };
+        for (image, arg, expected) in [
+            (module_scope, 4, Value::Int(12 + 16 + 1)),
+            (published_by_setup, 5, served),
+        ] {
+            let (etx, erx) = crossbeam::channel::unbounded();
+            let host = spawn_library(WorkerId(0), image, registry.clone(), etx);
+            assert!(matches!(erx.recv().unwrap().2, LibraryToWorker::Ready));
+            for (id, mode) in [(1, ExecMode::Direct), (2, ExecMode::Fork)] {
+                let out = invoke(&host, &erx, id, "work", &[Value::Int(arg)], mode);
+                assert_eq!(out, Ok(expected.clone()), "{mode:?}");
+            }
+            host.tx.send(WorkerToLibrary::Shutdown).unwrap();
         }
-        host.tx.send(WorkerToLibrary::Shutdown).unwrap();
     }
 }

@@ -40,9 +40,11 @@
 //!
 //! Crash semantics are unchanged from the threaded backend: a connection
 //! dying — graceful leave, `kill -9`, mid-frame truncation — surfaces as
-//! [`TransportEvent::Left`] and feeds the same requeue path. The wire
-//! format and the worker side ([`crate::transport::run_tcp_worker`]) are
-//! untouched: old workers dial new managers.
+//! [`TransportEvent::Left`] and feeds the same requeue path. The worker
+//! side ([`crate::transport::run_tcp_worker`]) is the threaded backend's.
+//! Frames carry binary payloads ([`vine_proto::codec`]) with no version
+//! negotiation: a worker that still sends JSON frames fails the handshake
+//! on its first frame and is counted in `handshake_rejects`.
 
 use crate::transport::{
     RecvError, Transport, TransportEvent, TransportStats, WorkerTransportStats,

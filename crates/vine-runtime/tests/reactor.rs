@@ -3,7 +3,7 @@
 //! isolates a slow worker from the fleet, serialize-once broadcasts, and
 //! per-connection traffic metering — all through one epoll thread.
 
-use std::io::{BufReader, Read};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use vine_core::ids::{LibraryInstanceId, WorkerId};
@@ -89,6 +89,27 @@ fn unjoined_connections_are_reaped_and_counted() {
         unreachable!()
     };
     assert_eq!(joined, worker);
+    t.shutdown();
+}
+
+#[test]
+fn json_era_workers_fail_the_handshake() {
+    let mut t = TcpTransport::listen("127.0.0.1:0").unwrap();
+    let addr = t.local_addr();
+
+    // the Join frame a worker sent when frame payloads were JSON text
+    let json = br#"{"Join":{"resources":{"cores":4,"memory_mb":1024,"disk_mb":1024,"gpus":0}}}"#;
+    let mut old = TcpStream::connect(addr).unwrap();
+    let mut frame = (json.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(json);
+    old.write_all(&frame).unwrap();
+
+    // closed on arrival, counted, and never admitted
+    old.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut buf = [0u8; 16];
+    assert_eq!(old.read(&mut buf).unwrap(), 0, "old worker's socket closed");
+    assert!(t.try_recv().is_none(), "no Joined event for an old worker");
+    assert_eq!(t.stats().handshake_rejects, 1);
     t.shutdown();
 }
 

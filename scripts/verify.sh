@@ -4,15 +4,16 @@
 # pre-flight passes (lint must find no errors in the shipped sources;
 # analyze must run clean and its hoisting report is kept as an artifact),
 # a determinism smoke run (the repro sweep must be byte-identical with
-# and without cross-simulation parallelism), the TCP loopback smoke
-# (a multi-process run over framed sockets must byte-match the in-process
-# run, with and without a worker killed mid-run), the federated-sharding
-# smoke (router + 2 shard processes byte-match the single manager, with
-# and without a shard killed -9 mid-run), a live end-to-end smoke of the
-# livebench workloads, and the benchmark trajectory table merged from
-# every committed BENCH_*.json. Smoke-scale benchmarks write their
-# BENCH_*.json under target/bench-smoke/, and the run fails if any
-# committed BENCH_*.json changed.
+# and without cross-simulation parallelism), the full-scale `repro all`
+# pinned byte for byte to the committed repro_output.txt, the TCP
+# loopback smoke (a multi-process run over framed sockets must byte-match
+# the in-process run, with and without a worker killed mid-run), the
+# federated-sharding smoke (router + 2 shard processes byte-match the
+# single manager, with and without a shard killed -9 mid-run), a live
+# end-to-end smoke of the livebench workloads, and the benchmark
+# trajectory table merged from every committed BENCH_*.json. Smoke-scale
+# benchmarks write their BENCH_*.json under target/bench-smoke/, and the
+# run fails if any committed BENCH_*.json changed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repro="$PWD/target/release/repro"
@@ -45,6 +46,15 @@ cmp "$seq_out" "$par_out" || {
     exit 1
 }
 echo "repro --jobs determinism: OK (byte-identical at --jobs 1 and 4)"
+
+# the full-scale reproduction is deterministic (table2's live Local
+# Invocation row prints 0.00000 unless a call takes >= 5 us): it must
+# reproduce the committed output byte for byte
+./target/release/repro all --jobs 4 2>/dev/null | cmp - repro_output.txt || {
+    echo "repro all differs from repro_output.txt" >&2
+    exit 1
+}
+echo "repro all: OK (byte-identical to repro_output.txt)"
 
 ./scripts/tcp_smoke.sh ./target/release/repro
 

@@ -10,6 +10,8 @@
 //! The wire behaviour mirrors serde's JSON conventions: structs are maps,
 //! newtype structs are transparent, unit enum variants are strings, and
 //! data-carrying variants are single-entry maps keyed by the variant name.
+//! Byte vectors and slices lower to one [`Value::Bytes`] rather than a
+//! sequence of numbers, so binary encoders can ship them raw.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -28,6 +30,9 @@ pub enum Value {
     U128(u128),
     F64(f64),
     Str(String),
+    /// Raw bytes (`Vec<u8>`, `[u8]`). JSON renders them as the sequence
+    /// of numbers serde would.
+    Bytes(Vec<u8>),
     Seq(Vec<Value>),
     /// Keys are full values so maps with non-string keys still lower;
     /// JSON rendering stringifies scalar keys and rejects composite ones.
@@ -85,10 +90,36 @@ impl DeError {
 
 pub trait Serialize {
     fn to_value(&self) -> Value;
+
+    /// Lower a slice of `Self`: a [`Value::Seq`] of the elements. `u8`
+    /// overrides it to lower byte vectors and slices to one
+    /// [`Value::Bytes`].
+    #[doc(hidden)]
+    fn __slice_to_value(items: &[Self]) -> Value
+    where
+        Self: Sized,
+    {
+        Value::Seq(items.iter().map(Serialize::to_value).collect())
+    }
 }
 
 pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Rebuild a vector of `Self` from a [`Value::Seq`]. `u8` overrides it
+    /// to accept a [`Value::Bytes`] as well.
+    #[doc(hidden)]
+    fn __vec_from_value(v: &Value) -> Result<Vec<Self>, DeError> {
+        seq_from_value(v)
+    }
+}
+
+fn seq_from_value<T: Deserialize>(v: &Value) -> Result<Vec<T>, DeError> {
+    v.as_seq()
+        .ok_or_else(|| DeError(format!("expected sequence, got {v:?}")))?
+        .iter()
+        .map(T::from_value)
+        .collect()
 }
 
 /// Helper used by derived code: fetch a struct field or error.
@@ -149,7 +180,32 @@ macro_rules! ser_int_unsigned {
 }
 
 ser_int_signed!(i8, i16, i32, i64, isize);
-ser_int_unsigned!(u8, u16, u32, u64, usize);
+ser_int_unsigned!(u16, u32, u64, usize);
+
+impl Serialize for u8 {
+    fn to_value(&self) -> Value {
+        Value::U64(u64::from(*self))
+    }
+
+    fn __slice_to_value(items: &[u8]) -> Value {
+        Value::Bytes(items.to_vec())
+    }
+}
+
+impl Deserialize for u8 {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let n = u64::from_value(v)?;
+        u8::try_from(n).map_err(|_| DeError(format!("{n} out of range")))
+    }
+
+    fn __vec_from_value(v: &Value) -> Result<Vec<u8>, DeError> {
+        match v {
+            Value::Bytes(b) => Ok(b.clone()),
+            // JSON text has no byte strings: its byte vectors are numbers
+            other => seq_from_value(other),
+        }
+    }
+}
 
 impl Serialize for u128 {
     fn to_value(&self) -> Value {
@@ -314,23 +370,19 @@ impl<T: Deserialize> Deserialize for Arc<T> {
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+        T::__slice_to_value(self)
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_seq()
-            .ok_or_else(|| DeError(format!("expected sequence, got {v:?}")))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+        T::__vec_from_value(v)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+        T::__slice_to_value(self)
     }
 }
 
@@ -477,6 +529,20 @@ mod tests {
         );
         let t = (3u64, 1.5f64);
         assert_eq!(<(u64, f64)>::from_value(&t.to_value()).unwrap(), t);
+    }
+
+    #[test]
+    fn byte_vectors_lower_to_bytes_and_still_accept_numbers() {
+        let v = vec![0u8, 7, 255];
+        assert_eq!(v.to_value(), Value::Bytes(v.clone()));
+        assert_eq!(v[..].to_value(), Value::Bytes(v.clone()));
+        assert_eq!(Vec::<u8>::from_value(&v.to_value()).unwrap(), v);
+        let numbers = Value::Seq(vec![Value::I64(0), Value::U64(7), Value::I64(255)]);
+        assert_eq!(Vec::<u8>::from_value(&numbers).unwrap(), v);
+        assert!(Vec::<u8>::from_value(&Value::Seq(vec![Value::I64(256)])).is_err());
+        // other element types keep their sequences
+        assert!(matches!(vec![1u16].to_value(), Value::Seq(_)));
+        assert!(Vec::<u16>::from_value(&Value::Bytes(vec![1])).is_err());
     }
 
     #[test]

@@ -50,22 +50,13 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
         Value::U128(n) => out.push_str(&n.to_string()),
         Value::F64(x) => out.push_str(&format_f64(*x)),
         Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return Ok(());
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1)?;
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
+        Value::Bytes(bytes) => write_seq(out, bytes, indent, depth, |out, b| {
+            out.push_str(&b.to_string());
+            Ok(())
+        })?,
+        Value::Seq(items) => write_seq(out, items, indent, depth, |out, item| {
+            write_value(out, item, indent, depth + 1)
+        })?,
         Value::Map(entries) => {
             if entries.is_empty() {
                 out.push_str("{}");
@@ -88,6 +79,31 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
             out.push('}');
         }
     }
+    Ok(())
+}
+
+/// A JSON array of `items`, each rendered by `item` one level deeper.
+fn write_seq<T>(
+    out: &mut String,
+    items: &[T],
+    indent: Option<usize>,
+    depth: usize,
+    mut item: impl FnMut(&mut String, &T) -> Result<()>,
+) -> Result<()> {
+    if items.is_empty() {
+        out.push_str("[]");
+        return Ok(());
+    }
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        newline_indent(out, indent, depth + 1);
+        item(out, x)?;
+    }
+    newline_indent(out, indent, depth);
+    out.push(']');
     Ok(())
 }
 
@@ -440,6 +456,52 @@ mod tests {
         assert!(parse(&at_limit).is_ok());
         let over = format!("[{at_limit}]");
         assert!(parse(&over).is_err());
+    }
+
+    #[test]
+    fn byte_vectors_render_as_number_arrays() {
+        // pinned: byte fields lower to `Value::Bytes`, and JSON output must
+        // stay what it was when they lowered to sequences of integers
+        #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
+        struct Setup {
+            function: String,
+            args_blob: Vec<u8>,
+        }
+        let v: Vec<u8> = vec![0, 7, 255];
+        assert_eq!(to_string(&v).unwrap(), "[0,7,255]");
+        assert_eq!(to_string_pretty(&v).unwrap(), "[\n  0,\n  7,\n  255\n]");
+        let empty: Vec<u8> = vec![];
+        assert_eq!(to_string(&empty).unwrap(), "[]");
+        assert_eq!(to_string_pretty(&empty).unwrap(), "[]");
+        let some: Option<Vec<u8>> = Some(vec![1, 2]);
+        let none: Option<Vec<u8>> = None;
+        assert_eq!(to_string(&some).unwrap(), "[1,2]");
+        assert_eq!(to_string_pretty(&some).unwrap(), "[\n  1,\n  2\n]");
+        assert_eq!(to_string(&none).unwrap(), "null");
+        assert_eq!(to_string_pretty(&none).unwrap(), "null");
+        let nested: Vec<Option<Vec<u8>>> = vec![Some(vec![9]), None, Some(vec![])];
+        assert_eq!(to_string(&nested).unwrap(), "[[9],null,[]]");
+        assert_eq!(
+            to_string_pretty(&nested).unwrap(),
+            "[\n  [\n    9\n  ],\n  null,\n  []\n]"
+        );
+        let setup = Setup {
+            function: "f".into(),
+            args_blob: v,
+        };
+        assert_eq!(
+            to_string(&setup).unwrap(),
+            r#"{"function":"f","args_blob":[0,7,255]}"#
+        );
+        assert_eq!(
+            to_string_pretty(&setup).unwrap(),
+            "{\n  \"function\": \"f\",\n  \"args_blob\": [\n    0,\n    7,\n    255\n  ]\n}"
+        );
+        // and JSON input still parses back into byte vectors
+        assert_eq!(
+            from_str::<Setup>(&to_string(&setup).unwrap()).unwrap(),
+            setup
+        );
     }
 
     #[test]
