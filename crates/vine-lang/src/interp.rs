@@ -410,6 +410,17 @@ impl Interp {
         self.globals.borrow_mut().insert(name, func);
     }
 
+    /// Make this interpreter usable again after a panic unwound out of
+    /// it. The calls the panic crossed never returned, so their depth
+    /// count, import chain and swapped-in callee globals are still set;
+    /// `globals` is the namespace that was current when the outermost of
+    /// them began.
+    pub fn recover(&mut self, globals: Rc<RefCell<BTreeMap<String, Value>>>) {
+        self.globals = globals;
+        self.depth = 0;
+        self.importing.clear();
+    }
+
     /// Drop this interpreter and free its namespace. Every function bound
     /// in `globals` holds an `Rc` to `globals`, so a plain drop leaves that
     /// cycle alive; emptying the map first breaks it. Call this only where

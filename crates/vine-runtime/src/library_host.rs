@@ -1,6 +1,17 @@
 //! The library daemon: one thread, one interpreter, one retained context.
+//!
+//! A daemon reports `Ready`, `StartupFailed` and each `ResultReady`
+//! through a reply function that runs on the daemon's own thread. The
+//! worker's function maps the reply to the manager protocol and sends it
+//! itself, onto the transport's event channel or as a frame written to
+//! the socket, so no thread sits between a daemon and the manager. A
+//! panic in user code, during boot or in one invocation, is caught and
+//! reported like any other failure, and the daemon keeps serving.
 
 use crossbeam::channel::{Receiver, Sender};
+use std::any::Any;
+use std::panic::AssertUnwindSafe;
+use std::rc::Rc;
 use std::thread::JoinHandle;
 use vine_core::ids::{LibraryInstanceId, WorkerId};
 use vine_core::task::ExecMode;
@@ -17,6 +28,8 @@ pub struct LibraryHost {
     /// Execution option used when an invocation does not specify one.
     pub default_mode: ExecMode,
     pub tx: Sender<WorkerToLibrary>,
+    /// `None` once the daemon panicked and was reaped, or when its thread
+    /// could not be spawned.
     pub thread: Option<JoinHandle<()>>,
 }
 
@@ -29,68 +42,75 @@ pub fn spawn_library(
     registry: ModuleRegistry,
     events: Sender<(WorkerId, LibraryInstanceId, LibraryToWorker)>,
 ) -> LibraryHost {
+    let instance = image.instance;
+    spawn_daemon(image, registry, move |msg| {
+        let _ = events.send((worker, instance, msg));
+    })
+}
+
+/// Boot a library daemon thread that hands each reply to `reply` on its
+/// own thread. A thread the OS refuses to spawn is reported as
+/// `StartupFailed`, and the host comes back without a thread.
+pub(crate) fn spawn_daemon<R>(
+    image: LibraryImage,
+    registry: ModuleRegistry,
+    reply: R,
+) -> LibraryHost
+where
+    R: Fn(LibraryToWorker) + Clone + Send + 'static,
+{
     let (tx, rx) = crossbeam::channel::unbounded::<WorkerToLibrary>();
     let instance = image.instance;
     let default_mode = image.default_mode;
+    let daemon_reply = reply.clone();
     let thread = std::thread::Builder::new()
         .name(format!("library-{instance}"))
         .stack_size(USER_STACK_BYTES)
-        .spawn(move || daemon_main(worker, image, registry, rx, events))
-        .expect("spawn library thread");
+        .spawn(move || daemon_main(image, registry, rx, daemon_reply))
+        .map_err(|e| {
+            reply(LibraryToWorker::StartupFailed {
+                error: format!("spawning library thread: {e}"),
+            })
+        })
+        .ok();
     LibraryHost {
         instance,
         default_mode,
         tx,
-        thread: Some(thread),
+        thread,
     }
 }
 
+/// Run `f`, turning a panic into an error that names it, so a bug that
+/// user code trips fails one unit instead of killing its thread.
+pub(crate) fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(panicked)
+}
+
+/// The error a caught panic becomes, with the panic's message.
+fn panicked(payload: Box<dyn Any + Send>) -> String {
+    let what = match payload.downcast_ref::<&str>() {
+        Some(s) => s.to_string(),
+        None => match payload.downcast_ref::<String>() {
+            Some(s) => s.clone(),
+            None => "a non-string payload".to_string(),
+        },
+    };
+    format!("panicked: {what}")
+}
+
 fn daemon_main(
-    worker: WorkerId,
     image: LibraryImage,
     registry: ModuleRegistry,
     rx: Receiver<WorkerToLibrary>,
-    events: Sender<(WorkerId, LibraryInstanceId, LibraryToWorker)>,
+    reply: impl Fn(LibraryToWorker),
 ) {
-    let instance = image.instance;
     // §3.4 step 2: boot, reconstruct code, run all context setup, report.
     let mut interp = Interp::with_registry(registry);
-    let boot = (|| -> Result<(), String> {
-        match &image.compiled {
-            // the manager shipped a compiled image: boot without parsing
-            // or compiling. An image that fails to decode fails the boot;
-            // the source is not a second way in.
-            Some(blob) => {
-                let top = vine_lang::bytecode::from_bytes(&blob.bytes)
-                    .map_err(|e| format!("compiled image: {e}"))?;
-                interp.exec_compiled(&vine_lang::CompiledModule {
-                    top,
-                    source_digest: blob.source_digest,
-                })
-            }
-            None => interp.exec_source(&image.source),
-        }
-        .map_err(|e| format!("library source: {e}"))?;
-        for blob in &image.serialized_functions {
-            let def = pickle::deserialize_funcdef(blob).map_err(|e| format!("code object: {e}"))?;
-            interp.bind_function(def);
-        }
-        if let Some(setup) = &image.setup {
-            let args = pickle::deserialize_args(&setup.args_blob, &interp.globals)
-                .map_err(|e| format!("setup args: {e}"))?;
-            interp
-                .call_global(&setup.function, &args)
-                .map_err(|e| format!("context setup: {e}"))?;
-        }
-        Ok(())
-    })();
-
-    match boot {
-        Ok(()) => {
-            let _ = events.send((worker, instance, LibraryToWorker::Ready));
-        }
+    match catch_panic(|| boot(&mut interp, &image)).and_then(|booted| booted) {
+        Ok(()) => reply(LibraryToWorker::Ready),
         Err(error) => {
-            let _ = events.send((worker, instance, LibraryToWorker::StartupFailed { error }));
+            reply(LibraryToWorker::StartupFailed { error });
             interp.release();
             return;
         }
@@ -107,20 +127,53 @@ fn daemon_main(
                 sandbox: _,
                 mode,
             } => {
-                let result = match mode {
+                let globals = Rc::clone(&interp.globals);
+                let result = catch_panic(|| match mode {
                     ExecMode::Direct => run_direct(&mut interp, &function, &args_blob),
                     ExecMode::Fork => run_forked(&interp, &function, &args_blob),
-                };
-                let _ = events.send((
-                    worker,
-                    instance,
-                    LibraryToWorker::ResultReady { id, result },
-                ));
+                })
+                .unwrap_or_else(|panic| {
+                    interp.recover(globals);
+                    Err(panic)
+                });
+                reply(LibraryToWorker::ResultReady { id, result });
             }
         }
     }
     // the retained context dies with the daemon: free it
     interp.release();
+}
+
+/// Build the daemon's context from its image: the module (compiled image
+/// or source), shipped code objects, then the context-setup call.
+fn boot(interp: &mut Interp, image: &LibraryImage) -> Result<(), String> {
+    match &image.compiled {
+        // the manager shipped a compiled image: boot without parsing or
+        // compiling. An image that fails to decode fails the boot; the
+        // source is not a second way in.
+        Some(blob) => {
+            let top = vine_lang::bytecode::from_bytes(&blob.bytes)
+                .map_err(|e| format!("compiled image: {e}"))?;
+            interp.exec_compiled(&vine_lang::CompiledModule {
+                top,
+                source_digest: blob.source_digest,
+            })
+        }
+        None => interp.exec_source(&image.source),
+    }
+    .map_err(|e| format!("library source: {e}"))?;
+    for blob in &image.serialized_functions {
+        let def = pickle::deserialize_funcdef(blob).map_err(|e| format!("code object: {e}"))?;
+        interp.bind_function(def);
+    }
+    if let Some(setup) = &image.setup {
+        let args = pickle::deserialize_args(&setup.args_blob, &interp.globals)
+            .map_err(|e| format!("setup args: {e}"))?;
+        interp
+            .call_global(&setup.function, &args)
+            .map_err(|e| format!("context setup: {e}"))?;
+    }
+    Ok(())
 }
 
 /// Direct option: execute synchronously inside the daemon's own memory
@@ -202,9 +255,7 @@ fn run_forked(interp: &Interp, function: &str, args_blob: &[u8]) -> Result<Vec<u
             result
         })
         .map_err(|e| format!("fork failed: {e}"))?;
-    child
-        .join()
-        .map_err(|_| "forked invocation panicked".to_string())?
+    child.join().map_err(panicked)?
 }
 
 /// Import `module` into a fork child, or one `member` of it: the value an
@@ -454,6 +505,106 @@ mod tests {
             }
             host.thread.take().unwrap().join().unwrap();
         }
+    }
+
+    /// A registry whose native `boom.explode()` panics, the way an
+    /// interpreter bug that user code trips would.
+    fn panicking_registry() -> ModuleRegistry {
+        let mut registry = ModuleRegistry::new();
+        registry.register_native("boom", || {
+            vec![vine_lang::modules::native("explode", |_| panic!("kaboom"))]
+        });
+        // the panic unwinds through a call into another module's globals
+        registry.register_source("helpers", "import boom\ndef go() { return boom.explode() }");
+        registry
+    }
+
+    #[test]
+    fn a_panicking_invocation_fails_and_the_daemon_keeps_serving() {
+        let (etx, erx) = crossbeam::channel::unbounded();
+        let image = LibraryImage {
+            instance: LibraryInstanceId(8),
+            source: "import helpers\ndef bad() { return helpers.go() }\n\
+                     def good(x) { return x + 1 }"
+                .into(),
+            serialized_functions: vec![],
+            setup: None,
+            default_mode: ExecMode::Direct,
+            compiled: None,
+        };
+        let host = spawn_library(WorkerId(0), image, panicking_registry(), etx);
+        let reply = |erx: &Receiver<_>| {
+            erx.recv_timeout(std::time::Duration::from_secs(30))
+                .expect("a reply within the timeout")
+        };
+        assert!(matches!(reply(&erx), (_, _, LibraryToWorker::Ready)));
+        for (id, mode) in [(1, ExecMode::Direct), (3, ExecMode::Fork)] {
+            host.tx
+                .send(WorkerToLibrary::Invoke {
+                    id: vine_core::ids::InvocationId(id),
+                    function: "bad".into(),
+                    args_blob: pickle::serialize_args(&[]).unwrap(),
+                    sandbox: String::new(),
+                    mode,
+                })
+                .unwrap();
+            match reply(&erx) {
+                (_, _, LibraryToWorker::ResultReady { result: Err(e), .. }) => {
+                    assert_eq!(e, "panicked: kaboom", "{mode:?}");
+                }
+                other => panic!("expected a failed result, got {other:?}"),
+            }
+            // the next invocation runs against the daemon's own globals
+            let ok = invoke(
+                &host,
+                &erx,
+                id + 1,
+                "good",
+                &[Value::Int(41)],
+                ExecMode::Direct,
+            );
+            assert_eq!(ok, Ok(Value::Int(42)), "{mode:?}");
+        }
+        host.tx.send(WorkerToLibrary::Shutdown).unwrap();
+    }
+
+    #[test]
+    fn a_decodable_image_that_panics_the_vm_fails_startup() {
+        // one instruction with in-range operands: the image decodes, and
+        // running it pops an empty operand stack
+        let top = vine_lang::CompiledFn {
+            def: None,
+            name: "<module>".into(),
+            n_params: 0,
+            n_slots: 0,
+            slot_names: vec![],
+            names: vec![],
+            consts: vec![],
+            funcs: vec![],
+            code: vec![vine_lang::bytecode::Instr::MakeList(5)],
+        };
+        let bytes = vine_lang::bytecode::to_bytes(&top);
+        assert!(vine_lang::bytecode::from_bytes(&bytes).is_ok());
+        let (etx, erx) = crossbeam::channel::unbounded();
+        let image = LibraryImage {
+            instance: LibraryInstanceId(9),
+            source: String::new(),
+            serialized_functions: vec![],
+            setup: None,
+            default_mode: ExecMode::Direct,
+            compiled: Some(vine_proto::CompiledBlob {
+                source_digest: vine_core::ids::ContentHash::of_str(""),
+                bytes,
+            }),
+        };
+        let mut host = spawn_library(WorkerId(0), image, ModuleRegistry::new(), etx);
+        match erx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok((_, _, LibraryToWorker::StartupFailed { error })) => {
+                assert!(error.contains("panicked"), "{error}");
+            }
+            other => panic!("expected StartupFailed, got {other:?}"),
+        }
+        host.thread.take().unwrap().join().unwrap();
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! mutex held across blocking writes — one slow worker stalled sends to
 //! everyone, and a thousand workers meant a thousand reader threads. This
 //! module replaces all of it with a readiness-driven design, funcX-style:
-//! a single `vine-reactor` thread owns every socket and multiplexes them
-//! through an [`epoll`] instance (the shim under `shims/epoll` — raw
-//! `epoll_create1`/`epoll_ctl`/`epoll_wait` against the C library std
-//! already links).
+//! a single `vine-reactor` thread accepts, reads and closes every socket
+//! and multiplexes them through an [`epoll`] instance (the shim under
+//! `shims/epoll` — raw `epoll_create1`/`epoll_ctl`/`epoll_wait` against
+//! the C library std already links).
 //!
 //! Shape of the machine:
 //!
@@ -20,19 +20,25 @@
 //!   chunk the socket yields (half a header, three coalesced frames) is
 //!   buffered and decoded incrementally. Complete messages flow into the
 //!   same [`TransportEvent`] channel the runtime already drains.
-//! * **Write** — [`Transport::send`] never touches a socket. It encodes
-//!   the message once into a shared [`Frame`] (`Arc<[u8]>`), charges the
-//!   worker's outbound gauge, and hands the bytes to the reactor, which
-//!   flushes each connection's queue with vectored writes — many queued
-//!   frames coalesce into one `writev`-style syscall. A broadcast (one
-//!   frame to N workers) enqueues N `Arc` clones of the same bytes:
-//!   serialized once, not N times.
+//! * **Write** — [`Transport::send`] encodes the message and, when that
+//!   worker's outbound queue is empty, writes the frame to the nonblocking
+//!   socket from the caller's thread: a frame the socket takes whole
+//!   costs no hand-off and no wake. Only a tail the socket does not take
+//!   now, and frames queued behind it, go to the reactor, which flushes
+//!   the queue with vectored writes on `EPOLLOUT` — many queued frames
+//!   coalesce into one `writev`-style syscall. Direct writes and flushes
+//!   take the same per-worker lock, so frames never reorder or
+//!   interleave. A broadcast (one [`Frame`] to N workers) writes or
+//!   queues the same shared bytes (`Arc<[u8]>`): serialized once, not N
+//!   times.
 //! * **Backpressure** — each worker's outbound queue is bounded
 //!   ([`TcpConfig::max_queued_bytes`]). A slow worker fills *its* queue;
-//!   senders targeting it block on its gauge until the reactor drains it
-//!   or [`TcpConfig::send_timeout`] expires, at which point the worker is
+//!   senders targeting it block until the reactor drains it or
+//!   [`TcpConfig::send_timeout`] expires, at which point the worker is
 //!   declared lost and its connection closed — the rest of the fleet
-//!   never waits behind it.
+//!   never waits behind it. A send that fails on the socket leaves its
+//!   frame queued, and the reactor's flush meets the error, so one place
+//!   reports [`TransportEvent::Left`].
 //! * **Handshake deadline** — a connection that dials in but never sends
 //!   `Join` used to pin a reader thread forever; now it is closed and
 //!   counted ([`TransportStats::handshake_rejects`]) once
@@ -41,7 +47,7 @@
 //! Crash semantics are unchanged from the threaded backend: a connection
 //! dying — graceful leave, `kill -9`, mid-frame truncation — surfaces as
 //! [`TransportEvent::Left`] and feeds the same requeue path. The worker
-//! side ([`crate::transport::run_tcp_worker`]) is the threaded backend's.
+//! side is [`crate::transport::run_tcp_worker`].
 //! Frames carry binary payloads ([`vine_proto::codec`]) with no version
 //! negotiation: a worker that still sends JSON frames fails the handshake
 //! on its first frame and is counted in `handshake_rejects`.
@@ -56,7 +62,7 @@ use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vine_core::ids::WorkerId;
@@ -88,11 +94,15 @@ impl Default for TcpConfig {
     }
 }
 
-/// Per-worker accounting shared between the sending side (backpressure,
-/// stats) and the reactor (drain notifications). All counters are
+/// One worker's connection as senders and the reactor share it: the
+/// outbound side under one lock, plus traffic accounting. All counters are
 /// monotonic over the connection's life and survive its death, so stats
 /// cover departed workers too.
-struct Gauge {
+struct Peer {
+    /// Whoever writes to the socket holds this lock: a sender writing a
+    /// frame directly, or the reactor flushing the queue. Frames therefore
+    /// reach the wire whole and in send order.
+    out: Mutex<Outbound>,
     queued_bytes: AtomicUsize,
     queue_hwm_bytes: AtomicUsize,
     frames_in: AtomicU64,
@@ -101,14 +111,32 @@ struct Gauge {
     bytes_out: AtomicU64,
     alive: AtomicBool,
     /// Senders park here when the queue is full; the reactor notifies
-    /// after draining or on connection death.
+    /// after draining or on connection death. Never take `out` while
+    /// holding this lock.
     drain_lock: Mutex<()>,
     drained: Condvar,
 }
 
-impl Gauge {
-    fn new() -> Gauge {
-        Gauge {
+/// The outbound side of one connection.
+struct Outbound {
+    /// The socket, shared with the reactor's connection; `None` once the
+    /// reactor has closed it, so a dead connection is not held open.
+    stream: Option<Arc<TcpStream>>,
+    /// Frames the socket has not taken yet; the front one may be partially
+    /// written. Charged whole to `queued_bytes`.
+    queue: VecDeque<Arc<[u8]>>,
+    /// Bytes of `queue[0]` already on the wire.
+    off: usize,
+}
+
+impl Peer {
+    fn new(stream: Arc<TcpStream>) -> Peer {
+        Peer {
+            out: Mutex::new(Outbound {
+                stream: Some(stream),
+                queue: VecDeque::new(),
+                off: 0,
+            }),
             queued_bytes: AtomicUsize::new(0),
             queue_hwm_bytes: AtomicUsize::new(0),
             frames_in: AtomicU64::new(0),
@@ -119,6 +147,12 @@ impl Gauge {
             drain_lock: Mutex::new(()),
             drained: Condvar::new(),
         }
+    }
+
+    fn outbound(&self) -> MutexGuard<'_, Outbound> {
+        self.out
+            .lock()
+            .expect("no writer panics while holding a worker's outbound side")
     }
 
     /// Charge `len` queued bytes and track the high-water mark.
@@ -140,12 +174,116 @@ impl Gauge {
         let _g = self.drain_lock.lock().unwrap();
         self.drained.notify_all();
     }
+
+    /// Write a frame from the calling thread when nothing is queued ahead
+    /// of it; otherwise, and for whatever part the socket does not take
+    /// now, queue it for the reactor. A frame written whole is never
+    /// charged. Returns whether the reactor must be asked to flush (a tail
+    /// was left on a queue that was empty), or `None` if the connection is
+    /// closed. A write error also leaves the frame queued: the reactor's
+    /// flush meets the error and reports the worker lost.
+    fn write_or_queue<B: AsRef<[u8]> + Into<Arc<[u8]>>>(&self, frame: B) -> Option<bool> {
+        let mut out = self.outbound();
+        let Outbound { stream, queue, off } = &mut *out;
+        let stream = stream.as_ref()?;
+        let len = frame.as_ref().len();
+        if !queue.is_empty() {
+            self.charge(len);
+            queue.push_back(frame.into());
+            return Some(false);
+        }
+        let wrote = loop {
+            match (&**stream).write(frame.as_ref()) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Ok(n) => break n,
+                Err(_) => break 0,
+            }
+        };
+        self.bytes_out.fetch_add(wrote as u64, Ordering::Relaxed);
+        if wrote == len {
+            self.frames_out.fetch_add(1, Ordering::Relaxed);
+            return Some(false);
+        }
+        self.charge(len);
+        queue.push_back(frame.into());
+        *off = wrote;
+        Some(true)
+    }
+
+    /// Write as much of the queue as the socket accepts, coalescing queued
+    /// frames into vectored writes. `Ok(true)` once the queue is empty,
+    /// `Ok(false)` if the socket would block first.
+    fn flush(&self) -> std::io::Result<bool> {
+        let mut out = self.outbound();
+        let Outbound { stream, queue, off } = &mut *out;
+        let Some(stream) = stream.as_ref() else {
+            return Ok(true);
+        };
+        while !queue.is_empty() {
+            let wrote = {
+                let iov: Vec<IoSlice> = queue
+                    .iter()
+                    .take(MAX_IOVECS)
+                    .enumerate()
+                    .map(|(i, frame)| {
+                        IoSlice::new(if i == 0 { &frame[*off..] } else { &frame[..] })
+                    })
+                    .collect();
+                (&**stream).write_vectored(&iov)
+            };
+            let mut n = match wrote {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            self.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
+            let mut released = 0;
+            while n > 0 {
+                let front = queue[0].len();
+                if n < front - *off {
+                    *off += n;
+                    break;
+                }
+                n -= front - *off;
+                queue.pop_front();
+                *off = 0;
+                released += front;
+                self.frames_out.fetch_add(1, Ordering::Relaxed);
+            }
+            if released > 0 {
+                self.release(released);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Whether frames are still waiting for the socket.
+    fn has_queued(&self) -> bool {
+        !self.outbound().queue.is_empty()
+    }
+
+    /// Drop the shared socket handle and the unwritten frames, un-charge
+    /// them, and mark the worker dead so parked senders fail fast.
+    fn close(&self) {
+        let undelivered: usize = {
+            let mut out = self.outbound();
+            out.stream = None;
+            out.off = 0;
+            out.queue.drain(..).map(|f| f.len()).sum()
+        };
+        if undelivered > 0 {
+            self.release(undelivered);
+        }
+        self.kill();
+    }
 }
 
 /// What the manager thread asks the reactor to do.
 enum Command {
-    /// Append pre-encoded bytes to one worker's outbound queue.
-    Send { worker: WorkerId, bytes: Arc<[u8]> },
+    /// Flush the tail a direct write left on one worker's queue.
+    Flush(WorkerId),
     /// Sever one worker's connection.
     Disconnect(WorkerId),
     /// Broadcast `Shutdown`, drain, close everything, exit.
@@ -154,7 +292,7 @@ enum Command {
 
 /// State shared between the [`TcpTransport`] handle and its reactor.
 struct SharedState {
-    gauges: Mutex<BTreeMap<WorkerId, Arc<Gauge>>>,
+    peers: Mutex<BTreeMap<WorkerId, Arc<Peer>>>,
     commands: Mutex<VecDeque<Command>>,
     wake: WakeFd,
     handshake_rejects: AtomicU64,
@@ -193,7 +331,7 @@ impl TcpTransport {
         listener.set_nonblocking(true)?;
 
         let shared = Arc::new(SharedState {
-            gauges: Mutex::new(BTreeMap::new()),
+            peers: Mutex::new(BTreeMap::new()),
             commands: Mutex::new(VecDeque::new()),
             wake: WakeFd::new()?,
             handshake_rejects: AtomicU64::new(0),
@@ -222,34 +360,58 @@ impl TcpTransport {
         self.local_addr
     }
 
-    /// Queue pre-encoded bytes to one worker, blocking on its (and only
-    /// its) backpressure gauge.
-    fn send_bytes(&self, worker: WorkerId, bytes: Arc<[u8]>) -> Result<()> {
-        let gauge = self
+    /// Send one encoded frame to a worker. It is written from this thread
+    /// when the worker's queue is empty; a tail the socket does not take
+    /// now, and frames queued behind it, go to the reactor. Blocks on that
+    /// worker's (and only that worker's) backpressure when its queue is
+    /// full.
+    fn send_bytes<B: AsRef<[u8]> + Into<Arc<[u8]>>>(
+        &self,
+        worker: WorkerId,
+        frame: B,
+    ) -> Result<()> {
+        let peer = self
             .shared
-            .gauges
+            .peers
             .lock()
             .unwrap()
             .get(&worker)
             .cloned()
             .ok_or(VineError::WorkerLost(worker))?;
-        if !gauge.alive.load(Ordering::Relaxed) {
+        if !peer.alive.load(Ordering::Relaxed) {
             return Err(VineError::WorkerLost(worker));
         }
+        if !self.has_room(&peer, frame.as_ref().len()) {
+            self.wait_for_room(worker, &peer, frame.as_ref().len())?;
+        }
+        let tail = peer
+            .write_or_queue(frame)
+            .ok_or(VineError::WorkerLost(worker))?;
+        if tail {
+            self.shared.push(Command::Flush(worker));
+        }
+        Ok(())
+    }
 
-        let len = bytes.len();
+    /// Whether `peer`'s queue admits `len` more bytes. An empty queue
+    /// always admits one frame, even an oversized one — otherwise a frame
+    /// bigger than the bound could never be sent at all.
+    fn has_room(&self, peer: &Peer, len: usize) -> bool {
+        let queued = peer.queued_bytes.load(Ordering::Relaxed);
+        queued == 0 || queued + len <= self.cfg.max_queued_bytes
+    }
+
+    /// Park until the reactor drains `peer`'s queue enough for `len` more
+    /// bytes, or declare the worker lost at the send deadline.
+    fn wait_for_room(&self, worker: WorkerId, peer: &Peer, len: usize) -> Result<()> {
         let deadline = Instant::now() + self.cfg.send_timeout;
-        let mut guard = gauge.drain_lock.lock().unwrap();
+        let mut guard = peer.drain_lock.lock().unwrap();
         loop {
-            if !gauge.alive.load(Ordering::Relaxed) {
+            if !peer.alive.load(Ordering::Relaxed) {
                 return Err(VineError::WorkerLost(worker));
             }
-            let queued = gauge.queued_bytes.load(Ordering::Relaxed);
-            // an empty queue always admits one frame, even an oversized
-            // one — otherwise a frame bigger than the bound could never
-            // be sent at all
-            if queued == 0 || queued + len <= self.cfg.max_queued_bytes {
-                break;
+            if self.has_room(peer, len) {
+                return Ok(());
             }
             let now = Instant::now();
             if now >= deadline {
@@ -260,27 +422,22 @@ impl TcpTransport {
                 self.shared.push(Command::Disconnect(worker));
                 return Err(VineError::WorkerLost(worker));
             }
-            let (g, _) = gauge.drained.wait_timeout(guard, deadline - now).unwrap();
+            let (g, _) = peer.drained.wait_timeout(guard, deadline - now).unwrap();
             guard = g;
         }
-        drop(guard);
-
-        gauge.charge(len);
-        self.shared.push(Command::Send { worker, bytes });
-        Ok(())
     }
 }
 
 impl Transport for TcpTransport {
     fn send(&mut self, worker: WorkerId, msg: ManagerToWorker) -> Result<()> {
-        let bytes =
+        let frame =
             encode_frame(&msg).map_err(|e| VineError::Protocol(format!("encoding frame: {e}")))?;
-        self.send_bytes(worker, Arc::from(bytes.into_boxed_slice()))
+        self.send_bytes(worker, frame)
     }
 
     fn send_frame(&mut self, worker: WorkerId, frame: &Frame) -> Result<()> {
         // the serialize-once path: the frame was encoded by the caller,
-        // possibly for many recipients; this enqueues a shared reference
+        // possibly for many recipients; a queued copy is a shared reference
         self.send_bytes(worker, Arc::clone(frame.bytes()))
     }
 
@@ -300,8 +457,8 @@ impl Transport for TcpTransport {
     }
 
     fn disconnect(&mut self, worker: WorkerId) {
-        if let Some(g) = self.shared.gauges.lock().unwrap().get(&worker) {
-            g.kill();
+        if let Some(p) = self.shared.peers.lock().unwrap().get(&worker) {
+            p.kill();
         }
         self.shared.push(Command::Disconnect(worker));
     }
@@ -310,8 +467,8 @@ impl Transport for TcpTransport {
         if let Some(t) = self.reactor.take() {
             self.shared.push(Command::Shutdown);
             let _ = t.join();
-            for g in self.shared.gauges.lock().unwrap().values() {
-                g.kill();
+            for p in self.shared.peers.lock().unwrap().values() {
+                p.kill();
             }
         }
     }
@@ -319,18 +476,18 @@ impl Transport for TcpTransport {
     fn stats(&self) -> TransportStats {
         let workers = self
             .shared
-            .gauges
+            .peers
             .lock()
             .unwrap()
             .iter()
-            .map(|(w, g)| WorkerTransportStats {
+            .map(|(w, p)| WorkerTransportStats {
                 worker: *w,
-                frames_in: g.frames_in.load(Ordering::Relaxed),
-                frames_out: g.frames_out.load(Ordering::Relaxed),
-                bytes_in: g.bytes_in.load(Ordering::Relaxed),
-                bytes_out: g.bytes_out.load(Ordering::Relaxed),
-                queue_hwm_bytes: g.queue_hwm_bytes.load(Ordering::Relaxed) as u64,
-                alive: g.alive.load(Ordering::Relaxed),
+                frames_in: p.frames_in.load(Ordering::Relaxed),
+                frames_out: p.frames_out.load(Ordering::Relaxed),
+                bytes_in: p.bytes_in.load(Ordering::Relaxed),
+                bytes_out: p.bytes_out.load(Ordering::Relaxed),
+                queue_hwm_bytes: p.queue_hwm_bytes.load(Ordering::Relaxed) as u64,
+                alive: p.alive.load(Ordering::Relaxed),
             })
             .collect();
         TransportStats {
@@ -368,15 +525,12 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One live connection owned by the reactor.
 struct Conn {
-    stream: TcpStream,
+    /// Shared with the worker's [`Peer`], through which every write goes.
+    stream: Arc<TcpStream>,
     /// `None` until the `Join` handshake lands.
     worker: Option<WorkerId>,
-    gauge: Option<Arc<Gauge>>,
+    peer: Option<Arc<Peer>>,
     decoder: FrameDecoder,
-    /// Outbound frames; the front one may be partially written.
-    outq: VecDeque<Arc<[u8]>>,
-    /// Bytes of `outq[0]` already on the wire.
-    out_off: usize,
     /// Whether EPOLLOUT is currently part of the interest set.
     want_write: bool,
     /// Join-or-die deadline for handshaking connections.
@@ -509,12 +663,10 @@ impl Reactor {
                         continue;
                     }
                     self.conns[slot] = Some(Conn {
-                        stream,
+                        stream: Arc::new(stream),
                         worker: None,
-                        gauge: None,
+                        peer: None,
                         decoder: FrameDecoder::new(),
-                        outq: VecDeque::new(),
-                        out_off: 0,
                         want_write: false,
                         handshake_deadline: Some(Instant::now() + self.cfg.handshake_timeout),
                     });
@@ -531,23 +683,12 @@ impl Reactor {
             let cmd = self.shared.commands.lock().unwrap().pop_front();
             let Some(cmd) = cmd else { break };
             match cmd {
-                Command::Send { worker, bytes } => match self.by_worker.get(&worker).copied() {
-                    Some(slot) => {
-                        if let Some(conn) = self.conns[slot].as_mut() {
-                            conn.outq.push_back(bytes);
-                        }
-                        // opportunistic flush: the socket is almost always
-                        // writable, so most frames never arm EPOLLOUT
+                Command::Flush(worker) => {
+                    // a connection that died since has released its queue
+                    if let Some(slot) = self.by_worker.get(&worker).copied() {
                         self.flush(slot);
                     }
-                    None => {
-                        // the connection died between enqueue and here:
-                        // un-charge the gauge so parked senders move on
-                        if let Some(g) = self.shared.gauges.lock().unwrap().get(&worker) {
-                            g.release(bytes.len());
-                        }
-                    }
-                },
+                }
                 Command::Disconnect(worker) => {
                     if let Some(slot) = self.by_worker.get(&worker).copied() {
                         self.close(slot, Close::Lost);
@@ -568,20 +709,18 @@ impl Reactor {
         self.drain_until = Some(Instant::now() + DRAIN_TIMEOUT);
         let frame = Frame::encode_once(ManagerToWorker::Shutdown).expect("shutdown encodes");
         for slot in 0..self.conns.len() {
-            let Some(conn) = self.conns[slot].as_mut() else {
+            let Some(conn) = self.conns[slot].as_ref() else {
                 continue;
             };
-            if conn.worker.is_none() {
+            let Some(peer) = &conn.peer else {
                 // never completed the handshake and the fleet is going
                 // away: not a protocol violation, just a quiet close
                 self.close(slot, Close::Quiet);
                 continue;
+            };
+            if peer.write_or_queue(Arc::clone(frame.bytes())) == Some(true) {
+                self.flush(slot);
             }
-            if let Some(g) = &conn.gauge {
-                g.charge(frame.len());
-            }
-            conn.outq.push_back(Arc::clone(frame.bytes()));
-            self.flush(slot);
         }
     }
 
@@ -592,7 +731,11 @@ impl Reactor {
             return false;
         };
         let expired = Instant::now() >= deadline;
-        let pending = self.conns.iter().flatten().any(|c| !c.outq.is_empty());
+        let pending = self
+            .conns
+            .iter()
+            .flatten()
+            .any(|c| c.peer.as_ref().is_some_and(|p| p.has_queued()));
         expired || !pending
     }
 
@@ -630,7 +773,7 @@ impl Reactor {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return;
             };
-            match conn.stream.read(&mut scratch) {
+            match (&*conn.stream).read(&mut scratch) {
                 Ok(0) => {
                     // peer closed; whether it is a crash or a graceful
                     // leave, the worker is gone
@@ -638,8 +781,8 @@ impl Reactor {
                     return;
                 }
                 Ok(n) => {
-                    if let Some(g) = &conn.gauge {
-                        g.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+                    if let Some(p) = &conn.peer {
+                        p.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                     }
                     conn.decoder.extend(&scratch[..n]);
                     if !self.pump_decoder(slot) {
@@ -675,8 +818,8 @@ impl Reactor {
                         self.admit(slot, resources);
                     }
                     Some(worker) => {
-                        if let Some(g) = &conn.gauge {
-                            g.frames_in.fetch_add(1, Ordering::Relaxed);
+                        if let Some(p) = &conn.peer {
+                            p.frames_in.fetch_add(1, Ordering::Relaxed);
                         }
                         let _ = self.events.send(TransportEvent::Message { worker, msg });
                     }
@@ -700,98 +843,45 @@ impl Reactor {
     }
 
     /// Admit a handshaking connection: assign a [`WorkerId`], publish its
-    /// gauge, queue `Welcome`, announce the join.
+    /// [`Peer`], send `Welcome`, announce the join.
     fn admit(&mut self, slot: usize, resources: vine_core::resources::Resources) {
         let worker = WorkerId(self.next_worker);
         self.next_worker += 1;
-        let gauge = Arc::new(Gauge::new());
-        // the gauge must be visible before Joined is observable, so the
-        // first send the runtime issues finds it
-        self.shared
-            .gauges
-            .lock()
-            .unwrap()
-            .insert(worker, Arc::clone(&gauge));
-
-        let welcome = encode_frame(&ManagerToWorker::Welcome { worker }).expect("welcome encodes");
-        let welcome: Arc<[u8]> = Arc::from(welcome.into_boxed_slice());
-        gauge.charge(welcome.len());
-
         let conn = self.conns[slot].as_mut().expect("admitting a live conn");
+        let peer = Arc::new(Peer::new(Arc::clone(&conn.stream)));
         conn.worker = Some(worker);
-        conn.gauge = Some(gauge);
+        conn.peer = Some(Arc::clone(&peer));
         conn.handshake_deadline = None;
         self.handshaking -= 1;
-        conn.outq.push_back(welcome);
         self.by_worker.insert(worker, slot);
-
+        // the peer must be visible before Joined is observable, so the
+        // first send the runtime issues finds it; Welcome goes out first
+        self.shared
+            .peers
+            .lock()
+            .unwrap()
+            .insert(worker, Arc::clone(&peer));
+        let welcome = encode_frame(&ManagerToWorker::Welcome { worker }).expect("welcome encodes");
+        if peer.write_or_queue(welcome) == Some(true) {
+            self.flush(slot);
+        }
         let _ = self
             .events
             .send(TransportEvent::Joined { worker, resources });
-        self.flush(slot);
     }
 
-    /// Write as much of `slot`'s outbound queue as the socket accepts,
-    /// coalescing queued frames into vectored writes. Arms or disarms
-    /// EPOLLOUT to match what remains.
+    /// Flush `slot`'s outbound queue and arm or disarm EPOLLOUT to match
+    /// what remains. The socket is almost always writable, so a tail left
+    /// by a direct write rarely waits for EPOLLOUT.
     fn flush(&mut self, slot: usize) {
-        loop {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return;
-            };
-            if conn.outq.is_empty() {
-                break;
-            }
-            let wrote = {
-                let mut iov: Vec<IoSlice> = Vec::with_capacity(conn.outq.len().min(MAX_IOVECS));
-                for (i, frame) in conn.outq.iter().take(MAX_IOVECS).enumerate() {
-                    let bytes = if i == 0 {
-                        &frame[conn.out_off..]
-                    } else {
-                        &frame[..]
-                    };
-                    iov.push(IoSlice::new(bytes));
-                }
-                conn.stream.write_vectored(&iov)
-            };
-            match wrote {
-                Ok(0) => {
-                    self.close(slot, Close::Lost);
-                    return;
-                }
-                Ok(mut n) => {
-                    if let Some(g) = &conn.gauge {
-                        g.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-                    }
-                    while n > 0 {
-                        let front_len = conn.outq[0].len();
-                        let remaining = front_len - conn.out_off;
-                        if n >= remaining {
-                            n -= remaining;
-                            conn.outq.pop_front();
-                            conn.out_off = 0;
-                            if let Some(g) = &conn.gauge {
-                                g.frames_out.fetch_add(1, Ordering::Relaxed);
-                                g.release(front_len);
-                            }
-                        } else {
-                            conn.out_off += n;
-                            n = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.set_write_interest(slot, true);
-                    return;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(slot, Close::Lost);
-                    return;
-                }
-            }
+        let flushed = match self.conns[slot].as_ref().and_then(|c| c.peer.as_ref()) {
+            Some(peer) => peer.flush(),
+            None => return,
+        };
+        match flushed {
+            Ok(empty) => self.set_write_interest(slot, !empty),
+            Err(_) => self.close(slot, Close::Lost),
         }
-        self.set_write_interest(slot, false);
     }
 
     fn set_write_interest(&mut self, slot: usize, want: bool) {
@@ -822,15 +912,8 @@ impl Reactor {
         }
         if let Some(worker) = conn.worker {
             self.by_worker.remove(&worker);
-            if let Some(g) = &conn.gauge {
-                // un-charge whatever never made it to the wire, then mark
-                // the worker dead so parked senders fail fast
-                let undelivered: usize =
-                    conn.outq.iter().map(|f| f.len()).sum::<usize>() - conn.out_off;
-                if undelivered > 0 {
-                    g.release(undelivered);
-                }
-                g.kill();
+            if let Some(p) = &conn.peer {
+                p.close();
             }
             if matches!(why, Close::Lost) {
                 let _ = self.events.send(TransportEvent::Left { worker });

@@ -15,15 +15,20 @@
 //!   requeue path as an explicit worker kill.
 //!
 //! The worker side of the TCP backend is [`run_tcp_worker`]: dial, `Join`
-//! with a capacity announcement, receive `Welcome`, then run the exact
-//! same [`worker_engine`](crate::worker_host::worker_engine) loop the
-//! in-process backend runs — one engine, two substrates.
+//! with a capacity announcement, receive `Welcome`, then serve each
+//! command on the thread that reads it, with the same engine the
+//! in-process backend's [`worker_engine`](crate::worker_host::worker_engine)
+//! loop runs — one engine, two substrates. Library daemons and task
+//! threads encode their own replies and write them to the socket, so a
+//! unit crosses no worker thread that only moves it along. In process,
+//! they send them straight onto the transport's event channel.
 
-use crate::worker_host::{spawn_worker, worker_engine, WorkerHandle};
+use crate::worker_host::{spawn_worker, Uplink, Worker, WorkerHandle};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vine_core::ids::WorkerId;
 use vine_core::resources::Resources;
@@ -316,7 +321,9 @@ impl Drop for InProcTransport {
 
 /// Dial a manager and serve as a worker until it says `Shutdown` (or the
 /// connection dies). This is the whole worker process: handshake, then
-/// the shared [`worker_engine`] with a socket for a mailbox.
+/// the calling thread reads commands and runs the shared engine on each
+/// one, while library daemons and task threads write their own replies to
+/// the socket.
 pub fn run_tcp_worker(
     addr: impl ToSocketAddrs,
     resources: Resources,
@@ -342,47 +349,14 @@ pub fn run_tcp_worker(
         Err(e) => return Err(VineError::Protocol(format!("welcome: {e}"))),
     };
 
-    let (cmd_tx, cmd_rx) = crossbeam::channel::unbounded::<ManagerToWorker>();
-    let (ev_tx, ev_rx) = crossbeam::channel::unbounded::<(WorkerId, WorkerToManager)>();
-    let engine = std::thread::Builder::new()
-        .name(format!("worker-{id}"))
-        .spawn(move || worker_engine(id, registry, cmd_rx, ev_tx))
-        .expect("spawn worker engine");
-
-    // uplink: everything the engine reports goes out as frames
-    let uplink = std::thread::Builder::new()
-        .name(format!("worker-{id}-uplink"))
-        .spawn(move || {
-            while let Ok((_, msg)) = ev_rx.recv() {
-                if write_frame(&mut writer, &msg).is_err() {
-                    break;
-                }
-            }
-        })
-        .expect("spawn uplink thread");
-
-    // downlink: frames become engine commands until shutdown/close
-    loop {
-        match read_frame::<ManagerToWorker>(&mut reader) {
-            Ok(ManagerToWorker::Shutdown) => {
-                let _ = cmd_tx.send(ManagerToWorker::Shutdown);
-                break;
-            }
-            Ok(msg) => {
-                if cmd_tx.send(msg).is_err() {
-                    break;
-                }
-            }
-            Err(_) => {
-                // manager gone (clean close or otherwise): drain and exit
-                // like a shutdown
-                let _ = cmd_tx.send(ManagerToWorker::Shutdown);
-                break;
-            }
+    let mut worker = Worker::new(id, registry, Uplink::Socket(Arc::new(Mutex::new(writer))));
+    // a read error means the manager is gone (clean close or otherwise):
+    // drain and exit like a shutdown
+    while let Ok(cmd) = read_frame::<ManagerToWorker>(&mut reader) {
+        if !worker.handle(cmd) {
+            break;
         }
     }
-    drop(cmd_tx);
-    let _ = engine.join();
-    let _ = uplink.join();
+    worker.shutdown();
     Ok(())
 }

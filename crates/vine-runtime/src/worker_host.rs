@@ -1,14 +1,21 @@
-//! The worker engine: relays manager protocol messages to library daemons
+//! The worker engine: hands manager protocol messages to library daemons
 //! and runs stateless tasks, mirroring the paper's worker process.
 //!
-//! The engine speaks [`vine_proto`] on both sides and is substrate-blind:
-//! the in-process transport feeds it from channels, the TCP worker agent
-//! feeds it from a framed socket — same loop, same semantics. Every
-//! hand-off between its threads is a blocking channel receive.
+//! The engine speaks [`vine_proto`] on both sides and is substrate-blind.
+//! `Worker::handle` serves one command on whichever thread reads them:
+//! the TCP worker's socket reader itself, or the in-process backend's
+//! worker thread ([`worker_engine`]). Nothing relays replies: library
+//! daemons and task threads map what they report to [`WorkerToManager`]
+//! on their own threads and send it through the worker's `Uplink`,
+//! straight onto the transport's event channel in process, or as a frame
+//! each writes to the socket over TCP.
 
-use crate::library_host::{spawn_library, LibraryHost};
+use crate::library_host::{catch_panic, spawn_daemon, LibraryHost};
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::BTreeMap;
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use vine_core::context::CodeArtifact;
 use vine_core::ids::{LibraryInstanceId, WorkerId};
@@ -16,7 +23,9 @@ use vine_core::task::{Outcome, TaskSpec, UnitId, WorkUnit};
 use vine_lang::interp::USER_STACK_BYTES;
 use vine_lang::pickle;
 use vine_lang::{Interp, ModuleRegistry};
-use vine_proto::{LibraryToWorker, ManagerToWorker, WorkerToLibrary, WorkerToManager};
+use vine_proto::{
+    encode_frame, LibraryToWorker, ManagerToWorker, WorkerToLibrary, WorkerToManager,
+};
 
 /// Handle to a spawned in-process worker engine.
 pub struct WorkerHandle {
@@ -45,41 +54,104 @@ pub fn spawn_worker(
     }
 }
 
-/// The worker's command loop: serve [`ManagerToWorker`] messages until
-/// `Shutdown` (or the command stream closes), reporting back through
-/// `events`. Identical for both transports.
-///
-/// The loop blocks on `rx` alone. Library daemons reply on their own
-/// channel, which a reply-relay thread drains onto `events`, so neither
-/// direction waits on the other.
+/// The worker's command loop over a channel: serve [`ManagerToWorker`]
+/// messages until `Shutdown` (or the command stream closes). Daemons and
+/// task threads send what they report onto `events` themselves.
 pub fn worker_engine(
     id: WorkerId,
     registry: ModuleRegistry,
     rx: Receiver<ManagerToWorker>,
     events: Sender<(WorkerId, WorkerToManager)>,
 ) {
-    let (lib_tx, lib_rx) =
-        crossbeam::channel::unbounded::<(WorkerId, LibraryInstanceId, LibraryToWorker)>();
-    let relay = spawn_reply_relay(id, lib_rx, events.clone());
-    let mut libraries: BTreeMap<LibraryInstanceId, LibraryHost> = BTreeMap::new();
-    let mut tasks = TaskThreads::new(id, registry.clone(), events.clone());
-
+    let mut worker = Worker::new(id, registry, Uplink::Channel { worker: id, events });
     while let Ok(cmd) = rx.recv() {
+        if !worker.handle(cmd) {
+            break;
+        }
+    }
+    worker.shutdown();
+}
+
+/// Where a worker's messages to the manager go. Every library daemon and
+/// task thread holds a clone and sends its own replies.
+#[derive(Clone)]
+pub(crate) enum Uplink {
+    /// In process: onto the transport's event channel, tagged with the
+    /// worker.
+    Channel {
+        worker: WorkerId,
+        events: Sender<(WorkerId, WorkerToManager)>,
+    },
+    /// Over TCP: the socket to the manager, which every writer shares.
+    Socket(Arc<Mutex<TcpStream>>),
+}
+
+impl Uplink {
+    /// Send one message. A failure means the manager is gone, which the
+    /// command reader sees too and answers by shutting the worker down.
+    pub(crate) fn send(&self, msg: WorkerToManager) {
+        match self {
+            Uplink::Channel { worker, events } => {
+                let _ = events.send((*worker, msg));
+            }
+            Uplink::Socket(stream) => {
+                // encode outside the lock, then one write under it, so
+                // frames from concurrent writers never interleave
+                if let Ok(frame) = encode_frame(&msg) {
+                    let mut stream = stream
+                        .lock()
+                        .expect("no writer panics while holding the socket");
+                    let _ = stream.write_all(&frame);
+                }
+            }
+        }
+    }
+}
+
+/// One worker's library daemons and task threads, driven one command at a
+/// time by the thread that reads the commands.
+pub(crate) struct Worker {
+    registry: ModuleRegistry,
+    uplink: Uplink,
+    libraries: BTreeMap<LibraryInstanceId, LibraryHost>,
+    tasks: TaskThreads,
+}
+
+impl Worker {
+    pub(crate) fn new(id: WorkerId, registry: ModuleRegistry, uplink: Uplink) -> Worker {
+        Worker {
+            tasks: TaskThreads::new(id, registry.clone(), uplink.clone()),
+            registry,
+            uplink,
+            libraries: BTreeMap::new(),
+        }
+    }
+
+    /// Serve one command. Returns false on `Shutdown`.
+    pub(crate) fn handle(&mut self, cmd: ManagerToWorker) -> bool {
         match cmd {
             ManagerToWorker::Welcome { .. } => {
                 // handshake concern; the transport consumed it already, a
                 // stray copy is harmless
             }
             ManagerToWorker::InstallLibrary { image, stage: _ } => {
-                reap_exited(&mut libraries);
+                reap_exited(&mut self.libraries);
                 // the in-process substrate shares one filesystem, so staged
                 // context files are already local; the directive matters to
                 // remote data planes
-                let host = spawn_library(id, image, registry.clone(), lib_tx.clone());
-                libraries.insert(host.instance, host);
+                let instance = image.instance;
+                let uplink = self.uplink.clone();
+                let host = spawn_daemon(image, self.registry.clone(), move |msg| {
+                    uplink.send(library_reply(instance, msg))
+                });
+                // a daemon whose thread was refused has already reported
+                // its failed startup
+                if host.thread.is_some() {
+                    self.libraries.insert(instance, host);
+                }
             }
             ManagerToWorker::RemoveLibrary { instance } => {
-                if let Some(mut host) = libraries.remove(&instance) {
+                if let Some(mut host) = self.libraries.remove(&instance) {
                     let _ = host.tx.send(WorkerToLibrary::Shutdown);
                     if let Some(t) = host.thread.take() {
                         let _ = t.join();
@@ -87,7 +159,7 @@ pub fn worker_engine(
                 }
             }
             ManagerToWorker::Invoke { instance, call } => {
-                match libraries.get(&instance) {
+                match self.libraries.get(&instance) {
                     Some(host) => {
                         // the invocation's option wins; otherwise the
                         // library's default (§3.4 step 4)
@@ -104,31 +176,46 @@ pub fn worker_engine(
                         // eviction race: the instance vanished between
                         // dispatch and arrival — not the invocation's
                         // fault, hand it back
-                        let _ = events.send((
-                            id,
-                            WorkerToManager::Requeue {
-                                unit: WorkUnit::Call(call),
-                            },
-                        ));
+                        self.uplink.send(WorkerToManager::Requeue {
+                            unit: WorkUnit::Call(call),
+                        });
                     }
                 }
             }
-            ManagerToWorker::RunTask { task, stage: _ } => tasks.run(task),
-            ManagerToWorker::Shutdown => break,
+            ManagerToWorker::RunTask { task, stage: _ } => self.tasks.run(task),
+            ManagerToWorker::Shutdown => return false,
         }
+        true
     }
 
-    // drain: stop libraries, join task threads, then close the reply
-    // channel so the relay forwards every reply a daemon sent and exits
-    for (_, mut host) in libraries {
-        let _ = host.tx.send(WorkerToLibrary::Shutdown);
-        if let Some(t) = host.thread.take() {
-            let _ = t.join();
+    /// Stop the libraries and join the task threads, so every reply they
+    /// owe has been sent before this returns.
+    pub(crate) fn shutdown(self) {
+        for (_, mut host) in self.libraries {
+            let _ = host.tx.send(WorkerToLibrary::Shutdown);
+            if let Some(t) = host.thread.take() {
+                let _ = t.join();
+            }
         }
+        self.tasks.join();
     }
-    tasks.join();
-    drop(lib_tx);
-    let _ = relay.join();
+}
+
+/// What a library daemon reports, as the manager protocol's message. Runs
+/// on the daemon's thread.
+fn library_reply(instance: LibraryInstanceId, msg: LibraryToWorker) -> WorkerToManager {
+    match msg {
+        LibraryToWorker::Ready => WorkerToManager::LibraryReady { instance },
+        LibraryToWorker::StartupFailed { error } => {
+            WorkerToManager::LibraryFailed { instance, error }
+        }
+        LibraryToWorker::ResultReady { id, result } => WorkerToManager::UnitDone {
+            outcome: match result {
+                Ok(blob) => Outcome::ok(UnitId::Call(id), blob),
+                Err(e) => Outcome::failed(UnitId::Call(id), e),
+            },
+        },
+    }
 }
 
 /// The worker's task threads. Each runs one task at a time, on a fresh
@@ -140,7 +227,7 @@ pub fn worker_engine(
 struct TaskThreads {
     worker: WorkerId,
     registry: ModuleRegistry,
-    events: Sender<(WorkerId, WorkerToManager)>,
+    uplink: Uplink,
     /// Each thread's task channel, by thread index.
     senders: Vec<Sender<TaskSpec>>,
     threads: Vec<JoinHandle<()>>,
@@ -150,16 +237,12 @@ struct TaskThreads {
 }
 
 impl TaskThreads {
-    fn new(
-        worker: WorkerId,
-        registry: ModuleRegistry,
-        events: Sender<(WorkerId, WorkerToManager)>,
-    ) -> TaskThreads {
+    fn new(worker: WorkerId, registry: ModuleRegistry, uplink: Uplink) -> TaskThreads {
         let (idle_tx, idle_rx) = crossbeam::channel::unbounded();
         TaskThreads {
             worker,
             registry,
-            events,
+            uplink,
             senders: Vec::new(),
             threads: Vec::new(),
             idle_tx,
@@ -178,33 +261,43 @@ impl TaskThreads {
     }
 
     /// Start a thread on its first task, which it takes at spawn rather
-    /// than from its channel, so it need not be woken for it.
+    /// than from its channel, so it need not be woken for it. A thread the
+    /// OS refuses fails the task instead of the worker.
     fn spawn(&mut self, first: TaskSpec) {
         let i = self.senders.len();
+        let unit = UnitId::Task(first.id);
         let (tx, rx) = crossbeam::channel::unbounded::<TaskSpec>();
-        let worker = self.worker;
         let registry = self.registry.clone();
-        let events = self.events.clone();
+        let uplink = self.uplink.clone();
         let idle = self.idle_tx.clone();
-        let thread = std::thread::Builder::new()
-            .name(format!("worker-{worker}-task-{i}"))
+        let spawned = std::thread::Builder::new()
+            .name(format!("worker-{}-task-{i}", self.worker))
             .stack_size(USER_STACK_BYTES)
             .spawn(move || {
                 let mut next = Some(first);
                 while let Some(task) = next {
-                    let outcome = execute_task(&task, registry.clone());
-                    let _ = events.send((worker, WorkerToManager::UnitDone { outcome }));
+                    let outcome = catch_panic(|| execute_task(&task, registry.clone()))
+                        .unwrap_or_else(|panic| Outcome::failed(UnitId::Task(task.id), panic));
+                    // idle before the reply: the manager's next task for
+                    // this worker then always finds this thread free
                     let _ = idle.send(i);
+                    uplink.send(WorkerToManager::UnitDone { outcome });
                     next = rx.recv().ok();
                 }
-            })
-            .expect("spawn task thread");
-        self.senders.push(tx);
-        self.threads.push(thread);
+            });
+        match spawned {
+            Ok(thread) => {
+                self.senders.push(tx);
+                self.threads.push(thread);
+            }
+            Err(e) => self.uplink.send(WorkerToManager::UnitDone {
+                outcome: Outcome::failed(unit, format!("spawning task thread: {e}")),
+            }),
+        }
     }
 
     /// Close every task channel and join the threads once their tasks
-    /// are done, so every `UnitDone` is on `events` before this returns.
+    /// are done, so every `UnitDone` has been sent before this returns.
     fn join(self) {
         drop(self.senders);
         for thread in self.threads {
@@ -226,39 +319,6 @@ fn reap_exited(libraries: &mut BTreeMap<LibraryInstanceId, LibraryHost>) {
         let thread = host.thread.take().expect("checked above");
         thread.join().is_err()
     });
-}
-
-/// The reply relay: forward what library daemons report, as the manager
-/// protocol's messages, until every daemon and the engine have dropped
-/// their reply senders.
-fn spawn_reply_relay(
-    id: WorkerId,
-    lib_rx: Receiver<(WorkerId, LibraryInstanceId, LibraryToWorker)>,
-    events: Sender<(WorkerId, WorkerToManager)>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("worker-{id}-relay"))
-        .spawn(move || {
-            while let Ok((_, instance, msg)) = lib_rx.recv() {
-                let reply = match msg {
-                    LibraryToWorker::Ready => WorkerToManager::LibraryReady { instance },
-                    LibraryToWorker::StartupFailed { error } => {
-                        WorkerToManager::LibraryFailed { instance, error }
-                    }
-                    LibraryToWorker::ResultReady {
-                        id: call_id,
-                        result,
-                    } => WorkerToManager::UnitDone {
-                        outcome: match result {
-                            Ok(blob) => Outcome::ok(UnitId::Call(call_id), blob),
-                            Err(e) => Outcome::failed(UnitId::Call(call_id), e),
-                        },
-                    },
-                };
-                let _ = events.send((id, reply));
-            }
-        })
-        .expect("spawn reply relay thread")
 }
 
 /// Run a stateless task: fresh interpreter, reconstruct shipped code,
@@ -463,6 +523,49 @@ mod tests {
             }
         }
         assert_eq!((ready, done), (1, CALLS));
+    }
+
+    #[test]
+    fn a_panicking_task_fails_and_the_next_task_succeeds() {
+        let mut registry = ModuleRegistry::new();
+        registry.register_native("boom", || {
+            vec![vine_lang::modules::native("explode", |_| panic!("kaboom"))]
+        });
+        let (etx, erx) = crossbeam::channel::unbounded();
+        let mut h = spawn_worker(WorkerId(8), registry, etx);
+        for (id, text, expect) in [
+            (
+                1,
+                "import boom\ndef f() { return boom.explode() }",
+                Err("panicked: kaboom"),
+            ),
+            (2, "def f() { return 6 * 7 }", Ok(Value::Int(42))),
+        ] {
+            let mut task = TaskSpec::new(TaskId(id), "t");
+            task.code = vec![CodeArtifact::Source {
+                name: "f".into(),
+                text: text.into(),
+            }];
+            task.function = Some("f".into());
+            task.args_blob = pickle::serialize_args(&[]).unwrap();
+            h.tx.send(ManagerToWorker::RunTask {
+                task,
+                stage: vec![],
+            })
+            .unwrap();
+            let outcome = match erx.recv_timeout(std::time::Duration::from_secs(30)) {
+                Ok((_, WorkerToManager::UnitDone { outcome })) => outcome,
+                other => panic!("expected UnitDone, got {other:?}"),
+            };
+            assert_eq!(outcome.unit, UnitId::Task(TaskId(id)));
+            let got = match &outcome.error {
+                Some(e) => Err(e.as_str()),
+                None => Ok(crate::decode_result(&outcome).unwrap()),
+            };
+            assert_eq!(got, expect);
+        }
+        h.tx.send(ManagerToWorker::Shutdown).unwrap();
+        h.thread.take().unwrap().join().unwrap();
     }
 
     fn mappings() -> usize {

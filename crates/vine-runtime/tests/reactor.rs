@@ -288,3 +288,70 @@ fn a_64_connection_fleet_roundtrips_through_one_reactor() {
         assert!(w.bytes_in > 0 && w.bytes_out > 0);
     }
 }
+
+#[test]
+fn a_stalled_reader_gets_every_frame_once_in_order() {
+    let mut t = TcpTransport::listen("127.0.0.1:0").unwrap();
+    let (_w, mut r, worker) = join(t.local_addr());
+    wait_for(&mut t, Duration::from_secs(10), |e| {
+        matches!(e, TransportEvent::Joined { .. })
+    });
+
+    // the client reads nothing while small frames and frames larger than
+    // a loopback socket's buffers are sent: some go straight to the
+    // socket, some are cut short, and the rest queue behind them
+    let big = |instance: u64| ManagerToWorker::InstallLibrary {
+        image: vine_proto::LibraryImage {
+            instance: LibraryInstanceId(instance),
+            source: String::new(),
+            serialized_functions: vec![],
+            setup: None,
+            default_mode: vine_core::task::ExecMode::Direct,
+            compiled: Some(vine_proto::CompiledBlob {
+                source_digest: vine_core::ids::ContentHash::of_str(""),
+                bytes: vec![instance as u8; 8 << 20],
+            }),
+        },
+        stage: vec![],
+    };
+    let sent: Vec<ManagerToWorker> = (0..40u64)
+        .map(|i| match i % 13 {
+            5 => big(i),
+            _ => ManagerToWorker::RemoveLibrary {
+                instance: LibraryInstanceId(i),
+            },
+        })
+        .collect();
+    for msg in &sent {
+        t.send(worker, msg.clone()).unwrap();
+    }
+
+    // then it resumes: every frame arrives once, whole and in send order
+    for (i, msg) in sent.iter().enumerate() {
+        assert_eq!(
+            &read_frame::<ManagerToWorker>(&mut r).unwrap(),
+            msg,
+            "frame {i}"
+        );
+    }
+    t.shutdown();
+    assert_eq!(
+        read_frame::<ManagerToWorker>(&mut r).unwrap(),
+        ManagerToWorker::Shutdown
+    );
+
+    // the meter counts each frame once: Welcome, the sent frames, Shutdown
+    let framed = |msg: &ManagerToWorker| vine_proto::encode_frame(msg).unwrap().len() as u64;
+    let expected_bytes = framed(&ManagerToWorker::Welcome { worker })
+        + sent.iter().map(framed).sum::<u64>()
+        + framed(&ManagerToWorker::Shutdown);
+    let stats = t.stats();
+    let s = &stats.workers[0];
+    assert_eq!(s.frames_out, sent.len() as u64 + 2);
+    assert_eq!(s.bytes_out, expected_bytes);
+    assert!(
+        s.queue_hwm_bytes >= 8 << 20,
+        "a big frame queued (hwm {})",
+        s.queue_hwm_bytes
+    );
+}

@@ -5,10 +5,12 @@
 
 use std::net::TcpStream;
 use std::time::Duration;
+use vine_core::context::CodeArtifact;
 use vine_core::context::{ContextSpec, LibrarySpec, SetupSpec};
+use vine_core::ids::TaskId;
 use vine_core::ids::{InvocationId, WorkerId};
 use vine_core::resources::Resources;
-use vine_core::task::{ExecMode, FunctionCall, Outcome, UnitId, WorkUnit};
+use vine_core::task::{ExecMode, FunctionCall, Outcome, TaskSpec, UnitId, WorkUnit};
 use vine_lang::pickle;
 use vine_lang::{ModuleRegistry, Value};
 use vine_proto::{read_frame, write_frame, ManagerToWorker, WorkerToManager};
@@ -222,4 +224,69 @@ fn tcp_worker_crash_is_observed_and_in_flight_work_requeued() {
     rt.shutdown();
     impostor.join().unwrap();
     real.join().unwrap();
+}
+
+#[test]
+fn concurrent_daemon_and_task_replies_reach_the_manager_whole() {
+    // one worker: its four library slots and its task threads all write
+    // replies to the same socket at once
+    const EACH: u64 = 1000;
+    let transport = TcpTransport::listen("127.0.0.1:0").unwrap();
+    let addr = transport.local_addr();
+    // 16 cores: the library's 4 and up to 12 concurrent tasks
+    let worker = std::thread::spawn(move || {
+        run_tcp_worker(
+            addr,
+            Resources::new(16, 32 * 1024, 32 * 1024),
+            ModuleRegistry::new(),
+        )
+        .unwrap();
+    });
+    let cfg = RuntimeConfig {
+        workers: 1,
+        idle_timeout: Duration::from_secs(30),
+        ..Default::default()
+    };
+    let mut rt = Runtime::with_transport(cfg, Box::new(transport)).unwrap();
+    rt.install_library(lib_spec(), LIB_SOURCE, vec![], &[Value::Int(7)])
+        .unwrap();
+    for i in 0..EACH {
+        rt.submit(call(i, i as i64));
+        let mut task = TaskSpec::new(TaskId(i), "t");
+        task.code = vec![CodeArtifact::Source {
+            name: "g".into(),
+            text: "def g(x) { return x * 3 + 1 }".into(),
+        }];
+        task.function = Some("g".into());
+        task.args_blob = pickle::serialize_args(&[Value::Int(i as i64)]).unwrap();
+        rt.submit(WorkUnit::Task(task));
+    }
+    let mut outcomes = Vec::new();
+    let mut most_outstanding = 0;
+    while let Some(o) = rt.run_next().unwrap() {
+        most_outstanding = most_outstanding.max(rt.running());
+        outcomes.push(o);
+    }
+    assert!(
+        most_outstanding >= 8,
+        "at most {most_outstanding} units outstanding"
+    );
+
+    // exactly one correct outcome per unit
+    let d = digest(&outcomes);
+    assert_eq!(d.len() as u64, 2 * EACH);
+    for (k, (unit, success, value)) in d.into_iter().enumerate() {
+        let i = k as u64 % EACH;
+        let (want_unit, want) = if (k as u64) < EACH {
+            (UnitId::Task(TaskId(i)), 3 * i as i64 + 1)
+        } else {
+            (UnitId::Call(InvocationId(i)), 7000 + i as i64)
+        };
+        assert_eq!(
+            (unit, success, value),
+            (want_unit, true, Some(Value::Int(want)))
+        );
+    }
+    rt.shutdown();
+    worker.join().unwrap();
 }

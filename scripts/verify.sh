@@ -72,8 +72,8 @@ echo "federated sharding sweep: OK (BENCH_shard.json in $smoke)"
 ./scripts/shard_smoke.sh ./target/release/repro
 
 # live end-to-end smoke: the benchmark workloads run through manager,
-# reactor, worker relay and library daemons or task threads, and every
-# result is checked; a relay hang, a lost UnitDone or a wrong result fails.
+# reactor, worker reader and library daemons or task threads, and every
+# result is checked; a hang, a lost UnitDone or a wrong result fails.
 # tenant-churn is the one that installs and evicts daemons mid-run.
 for workload in lnni-invoke lnni-task tenant-churn; do
     last="$(timeout 300 cargo run --release --offline --quiet --manifest-path livebench/Cargo.toml -- \
