@@ -1,7 +1,5 @@
-//! The three classic dataflow analyses over the vinescript CFG.
+//! Two classic dataflow analyses over the vinescript CFG.
 //!
-//! * **Reaching definitions** (forward): which assignment sites can supply
-//!   a name's value at each point.
 //! * **Liveness** (backward): which names may still be read later. Exact
 //!   for function locals: lambdas resolve free names against *globals*,
 //!   never enclosing locals, so no hidden capture keeps a local alive.
@@ -14,7 +12,7 @@ use crate::cfg::{BlockId, Cfg, Terminator};
 use crate::effects::EffectEnv;
 use crate::fixpoint::{solve, Analysis, Direction, Lattice, Solution};
 use std::collections::{BTreeMap, BTreeSet};
-use vine_lang::ast::{expr_reads, Expr, Stmt, StmtKind, Target};
+use vine_lang::ast::{binding, expr_reads, Expr, Stmt, StmtKind, Target};
 use vine_lang::{interp, BinOp, Value};
 
 // ---------------------------------------------------------------- liveness
@@ -47,16 +45,6 @@ pub fn leaf_uses(stmt: &Stmt) -> BTreeSet<String> {
         _ => {}
     }
     out
-}
-
-/// The single name a leaf statement (re)binds, if any.
-pub fn leaf_def(stmt: &Stmt) -> Option<&str> {
-    match &stmt.kind {
-        StmtKind::Assign(Target::Var(n), _) => Some(n),
-        StmtKind::Import(m) => Some(m),
-        StmtKind::FuncDef(f) => Some(&f.name),
-        _ => None,
-    }
 }
 
 /// Names a terminator reads.
@@ -97,7 +85,7 @@ impl Analysis for Liveness {
         }
         fact.0.extend(term_uses(&block.term));
         for s in block.stmts.iter().rev() {
-            if let Some(d) = leaf_def(s) {
+            if let Some(d) = binding(s) {
                 fact.0.remove(d);
             }
             fact.0.extend(leaf_uses(s));
@@ -109,62 +97,6 @@ impl Analysis for Liveness {
 /// live-in.
 pub fn liveness(cfg: &Cfg) -> Solution<NameSet> {
     solve(cfg, &Liveness)
-}
-
-// ------------------------------------------------------ reaching definitions
-
-/// A definition site: (name, block, statement index within block).
-/// Terminator-bound names (`for` variables) use `stmt == usize::MAX`.
-pub type DefSite = (String, BlockId, usize);
-
-#[derive(Clone, Default, Debug)]
-pub struct DefSet(pub BTreeSet<DefSite>);
-
-impl Lattice for DefSet {
-    fn join_from(&mut self, other: &Self) -> bool {
-        let before = self.0.len();
-        self.0.extend(other.0.iter().cloned());
-        self.0.len() != before
-    }
-}
-
-pub struct Reaching;
-
-impl Analysis for Reaching {
-    type Fact = DefSet;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self) -> DefSet {
-        DefSet::default()
-    }
-
-    fn bottom(&self) -> DefSet {
-        DefSet::default()
-    }
-
-    fn transfer(&self, cfg: &Cfg, id: BlockId, fact: &mut DefSet) {
-        let block = &cfg.blocks[id];
-        for (i, s) in block.stmts.iter().enumerate() {
-            if let Some(d) = leaf_def(s) {
-                fact.0.retain(|(n, _, _)| n != d);
-                fact.0.insert((d.to_string(), id, i));
-            }
-        }
-        if let Terminator::ForNext { var, .. } = &block.term {
-            // the loop variable is rebound on the body edge; keep it simple
-            // (and sound) by treating it as defined on both out-edges
-            fact.0.retain(|(n, _, _)| n != var);
-            fact.0.insert((var.clone(), id, usize::MAX));
-        }
-    }
-}
-
-/// Reaching definitions: `input[b]` is the def set at block entry.
-pub fn reaching(cfg: &Cfg) -> Solution<DefSet> {
-    solve(cfg, &Reaching)
 }
 
 // ------------------------------------------------------ constant propagation
@@ -404,18 +336,6 @@ mod tests {
         let live_in_entry = &sol.output[Cfg::ENTRY].0;
         assert!(live_in_entry.contains("c"));
         assert!(!live_in_entry.contains("b"));
-    }
-
-    #[test]
-    fn reaching_defs_replace_on_rebind() {
-        let cfg = cfg_of("x = 1\nx = 2\ny = x");
-        let sol = reaching(&cfg);
-        let defs: Vec<_> = sol.output[Cfg::ENTRY]
-            .0
-            .iter()
-            .filter(|(n, _, _)| n == "x")
-            .collect();
-        assert_eq!(defs.len(), 1, "second def kills the first");
     }
 
     #[test]

@@ -30,7 +30,10 @@
 use crate::analyses::{CVal, ConstEnv};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
-use vine_lang::ast::{expr_reads, walk_exprs_in, Expr, FuncDef, Program, Stmt, StmtKind, Target};
+use vine_lang::ast::{
+    binding, expr_reads, walk_scope, walk_scope_exprs, Expr, FuncDef, Program, ScopeNames, Stmt,
+    StmtKind, Target,
+};
 use vine_lang::builtins::{builtin_effect, BuiltinEffect};
 
 /// What running a piece of code may do, beyond computing a value.
@@ -126,7 +129,11 @@ pub struct EffectEnv {
 impl EffectEnv {
     /// Compute summaries for `prog` by interprocedural fixpoint.
     pub fn compute(prog: &Program) -> EffectEnv {
-        let module_defs = module_level_names(prog);
+        let module_defs = ScopeNames::module(prog)
+            .bound()
+            .iter()
+            .map(|n| n.to_string())
+            .collect();
 
         // resolvable callables: top-level defs + once-bound lambdas
         let mut defs: BTreeMap<String, Rc<FuncDef>> = BTreeMap::new();
@@ -199,72 +206,6 @@ impl EffectEnv {
     }
 }
 
-/// Every name bound at module level: imports, function names, assignment
-/// targets and `for` variables — including those inside module-level
-/// `if`/`while`/`for` bodies (but not inside function bodies).
-pub fn module_level_names(prog: &Program) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for_own_stmts(prog, &mut |s| match &s.kind {
-        StmtKind::Import(m) => {
-            out.insert(m.clone());
-        }
-        StmtKind::FuncDef(f) => {
-            out.insert(f.name.clone());
-        }
-        StmtKind::Assign(Target::Var(n), _) => {
-            out.insert(n.clone());
-        }
-        StmtKind::For(v, _, _) => {
-            out.insert(v.clone());
-        }
-        _ => {}
-    });
-    out
-}
-
-/// Visit every statement in `stmts` and nested *blocks*, but not nested
-/// function or lambda bodies — the "own" statements of one scope.
-pub fn for_own_stmts<'a>(stmts: &'a [Stmt], visit: &mut dyn FnMut(&'a Stmt)) {
-    for s in stmts {
-        visit(s);
-        match &s.kind {
-            StmtKind::If(arms, els) => {
-                for (_, body) in arms {
-                    for_own_stmts(body, visit);
-                }
-                if let Some(e) = els {
-                    for_own_stmts(e, visit);
-                }
-            }
-            StmtKind::While(_, body) | StmtKind::For(_, _, body) => for_own_stmts(body, visit),
-            _ => {}
-        }
-    }
-}
-
-/// Visit every expression of one scope's own statements (lambda *nodes*
-/// are visited; their bodies are not).
-fn for_own_exprs<'a>(stmts: &'a [Stmt], visit: &mut dyn FnMut(&'a Expr)) {
-    for_own_stmts(stmts, &mut |s| match &s.kind {
-        StmtKind::Assign(target, e) => {
-            if let Target::Index(obj, idx) = target {
-                walk_exprs_in(obj, visit);
-                walk_exprs_in(idx, visit);
-            }
-            walk_exprs_in(e, visit);
-        }
-        StmtKind::Expr(e) | StmtKind::Return(Some(e)) => walk_exprs_in(e, visit),
-        StmtKind::If(arms, _) => {
-            for (c, _) in arms {
-                walk_exprs_in(c, visit);
-            }
-        }
-        StmtKind::While(c, _) => walk_exprs_in(c, visit),
-        StmtKind::For(_, iter, _) => walk_exprs_in(iter, visit),
-        _ => {}
-    });
-}
-
 /// The root binding of an lvalue/argument chain: `a[i].b` → `a`.
 fn root_name(e: &Expr) -> Option<&str> {
     match e {
@@ -275,90 +216,74 @@ fn root_name(e: &Expr) -> Option<&str> {
 }
 
 /// Name-resolution context for one scope.
-struct Scope {
-    /// Names that resolve to the local frame (params, plain assignments).
-    locals: BTreeSet<String>,
-    /// Locals declared `global`: writes go to the module namespace.
-    declared_global: BTreeSet<String>,
+struct Scope<'a> {
+    /// The names the scope binds and declares `global`.
+    names: ScopeNames<'a>,
     /// Locals bound (only) to function definitions whose effects are
     /// already merged — calling them is resolved, not unknown.
-    local_fns: BTreeSet<String>,
+    local_fns: BTreeSet<&'a str>,
     /// alias map: local name -> global roots it may alias.
-    aliases: BTreeMap<String, BTreeSet<String>>,
+    aliases: BTreeMap<&'a str, BTreeSet<String>>,
 }
 
-impl Scope {
+impl<'a> Scope<'a> {
     /// Module scope: no locals, every name is a global.
-    fn module() -> Scope {
+    fn module() -> Scope<'a> {
         Scope {
-            locals: BTreeSet::new(),
-            declared_global: BTreeSet::new(),
+            names: ScopeNames::module(&[]),
             local_fns: BTreeSet::new(),
             aliases: BTreeMap::new(),
         }
     }
 
-    fn function(def: &FuncDef) -> Scope {
-        let mut declared_global = BTreeSet::new();
-        for_own_stmts(&def.body, &mut |s| {
-            if let StmtKind::Global(names) = &s.kind {
-                declared_global.extend(names.iter().cloned());
-            }
-        });
-        let mut locals: BTreeSet<String> = def.params.iter().cloned().collect();
+    fn function(def: &'a FuncDef) -> Scope<'a> {
+        let names = ScopeNames::function(def);
         let mut local_fns = BTreeSet::new();
-        let mut lambda_binds: BTreeMap<String, (usize, usize)> = BTreeMap::new(); // (total, lambda)
-        for_own_stmts(&def.body, &mut |s| match &s.kind {
+        let mut lambda_binds: BTreeMap<&str, (usize, usize)> = BTreeMap::new(); // (total, lambda)
+        walk_scope(&def.body, &mut |s| match &s.kind {
             StmtKind::Assign(Target::Var(n), e) => {
-                if !declared_global.contains(n) {
-                    locals.insert(n.clone());
-                }
-                let entry = lambda_binds.entry(n.clone()).or_default();
+                let entry = lambda_binds.entry(n).or_default();
                 entry.0 += 1;
                 if matches!(e, Expr::Lambda(_)) {
                     entry.1 += 1;
                 }
             }
-            StmtKind::For(v, _, _) if !declared_global.contains(v) => {
-                locals.insert(v.clone());
-            }
             StmtKind::FuncDef(f) => {
-                locals.insert(f.name.clone());
-                local_fns.insert(f.name.clone());
+                local_fns.insert(f.name.as_str());
             }
             _ => {}
         });
-        for (n, (total, lambdas)) in &lambda_binds {
-            if *total == *lambdas && !declared_global.contains(n) {
-                local_fns.insert(n.clone());
+        for (n, (total, lambdas)) in lambda_binds {
+            if total == lambdas && names.is_local(n) {
+                local_fns.insert(n);
             }
         }
 
         // alias fixpoint: local assigned from an expression mentioning
         // global g (or a local aliasing g) may alias g
-        let mut aliases: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut aliases: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
         loop {
             let mut changed = false;
-            for_own_stmts(&def.body, &mut |s| {
+            walk_scope(&def.body, &mut |s| {
                 let StmtKind::Assign(Target::Var(n), e) = &s.kind else {
                     return;
                 };
-                if declared_global.contains(n) {
+                if !names.is_local(n) {
                     return;
                 }
                 let mut mentioned = BTreeSet::new();
                 expr_reads(e, &mut mentioned);
                 let mut roots = BTreeSet::new();
                 for m in &mentioned {
-                    if locals.contains(m) {
-                        if let Some(r) = aliases.get(m) {
+                    if names.is_local(m) {
+                        if let Some(r) = aliases.get(m.as_str()) {
                             roots.extend(r.iter().cloned());
                         }
                     } else {
                         roots.insert(m.clone());
                     }
                 }
-                let entry = aliases.entry(n.clone()).or_default();
+                let entry = aliases.entry(n).or_default();
                 let before = entry.len();
                 entry.extend(roots);
                 if entry.len() != before {
@@ -371,8 +296,7 @@ impl Scope {
         }
 
         Scope {
-            locals,
-            declared_global,
+            names,
             local_fns,
             aliases,
         }
@@ -380,7 +304,7 @@ impl Scope {
 
     /// Does `name` resolve to the module namespace in this scope?
     fn is_global(&self, name: &str) -> bool {
-        self.declared_global.contains(name) || !self.locals.contains(name)
+        !self.names.is_local(name)
     }
 
     /// Global roots writing *through* `name` can reach.
@@ -419,7 +343,7 @@ fn summarize_block(
 
     // reads: free names that resolve to the module namespace
     let mut read_names = BTreeSet::new();
-    for_own_exprs(stmts, &mut |e| {
+    walk_scope_exprs(stmts, &mut |e| {
         if let Expr::Var(n) = e {
             read_names.insert(n.clone());
         }
@@ -430,36 +354,27 @@ fn summarize_block(
         }
     }
 
-    // writes
-    for_own_stmts(stmts, &mut |s| match &s.kind {
-        StmtKind::Assign(Target::Var(n), _) if scope.is_global(n) => {
-            sum.writes.insert(n.clone());
-        }
-        StmtKind::Assign(Target::Index(obj, _), _) => {
+    // writes: global bindings, and index-assignments through any name
+    walk_scope(stmts, &mut |s| {
+        if let Some(n) = binding(s) {
+            if scope.is_global(n) {
+                sum.writes.insert(n.to_string());
+            }
+        } else if let StmtKind::Assign(Target::Index(obj, _), _) = &s.kind {
             if let Some(r) = root_name(obj) {
                 sum.writes.extend(scope.write_roots(r));
             }
         }
-        StmtKind::For(v, _, _) if scope.is_global(v) => {
-            sum.writes.insert(v.clone());
-        }
-        StmtKind::Import(m) if scope.is_global(m) => {
-            sum.writes.insert(m.clone());
-        }
-        StmtKind::FuncDef(f) if scope.is_global(&f.name) => {
-            sum.writes.insert(f.name.clone());
-        }
-        _ => {}
     });
 
     // calls
-    for_own_exprs(stmts, &mut |e| {
+    walk_scope_exprs(stmts, &mut |e| {
         let Expr::Call(callee, args) = e else { return };
         match callee.as_ref() {
             Expr::Var(n) => {
-                if scope.local_fns.contains(n) {
+                if scope.local_fns.contains(n.as_str()) {
                     // nested definition: body effects merged below
-                } else if scope.locals.contains(n) && !scope.declared_global.contains(n) {
+                } else if !scope.is_global(n) {
                     sum.calls_unknown = true;
                 } else if fn_names.contains(n) {
                     called.insert(n.clone());
@@ -494,12 +409,12 @@ fn summarize_block(
 
     // nested function and lambda bodies: assume they run
     let mut nested: Vec<Rc<FuncDef>> = Vec::new();
-    for_own_stmts(stmts, &mut |s| {
+    walk_scope(stmts, &mut |s| {
         if let StmtKind::FuncDef(f) = &s.kind {
             nested.push(Rc::clone(f));
         }
     });
-    for_own_exprs(stmts, &mut |e| {
+    walk_scope_exprs(stmts, &mut |e| {
         if let Expr::Lambda(f) = e {
             nested.push(Rc::clone(f));
         }
@@ -525,7 +440,7 @@ pub fn havoc_for_calls(
 ) {
     let mut havoc_all = false;
     let mut havoc_names: BTreeSet<String> = BTreeSet::new();
-    for_own_exprs(std::slice::from_ref(stmt), &mut |e| {
+    walk_scope_exprs(std::slice::from_ref(stmt), &mut |e| {
         let Expr::Call(callee, args) = e else { return };
         match callee.as_ref() {
             Expr::Var(n) if locals.contains(n) => havoc_all = true,

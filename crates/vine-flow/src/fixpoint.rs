@@ -2,11 +2,11 @@
 //!
 //! An analysis supplies a join-semilattice fact type and a block transfer
 //! function; the solver iterates blocks off a worklist until facts
-//! stabilize. Both directions are supported: forward analyses (reaching
-//! definitions, constant propagation) join over predecessors, backward
-//! analyses (liveness) join over successors. Termination is by the usual
-//! argument — facts only grow under [`Lattice::join`] and every lattice
-//! used here has finite height in the names occurring in the program.
+//! stabilize. Both directions are supported: forward analyses (constant
+//! propagation) join over predecessors, backward analyses (liveness) join
+//! over successors. Termination is by the usual argument — facts only
+//! grow under [`Lattice::join_from`] and every lattice used here has
+//! finite height in the names occurring in the program.
 
 use crate::cfg::{BlockId, Cfg};
 

@@ -5,11 +5,17 @@
 //! * [`cfg`] — lower a statement list to a basic-block control-flow graph;
 //! * [`fixpoint`] — a generic worklist solver over join-semilattice facts,
 //!   forward or backward;
-//! * [`analyses`] — reaching definitions, liveness, and constant
-//!   propagation (folding with the interpreter's own operator semantics);
+//! * [`analyses`] — liveness and constant propagation (folding with the
+//!   interpreter's own operator semantics);
 //! * [`effects`] — interprocedural purity/effect summaries over the call
 //!   graph, with a curated builtin table ([`vine_lang::builtins`]) and
 //!   `eval`/`exec` as ⊤.
+//!
+//! Scopes come from `vine_lang::ast`: which statements belong to one
+//! scope ([`vine_lang::ast::walk_scope`]), which names it binds and which
+//! it declares `global` ([`vine_lang::ast::ScopeNames`]) is the rule the
+//! compiler and both engines implement, so a summary never disagrees with
+//! execution about what is local.
 //!
 //! On top sits [`hoist::discover`], the system's one context-discovery
 //! pass: the paper's §6 "seamless discovery of high-level contexts". It
@@ -26,7 +32,7 @@ pub mod effects;
 pub mod fixpoint;
 pub mod hoist;
 
-pub use analyses::{constprop, liveness, reaching, CVal, ConstEnv};
+pub use analyses::{constprop, liveness, CVal, ConstEnv};
 pub use cfg::{Block, BlockId, Cfg, Terminator};
 pub use effects::{EffectEnv, EffectSummary};
 pub use fixpoint::{solve, Analysis, Direction, Lattice, Solution};

@@ -9,12 +9,19 @@
 //! The generator is adversarial on purpose: helpers that read, write, or
 //! print; container mutation through `push` and index-assignment;
 //! `for`/`if` statements at module level; statements that read
-//! invocation-mutated counters (the constant-folding path); and the
-//! occasional `eval` to force the ⊤ treatment.
+//! invocation-mutated counters (the constant-folding path); the
+//! occasional `eval` to force the ⊤ treatment; and scope edges — helpers
+//! and the work function that re-import a module locally (a local
+//! binding, not a write of the module's name) or define a nested `def`,
+//! sometimes one that writes a global.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use vine_lang::{Interp, Value};
+use vine_lang::{Interp, ModuleRegistry, Value};
+
+/// The source module generated code imports, at module level and inside
+/// functions.
+const AUX_MODULE: &str = "def twice(v) {\n    return v * 2\n}\nbase = 5\n";
 
 /// xorshift64* — deterministic per-case source of structure.
 struct Rng(u64);
@@ -94,20 +101,53 @@ fn cond_expr(rng: &mut Rng, env: &Defined) -> String {
     }
 }
 
+/// Statements that open a function body, at one level of indentation,
+/// and the expression wrapping `value` that uses them: sometimes a local
+/// `import aux`, sometimes a nested `def inner` (which may write a
+/// global), sometimes neither.
+fn scope_edges(rng: &mut Rng, env: &Defined, mut value: String) -> (String, String) {
+    let mut head = String::new();
+    if rng.chance(30) {
+        head.push_str("    import aux\n");
+        value = format!("aux.twice({value})");
+    }
+    if rng.chance(30) {
+        head.push_str("    def inner(v) {\n");
+        if !env.ints.is_empty() && rng.chance(50) {
+            let g = &env.ints[rng.below(env.ints.len())];
+            head.push_str(&format!("        global {g}\n        {g} = {g} + v\n"));
+        }
+        head.push_str(&format!(
+            "        return v + {}\n    }}\n",
+            int_expr(rng, env, 1)
+        ));
+        value = format!("inner({value})");
+    }
+    (head, value)
+}
+
 /// One generated module: source text plus the work function name.
 fn gen_module(seed: u64) -> String {
     let mut rng = Rng::new(seed);
     let mut env = Defined::default();
     let mut out = String::new();
     let mut helper_id = 0usize;
+    let module_imports_aux = rng.chance(40);
+    if module_imports_aux {
+        out.push_str("import aux\n");
+    }
 
     let n_stmts = 5 + rng.below(8);
     for i in 0..n_stmts {
         match rng.below(10) {
-            // scalar int global
+            // scalar int global, sometimes computed through the module
             0 | 1 => {
                 let name = format!("g{i}");
-                out.push_str(&format!("{name} = {}\n", int_expr(&mut rng, &env, 2)));
+                let mut value = int_expr(&mut rng, &env, 2);
+                if module_imports_aux && rng.chance(40) {
+                    value = format!("aux.twice({value}) + aux.base");
+                }
+                out.push_str(&format!("{name} = {value}\n"));
                 env.ints.push(name);
             }
             // string global
@@ -188,7 +228,11 @@ fn gen_module(seed: u64) -> String {
                     3 => "    print(a)\n    return a\n".to_string(),
                     _ => "    return eval(\"3 + 4\") + a\n".to_string(),
                 };
-                out.push_str(&format!("def {name}(a) {{\n{body}}}\n"));
+                let (mut head, arg) = scope_edges(&mut rng, &env, "a".to_string());
+                if !head.is_empty() {
+                    head.push_str(&format!("    a = {arg}\n"));
+                }
+                out.push_str(&format!("def {name}(a) {{\n{head}{body}}}\n"));
                 env.helpers.push(name);
             }
         }
@@ -216,8 +260,9 @@ fn gen_module(seed: u64) -> String {
         let h = env.helpers[rng.below(env.helpers.len())].clone();
         ret = format!("{h}({ret})");
     }
+    let (head, ret) = scope_edges(&mut rng, &env, ret);
     body.push_str(&format!("    return {ret} + t\n"));
-    out.push_str(&format!("def work(t) {{\n{body}}}\n"));
+    out.push_str(&format!("def work(t) {{\n{head}{body}}}\n"));
     out
 }
 
@@ -226,7 +271,9 @@ type Observed = (Vec<String>, Vec<String>, BTreeMap<String, String>);
 
 /// Run a module plus three work invocations; capture every observable.
 fn run(src: &str) -> std::result::Result<Observed, String> {
-    let mut interp = Interp::new();
+    let mut registry = ModuleRegistry::new();
+    registry.register_source("aux", AUX_MODULE);
+    let mut interp = Interp::with_registry(registry);
     interp.exec_source(src).map_err(|e| e.to_string())?;
     let mut results = Vec::new();
     for t in 0..3i64 {

@@ -140,3 +140,27 @@ fn eval_inside_candidate_blocks_hoisting() {
     );
     assert_execution_identical(src, "work", &[vec![Value::Int(1)], vec![Value::Int(2)]]);
 }
+
+#[test]
+fn function_local_import_binds_a_local() {
+    // `infer` re-imports `nn` into its own frame: the import binds a
+    // local there, exactly as both engines run it, so it writes no module
+    // name and both module statements stay hoistable context
+    let src = r#"
+        import nn
+        model = nn.load_model(2, 4)
+        def infer(x) {
+            import nn
+            return nn.forward(model, x)
+        }
+    "#;
+    let flow = vine_flow::discover(src, &["infer"]).unwrap();
+    assert_eq!(flow.hoisted.len(), 2, "{:?}", flow.hoisted);
+    assert!(
+        flow.context.residue.is_empty(),
+        "{:?}",
+        flow.context.residue
+    );
+    let infer = &flow.effects["infer"];
+    assert!(infer.writes.is_empty(), "{}", infer.describe());
+}

@@ -209,19 +209,10 @@ impl FuncDef {
 /// and function bodies. The traversal backbone for import scanning and
 /// other static analyses.
 pub fn walk_stmts<'a>(stmts: &'a [Stmt], visit: &mut dyn FnMut(&'a Stmt)) {
-    for s in stmts {
+    walk_scope(stmts, &mut |s| {
         visit(s);
         match &s.kind {
             StmtKind::FuncDef(f) => walk_stmts(&f.body, visit),
-            StmtKind::If(arms, els) => {
-                for (_, body) in arms {
-                    walk_stmts(body, visit);
-                }
-                if let Some(e) = els {
-                    walk_stmts(e, visit);
-                }
-            }
-            StmtKind::While(_, body) | StmtKind::For(_, _, body) => walk_stmts(body, visit),
             StmtKind::Assign(_, e) | StmtKind::Expr(e) | StmtKind::Return(Some(e)) => {
                 walk_exprs_in(e, &mut |expr| {
                     if let Expr::Lambda(f) = expr {
@@ -231,6 +222,151 @@ pub fn walk_stmts<'a>(stmts: &'a [Stmt], visit: &mut dyn FnMut(&'a Stmt)) {
             }
             _ => {}
         }
+    });
+}
+
+// ---------- the scoping rule ----------
+//
+// Which names a scope binds, as both engines implement it: the compiler
+// gives each a slot and flips declared ones with `Instr::Global`; the
+// tree-walker's `assign_var` binds them in the frame unless the frame
+// declared them global. Every static pass (the compiler's slot layout,
+// vine-flow's effect summaries, vine-lint's scope lints) reads it here.
+
+/// Walk one scope's *own* statements pre-order: `stmts` and the bodies of
+/// nested `if`/`while`/`for` blocks, but not nested function or lambda
+/// bodies, which are scopes of their own.
+pub fn walk_scope<'a>(stmts: &'a [Stmt], visit: &mut dyn FnMut(&'a Stmt)) {
+    for s in stmts {
+        visit(s);
+        match &s.kind {
+            StmtKind::If(arms, els) => {
+                for (_, body) in arms {
+                    walk_scope(body, visit);
+                }
+                if let Some(body) = els {
+                    walk_scope(body, visit);
+                }
+            }
+            StmtKind::While(_, body) | StmtKind::For(_, _, body) => walk_scope(body, visit),
+            _ => {}
+        }
+    }
+}
+
+/// Visit the expressions that belong to `stmt` itself: an index target's
+/// object and index, then the assigned value; `if`/`while` conditions; a
+/// `for` iterable; a returned or evaluated expression. Those of nested
+/// statements are theirs.
+pub fn stmt_exprs<'a>(stmt: &'a Stmt, visit: &mut dyn FnMut(&'a Expr)) {
+    match &stmt.kind {
+        StmtKind::Assign(target, e) => {
+            if let Target::Index(obj, idx) = target {
+                visit(obj);
+                visit(idx);
+            }
+            visit(e);
+        }
+        StmtKind::If(arms, _) => {
+            for (c, _) in arms {
+                visit(c);
+            }
+        }
+        StmtKind::While(c, _) => visit(c),
+        StmtKind::For(_, iter, _) => visit(iter),
+        StmtKind::Return(Some(e)) | StmtKind::Expr(e) => visit(e),
+        _ => {}
+    }
+}
+
+/// Walk the expression trees of one scope's own statements pre-order.
+/// Lambda nodes are visited; their bodies are not.
+pub fn walk_scope_exprs<'a>(stmts: &'a [Stmt], visit: &mut dyn FnMut(&'a Expr)) {
+    walk_scope(stmts, &mut |s| {
+        stmt_exprs(s, &mut |e| walk_exprs_in(e, visit))
+    });
+}
+
+/// The name `stmt` binds in its scope: a plain assignment's target, a
+/// `for` variable, an `import`ed module or a `def`'s name.
+pub fn binding(stmt: &Stmt) -> Option<&str> {
+    match &stmt.kind {
+        StmtKind::Assign(Target::Var(n), _) | StmtKind::For(n, _, _) | StmtKind::Import(n) => {
+            Some(n)
+        }
+        StmtKind::FuncDef(f) => Some(&f.name),
+        _ => None,
+    }
+}
+
+/// The names one scope binds and the names it declares `global`. A name
+/// is frame-local when the function scope binds it and no own statement
+/// declares it `global`; at module level every name is global. The
+/// engines execute `global` when they reach it; this static reading is
+/// flow-insensitive, so a `global` anywhere among the own statements
+/// counts for the whole scope.
+#[derive(Debug)]
+pub struct ScopeNames<'a> {
+    bound: Vec<&'a str>,
+    declared_global: BTreeSet<&'a str>,
+    /// `bound` as a set.
+    seen: BTreeSet<&'a str>,
+    module: bool,
+}
+
+impl<'a> ScopeNames<'a> {
+    /// Module scope: the names `prog` binds, none of them frame-local.
+    pub fn module(prog: &'a [Stmt]) -> ScopeNames<'a> {
+        ScopeNames::collect(&[], prog, true)
+    }
+
+    /// The scope of one function or lambda body.
+    pub fn function(def: &'a FuncDef) -> ScopeNames<'a> {
+        ScopeNames::collect(&def.params, &def.body, false)
+    }
+
+    fn collect(params: &'a [String], body: &'a [Stmt], module: bool) -> ScopeNames<'a> {
+        let mut bound: Vec<&str> = params.iter().map(String::as_str).collect();
+        let mut seen: BTreeSet<&str> = bound.iter().copied().collect();
+        let mut declared_global = BTreeSet::new();
+        walk_scope(body, &mut |s| match &s.kind {
+            StmtKind::Global(names) => declared_global.extend(names.iter().map(String::as_str)),
+            _ => {
+                if let Some(n) = binding(s) {
+                    if seen.insert(n) {
+                        bound.push(n);
+                    }
+                }
+            }
+        });
+        ScopeNames {
+            bound,
+            declared_global,
+            seen,
+            module,
+        }
+    }
+
+    /// Every bound name in the compiler's slot order: a function's
+    /// parameters one per position (a repeated parameter keeps each), then
+    /// every other bound name once, in first-binding order.
+    pub fn bound(&self) -> &[&'a str] {
+        &self.bound
+    }
+
+    /// Names an own statement declares `global`.
+    pub fn declared_global(&self) -> &BTreeSet<&'a str> {
+        &self.declared_global
+    }
+
+    /// Does `name` resolve to the function's frame?
+    pub fn is_local(&self, name: &str) -> bool {
+        !self.module && self.seen.contains(name) && !self.declared_global.contains(name)
+    }
+
+    /// The frame-local names, in slot order.
+    pub fn locals(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.bound.iter().copied().filter(|n| self.is_local(n))
     }
 }
 
@@ -278,7 +414,9 @@ pub fn expr_reads(e: &Expr, out: &mut BTreeSet<String>) {
     });
 }
 
-/// Names a statement (transitively, through nested blocks) reads.
+/// Names a statement reads, through nested blocks and nested `def` bodies
+/// (less that function's parameters) but not lambda bodies. A `for`
+/// statement removes its variable from `out`.
 pub fn stmt_reads(stmt: &Stmt, out: &mut BTreeSet<String>) {
     match &stmt.kind {
         StmtKind::Import(_) | StmtKind::Break | StmtKind::Continue | StmtKind::Global(_) => {}
@@ -366,6 +504,26 @@ mod tests {
             }
         });
         assert_eq!(imports, vec!["mathx".to_string()]);
+    }
+
+    #[test]
+    fn scope_names_follow_the_engines_binding_rule() {
+        let prog = crate::parse(
+            "def f(a, b) {\n global g\n import nn\n for i in [1] { x = i }\n g = a\n \
+             def inner() { global x\n y = 2 }\n h = fn () { z = 3 }\n}\nm = 1",
+        )
+        .unwrap();
+        let StmtKind::FuncDef(f) = &prog[0].kind else {
+            panic!("expected a def")
+        };
+        let names = ScopeNames::function(f);
+        assert_eq!(names.bound(), ["a", "b", "nn", "i", "x", "g", "inner", "h"]);
+        // a nested body's `global x` and bindings are its own
+        assert!(names.is_local("nn") && names.is_local("x") && names.is_local("inner"));
+        assert!(!names.is_local("g") && !names.is_local("y") && !names.is_local("z"));
+        let module = ScopeNames::module(&prog);
+        assert_eq!(module.bound(), ["f", "m"]);
+        assert!(!module.is_local("m"));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! behavior of the tree-walker is preserved by lowering it to an
 //! instruction rather than resolving it statically —
 //!
-//! * locals are *slots* assigned at compile time (every name the function
-//!   assigns, its parameters, `for` variables, `import`s and nested
-//!   `def`s), but a slot read before any assignment still falls back to a
-//!   global lookup at runtime, exactly like the tree-walker's
-//!   locals-then-globals `lookup`;
+//! * locals are *slots* assigned at compile time (the names the function's
+//!   scope binds, [`ScopeNames`]: its parameters, assigned names, `for`
+//!   variables, `import`s and nested `def`s), but a slot read before any
+//!   assignment still falls back to a global lookup at runtime, exactly
+//!   like the tree-walker's locals-then-globals `lookup`;
 //! * `global` is a *statement* executed dynamically (it may sit inside an
 //!   `if`), so it compiles to [`Instr::Global`] flipping slots to
 //!   global-backed for the remainder of the activation;
@@ -19,10 +19,10 @@
 //!   assigned values before index targets, dict keys type-checked before
 //!   their values evaluate, `and`/`or` yield the deciding operand itself.
 
-use crate::ast::{BinOp, Expr, FuncDef, Program, Stmt, StmtKind, Target};
+use crate::ast::{BinOp, Expr, FuncDef, Program, ScopeNames, Stmt, StmtKind, Target};
 use crate::bytecode::{CompiledFn, CompiledModule, Instr, RaiseKind, NO_SLOT};
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use vine_core::ContentHash;
 
@@ -56,16 +56,14 @@ pub(crate) fn compile_expr(expr: &Expr) -> CompiledFn {
 
 /// Compile one function definition (body in its own slot scope).
 pub fn compile_function(def: &Rc<FuncDef>) -> CompiledFn {
-    // slot layout: one slot per parameter *position* (duplicates get their
-    // own positions; the name maps to the last, matching the tree-walker's
-    // left-to-right binding), then every assigned name in first-assignment
-    // order
-    let mut slot_list: Vec<String> = def.params.clone();
-    let mut seen: BTreeSet<String> = def.params.iter().cloned().collect();
-    collect_assigned(&def.body, &mut slot_list, &mut seen);
+    // slot layout: the scope's bound names in slot order; a repeated
+    // parameter's name maps to its last position, matching the
+    // tree-walker's left-to-right binding
+    let names = ScopeNames::function(def);
+    let slot_list = names.bound();
     let mut slots: BTreeMap<String, u16> = BTreeMap::new();
     for (i, n) in slot_list.iter().enumerate() {
-        slots.insert(n.clone(), i as u16);
+        slots.insert(n.to_string(), i as u16);
     }
 
     let mut c = Compiler::new(Some(slots));
@@ -82,47 +80,13 @@ pub fn compile_function(def: &Rc<FuncDef>) -> CompiledFn {
     } else {
         Rc::from(def.name.as_str())
     };
-    let slot_names = slot_list.iter().map(|s| Rc::from(s.as_str())).collect();
+    let slot_names = slot_list.iter().map(|s| Rc::from(*s)).collect();
     c.finish(
         Some(Rc::clone(def)),
         name,
         def.params.len() as u16,
         slot_names,
     )
-}
-
-/// Names `assign_var` would bind locally: `Target::Var` assignments, `for`
-/// variables, `import`ed names, nested `def` names. Does not descend into
-/// nested function bodies — those are their own scopes.
-fn collect_assigned(stmts: &[Stmt], out: &mut Vec<String>, seen: &mut BTreeSet<String>) {
-    let add = |n: &str, out: &mut Vec<String>, seen: &mut BTreeSet<String>| {
-        if seen.insert(n.to_string()) {
-            out.push(n.to_string());
-        }
-    };
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Import(name) => add(name, out, seen),
-            StmtKind::FuncDef(def) => add(&def.name, out, seen),
-            StmtKind::Assign(Target::Var(name), _) => add(name, out, seen),
-            StmtKind::Assign(Target::Index(..), _) => {}
-            StmtKind::Global(_) => {}
-            StmtKind::If(arms, els) => {
-                for (_, body) in arms {
-                    collect_assigned(body, out, seen);
-                }
-                if let Some(body) = els {
-                    collect_assigned(body, out, seen);
-                }
-            }
-            StmtKind::While(_, body) => collect_assigned(body, out, seen),
-            StmtKind::For(var, _, body) => {
-                add(var, out, seen);
-                collect_assigned(body, out, seen);
-            }
-            StmtKind::Return(_) | StmtKind::Break | StmtKind::Continue | StmtKind::Expr(_) => {}
-        }
-    }
 }
 
 /// Peephole fusion: collapse adjacent instructions into the fused

@@ -3,7 +3,9 @@
 //! * vinepickle round-trips arbitrary values and arbitrary ASTs exactly;
 //! * the pretty-printer's output re-parses to the identical AST;
 //! * corrupt pickle bytes never panic (they error or — if still decodable —
-//!   decode);
+//!   decode), and neither do corrupt VBC2 bytecode images: byte soup,
+//!   compiled images with a byte flipped, truncated images;
+//! * a compiled image disassembles the same after a bytes round trip;
 //! * interpreter arithmetic matches Rust semantics on safe ranges.
 
 use proptest::prelude::*;
@@ -12,9 +14,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use vine_lang::ast::{walk_stmts, BinOp, Expr, FuncDef, Stmt, StmtKind, Target, UnOp};
 use vine_lang::inspect::{format_funcdef, format_program};
-use vine_lang::pickle;
 use vine_lang::value::{Tensor, Value};
 use vine_lang::Interp;
+use vine_lang::{bytecode, pickle};
 
 fn fresh_globals() -> Rc<RefCell<BTreeMap<String, Value>>> {
     Rc::new(RefCell::new(BTreeMap::new()))
@@ -216,6 +218,37 @@ proptest! {
             let _ = pickle::deserialize_value(&blob, &fresh_globals());
             let _ = pickle::deserialize_funcdef(&blob);
         }
+    }
+
+    #[test]
+    fn corrupt_bytecode_never_panics(mut blob in prop::collection::vec(any::<u8>(), 0..256)) {
+        // byte soup: Ok or Err, never a panic
+        let _ = bytecode::from_bytes(&blob);
+        // and behind the image magic
+        if blob.len() >= 4 {
+            blob[..4].copy_from_slice(b"VBC2");
+            let _ = bytecode::from_bytes(&blob);
+        }
+    }
+
+    #[test]
+    fn mutated_bytecode_images_never_panic(
+        def in arb_funcdef(),
+        at in any::<usize>(),
+        mask in 1u8..=255,
+        cut in any::<usize>(),
+    ) {
+        let prog = vec![Stmt::dummy(StmtKind::FuncDef(Rc::new(def)))];
+        let module = vine_lang::compile_module(&prog, "");
+        let image = module.to_bytes();
+        // the unmutated image survives the round trip
+        let back = bytecode::from_bytes(&image).unwrap();
+        prop_assert_eq!(bytecode::disassemble(&back), bytecode::disassemble(&module.top));
+        // decoded, never run: a mutated image may still decode
+        let mut flipped = image.clone();
+        flipped[at % image.len()] ^= mask;
+        let _ = bytecode::from_bytes(&flipped);
+        let _ = bytecode::from_bytes(&image[..cut % image.len()]);
     }
 
     #[test]

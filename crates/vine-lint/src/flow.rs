@@ -20,10 +20,11 @@
 
 use crate::diag::Diagnostic;
 use std::collections::BTreeSet;
-use vine_flow::analyses::{const_transfer_stmt, eval_const, leaf_def, leaf_uses, CVal};
+use vine_flow::analyses::{const_transfer_stmt, eval_const, leaf_uses, CVal};
 use vine_flow::{constprop, liveness, Cfg, EffectEnv, Terminator};
 use vine_lang::ast::{
-    expr_reads, stmt_reads, walk_stmts, Expr, FuncDef, Program, Span, Stmt, StmtKind, Target,
+    binding, expr_reads, stmt_reads, Expr, FuncDef, Program, ScopeNames, Span, Stmt, StmtKind,
+    Target,
 };
 
 /// All flow-layer lints over one parsed program: V017, V018, V019.
@@ -40,7 +41,7 @@ pub fn lint_flow(prog: &Program) -> Vec<Diagnostic> {
     for f in top_functions(prog) {
         let cfg = Cfg::lower(&f.body);
         unreachable_code(&cfg, &format!("function `{}`", f.name), &mut diags);
-        let locals = function_locals(f);
+        let locals = ScopeNames::function(f).locals().map(String::from).collect();
         constant_conditions(&cfg, &effects, &f.params, &locals, &mut diags);
         dead_stores(&cfg, f, &locals, &mut diags);
     }
@@ -52,28 +53,6 @@ fn top_functions(prog: &Program) -> impl Iterator<Item = &FuncDef> {
         StmtKind::FuncDef(f) => Some(&**f),
         _ => None,
     })
-}
-
-/// Frame-resolved names of a function: parameters plus every assigned name
-/// not declared `global` (the interpreter's binding rule).
-fn function_locals(f: &FuncDef) -> BTreeSet<String> {
-    let mut declared_global = BTreeSet::new();
-    walk_stmts(&f.body, &mut |s| {
-        if let StmtKind::Global(names) = &s.kind {
-            declared_global.extend(names.iter().cloned());
-        }
-    });
-    let mut locals: BTreeSet<String> = f.params.iter().cloned().collect();
-    walk_stmts(&f.body, &mut |s| match &s.kind {
-        StmtKind::Assign(Target::Var(n), _) if !declared_global.contains(n) => {
-            locals.insert(n.clone());
-        }
-        StmtKind::For(v, _, _) => {
-            locals.insert(v.clone());
-        }
-        _ => {}
-    });
-    locals
 }
 
 // --- V018: unreachable-code ---
@@ -151,10 +130,10 @@ fn constant_conditions(
 
 // --- V017: dead-store ---
 
-/// Names this statement or its nested blocks read, *excluding* nested
-/// function bodies — a lambda or inner `def` resolves free names against
-/// the globals at call time, never against these locals, so a read there
-/// does not keep a local alive.
+/// Names the body's statements read ([`stmt_reads`]): through nested
+/// blocks and nested `def` bodies, but not lambda bodies. A read in an
+/// inner `def` resolves against the globals at call time, never against
+/// these locals, so counting it only makes V017 quieter.
 fn frame_reads(body: &[Stmt]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for s in body {
@@ -189,7 +168,7 @@ fn dead_stores(cfg: &Cfg, f: &FuncDef, locals: &BTreeSet<String>, diags: &mut Ve
                     dead.push((s.span, n.clone()));
                 }
             }
-            if let Some(d) = leaf_def(s) {
+            if let Some(d) = binding(s) {
                 live.remove(d);
             }
             live.extend(leaf_uses(s));

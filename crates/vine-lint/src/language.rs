@@ -14,19 +14,24 @@
 //! module-level binding, or — crucially for the paper's Fig 4 pattern — a
 //! name *published* by any function through a `global` declaration
 //! (`context_setup` publishing `model` is how LNNI's `infer` finds it).
+//! Which statements form a scope and which names it binds or declares
+//! `global` is the engines' rule, read from `vine_lang::ast`
+//! ([`walk_scope`], [`ScopeNames`]).
 
 use crate::diag::Diagnostic;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use vine_lang::ast::{
-    walk_exprs_in, walk_stmts, Expr, FuncDef, Program, Span, Stmt, StmtKind, Target,
+    binding, expr_reads, stmt_exprs, walk_exprs_in, walk_scope, walk_scope_exprs, walk_stmts, Expr,
+    FuncDef, Program, ScopeNames, Span, Stmt, StmtKind, Target,
 };
 use vine_lang::builtins::is_builtin;
 
 /// What the module-level pass learned about a program; shared by several
 /// lints and by the environment layer.
 pub(crate) struct ModuleModel {
-    /// Names bound at module level (defs, imports, plain assignments).
+    /// Names the top-level statements bind ([`binding`]), each with its
+    /// first binding's span.
     pub module_defs: BTreeMap<String, Span>,
     /// Names any function declares `global` — published into the namespace
     /// for later invocations (or read from it).
@@ -43,34 +48,20 @@ pub(crate) fn build_model(prog: &Program) -> ModuleModel {
     let mut published = BTreeSet::new();
     let mut functions = Vec::new();
     for s in prog {
-        match &s.kind {
-            StmtKind::Import(n) => {
-                module_defs.entry(n.clone()).or_insert(s.span);
-            }
+        let span = match &s.kind {
             StmtKind::FuncDef(f) => {
-                module_defs.entry(f.name.clone()).or_insert(f.span);
                 functions.push(Rc::clone(f));
+                f.span
             }
-            StmtKind::Assign(Target::Var(n), _) => {
-                module_defs.entry(n.clone()).or_insert(s.span);
-            }
-            StmtKind::For(v, _, _) => {
-                module_defs.entry(v.clone()).or_insert(s.span);
-            }
-            _ => {}
+            _ => s.span,
+        };
+        if let Some(n) = binding(s) {
+            module_defs.entry(n.to_string()).or_insert(span);
         }
     }
     let mut uses_dynamic = false;
     walk_stmts(prog, &mut |s| {
-        each_own_expr(s, &mut |e| {
-            walk_exprs_in(e, &mut |x| {
-                if let Expr::Call(f, _) = x {
-                    if matches!(&**f, Expr::Var(n) if n == "eval" || n == "exec") {
-                        uses_dynamic = true;
-                    }
-                }
-            });
-        });
+        stmt_exprs(s, &mut |e| uses_dynamic |= calls_dynamic(e));
         if let StmtKind::Global(names) = &s.kind {
             published.extend(names.iter().cloned());
         }
@@ -83,167 +74,50 @@ pub(crate) fn build_model(prog: &Program) -> ModuleModel {
     }
 }
 
-/// Visit the expressions that belong to this statement itself (conditions,
-/// right-hand sides, index targets) — not those of nested statements.
-fn each_own_expr<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Expr)) {
-    match &s.kind {
-        StmtKind::Assign(t, e) => {
-            if let Target::Index(obj, idx) = t {
-                f(obj);
-                f(idx);
-            }
-            f(e);
+/// Does `e` call `eval` or `exec` (outside lambda bodies)?
+fn calls_dynamic(e: &Expr) -> bool {
+    let mut hit = false;
+    walk_exprs_in(e, &mut |x| {
+        if let Expr::Call(f, _) = x {
+            hit |= matches!(&**f, Expr::Var(n) if n == "eval" || n == "exec");
         }
-        StmtKind::If(arms, _) => {
-            for (c, _) in arms {
-                f(c);
-            }
-        }
-        StmtKind::While(c, _) => f(c),
-        StmtKind::For(_, iter, _) => f(iter),
-        StmtKind::Return(Some(e)) | StmtKind::Expr(e) => f(e),
-        _ => {}
-    }
-}
-
-/// Names this statement binds in its enclosing scope (descending nested
-/// blocks, not nested function bodies).
-fn stmt_scope_binds(s: &Stmt, out: &mut BTreeSet<String>) {
-    match &s.kind {
-        StmtKind::Assign(Target::Var(n), _) => {
-            out.insert(n.clone());
-        }
-        StmtKind::Global(names) => out.extend(names.iter().cloned()),
-        StmtKind::Import(n) => {
-            out.insert(n.clone());
-        }
-        StmtKind::FuncDef(f) if !f.is_lambda() => {
-            out.insert(f.name.clone());
-        }
-        StmtKind::For(v, _, body) => {
-            out.insert(v.clone());
-            for s in body {
-                stmt_scope_binds(s, out);
-            }
-        }
-        StmtKind::If(arms, els) => {
-            for (_, body) in arms {
-                for s in body {
-                    stmt_scope_binds(s, out);
-                }
-            }
-            if let Some(body) = els {
-                for s in body {
-                    stmt_scope_binds(s, out);
-                }
-            }
-        }
-        StmtKind::While(_, body) => {
-            for s in body {
-                stmt_scope_binds(s, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Report every variable read in this statement and its nested blocks (not
-/// nested function bodies), attributed to the innermost statement's span.
-fn stmt_reads_spanned(s: &Stmt, f: &mut dyn FnMut(&str, Span)) {
-    let span = s.span;
-    each_own_expr(s, &mut |e| {
-        walk_exprs_in(e, &mut |x| {
-            if let Expr::Var(n) = x {
-                f(n, span);
-            }
-        });
     });
-    match &s.kind {
-        StmtKind::If(arms, els) => {
-            for (_, body) in arms {
-                for s in body {
-                    stmt_reads_spanned(s, f);
-                }
-            }
-            if let Some(body) = els {
-                for s in body {
-                    stmt_reads_spanned(s, f);
-                }
-            }
-        }
-        StmtKind::While(_, body) | StmtKind::For(_, _, body) => {
-            for s in body {
-                stmt_reads_spanned(s, f);
-            }
-        }
-        _ => {}
-    }
+    hit
 }
 
-/// Functions defined directly within this body: nested `def` statements and
-/// lambdas in expression position (each is its own scope to check).
-fn directly_nested_functions(body: &[Stmt], out: &mut Vec<Rc<FuncDef>>) {
-    for s in body {
-        match &s.kind {
-            StmtKind::FuncDef(fd) => out.push(Rc::clone(fd)),
-            StmtKind::If(arms, els) => {
-                for (_, b) in arms {
-                    directly_nested_functions(b, out);
-                }
-                if let Some(b) = els {
-                    directly_nested_functions(b, out);
-                }
-            }
-            StmtKind::While(_, b) | StmtKind::For(_, _, b) => directly_nested_functions(b, out),
-            _ => {}
+/// First assignment span per plain-variable target among `def`'s own
+/// statements: the bindings V011 and V012 consider.
+fn first_assigns(def: &FuncDef) -> BTreeMap<&str, Span> {
+    let mut out = BTreeMap::new();
+    walk_scope(&def.body, &mut |s| {
+        if let StmtKind::Assign(Target::Var(n), _) = &s.kind {
+            out.entry(n.as_str()).or_insert(s.span);
         }
-        each_own_expr(s, &mut |e| {
-            walk_exprs_in(e, &mut |x| {
-                if let Expr::Lambda(fd) = x {
-                    out.push(Rc::clone(fd));
-                }
-            });
-        });
-    }
-}
-
-/// Every name read anywhere under `body`, including nested function and
-/// lambda bodies (used for the unused-binding lint: a nested function may
-/// observe an outer binding through the global namespace at run time).
-fn deep_reads(body: &[Stmt]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    walk_stmts(body, &mut |s| {
-        each_own_expr(s, &mut |e| {
-            walk_exprs_in(e, &mut |x| {
-                if let Expr::Var(n) = x {
-                    out.insert(n.clone());
-                }
-            });
-        });
     });
     out
 }
 
-/// `global`-declared names that `def` actually writes (by assignment or by
-/// index-assignment into the named container).
-fn global_writes(def: &FuncDef) -> BTreeSet<String> {
-    let mut declared = BTreeSet::new();
-    walk_stmts(&def.body, &mut |s| {
-        if let StmtKind::Global(names) = &s.kind {
-            declared.extend(names.iter().cloned());
+/// Names `def` writes into the module namespace through `global` — by
+/// assignment, or by index-assignment into the named container — counting
+/// every function nested in it as `def`'s own, as vine-flow's summaries
+/// do. Each body is judged by its own scope's declarations.
+fn writes_via_global(def: &FuncDef, out: &mut BTreeSet<String>) {
+    let names = ScopeNames::function(def);
+    walk_scope(&def.body, &mut |s| match &s.kind {
+        StmtKind::Assign(Target::Var(n), _)
+        | StmtKind::Assign(Target::Index(Expr::Var(n), _), _)
+            if names.declared_global().contains(n.as_str()) =>
+        {
+            out.insert(n.clone());
         }
-    });
-    let mut written = BTreeSet::new();
-    walk_stmts(&def.body, &mut |s| match &s.kind {
-        StmtKind::Assign(Target::Var(n), _) if declared.contains(n) => {
-            written.insert(n.clone());
-        }
-        StmtKind::Assign(Target::Index(Expr::Var(n), _), _) if declared.contains(n) => {
-            written.insert(n.clone());
-        }
+        StmtKind::FuncDef(f) => writes_via_global(f, out),
         _ => {}
     });
-    written
+    walk_scope_exprs(&def.body, &mut |e| {
+        if let Expr::Lambda(f) = e {
+            writes_via_global(f, out);
+        }
+    });
 }
 
 /// All language-layer lints for one parsed program.
@@ -264,61 +138,75 @@ pub fn lint_language(prog: &Program) -> Vec<Diagnostic> {
 fn undefined_names(prog: &Program, model: &ModuleModel, diags: &mut Vec<Diagnostic>) {
     // module scope first: every top-level binding is visible regardless of
     // order (functions run after the whole module loads)
-    let empty = BTreeSet::new();
-    check_scope(prog, &[], &empty, model, diags);
+    check_scope(
+        prog,
+        ScopeNames::module(prog),
+        &BTreeSet::new(),
+        model,
+        diags,
+    );
 }
 
-fn check_scope(
-    body: &[Stmt],
-    params: &[String],
-    enclosing: &BTreeSet<String>,
+/// Check the reads of one scope's own statements, each attributed to the
+/// innermost statement's span, then every function defined directly in
+/// the scope (nested `def`s and lambdas), which also sees its names.
+fn check_scope<'a>(
+    body: &'a [Stmt],
+    names: ScopeNames<'a>,
+    enclosing: &BTreeSet<&'a str>,
     model: &ModuleModel,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let mut bound: BTreeSet<String> = enclosing.clone();
-    bound.extend(params.iter().cloned());
-    for s in body {
-        stmt_scope_binds(s, &mut bound);
-    }
-    let mut reported: BTreeSet<String> = BTreeSet::new();
-    for s in body {
-        stmt_reads_spanned(s, &mut |n, span| {
-            if bound.contains(n)
-                || is_builtin(n)
-                || model.module_defs.contains_key(n)
-                || model.published.contains(n)
-                || !reported.insert(n.to_string())
-            {
-                return;
-            }
-            let d = if model.uses_dynamic {
-                Diagnostic::warning(
-                    "V010",
-                    "undefined-name",
-                    format!("name `{n}` is not defined"),
-                )
-                .with_help(
-                    "this program uses eval/exec, which may define names dynamically; \
-                     downgraded from an error",
-                )
-            } else {
-                Diagnostic::error(
-                    "V010",
-                    "undefined-name",
-                    format!("name `{n}` is not defined"),
-                )
-                .with_help(
-                    "define it, pass it as a parameter, or publish it from a \
-                     context setup function via `global`",
-                )
-            };
-            diags.push(d.with_span(span));
+    let mut bound = enclosing.clone();
+    bound.extend(names.bound());
+    bound.extend(names.declared_global());
+    let mut reported: BTreeSet<&str> = BTreeSet::new();
+    let mut nested: Vec<&Rc<FuncDef>> = Vec::new();
+    walk_scope(body, &mut |s| {
+        if let StmtKind::FuncDef(f) = &s.kind {
+            nested.push(f);
+        }
+        stmt_exprs(s, &mut |e| {
+            walk_exprs_in(e, &mut |x| match x {
+                Expr::Var(n) => {
+                    if bound.contains(n.as_str())
+                        || is_builtin(n)
+                        || model.module_defs.contains_key(n)
+                        || model.published.contains(n)
+                        || !reported.insert(n)
+                    {
+                        return;
+                    }
+                    let d = if model.uses_dynamic {
+                        Diagnostic::warning(
+                            "V010",
+                            "undefined-name",
+                            format!("name `{n}` is not defined"),
+                        )
+                        .with_help(
+                            "this program uses eval/exec, which may define names dynamically; \
+                             downgraded from an error",
+                        )
+                    } else {
+                        Diagnostic::error(
+                            "V010",
+                            "undefined-name",
+                            format!("name `{n}` is not defined"),
+                        )
+                        .with_help(
+                            "define it, pass it as a parameter, or publish it from a \
+                             context setup function via `global`",
+                        )
+                    };
+                    diags.push(d.with_span(s.span));
+                }
+                Expr::Lambda(f) => nested.push(f),
+                _ => {}
+            })
         });
-    }
-    let mut nested = Vec::new();
-    directly_nested_functions(body, &mut nested);
+    });
     for fd in nested {
-        check_scope(&fd.body, &fd.params, &bound, model, diags);
+        check_scope(&fd.body, ScopeNames::function(fd), &bound, model, diags);
     }
 }
 
@@ -326,17 +214,15 @@ fn check_scope(
 
 fn unused_bindings(model: &ModuleModel, diags: &mut Vec<Diagnostic>) {
     for f in &model.functions {
-        let mut declared_global = BTreeSet::new();
+        let names = ScopeNames::function(f);
+        // a nested function may observe an outer binding through the
+        // global namespace at run time: reads anywhere under `f` count
+        let mut read = BTreeSet::new();
         walk_stmts(&f.body, &mut |s| {
-            if let StmtKind::Global(names) = &s.kind {
-                declared_global.extend(names.iter().cloned());
-            }
+            stmt_exprs(s, &mut |e| expr_reads(e, &mut read));
         });
-        let mut first_assign: BTreeMap<String, Span> = BTreeMap::new();
-        collect_assigns(&f.body, &mut first_assign);
-        let read = deep_reads(&f.body);
-        for (n, span) in &first_assign {
-            if read.contains(n) || declared_global.contains(n) || n.starts_with('_') {
+        for (n, span) in first_assigns(f) {
+            if read.contains(n) || names.declared_global().contains(n) || n.starts_with('_') {
                 continue;
             }
             diags.push(
@@ -348,31 +234,9 @@ fn unused_bindings(model: &ModuleModel, diags: &mut Vec<Diagnostic>) {
                         f.name
                     ),
                 )
-                .with_span(*span)
+                .with_span(span)
                 .with_help("remove the assignment, or prefix the name with `_` if intentional"),
             );
-        }
-    }
-}
-
-/// First assignment span per plain variable target, nested blocks included,
-/// nested function bodies excluded (they are their own scopes).
-fn collect_assigns(body: &[Stmt], out: &mut BTreeMap<String, Span>) {
-    for s in body {
-        match &s.kind {
-            StmtKind::Assign(Target::Var(n), _) => {
-                out.entry(n.clone()).or_insert(s.span);
-            }
-            StmtKind::If(arms, els) => {
-                for (_, b) in arms {
-                    collect_assigns(b, out);
-                }
-                if let Some(b) = els {
-                    collect_assigns(b, out);
-                }
-            }
-            StmtKind::While(_, b) | StmtKind::For(_, _, b) => collect_assigns(b, out),
-            _ => {}
         }
     }
 }
@@ -381,8 +245,8 @@ fn collect_assigns(body: &[Stmt], out: &mut BTreeMap<String, Span>) {
 
 fn shadowed_globals(model: &ModuleModel, diags: &mut Vec<Diagnostic>) {
     for f in &model.functions {
-        let globally_visible = |n: &String| {
-            (model.module_defs.contains_key(n) && *n != f.name) || model.published.contains(n)
+        let globally_visible = |n: &str| {
+            (model.module_defs.contains_key(n) && n != f.name) || model.published.contains(n)
         };
         for p in f.params.iter().filter(|p| globally_visible(p)) {
             diags.push(
@@ -398,16 +262,12 @@ fn shadowed_globals(model: &ModuleModel, diags: &mut Vec<Diagnostic>) {
                 .with_help("rename the parameter; inside this function the global is unreachable"),
             );
         }
-        let mut declared_global = BTreeSet::new();
-        walk_stmts(&f.body, &mut |s| {
-            if let StmtKind::Global(names) = &s.kind {
-                declared_global.extend(names.iter().cloned());
-            }
-        });
-        let mut assigns = BTreeMap::new();
-        collect_assigns(&f.body, &mut assigns);
-        for (n, span) in &assigns {
-            if globally_visible(n) && !declared_global.contains(n) && !f.params.contains(n) {
+        let names = ScopeNames::function(f);
+        for (n, span) in first_assigns(f) {
+            if globally_visible(n)
+                && !names.declared_global().contains(n)
+                && !f.params.iter().any(|p| p == n)
+            {
                 diags.push(
                     Diagnostic::warning(
                         "V012",
@@ -418,7 +278,7 @@ fn shadowed_globals(model: &ModuleModel, diags: &mut Vec<Diagnostic>) {
                             f.name
                         ),
                     )
-                    .with_span(*span)
+                    .with_span(span)
                     .with_help("declare `global` first if you meant to write the module binding"),
                 );
             }
@@ -430,19 +290,8 @@ fn shadowed_globals(model: &ModuleModel, diags: &mut Vec<Diagnostic>) {
 
 fn dynamic_module_scope(prog: &Program, diags: &mut Vec<Diagnostic>) {
     for s in prog {
-        if matches!(&s.kind, StmtKind::FuncDef(_)) {
-            continue;
-        }
         let mut hit = false;
-        each_own_expr(s, &mut |e| {
-            walk_exprs_in(e, &mut |x| {
-                if let Expr::Call(f, _) = x {
-                    if matches!(&**f, Expr::Var(n) if n == "eval" || n == "exec") {
-                        hit = true;
-                    }
-                }
-            });
-        });
+        stmt_exprs(s, &mut |e| hit |= calls_dynamic(e));
         if hit {
             diags.push(
                 Diagnostic::warning(
@@ -465,7 +314,9 @@ fn dynamic_module_scope(prog: &Program, diags: &mut Vec<Diagnostic>) {
 fn hoist_defeated(prog: &Program, model: &ModuleModel, diags: &mut Vec<Diagnostic>) {
     let mut writers: BTreeMap<String, String> = BTreeMap::new();
     for f in &model.functions {
-        for n in global_writes(f) {
+        let mut written = BTreeSet::new();
+        writes_via_global(f, &mut written);
+        for n in written {
             writers.entry(n).or_insert_with(|| f.name.clone());
         }
     }

@@ -42,7 +42,7 @@ pub use flow::{lint_flow, lint_fork_setup};
 pub use language::lint_language;
 pub use placement::lint_placement;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use vine_core::{ExecMode, LibrarySpec, Resources};
 use vine_lang::ast::{Program, Span, StmtKind};
 
@@ -67,14 +67,11 @@ fn span_from_error(msg: &str, src: &str) -> Option<Span> {
     None
 }
 
-/// Parse and run every language-layer lint over one source file.
-pub fn lint_source(origin: &str, src: &str) -> Report {
-    let mut report = Report::with_source(origin, src);
+/// Parse `src`, or report why not as V001 with the span rebuilt from the
+/// error's position.
+fn parse_or_report(src: &str, report: &mut Report) -> Option<Program> {
     match vine_lang::parse(src) {
-        Ok(prog) => {
-            report.extend(lint_language(&prog));
-            report.extend(lint_flow(&prog));
-        }
+        Ok(prog) => Some(prog),
         Err(e) => {
             let msg = e.to_string();
             let mut d = Diagnostic::error("V001", "syntax-error", &msg);
@@ -82,7 +79,17 @@ pub fn lint_source(origin: &str, src: &str) -> Report {
                 d = d.with_span(span);
             }
             report.push(d);
+            None
         }
+    }
+}
+
+/// Parse and run every language-layer lint over one source file.
+pub fn lint_source(origin: &str, src: &str) -> Report {
+    let mut report = Report::with_source(origin, src);
+    if let Some(prog) = parse_or_report(src, &mut report) {
+        report.extend(lint_language(&prog));
+        report.extend(lint_flow(&prog));
     }
     report.sort();
     report
@@ -98,20 +105,10 @@ pub fn lint_source_with_env(
     declared: Option<&BTreeSet<String>>,
 ) -> Report {
     let mut report = Report::with_source(origin, src);
-    match vine_lang::parse(src) {
-        Ok(prog) => {
-            report.extend(lint_language(&prog));
-            report.extend(lint_flow(&prog));
-            report.extend(lint_environment(&prog, available, declared));
-        }
-        Err(e) => {
-            let msg = e.to_string();
-            let mut d = Diagnostic::error("V001", "syntax-error", &msg);
-            if let Some(span) = span_from_error(&msg, src) {
-                d = d.with_span(span);
-            }
-            report.push(d);
-        }
+    if let Some(prog) = parse_or_report(src, &mut report) {
+        report.extend(lint_language(&prog));
+        report.extend(lint_flow(&prog));
+        report.extend(lint_environment(&prog, available, declared));
     }
     report.sort();
     report
@@ -155,30 +152,19 @@ pub fn lint_library(spec: &LibrarySpec, source: &str, pre: &LibraryPreflight) ->
         facts.defined_functions.insert(code.name().to_string());
     }
 
-    let mut parsed: Option<Program> = None;
-    if !source.is_empty() {
-        match vine_lang::parse(source) {
-            Ok(prog) => {
-                for s in &prog {
-                    if let StmtKind::FuncDef(f) = &s.kind {
-                        facts.defined_functions.insert(f.name.clone());
-                        facts.arities.insert(f.name.clone(), f.params.len());
-                    }
-                }
-                parsed = Some(prog);
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                let mut d = Diagnostic::error("V001", "syntax-error", &msg);
-                if let Some(span) = span_from_error(&msg, source) {
-                    d = d.with_span(span);
-                }
-                report.push(d);
+    let parsed = if source.is_empty() {
+        None
+    } else {
+        parse_or_report(source, &mut report)
+    };
+    if let Some(prog) = &parsed {
+        for s in prog {
+            if let StmtKind::FuncDef(f) = &s.kind {
+                facts.defined_functions.insert(f.name.clone());
+                facts.arities.insert(f.name.clone(), f.params.len());
             }
         }
-    }
 
-    if let Some(prog) = &parsed {
         report.extend(lint_language(prog));
         report.extend(lint_flow(prog));
         if spec.exec_mode == ExecMode::Fork {
@@ -196,11 +182,4 @@ pub fn lint_library(spec: &LibrarySpec, source: &str, pre: &LibraryPreflight) ->
     report.extend(lint_placement(spec, &pre.workers));
     report.sort();
     report
-}
-
-/// Arity map for [`lint_dag`] from per-library function arities.
-pub fn arity_map(
-    libraries: impl IntoIterator<Item = (String, BTreeMap<String, usize>)>,
-) -> BTreeMap<String, BTreeMap<String, usize>> {
-    libraries.into_iter().collect()
 }
