@@ -297,12 +297,14 @@ fn run_lint(paths: &[String]) -> ! {
 
 /// `repro analyze [paths...] [--check]` — run context discovery
 /// (`vine_flow::discover`) over vinescript modules and report, per
-/// target, what it hoists into `context_setup`, which statements stay
-/// per-invocation residue, and the effect summaries driving the
-/// decisions. With no paths, analyzes the embedded naive LNNI user
-/// module, ExaMol, and every `examples/vinescript/*.vine` file. For
-/// files, every top-level `def` is treated as a work function. `--check`
-/// exits 1 on analysis errors.
+/// target, what it hoists into the synthesized setup, which statements
+/// stay per-invocation residue, and the effect summaries driving the
+/// decisions; then boot the assembled library as a daemon does (run the
+/// program, call its setup) under the full module registry. With no
+/// paths, analyzes the embedded naive LNNI user module, ExaMol, and every
+/// `examples/vinescript/*.vine` file. For files, every top-level `def` is
+/// treated as a work function. `--check` exits 1 on analysis or boot
+/// errors.
 fn run_analyze(args: &[String]) -> ! {
     use vine_lang::ast::StmtKind;
 
@@ -361,6 +363,13 @@ fn run_analyze(args: &[String]) -> ! {
         }
     }
 
+    let registry = vine_apps::modules::full_registry();
+    let boot = |ctx: &vine_flow::DiscoveredContext| -> vine_core::Result<()> {
+        let mut interp = vine_lang::Interp::with_registry(registry.clone());
+        interp.exec_source(&ctx.source)?;
+        interp.call_global(&ctx.setup, &[])?;
+        Ok(())
+    };
     let mut failures = 0usize;
     for (origin, src, explicit_work) in &targets {
         println!("== {origin} ==");
@@ -428,6 +437,13 @@ fn run_analyze(args: &[String]) -> ! {
                 }
                 for (name, eff) in &f.effects {
                     println!("  effect {name}: {}", eff.describe());
+                }
+                match boot(&f.context) {
+                    Ok(()) => println!("  boot:      {}() ok", f.context.setup),
+                    Err(e) => {
+                        println!("  boot:      {}() error: {e}", f.context.setup);
+                        failures += 1;
+                    }
                 }
             }
             Err(e) => {

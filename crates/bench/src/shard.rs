@@ -117,7 +117,7 @@ pub fn shard_sweep(scale: f64) -> Table {
     let mut base_tput = 0.0f64;
     for (i, &shards) in SHARD_COUNTS.iter().enumerate() {
         let mut w = RouteStorm { libs, n };
-        let fed = simulate_sharded(&cfg, shards, &mut w);
+        let fed = simulate_sharded(&cfg, shards, &mut w).expect("the storm is static");
         assert_eq!(fed.completed, n, "every routed submission must complete");
         assert_eq!(fed.failed, 0);
         if shards == 1 {

@@ -2,8 +2,9 @@
 //! automatic context detection.
 //!
 //! Given the work functions a user wants to invoke remotely, classify each
-//! module-level statement as hoistable context or per-invocation residue
-//! and synthesize `context_setup`. The classification is driven by
+//! module-level statement as hoistable context or per-invocation residue,
+//! and assemble the library program that ships: a synthesized setup, the
+//! module's functions, and a boot wrapper that replays the residue. The classification is driven by
 //! interprocedural [`EffectSummary`]s rather than surface reads, which
 //! makes it *sound* (a statement calling a helper that writes invocation
 //! state does not hoist even though the mutated name is not lexically
@@ -32,17 +33,23 @@ use crate::analyses::{const_transfer_stmt, eval_const, scalar, CVal, ConstEnv};
 use crate::effects::{EffectEnv, EffectSummary};
 use std::collections::{BTreeMap, BTreeSet};
 use vine_core::{Result, VineError};
-use vine_lang::ast::{Expr, FuncDef, Program, Stmt, StmtKind, Target};
+use vine_lang::ast::{walk_stmts, Expr, FuncDef, Program, Stmt, StmtKind, Target};
 use vine_lang::inspect::{format_funcdef, format_program};
 use vine_lang::Value;
 
 /// A discovered context, in the shape a `LibrarySpec` consumes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiscoveredContext {
-    /// Synthesized `context_setup` source: the hoistable module-level
-    /// statements wrapped in a function that publishes their bindings via
-    /// `global`.
-    pub setup_source: String,
+    /// The library program a discovery ships: the synthesized setup (the
+    /// hoistable module-level statements in a function that publishes
+    /// their bindings via `global`), every module function, and, when
+    /// residue remains, a boot wrapper that calls the setup and then
+    /// replays the residue in module order.
+    pub source: String,
+    /// The function a daemon calls once after running `source`: the boot
+    /// wrapper when there is residue, the setup otherwise. The setup and
+    /// the wrapper get names the module does not bind.
+    pub setup: String,
     /// Names the setup publishes into the namespace.
     pub provides: Vec<String>,
     /// Module-level statements that could NOT be hoisted (they write
@@ -51,9 +58,6 @@ pub struct DiscoveredContext {
     /// Modules the context needs installed (import scan over the hoisted
     /// statements and the work functions).
     pub imports: Vec<String>,
-    /// Source of the work functions themselves plus every helper function
-    /// they transitively call.
-    pub code_source: String,
 }
 
 /// One hoisted statement, with provenance when it was rewritten.
@@ -73,9 +77,6 @@ pub struct FlowDiscovery {
     pub context: DiscoveredContext,
     /// Hoisted statements in module order, with fold provenance.
     pub hoisted: Vec<HoistedStmt>,
-    /// Global names the residue writes (the `global` declaration a boot
-    /// wrapper needs to replay the residue inside a function).
-    pub residue_publishes: Vec<String>,
     /// Effect summaries of the work functions and their transitive
     /// helpers.
     pub effects: BTreeMap<String, EffectSummary>,
@@ -160,10 +161,9 @@ pub fn discover(module_src: &str, work_functions: &[&str]) -> Result<FlowDiscove
     let mut hoistable_names: BTreeSet<String> = BTreeSet::new();
     let mut hoisted_stmts: Vec<Stmt> = Vec::new();
     let mut hoisted: Vec<HoistedStmt> = Vec::new();
-    let mut residue: Vec<String> = Vec::new();
+    let mut residue: Vec<Stmt> = Vec::new();
     let mut residue_touched: BTreeSet<String> = BTreeSet::new();
     let mut residue_written: BTreeSet<String> = BTreeSet::new();
-    let mut residue_publishes: BTreeSet<String> = BTreeSet::new();
     let mut imports: BTreeSet<String> = BTreeSet::new();
     let mut folded = 0usize;
     // constant environment tracking *original* module execution order
@@ -245,11 +245,10 @@ pub fn discover(module_src: &str, work_functions: &[&str]) -> Result<FlowDiscove
             }
         }
 
-        residue.push(fmt_stmt(stmt));
+        residue.push(stmt.clone());
         residue_touched.extend(eff.reads.iter().cloned());
         residue_touched.extend(eff.writes.iter().cloned());
         residue_written.extend(eff.writes.iter().cloned());
-        residue_publishes.extend(eff.writes.iter().cloned());
         const_transfer_stmt(stmt, &mut cenv, &effects, &no_locals);
     }
 
@@ -260,7 +259,7 @@ pub fn discover(module_src: &str, work_functions: &[&str]) -> Result<FlowDiscove
         }
     }
 
-    // synthesize context_setup: a `global` declaration of everything the
+    // synthesize the setup: a `global` declaration of everything the
     // hoisted statements bind (imported modules included, which the work
     // functions must see in the global namespace), then the statements
     let mut published: Vec<String> = hoisted_stmts
@@ -274,29 +273,35 @@ pub fn discover(module_src: &str, work_functions: &[&str]) -> Result<FlowDiscove
         .filter(|n| !imports.contains(*n))
         .cloned()
         .collect();
-    let setup = FuncDef::new("context_setup", vec![], {
-        let mut body = Vec::new();
-        if !published.is_empty() {
-            body.push(Stmt::dummy(StmtKind::Global(published)));
-        }
-        body.extend(hoisted_stmts.iter().cloned());
-        body
-    });
 
-    let mut code_source = String::new();
+    // the shipped program: setup, every module function (residue may call
+    // helpers the work functions never touch), then the boot wrapper
+    let taken = bound_names(&prog, &effects);
+    let setup_name = fresh_name("context_setup", &taken);
+    let mut source = format_funcdef(&publishing_fn(&setup_name, published, hoisted_stmts));
     for f in &top_defs {
-        if needed.contains(&f.name) {
-            code_source.push_str(&format_funcdef(f));
-            code_source.push('\n');
-        }
+        source.push_str(&format_funcdef(f));
     }
+    let setup = if residue.is_empty() {
+        setup_name
+    } else {
+        // the residue re-runs per library instance, after the setup, inside
+        // a wrapper that publishes whatever the residue writes
+        let boot_name = fresh_name("__auto_boot", &taken);
+        let call = Expr::Call(Box::new(Expr::Var(setup_name)), vec![]);
+        let mut body = vec![Stmt::dummy(StmtKind::Expr(call))];
+        body.extend(residue.iter().cloned());
+        let boot = publishing_fn(&boot_name, residue_written.into_iter().collect(), body);
+        source.push_str(&format_funcdef(&boot));
+        boot_name
+    };
 
     let context = DiscoveredContext {
-        setup_source: format_funcdef(&setup),
+        source,
+        setup,
         provides,
-        residue: residue.clone(),
+        residue: residue.iter().map(fmt_stmt).collect(),
         imports: imports.into_iter().collect(),
-        code_source,
     };
     let summaries = needed
         .iter()
@@ -306,8 +311,41 @@ pub fn discover(module_src: &str, work_functions: &[&str]) -> Result<FlowDiscove
     Ok(FlowDiscovery {
         context,
         hoisted,
-        residue_publishes: residue_publishes.into_iter().collect(),
         effects: summaries,
         folded,
     })
+}
+
+/// A function `name()` that declares `globals` (when there are any) and
+/// then runs `body`.
+fn publishing_fn(name: &str, globals: Vec<String>, body: Vec<Stmt>) -> FuncDef {
+    let mut stmts = Vec::with_capacity(body.len() + 1);
+    if !globals.is_empty() {
+        stmts.push(Stmt::dummy(StmtKind::Global(globals)));
+    }
+    stmts.extend(body);
+    FuncDef::new(name, vec![], stmts)
+}
+
+/// Every global name `prog` can bind: module-level bindings, and names a
+/// function declares `global`.
+fn bound_names(prog: &Program, effects: &EffectEnv) -> BTreeSet<String> {
+    let mut taken = effects.module_defs.clone();
+    walk_stmts(prog, &mut |s| {
+        if let StmtKind::Global(names) = &s.kind {
+            taken.extend(names.iter().cloned());
+        }
+    });
+    taken
+}
+
+/// `base`, or else the first of `base_2`, `base_3`, … not in `taken`.
+fn fresh_name(base: &str, taken: &BTreeSet<String>) -> String {
+    (1..)
+        .map(|i| match i {
+            1 => base.to_string(),
+            i => format!("{base}_{i}"),
+        })
+        .find(|n| !taken.contains(n))
+        .expect("a free name")
 }

@@ -20,11 +20,12 @@
 //! On top sits [`hoist::discover`], the system's one context-discovery
 //! pass: the paper's §6 "seamless discovery of high-level contexts". It
 //! hoists module statements whose values are provably
-//! invocation-invariant *even through calls*, and constant-folds
-//! statements that read invocation state into hoistable constants.
-//! `vine-lint` builds its flow lints (dead store, unreachable code,
-//! constant condition, effectful setup in fork mode) on the same layers,
-//! and `vine-runtime` turns discoveries into installable `LibrarySpec`s.
+//! invocation-invariant *even through calls*, constant-folds statements
+//! that read invocation state into hoistable constants, and assembles
+//! the library program that ships, which `vine-runtime` installs
+//! unchanged. `vine-lint` builds its flow lints (dead store, unreachable
+//! code, constant condition, effectful setup in fork mode) on the same
+//! layers.
 
 pub mod analyses;
 pub mod cfg;
@@ -86,8 +87,8 @@ mod tests {
         // mathx is unused by `infer`, but module-level imports hoist
         assert_eq!(flow.context.imports, vec!["mathx", "nn"]);
         // the transitive helper travels with the work function
-        assert!(flow.context.code_source.contains("def preprocess"));
-        assert!(flow.context.code_source.contains("def infer"));
+        assert!(flow.context.source.contains("def preprocess"));
+        assert!(flow.context.source.contains("def infer"));
     }
 
     #[test]

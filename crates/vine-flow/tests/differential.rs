@@ -1,8 +1,9 @@
 //! Differential property test: executing a generated module as written
-//! must be indistinguishable from executing its flow-hoisted form
-//! (synthesized `context_setup` first, then the residue in original
-//! order). Observables compared bit-for-bit: every work-function result
-//! over several invocations, everything printed, and the final global
+//! must be indistinguishable from booting the library program discovery
+//! ships the way a daemon boots it: run the program, then call its named
+//! setup (the synthesized setup, then the residue in original order).
+//! Observables compared bit-for-bit: every work-function result over
+//! several invocations, everything printed, and the final global
 //! namespace. This is what licenses `hoist::discover` to reorder a
 //! user's module.
 //!
@@ -13,7 +14,8 @@
 //! occasional `eval` to force the ⊤ treatment; and scope edges — helpers
 //! and the work function that re-import a module locally (a local
 //! binding, not a write of the module's name) or define a nested `def`,
-//! sometimes one that writes a global.
+//! sometimes one that writes a global; and helpers that take the names the
+//! shipped setup and boot wrapper would otherwise use.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -211,10 +213,16 @@ fn gen_module(seed: u64) -> String {
             8 => {
                 out.push_str(&format!("print({})\n", int_expr(&mut rng, &env, 1)));
             }
-            // helper definition (pure / reading / writing / printing / eval)
+            // helper definition (pure / reading / writing / printing / eval),
+            // sometimes under a name the shipped program would synthesize
             _ => {
-                let name = format!("h{helper_id}");
-                helper_id += 1;
+                let clash = ["context_setup", "__auto_boot"][rng.below(2)];
+                let name = if rng.chance(15) && !env.helpers.iter().any(|h| h == clash) {
+                    clash.to_string()
+                } else {
+                    helper_id += 1;
+                    format!("h{}", helper_id - 1)
+                };
                 let body = match rng.below(5) {
                     0 => format!("    return a + {}\n", int_expr(&mut rng, &env, 1)),
                     1 if !env.ints.is_empty() => {
@@ -269,12 +277,16 @@ fn gen_module(seed: u64) -> String {
 /// Results, printed output, and final globals of one module execution.
 type Observed = (Vec<String>, Vec<String>, BTreeMap<String, String>);
 
-/// Run a module plus three work invocations; capture every observable.
-fn run(src: &str) -> std::result::Result<Observed, String> {
+/// Run a module, then its `setup` when it has one, plus three work
+/// invocations; capture every observable.
+fn run(src: &str, setup: Option<&str>) -> std::result::Result<Observed, String> {
     let mut registry = ModuleRegistry::new();
     registry.register_source("aux", AUX_MODULE);
     let mut interp = Interp::with_registry(registry);
     interp.exec_source(src).map_err(|e| e.to_string())?;
+    if let Some(setup) = setup {
+        interp.call_global(setup, &[]).map_err(|e| e.to_string())?;
+    }
     let mut results = Vec::new();
     for t in 0..3i64 {
         let v = interp
@@ -302,23 +314,8 @@ fn check_case(seed: u64) -> std::result::Result<(), proptest::test_runner::TestC
     let flow = vine_flow::discover(&src, &["work"])
         .map_err(|e| proptest::test_runner::TestCaseError::fail(format!("discover: {e}\n{src}")))?;
 
-    // transformed module: setup definition, every function definition,
-    // boot (setup call), then the residue in original order
-    let prog = vine_lang::parse(&src).unwrap();
-    let mut trans = String::new();
-    trans.push_str(&flow.context.setup_source);
-    for s in &prog {
-        if let vine_lang::StmtKind::FuncDef(f) = &s.kind {
-            trans.push_str(&vine_lang::inspect::format_funcdef(f));
-        }
-    }
-    trans.push_str("context_setup()\n");
-    for r in &flow.context.residue {
-        trans.push_str(r);
-        trans.push('\n');
-    }
-
-    match (run(&src), run(&trans)) {
+    let trans = &flow.context.source;
+    match (run(&src, None), run(trans, Some(&flow.context.setup))) {
         (Ok(orig), Ok(hoisted)) => {
             if orig != hoisted {
                 return Err(proptest::test_runner::TestCaseError::fail(format!(

@@ -8,27 +8,18 @@
 use std::collections::BTreeMap;
 use vine_lang::{Interp, Value};
 
-/// Execute original vs hoisted-construction module; compare work results,
-/// printed output, and the final global namespace.
+/// Execute the original module vs the shipped program booted as a daemon
+/// boots it (run it, then call its setup); compare work results, printed
+/// output, and the final global namespace.
 fn assert_execution_identical(src: &str, work: &str, calls: &[Vec<Value>]) {
     let flow = vine_flow::discover(src, &[work]).unwrap();
-    let mut trans = String::new();
-    trans.push_str(&flow.context.setup_source);
-    let prog = vine_lang::parse(src).unwrap();
-    for s in &prog {
-        if let vine_lang::ast::StmtKind::FuncDef(f) = &s.kind {
-            trans.push_str(&vine_lang::inspect::format_funcdef(f));
-        }
-    }
-    trans.push_str("context_setup()\n");
-    for r in &flow.context.residue {
-        trans.push_str(r);
-        trans.push('\n');
-    }
-
-    let run = |text: &str| {
+    let trans = &flow.context.source;
+    let run = |text: &str, setup: Option<&str>| {
         let mut interp = Interp::new();
         interp.exec_source(text).unwrap();
+        if let Some(setup) = setup {
+            interp.call_global(setup, &[]).unwrap();
+        }
         let mut results = Vec::new();
         for args in calls {
             results.push(format!("{}", interp.call_global(work, args).unwrap()));
@@ -48,8 +39,8 @@ fn assert_execution_identical(src: &str, work: &str, calls: &[Vec<Value>]) {
         (results, interp.output.clone(), globals)
     };
     assert_eq!(
-        run(src),
-        run(&trans),
+        run(src, None),
+        run(trans, Some(&flow.context.setup)),
         "divergence\n--- transformed ---\n{trans}"
     );
 }
@@ -163,4 +154,33 @@ fn function_local_import_binds_a_local() {
     );
     let infer = &flow.effects["infer"];
     assert!(infer.writes.is_empty(), "{}", infer.describe());
+}
+
+#[test]
+fn the_shipped_setup_and_boot_take_names_the_module_leaves_free() {
+    // the module binds both names the shipped program would otherwise
+    // give its setup and boot wrapper: those take fresh names, and the
+    // module's own functions keep theirs
+    let src = r#"
+        base = 40
+        served = 0
+        def context_setup() {
+            global tag
+            tag = "t"
+        }
+        def __auto_boot(x) { return x + 1 }
+        def work(t) {
+            global served
+            served = served + 1
+            return __auto_boot(base) + t
+        }
+    "#;
+    let flow = vine_flow::discover(src, &["work"]).unwrap();
+    assert_eq!(flow.context.setup, "__auto_boot_2");
+    assert!(
+        flow.context.source.contains("def context_setup_2()"),
+        "{}",
+        flow.context.source
+    );
+    assert_execution_identical(src, "work", &[vec![Value::Int(1)], vec![Value::Int(2)]]);
 }

@@ -132,8 +132,14 @@ pub struct LibraryPreflight {
 }
 
 /// The full install-time pre-flight: all three layers over one library.
-/// Errors should reject the install; warnings should be logged.
-pub fn lint_library(spec: &LibrarySpec, source: &str, pre: &LibraryPreflight) -> Report {
+/// Errors should reject the install; warnings should be logged. The
+/// program it parsed comes back with the report (`None` when `source` is
+/// empty or does not parse), so an installer never parses twice.
+pub fn lint_library(
+    spec: &LibrarySpec,
+    source: &str,
+    pre: &LibraryPreflight,
+) -> (Report, Option<Program>) {
     let origin = format!("library `{}`", spec.name);
     let mut report = if source.is_empty() {
         Report::new(origin)
@@ -181,5 +187,5 @@ pub fn lint_library(spec: &LibrarySpec, source: &str, pre: &LibraryPreflight) ->
     report.extend(lint_spec(spec, &facts));
     report.extend(lint_placement(spec, &pre.workers));
     report.sort();
-    report
+    (report, parsed)
 }

@@ -201,7 +201,7 @@ fn v021_clean_when_every_declared_dep_is_imported() {
 fn v022_triggers_when_exported_function_is_not_shipped() {
     let mut spec = LibrarySpec::new("lib");
     spec.functions = vec!["ghost".into()];
-    let report = lint_library(
+    let (report, _) = lint_library(
         &spec,
         "def real(x) { return x }\n",
         &LibraryPreflight::default(),
@@ -217,7 +217,7 @@ fn v022_clean_for_source_and_serialized_definitions() {
         serialized_functions: vec!["dynamic_fn".into()],
         ..LibraryPreflight::default()
     };
-    let report = lint_library(&spec, "def real(x) { return x }\n", &pre);
+    let (report, _) = lint_library(&spec, "def real(x) { return x }\n", &pre);
     assert!(!report.has("V022"), "{}", report.render());
 }
 
@@ -231,7 +231,7 @@ fn v023_triggers_when_setup_function_is_not_shipped() {
         function: "prepare".into(),
         args_blob: Vec::new(),
     });
-    let report = lint_library(
+    let (report, _) = lint_library(
         &spec,
         "def f(x) { return x }\n",
         &LibraryPreflight::default(),
@@ -248,7 +248,7 @@ fn v023_clean_when_setup_ships_with_the_code() {
         args_blob: Vec::new(),
     });
     let src = "def prepare() {\n    global t\n    t = 1\n}\ndef f(x) { return x + t }\n";
-    let report = lint_library(&spec, src, &LibraryPreflight::default());
+    let (report, _) = lint_library(&spec, src, &LibraryPreflight::default());
     assert!(!report.has("V023"), "{}", report.render());
 }
 
@@ -267,7 +267,7 @@ fn v024_triggers_on_setup_argument_count_mismatch() {
         setup_argc: Some(1),
         ..LibraryPreflight::default()
     };
-    let report = lint_library(&spec, src, &pre);
+    let (report, _) = lint_library(&spec, src, &pre);
     assert!(report.has("V024"), "{}", report.render());
 }
 
@@ -284,9 +284,11 @@ fn v024_clean_when_arity_matches_or_is_unknown() {
         setup_argc: Some(2),
         ..LibraryPreflight::default()
     };
-    assert!(!lint_library(&spec, src, &pre).has("V024"));
+    assert!(!lint_library(&spec, src, &pre).0.has("V024"));
     // argc unknown (CLI case): no finding
-    assert!(!lint_library(&spec, src, &LibraryPreflight::default()).has("V024"));
+    assert!(!lint_library(&spec, src, &LibraryPreflight::default())
+        .0
+        .has("V024"));
 }
 
 // --- V030: unschedulable-resources ---
@@ -300,7 +302,7 @@ fn v030_triggers_when_no_worker_fits_the_request() {
         workers: vec![Resources::paper_worker(); 4],
         ..LibraryPreflight::default()
     };
-    let report = lint_library(&spec, "def f(x) { return x }\n", &pre);
+    let (report, _) = lint_library(&spec, "def f(x) { return x }\n", &pre);
     assert!(report.has("V030"), "{}", report.render());
 }
 
@@ -313,7 +315,7 @@ fn v030_clean_when_some_worker_fits() {
         workers: vec![Resources::paper_worker()],
         ..LibraryPreflight::default()
     };
-    let report = lint_library(&spec, "def f(x) { return x }\n", &pre);
+    let (report, _) = lint_library(&spec, "def f(x) { return x }\n", &pre);
     assert!(!report.has("V030"), "{}", report.render());
 }
 
@@ -324,7 +326,7 @@ fn v031_triggers_on_explicit_zero_slots() {
     let mut spec = LibrarySpec::new("lib");
     spec.functions = vec!["f".into()];
     spec.slots = Some(0);
-    let report = lint_library(
+    let (report, _) = lint_library(
         &spec,
         "def f(x) { return x }\n",
         &LibraryPreflight::default(),
@@ -342,6 +344,7 @@ fn v031_clean_on_positive_or_derived_slots() {
         "def f(x) { return x }\n",
         &LibraryPreflight::default()
     )
+    .0
     .has("V031"));
     spec.slots = None;
     assert!(!lint_library(
@@ -349,6 +352,7 @@ fn v031_clean_on_positive_or_derived_slots() {
         "def f(x) { return x }\n",
         &LibraryPreflight::default()
     )
+    .0
     .has("V031"));
 }
 
@@ -372,7 +376,7 @@ fn v032_triggers_when_context_outgrows_every_disk() {
         workers: vec![Resources::paper_worker(); 2],
         ..LibraryPreflight::default()
     };
-    let report = lint_library(&spec, "def f(x) { return x }\n", &pre);
+    let (report, _) = lint_library(&spec, "def f(x) { return x }\n", &pre);
     assert!(report.has("V032"), "{}", report.render());
 }
 
@@ -385,7 +389,7 @@ fn v032_clean_when_context_fits_on_some_disk() {
         workers: vec![Resources::paper_worker()],
         ..LibraryPreflight::default()
     };
-    let report = lint_library(&spec, "def f(x) { return x }\n", &pre);
+    let (report, _) = lint_library(&spec, "def f(x) { return x }\n", &pre);
     assert!(!report.has("V032"), "{}", report.render());
 }
 

@@ -167,11 +167,9 @@ pub fn decode_frame<T: Deserialize>(frame: &[u8]) -> Result<T, FrameError> {
 ///
 /// Broadcasting the same message to N workers through a `Frame` serializes
 /// it a single time; each recipient's outbound queue holds an `Arc` clone
-/// of the same bytes. A `LibraryImage` install fanned out to a fleet is
-/// the motivating case: the image (source + serialized functions +
-/// compiled bytecode) is the dominant payload in the system, and without
-/// this it would be re-encoded per worker. Its byte fields travel raw, so
-/// the encode is mostly a copy, but still one copy rather than N.
+/// of the same bytes. The reactor's `Shutdown` broadcast to the whole
+/// fleet is the case. A library install goes to one worker, so it is an
+/// ordinary send.
 ///
 /// The typed message rides along so substrates that never serialize (the
 /// in-process transport moves typed values over channels) can deliver the

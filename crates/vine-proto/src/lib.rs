@@ -31,5 +31,5 @@ pub use framing::{
     decode_frame, encode_frame, read_frame, write_frame, Frame, FrameDecoder, FrameError, MAX_FRAME,
 };
 pub use library::{LibraryToWorker, WorkerToLibrary};
-pub use messages::{CompiledBlob, LibraryImage, LibrarySetup, ManagerToWorker, WorkerToManager};
+pub use messages::{CompiledBlob, LibraryImage, ManagerToWorker, WorkerToManager};
 pub use routing::{render_shard_stats, RouterToShard, ShardStats, ShardToRouter};

@@ -7,24 +7,15 @@
 //! through [`crate::framing`].
 
 use serde::{Deserialize, Serialize};
-use vine_core::context::FileRef;
+use vine_core::context::{FileRef, SetupSpec};
 use vine_core::ids::{ContentHash, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
 use vine_core::task::{ExecMode, FunctionCall, Outcome, TaskSpec, WorkUnit};
 
-/// A context-setup directive shipped with a library image: the named
-/// function is called once with the serialized arguments when the daemon
-/// boots (§2.2.1 element 4, Fig 5's `create_library_from_functions`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct LibrarySetup {
-    pub function: String,
-    pub args_blob: Vec<u8>,
-}
-
 /// A compiled library module, content-addressed by the digest of the
 /// source it was compiled from. The manager compiles once per distinct
-/// source at install time, and daemons boot by executing the image
-/// instead of re-parsing the source.
+/// source at install time, and daemons boot by executing it: no worker
+/// parses library source.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CompiledBlob {
     pub source_digest: ContentHash,
@@ -32,19 +23,23 @@ pub struct CompiledBlob {
 }
 
 /// Everything a worker needs to boot a library daemon (what the manager
-/// ships: code + setup + environment identity).
+/// ships: code + setup + environment identity). A daemon runs `compiled`,
+/// binds `serialized_functions`, then calls `setup` once.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LibraryImage {
     pub instance: LibraryInstanceId,
-    /// vine-lang source of the library's module (functions + setup).
+    /// vine-lang source of the library's module (functions + setup), the
+    /// text `compiled` was compiled from. Daemons never parse it.
     pub source: String,
     /// Serialized functions with no source form, reconstructed on boot.
     pub serialized_functions: Vec<Vec<u8>>,
-    /// Context setup to run once on boot, if the library declares one.
-    pub setup: Option<LibrarySetup>,
+    /// Context setup to run once on boot (§2.2.1 element 4, Fig 5's
+    /// `create_library_from_functions`), if the library declares one.
+    pub setup: Option<SetupSpec>,
     pub default_mode: ExecMode,
-    /// Bytecode compiled from `source` at install time, if the manager
-    /// produced one. Daemons without it fall back to parsing the source.
+    /// The module compiled from `source` at install time. `None` means
+    /// the library has no module code; a daemon refuses an image that
+    /// has source but no compiled module.
     pub compiled: Option<CompiledBlob>,
 }
 

@@ -5,13 +5,13 @@
 
 use proptest::prelude::*;
 use std::io::Cursor;
-use vine_core::context::{CodeArtifact, FileRef, FileSource};
+use vine_core::context::{CodeArtifact, FileRef, FileSource, SetupSpec};
 use vine_core::ids::{ContentHash, FileId, InvocationId, LibraryInstanceId, TaskId, WorkerId};
 use vine_core::resources::Resources;
 use vine_core::task::{ExecMode, FunctionCall, Outcome, TaskSpec, UnitId, WorkProfile, WorkUnit};
 use vine_proto::{
     read_frame, write_frame, CompiledBlob, Frame, FrameDecoder, FrameError, LibraryImage,
-    LibrarySetup, LibraryToWorker, ManagerToWorker, WorkerToLibrary, WorkerToManager, MAX_FRAME,
+    LibraryToWorker, ManagerToWorker, WorkerToLibrary, WorkerToManager, MAX_FRAME,
 };
 
 // ---- strategies over the core vocabulary ----
@@ -168,7 +168,7 @@ fn arb_library_image() -> impl Strategy<Value = LibraryImage> {
             instance: LibraryInstanceId(id),
             source,
             serialized_functions: blobs,
-            setup: setup.map(|(function, args_blob)| LibrarySetup {
+            setup: setup.map(|(function, args_blob)| SetupSpec {
                 function,
                 args_blob,
             }),

@@ -7,20 +7,47 @@
 //! the socket, so no thread sits between a daemon and the manager. A
 //! panic in user code, during boot or in one invocation, is caught and
 //! reported like any other failure, and the daemon keeps serving.
+//!
+//! A daemon boots from the image's compiled module alone: no worker
+//! parses library source.
 
 use crossbeam::channel::{Receiver, Sender};
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
 use std::thread::JoinHandle;
+use vine_core::context::SetupSpec;
 use vine_core::ids::{LibraryInstanceId, WorkerId};
 use vine_core::task::ExecMode;
 use vine_lang::interp::USER_STACK_BYTES;
 use vine_lang::pickle;
 use vine_lang::{Interp, ModuleRegistry, Value};
-use vine_proto::{LibraryToWorker, WorkerToLibrary};
+use vine_proto::{CompiledBlob, LibraryToWorker, WorkerToLibrary};
 
-pub use vine_proto::{LibraryImage, LibrarySetup};
+pub use vine_proto::LibraryImage;
+
+/// The image of a library whose module is `source`, compiled here, with
+/// no serialized functions: what a daemon boots when no manager built
+/// the image.
+pub fn compile_image(
+    instance: LibraryInstanceId,
+    source: &str,
+    setup: Option<SetupSpec>,
+    default_mode: ExecMode,
+) -> vine_core::Result<LibraryImage> {
+    let module = vine_lang::compile_module(&vine_lang::parse(source)?, source);
+    Ok(LibraryImage {
+        instance,
+        source: source.to_string(),
+        serialized_functions: vec![],
+        setup,
+        default_mode,
+        compiled: Some(CompiledBlob {
+            source_digest: module.source_digest,
+            bytes: module.to_bytes(),
+        }),
+    })
+}
 
 /// A running daemon: its thread and command channel.
 pub struct LibraryHost {
@@ -144,24 +171,27 @@ fn daemon_main(
     interp.release();
 }
 
-/// Build the daemon's context from its image: the module (compiled image
-/// or source), shipped code objects, then the context-setup call.
+/// Build the daemon's context from its image: the compiled module, shipped
+/// code objects, then the context-setup call. The source is never a way
+/// in: an image whose module fails to decode fails the boot, and one that
+/// has source but no compiled module is refused.
 fn boot(interp: &mut Interp, image: &LibraryImage) -> Result<(), String> {
     match &image.compiled {
-        // the manager shipped a compiled image: boot without parsing or
-        // compiling. An image that fails to decode fails the boot; the
-        // source is not a second way in.
         Some(blob) => {
             let top = vine_lang::bytecode::from_bytes(&blob.bytes)
                 .map_err(|e| format!("compiled image: {e}"))?;
-            interp.exec_compiled(&vine_lang::CompiledModule {
-                top,
-                source_digest: blob.source_digest,
-            })
+            interp
+                .exec_compiled(&vine_lang::CompiledModule {
+                    top,
+                    source_digest: blob.source_digest,
+                })
+                .map_err(|e| format!("library module: {e}"))?;
         }
-        None => interp.exec_source(&image.source),
+        None if !image.source.is_empty() => {
+            return Err("library image has source but no compiled module".to_string())
+        }
+        None => {}
     }
-    .map_err(|e| format!("library source: {e}"))?;
     for blob in &image.serialized_functions {
         let def = pickle::deserialize_funcdef(blob).map_err(|e| format!("code object: {e}"))?;
         interp.bind_function(def);
@@ -290,6 +320,14 @@ mod tests {
         def read_counter() { return counter }
     "#;
 
+    /// `context_setup(1000)`, the setup [`SRC`] declares.
+    fn setup() -> SetupSpec {
+        SetupSpec {
+            function: "context_setup".into(),
+            args_blob: pickle::serialize_args(&[Value::Int(1000)]).unwrap(),
+        }
+    }
+
     fn boot(
         mode: ExecMode,
     ) -> (
@@ -297,17 +335,7 @@ mod tests {
         Receiver<(WorkerId, LibraryInstanceId, LibraryToWorker)>,
     ) {
         let (etx, erx) = crossbeam::channel::unbounded();
-        let image = LibraryImage {
-            instance: LibraryInstanceId(1),
-            source: SRC.into(),
-            serialized_functions: vec![],
-            setup: Some(LibrarySetup {
-                function: "context_setup".into(),
-                args_blob: pickle::serialize_args(&[Value::Int(1000)]).unwrap(),
-            }),
-            default_mode: mode,
-            compiled: None,
-        };
+        let image = compile_image(LibraryInstanceId(1), SRC, Some(setup()), mode).unwrap();
         let host = spawn_library(WorkerId(0), image, ModuleRegistry::new(), etx);
         match erx.recv().unwrap() {
             (_, _, LibraryToWorker::Ready) => {}
@@ -384,14 +412,13 @@ mod tests {
     #[test]
     fn startup_failure_reports() {
         let (etx, erx) = crossbeam::channel::unbounded();
-        let image = LibraryImage {
-            instance: LibraryInstanceId(2),
-            source: "import missing_module".into(),
-            serialized_functions: vec![],
-            setup: None,
-            default_mode: ExecMode::Direct,
-            compiled: None,
-        };
+        let image = compile_image(
+            LibraryInstanceId(2),
+            "import missing_module",
+            None,
+            ExecMode::Direct,
+        )
+        .unwrap();
         let host = spawn_library(WorkerId(0), image, ModuleRegistry::new(), etx);
         match erx.recv().unwrap() {
             (_, _, LibraryToWorker::StartupFailed { error }) => {
@@ -400,6 +427,22 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         drop(host);
+    }
+
+    #[test]
+    fn source_without_a_compiled_module_fails_startup() {
+        // the daemon never parses: source alone is not a way to boot
+        let (etx, erx) = crossbeam::channel::unbounded();
+        let mut image = compile_image(LibraryInstanceId(3), SRC, None, ExecMode::Direct).unwrap();
+        image.compiled = None;
+        let mut host = spawn_library(WorkerId(0), image, ModuleRegistry::new(), etx);
+        match erx.recv().unwrap() {
+            (_, _, LibraryToWorker::StartupFailed { error }) => {
+                assert_eq!(error, "library image has source but no compiled module");
+            }
+            other => panic!("expected StartupFailed, got {other:?}"),
+        }
+        host.thread.take().unwrap().join().unwrap();
     }
 
     #[test]
@@ -442,25 +485,12 @@ mod tests {
 
     #[test]
     fn compiled_image_boots_and_serves() {
-        // ship bytecode alongside the source: the daemon must boot from
-        // the image and behave exactly like a source boot
-        let prog = vine_lang::parse(SRC).unwrap();
-        let module = vine_lang::compile_module(&prog, SRC);
+        // the compiled module is all a daemon needs: without its source
+        // the image boots and keeps its context like any other
+        let mut image =
+            compile_image(LibraryInstanceId(4), SRC, Some(setup()), ExecMode::Direct).unwrap();
+        image.source.clear();
         let (etx, erx) = crossbeam::channel::unbounded();
-        let image = LibraryImage {
-            instance: LibraryInstanceId(4),
-            source: SRC.into(),
-            serialized_functions: vec![],
-            setup: Some(LibrarySetup {
-                function: "context_setup".into(),
-                args_blob: pickle::serialize_args(&[Value::Int(1000)]).unwrap(),
-            }),
-            default_mode: ExecMode::Direct,
-            compiled: Some(vine_proto::CompiledBlob {
-                source_digest: module.source_digest,
-                bytes: module.to_bytes(),
-            }),
-        };
         let host = spawn_library(WorkerId(0), image, ModuleRegistry::new(), etx);
         assert!(matches!(erx.recv().unwrap().2, LibraryToWorker::Ready));
         let a = invoke(&host, &erx, 1, "bump", &[Value::Int(5)], ExecMode::Direct).unwrap();
@@ -481,20 +511,9 @@ mod tests {
         patched[at + 1..at + 5].copy_from_slice(&999u32.to_le_bytes());
         for bytes in [vec![0xde, 0xad], patched] {
             let (etx, erx) = crossbeam::channel::unbounded();
-            let image = LibraryImage {
-                instance: LibraryInstanceId(5),
-                source: SRC.into(),
-                serialized_functions: vec![],
-                setup: Some(LibrarySetup {
-                    function: "context_setup".into(),
-                    args_blob: pickle::serialize_args(&[Value::Int(1000)]).unwrap(),
-                }),
-                default_mode: ExecMode::Direct,
-                compiled: Some(vine_proto::CompiledBlob {
-                    source_digest: vine_core::ids::ContentHash::of_str(SRC),
-                    bytes,
-                }),
-            };
+            let mut image =
+                compile_image(LibraryInstanceId(5), SRC, Some(setup()), ExecMode::Direct).unwrap();
+            image.compiled.as_mut().unwrap().bytes = bytes;
             // the intact source alongside must not boot the daemon instead
             let mut host = spawn_library(WorkerId(0), image, ModuleRegistry::new(), etx);
             match erx.recv().unwrap() {
@@ -522,16 +541,14 @@ mod tests {
     #[test]
     fn a_panicking_invocation_fails_and_the_daemon_keeps_serving() {
         let (etx, erx) = crossbeam::channel::unbounded();
-        let image = LibraryImage {
-            instance: LibraryInstanceId(8),
-            source: "import helpers\ndef bad() { return helpers.go() }\n\
-                     def good(x) { return x + 1 }"
-                .into(),
-            serialized_functions: vec![],
-            setup: None,
-            default_mode: ExecMode::Direct,
-            compiled: None,
-        };
+        let image = compile_image(
+            LibraryInstanceId(8),
+            "import helpers\ndef bad() { return helpers.go() }\n\
+             def good(x) { return x + 1 }",
+            None,
+            ExecMode::Direct,
+        )
+        .unwrap();
         let host = spawn_library(WorkerId(0), image, panicking_registry(), etx);
         let reply = |erx: &Receiver<_>| {
             erx.recv_timeout(std::time::Duration::from_secs(30))
@@ -625,29 +642,25 @@ mod tests {
         let served = local
             .eval_source("nn.forward(nn.load_model(2, 4), 5)")
             .unwrap();
-        let module_scope = LibraryImage {
-            instance: LibraryInstanceId(6),
-            source: "import helpers\nimport mathx\nsq = mathx.square\n\
-                     def work(x) { return helpers.triple(x) + sq(x) + mathx.square(1) }"
-                .into(),
-            serialized_functions: vec![],
-            setup: None,
-            default_mode: ExecMode::Fork,
-            compiled: None,
-        };
-        let published_by_setup = LibraryImage {
-            instance: LibraryInstanceId(7),
-            source: "def context_setup() {\n    global nn\n    import nn\n}\n\
-                     def work(x) { return nn.forward(nn.load_model(2, 4), x) }"
-                .into(),
-            serialized_functions: vec![],
-            setup: Some(LibrarySetup {
+        let module_scope = compile_image(
+            LibraryInstanceId(6),
+            "import helpers\nimport mathx\nsq = mathx.square\n\
+             def work(x) { return helpers.triple(x) + sq(x) + mathx.square(1) }",
+            None,
+            ExecMode::Fork,
+        )
+        .unwrap();
+        let published_by_setup = compile_image(
+            LibraryInstanceId(7),
+            "def context_setup() {\n    global nn\n    import nn\n}\n\
+             def work(x) { return nn.forward(nn.load_model(2, 4), x) }",
+            Some(SetupSpec {
                 function: "context_setup".into(),
                 args_blob: pickle::serialize_args(&[]).unwrap(),
             }),
-            default_mode: ExecMode::Fork,
-            compiled: None,
-        };
+            ExecMode::Fork,
+        )
+        .unwrap();
         for (image, arg, expected) in [
             (module_scope, 4, Value::Int(12 + 16 + 1)),
             (published_by_setup, 5, served),

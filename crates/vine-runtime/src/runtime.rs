@@ -5,18 +5,17 @@
 use crate::transport::{InProcTransport, RecvError, Transport, TransportEvent, TransportStats};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
-use vine_core::context::LibrarySpec;
+use vine_core::context::{LibrarySpec, SetupSpec};
 use vine_core::ids::{ContentHash, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
-use vine_core::task::{ExecMode, Outcome, UnitId, WorkUnit};
+use vine_core::task::{Outcome, UnitId, WorkUnit};
 use vine_core::{Result, VineError};
 use vine_data::CompiledImageStore;
+use vine_lang::ast::StmtKind;
 use vine_lang::pickle;
 use vine_lang::{ModuleRegistry, Value};
 use vine_manager::{Decision, Manager};
-use vine_proto::{
-    CompiledBlob, Frame, LibraryImage, LibrarySetup, ManagerToWorker, WorkerToManager,
-};
+use vine_proto::{CompiledBlob, LibraryImage, ManagerToWorker, WorkerToManager};
 
 /// Startup failures in a row after which a library's queued calls fail
 /// with the daemon's error instead of waiting for yet another install.
@@ -44,24 +43,17 @@ impl Default for RuntimeConfig {
     }
 }
 
-struct LibraryTemplate {
-    source: String,
-    serialized_functions: Vec<Vec<u8>>,
-    setup_args_blob: Option<Vec<u8>>,
-    mode: ExecMode,
-    /// Parameter count per exported function, for submit-time validation.
-    arities: BTreeMap<String, usize>,
-    /// Bytecode compiled from `source` at install time (content-addressed
-    /// by source digest), shipped inside every image of this library.
-    compiled: Option<CompiledBlob>,
-}
-
 /// A live cluster: manager in this struct, workers wherever the transport
 /// put them.
 pub struct Runtime {
     mgr: Manager,
     transport: Box<dyn Transport>,
-    templates: BTreeMap<String, LibraryTemplate>,
+    /// What a worker boots for each installed library: one image, sent
+    /// with the instance id of each install.
+    images: BTreeMap<String, LibraryImage>,
+    /// Parameter count per exported function of each installed library,
+    /// for submit-time validation.
+    arities: BTreeMap<String, BTreeMap<String, usize>>,
     in_flight: BTreeMap<UnitId, WorkUnit>,
     outcomes: Vec<Outcome>,
     idle_timeout: Duration,
@@ -71,9 +63,9 @@ pub struct Runtime {
     /// Units re-admitted after a worker loss or an explicit worker-side
     /// requeue — the load-report counter a federated shard exposes.
     requeues: u64,
-    /// Compiled library images interned by source digest: installing the
-    /// same source N times (or into N workers) compiles once.
-    images: CompiledImageStore,
+    /// Compiled library modules interned by source digest: installing the
+    /// same source N times compiles once.
+    compiled: CompiledImageStore,
     /// Startup failures in a row per library, reset by a `LibraryReady`
     /// and when the count reaches [`MAX_STARTUP_FAILURES`].
     startup_failures: BTreeMap<String, u32>,
@@ -97,13 +89,14 @@ impl Runtime {
         let mut rt = Runtime {
             mgr: Manager::new(),
             transport,
-            templates: BTreeMap::new(),
+            images: BTreeMap::new(),
+            arities: BTreeMap::new(),
             in_flight: BTreeMap::new(),
             outcomes: Vec::new(),
             idle_timeout: cfg.idle_timeout,
             module_names,
             requeues: 0,
-            images: CompiledImageStore::new(),
+            compiled: CompiledImageStore::new(),
             startup_failures: BTreeMap::new(),
         };
         while rt.mgr.worker_count() < cfg.workers {
@@ -122,7 +115,9 @@ impl Runtime {
     /// Register a library: the spec (for the scheduler) plus what workers
     /// need to boot it — module source, serialized code objects, and
     /// context-setup arguments (Fig 5's `create_library_from_functions` +
-    /// `install_library`).
+    /// `install_library`). The setup arguments ride in the spec's
+    /// `context.setup`, and the module is compiled here, once, from the
+    /// program the pre-flight parsed: workers boot compiled code only.
     ///
     /// Runs the `vine-lint` pre-flight first: a library that would only
     /// fail after its context shipped to workers is rejected here instead
@@ -130,7 +125,7 @@ impl Runtime {
     /// stderr and installation proceeds).
     pub fn install_library(
         &mut self,
-        spec: LibrarySpec,
+        mut spec: LibrarySpec,
         source: &str,
         serialized_functions: Vec<Vec<u8>>,
         setup_args: &[Value],
@@ -151,66 +146,58 @@ impl Runtime {
             serialized_functions: serialized_names,
             setup_argc: spec.context.setup.as_ref().map(|_| setup_args.len()),
         };
-        let report = vine_lint::lint_library(&spec, source, &pre);
+        let (report, prog) = vine_lint::lint_library(&spec, source, &pre);
         if report.has_errors() {
             return Err(VineError::Lint(report.render()));
         }
         if !report.is_clean() {
             eprintln!("{}", report.render());
         }
-        let mut compiled = None;
-        if !source.is_empty() {
-            if let Ok(prog) = vine_lang::parse(source) {
-                for s in &prog {
-                    if let vine_lang::ast::StmtKind::FuncDef(f) = &s.kind {
-                        arities.insert(f.name.clone(), f.params.len());
-                    }
-                }
-                // compile-on-install: the image is context computed once on
-                // the manager, content-addressed by the source digest
-                let digest = ContentHash::of_str(source);
-                let bytes = self.images.intern_with(digest, || {
-                    vine_lang::compile_module(&prog, source).to_bytes()
-                });
-                compiled = Some(CompiledBlob {
-                    source_digest: digest,
-                    bytes: (*bytes).clone(),
-                });
+        // source that does not parse failed the pre-flight (V001); empty
+        // source is the empty program
+        let prog = prog.unwrap_or_default();
+        for s in &prog {
+            if let StmtKind::FuncDef(f) = &s.kind {
+                arities.insert(f.name.clone(), f.params.len());
             }
         }
         arities.retain(|name, _| spec.hosts_function(name));
-        let setup_args_blob = if spec.context.setup.is_some() {
-            Some(pickle::serialize_args(setup_args)?)
-        } else {
-            None
+        // compile-on-install: the module is context computed once on the
+        // manager, content-addressed by the source digest
+        let digest = ContentHash::of_str(source);
+        let bytes = self.compiled.intern_with(digest, || {
+            vine_lang::compile_module(&prog, source).to_bytes()
+        });
+        if let Some(setup) = &mut spec.context.setup {
+            setup.args_blob = pickle::serialize_args(setup_args)?;
+        }
+        let image = LibraryImage {
+            instance: LibraryInstanceId(0),
+            source: source.to_string(),
+            serialized_functions,
+            setup: spec.context.setup.clone(),
+            default_mode: spec.exec_mode,
+            compiled: Some(CompiledBlob {
+                source_digest: digest,
+                bytes: (*bytes).clone(),
+            }),
         };
-        self.templates.insert(
-            spec.name.clone(),
-            LibraryTemplate {
-                source: source.to_string(),
-                serialized_functions,
-                setup_args_blob,
-                mode: spec.exec_mode,
-                arities,
-                compiled,
-            },
-        );
+        self.images.insert(spec.name.clone(), image);
+        self.arities.insert(spec.name.clone(), arities);
         self.mgr.register_library(spec);
         Ok(())
     }
 
     /// Install a library by *discovering* its context from a plain module:
     /// the flow analysis ([`vine_flow::discover`]) classifies module-level
-    /// statements as invocation-invariant context (hoisted into a
-    /// synthesized `context_setup`) or per-instance residue, and this
-    /// method wires the result into the spec — setup function, code, and a
-    /// boot wrapper that replays the residue after setup when there is any.
+    /// statements as invocation-invariant context or per-instance residue
+    /// and assembles the library program, which this method installs
+    /// unchanged with the program's named setup as the spec's setup.
     ///
     /// The user writes the module exactly as they would for local
     /// execution; the paper's §6 "seamless discovery" is this call. The
-    /// shipped program is the same construction the differential proptest
-    /// in `vine-flow` holds to bit-identical execution: setup definition,
-    /// every module function, boot, residue in original order.
+    /// differential proptest in `vine-flow` boots the same program the
+    /// same way and holds it to bit-identical execution.
     pub fn install_library_auto(
         &mut self,
         mut spec: LibrarySpec,
@@ -218,67 +205,27 @@ impl Runtime {
         work_functions: &[&str],
     ) -> Result<vine_flow::FlowDiscovery> {
         let flow = vine_flow::discover(module_src, work_functions)?;
-        let ctx = &flow.context;
-
-        let mut source = String::new();
-        source.push_str(&ctx.setup_source);
-        // ship every module function, not just the transitively needed set
-        // in `code_source`: residue statements may call helpers the work
-        // functions never touch
-        let prog = vine_lang::parse(module_src)?;
-        for s in &prog {
-            if let vine_lang::ast::StmtKind::FuncDef(f) = &s.kind {
-                source.push_str(&vine_lang::inspect::format_funcdef(f));
-            }
-        }
-        let setup_fn = if ctx.residue.is_empty() {
-            "context_setup".to_string()
-        } else {
-            // residue re-runs per library instance, inside a wrapper that
-            // publishes whatever the residue writes back to the namespace
-            source.push_str("def __auto_boot() {\n");
-            if !flow.residue_publishes.is_empty() {
-                source.push_str(&format!(
-                    "    global {}\n",
-                    flow.residue_publishes.join(", ")
-                ));
-            }
-            source.push_str("    context_setup()\n");
-            for r in &ctx.residue {
-                for line in r.lines() {
-                    source.push_str("    ");
-                    source.push_str(line);
-                    source.push('\n');
-                }
-            }
-            source.push_str("}\n");
-            "__auto_boot".to_string()
-        };
-
         if spec.functions.is_empty() {
             spec.functions = work_functions.iter().map(|s| s.to_string()).collect();
         }
-        spec.context.setup = Some(vine_core::context::SetupSpec {
-            function: setup_fn,
-            args_blob: pickle::serialize_args(&[])?,
+        spec.context.setup = Some(SetupSpec {
+            function: flow.context.setup.clone(),
+            args_blob: Vec::new(),
         });
-        self.install_library(spec, &source, vec![], &[])?;
+        self.install_library(spec, &flow.context.source, vec![], &[])?;
         Ok(flow)
     }
 
     /// Parameter count of an installed library's exported function, when
     /// known. `None` means the library or function is not installed.
     pub fn function_arity(&self, library: &str, function: &str) -> Option<usize> {
-        self.templates.get(library)?.arities.get(function).copied()
+        self.arities.get(library)?.get(function).copied()
     }
 
     /// Arity map of every installed library, in the shape
     /// [`vine_lint::lint_dag`] consumes: library → function → params.
     pub fn library_arities(&self) -> BTreeMap<String, BTreeMap<String, usize>> {
-        self.templates
-            .iter()
-            .map(|(name, t)| (name.clone(), t.arities.clone()))
-            .collect()
+        self.arities.clone()
     }
 
     /// Capacity of each admitted worker, ascending by id (placement
@@ -379,32 +326,17 @@ impl Runtime {
                     spec,
                     missing,
                 } => {
-                    let template = self.templates.get(&spec.name).ok_or_else(|| {
-                        VineError::Internal(format!("no template for library {}", spec.name))
+                    let mut image = self.images.get(&spec.name).cloned().ok_or_else(|| {
+                        VineError::Internal(format!("no image for library {}", spec.name))
                     })?;
-                    let image = LibraryImage {
-                        instance,
-                        source: template.source.clone(),
-                        serialized_functions: template.serialized_functions.clone(),
-                        setup: spec.context.setup.as_ref().map(|s| LibrarySetup {
-                            function: s.function.clone(),
-                            args_blob: template
-                                .setup_args_blob
-                                .clone()
-                                .unwrap_or_else(|| s.args_blob.clone()),
-                        }),
-                        default_mode: template.mode,
-                        compiled: template.compiled.clone(),
-                    };
-                    // the image (source + serialized functions + compiled
-                    // bytecode) is the heaviest payload in the system:
-                    // encode it once, hand the transport shared bytes
-                    let frame = Frame::encode_once(ManagerToWorker::InstallLibrary {
-                        image,
-                        stage: missing,
-                    })
-                    .map_err(|e| VineError::Protocol(format!("encoding install: {e}")))?;
-                    self.send_frame(worker, &frame)?;
+                    image.instance = instance;
+                    self.send(
+                        worker,
+                        ManagerToWorker::InstallLibrary {
+                            image,
+                            stage: missing,
+                        },
+                    )?;
                 }
                 Decision::EvictLibrary {
                     worker, instance, ..
@@ -453,28 +385,12 @@ impl Runtime {
     /// same leave-and-requeue path as an observed disconnect, and the
     /// decision that targeted it is re-made on the survivors.
     fn send(&mut self, worker: WorkerId, msg: ManagerToWorker) -> Result<()> {
-        let sent = self.transport.send(worker, msg);
-        self.sent(sent)
-    }
-
-    /// [`Runtime::send`] for a pre-encoded frame: same lost-worker
-    /// handling, but the transport ships shared bytes instead of
-    /// re-serializing the message.
-    fn send_frame(&mut self, worker: WorkerId, frame: &Frame) -> Result<()> {
-        let sent = self.transport.send_frame(worker, frame);
-        self.sent(sent)
-    }
-
-    /// Route a send result: a lost worker flows into the leave-and-requeue
-    /// path rather than failing the run.
-    fn sent(&mut self, result: Result<()>) -> Result<()> {
-        match result {
-            Ok(()) => Ok(()),
+        match self.transport.send(worker, msg) {
             Err(VineError::WorkerLost(w)) => {
                 self.worker_left(w);
                 Ok(())
             }
-            Err(e) => Err(e),
+            sent => sent,
         }
     }
 
@@ -516,10 +432,7 @@ impl Runtime {
                         self.outcomes.push(outcome);
                     }
                     WorkerToManager::Requeue { unit } => {
-                        let id = match &unit {
-                            WorkUnit::Call(c) => UnitId::Call(c.id),
-                            WorkUnit::Task(t) => UnitId::Task(t.id),
-                        };
+                        let id = unit.id();
                         if self.in_flight.remove(&id).is_some() {
                             self.mgr.unit_finished(id)?;
                             self.requeues += 1;
@@ -568,7 +481,7 @@ impl Runtime {
     /// Hit/miss counters of the manager's compiled-image store: misses are
     /// actual compiles, hits are installs that reused a retained image.
     pub fn compiled_image_stats(&self) -> vine_data::images::ImageStoreStats {
-        self.images.stats()
+        self.compiled.stats()
     }
 
     /// Deployed library instances and their share values (live Fig 11).

@@ -70,11 +70,11 @@ pub trait Transport: Send {
     /// is unreachable — the caller decides whether that is fatal.
     fn send(&mut self, worker: WorkerId, msg: ManagerToWorker) -> Result<()>;
 
-    /// Deliver a pre-encoded [`Frame`] to one worker. Broadcast paths
-    /// (library installs, shutdown) encode once and call this per
-    /// recipient; byte-moving backends ship the shared bytes without
-    /// re-serializing, channel backends deliver the typed message without
-    /// a decode. The default just unwraps the typed message.
+    /// Deliver a pre-encoded [`Frame`] to one worker: a broadcast encodes
+    /// once and calls this per recipient. Byte-moving backends ship the
+    /// shared bytes without re-serializing, channel backends deliver the
+    /// typed message without a decode. The default just unwraps the typed
+    /// message.
     fn send_frame(&mut self, worker: WorkerId, frame: &Frame) -> Result<()> {
         self.send(worker, frame.to_message())
     }
@@ -294,13 +294,9 @@ impl Transport for InProcTransport {
     }
 
     fn shutdown(&mut self) {
-        // the broadcast pattern in miniature: one Frame, N typed clones —
-        // channel substrates never touch the bytes
-        if let Ok(frame) = Frame::encode_once(ManagerToWorker::Shutdown) {
-            for (id, h) in self.workers.iter_mut() {
-                if h.tx.send(frame.to_message()).is_ok() {
-                    self.counters.entry(*id).or_default().1 += 1;
-                }
+        for (id, h) in self.workers.iter_mut() {
+            if h.tx.send(ManagerToWorker::Shutdown).is_ok() {
+                self.counters.entry(*id).or_default().1 += 1;
             }
         }
         for (_, mut h) in std::mem::take(&mut self.workers) {

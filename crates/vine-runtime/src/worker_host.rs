@@ -367,7 +367,9 @@ fn execute_task_in(task: &TaskSpec, mut interp: Interp) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::library_host::compile_image;
     use vine_core::ids::TaskId;
+    use vine_core::task::ExecMode;
     use vine_lang::Value;
 
     #[test]
@@ -480,14 +482,13 @@ mod tests {
         const CALLS: u64 = 50;
         let (etx, erx) = crossbeam::channel::unbounded();
         let mut h = spawn_worker(WorkerId(4), ModuleRegistry::new(), etx);
-        let image = vine_proto::LibraryImage {
-            instance: LibraryInstanceId(1),
-            source: "def double(x) { return 2 * x }".into(),
-            serialized_functions: vec![],
-            setup: None,
-            default_mode: vine_core::task::ExecMode::Direct,
-            compiled: None,
-        };
+        let image = compile_image(
+            LibraryInstanceId(1),
+            "def double(x) { return 2 * x }",
+            None,
+            ExecMode::Direct,
+        )
+        .unwrap();
         h.tx.send(ManagerToWorker::InstallLibrary {
             image,
             stage: vec![],
@@ -616,18 +617,14 @@ mod tests {
         // installs must not keep their stacks mapped
         let (etx, erx) = crossbeam::channel::unbounded();
         let mut h = spawn_worker(WorkerId(7), ModuleRegistry::new(), etx);
+        let failing =
+            compile_image(LibraryInstanceId(0), "x = 1 / 0", None, ExecMode::Direct).unwrap();
         let mut next = 0u64;
         let mut install = |n: u64| {
             for _ in 0..n {
                 next += 1;
-                let image = vine_proto::LibraryImage {
-                    instance: LibraryInstanceId(next),
-                    source: "x = 1 / 0".into(),
-                    serialized_functions: vec![],
-                    setup: None,
-                    default_mode: vine_core::task::ExecMode::Direct,
-                    compiled: None,
-                };
+                let mut image = failing.clone();
+                image.instance = LibraryInstanceId(next);
                 h.tx.send(ManagerToWorker::InstallLibrary {
                     image,
                     stage: vec![],
@@ -665,7 +662,7 @@ mod tests {
             let instance = LibraryInstanceId(i);
             let host = LibraryHost {
                 instance,
-                default_mode: vine_core::task::ExecMode::Direct,
+                default_mode: ExecMode::Direct,
                 tx: tx.clone(),
                 thread: Some(thread),
             };

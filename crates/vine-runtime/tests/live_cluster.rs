@@ -1,12 +1,17 @@
 //! End-to-end tests of the live threaded cluster.
 
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use vine_core::context::{ContextSpec, LibrarySpec, SetupSpec};
-use vine_core::ids::{InvocationId, TaskId, WorkerId};
+use vine_core::ids::{ContentHash, InvocationId, TaskId, WorkerId};
 use vine_core::resources::Resources;
 use vine_core::task::{ExecMode, FunctionCall, TaskSpec, UnitId, WorkUnit};
 use vine_lang::pickle;
 use vine_lang::Value;
-use vine_runtime::{decode_result, Runtime, RuntimeConfig};
+use vine_proto::{Frame, LibraryImage, ManagerToWorker};
+use vine_runtime::{
+    decode_result, InProcTransport, RecvError, Runtime, RuntimeConfig, Transport, TransportEvent,
+};
 
 const LIB_SOURCE: &str = r#"
 def context_setup(base) {
@@ -40,9 +45,13 @@ fn lnni_like_spec(slots: u32, mode: ExecMode) -> LibrarySpec {
 }
 
 fn call(i: u64, function: &str, x: i64) -> WorkUnit {
+    call_into("testlib", i, function, x)
+}
+
+fn call_into(library: &str, i: u64, function: &str, x: i64) -> WorkUnit {
     let mut c = FunctionCall::new(
         InvocationId(i),
-        "testlib",
+        library,
         function,
         pickle::serialize_args(&[Value::Int(x)]).unwrap(),
     );
@@ -329,4 +338,106 @@ fn library_whose_setup_always_fails_fails_its_calls() {
             "{error}"
         );
     }
+}
+
+/// In-process workers behind a transport that keeps every library image
+/// the runtime sends.
+struct Recording {
+    inner: InProcTransport,
+    images: Arc<Mutex<Vec<LibraryImage>>>,
+}
+
+impl Transport for Recording {
+    fn send(&mut self, worker: WorkerId, msg: ManagerToWorker) -> vine_core::Result<()> {
+        if let ManagerToWorker::InstallLibrary { image, .. } = &msg {
+            self.images.lock().unwrap().push(image.clone());
+        }
+        self.inner.send(worker, msg)
+    }
+
+    fn send_frame(&mut self, _: WorkerId, _: &Frame) -> vine_core::Result<()> {
+        panic!("the runtime sends each message through `send`")
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<TransportEvent, RecvError> {
+        self.inner.recv_timeout(timeout)
+    }
+
+    fn try_recv(&mut self) -> Option<TransportEvent> {
+        self.inner.try_recv()
+    }
+
+    fn disconnect(&mut self, worker: WorkerId) {
+        self.inner.disconnect(worker)
+    }
+
+    fn shutdown(&mut self) {
+        self.inner.shutdown()
+    }
+}
+
+#[test]
+fn every_installed_library_ships_a_compiled_image() {
+    let cfg = RuntimeConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    let images = Arc::new(Mutex::new(Vec::new()));
+    let transport = Recording {
+        inner: InProcTransport::new(1, cfg.worker_resources, cfg.registry.clone()),
+        images: Arc::clone(&images),
+    };
+    let mut rt = Runtime::with_transport(cfg, Box::new(transport)).unwrap();
+    let spec = |name: &str, function: &str| {
+        let mut s = LibrarySpec::new(name);
+        s.functions = vec![function.into()];
+        s.resources = Some(Resources::new(2, 2048, 2048));
+        s.slots = Some(1);
+        s
+    };
+
+    // from source, from serialized functions alone, and auto-discovered
+    rt.install_library(
+        lnni_like_spec(1, ExecMode::Direct),
+        LIB_SOURCE,
+        vec![],
+        &[Value::Int(1)],
+    )
+    .unwrap();
+    let mut origin = vine_lang::Interp::new();
+    origin.exec_source("def dyn(x) { return x + 1 }").unwrap();
+    let Value::Func(f) = origin.get_global("dyn").unwrap() else {
+        panic!("expected function value")
+    };
+    let blob = pickle::serialize_funcdef(&f.def);
+    rt.install_library(spec("serialized", "dyn"), "", vec![blob], &[])
+        .unwrap();
+    rt.install_library_auto(
+        spec("auto", "work"),
+        "base = 2\ndef work(x) { return base * x }",
+        &["work"],
+    )
+    .unwrap();
+
+    rt.submit(call(1, "f", 5));
+    rt.submit(call_into("serialized", 2, "dyn", 5));
+    rt.submit(call_into("auto", 3, "work", 5));
+    let mut results: Vec<_> = rt
+        .run_until_idle()
+        .unwrap()
+        .iter()
+        .map(|o| (o.unit, decode_result(o).unwrap()))
+        .collect();
+    results.sort_by_key(|(unit, _)| *unit);
+    let values: Vec<Value> = results.into_iter().map(|(_, v)| v).collect();
+    assert_eq!(values, [Value::Int(1005), Value::Int(6), Value::Int(10)]);
+
+    let images = images.lock().unwrap();
+    assert_eq!(images.len(), 3);
+    for image in images.iter() {
+        let compiled = image.compiled.as_ref().expect("a compiled module");
+        assert_eq!(compiled.source_digest, ContentHash::of_str(&image.source));
+        assert!(vine_lang::bytecode::from_bytes(&compiled.bytes).is_ok());
+    }
+    rt.shutdown();
 }

@@ -7,7 +7,8 @@ use vine_core::ids::{LibraryInstanceId, TaskId};
 use vine_core::resources::Resources;
 use vine_core::task::{ExecMode, TaskSpec};
 use vine_lang::{ModuleRegistry, Value};
-use vine_proto::{LibraryImage, ManagerToWorker, WorkerToManager};
+use vine_proto::{ManagerToWorker, WorkerToManager};
+use vine_runtime::library_host::compile_image;
 use vine_runtime::{run_tcp_worker, TcpTransport, Transport, TransportEvent};
 
 fn threads() -> usize {
@@ -41,14 +42,13 @@ fn a_tcp_worker_runs_on_its_reader_a_daemon_and_a_task_thread() {
         _ => None,
     });
 
-    let image = LibraryImage {
-        instance: LibraryInstanceId(1),
-        source: "def f(x) { return x + 1 }".into(),
-        serialized_functions: vec![],
-        setup: None,
-        default_mode: ExecMode::Direct,
-        compiled: None,
-    };
+    let image = compile_image(
+        LibraryInstanceId(1),
+        "def f(x) { return x + 1 }",
+        None,
+        ExecMode::Direct,
+    )
+    .unwrap();
     t.send(
         worker,
         ManagerToWorker::InstallLibrary {

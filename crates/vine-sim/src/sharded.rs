@@ -13,7 +13,8 @@
 //! Scope: workloads must be *static* (all units known at start, like
 //! LNNI's full non-overlapping sweep). Completion-driven submission
 //! (`Workload::on_complete`) would couple shards through the client and
-//! is not modeled here; chained units are ignored.
+//! is not modeled here: a workload that chains a unit on a completion is
+//! refused with an error naming the completed unit.
 //!
 //! A federation of one is the degenerate case: all units and all workers
 //! land on shard 0 in submission order, so `simulate_sharded(cfg, 1, w)`
@@ -24,8 +25,8 @@ use rayon::prelude::*;
 
 use crate::run::{simulate, SimConfig, SimResult, Workload};
 use vine_core::ids::{InvocationId, ShardId, WorkerId};
-use vine_core::task::{WorkProfile, WorkUnit};
-use vine_core::LibrarySpec;
+use vine_core::task::{UnitId, WorkProfile, WorkUnit};
+use vine_core::{LibrarySpec, Result, VineError};
 use vine_manager::ShardRouter;
 
 /// Outcome of one federated run.
@@ -74,12 +75,12 @@ impl Workload for ShardSlice {
 /// `cfg` describes the whole fleet; each shard's sub-simulation sees its
 /// worker partition and routed submissions. `cfg.fail_workers` indices
 /// refer to fleet worker ids and are forwarded to whichever shard owns
-/// that worker.
+/// that worker. A workload whose `on_complete` submits units is an error.
 pub fn simulate_sharded(
     cfg: &SimConfig,
     shards: usize,
     workload: &mut dyn Workload,
-) -> ShardedResult {
+) -> Result<ShardedResult> {
     assert!(shards >= 1, "a federation needs at least one shard");
     let mut router = ShardRouter::new();
     for s in 0..shards {
@@ -115,6 +116,11 @@ pub fn simulate_sharded(
         partition[empty].push(w);
     }
 
+    let routed_ids: Vec<Vec<UnitId>> = units
+        .iter()
+        .map(|us| us.iter().map(WorkUnit::id).collect())
+        .collect();
+
     // ---- one sub-simulation per shard, in parallel ---------------------
     let inputs: Vec<(usize, Vec<WorkerId>, Vec<WorkUnit>)> = partition
         .iter()
@@ -148,6 +154,26 @@ pub fn simulate_sharded(
         })
         .collect();
 
+    // ---- refuse chaining: its units would otherwise vanish -------------
+    for (result, ids) in results.iter().zip(&routed_ids) {
+        let mut done: Vec<u64> = result.trace.invocations.iter().map(|r| r.id.0).collect();
+        done.sort_unstable();
+        for &unit in ids {
+            let (kind, n) = match unit {
+                UnitId::Call(id) => ("call", id.0),
+                UnitId::Task(id) => ("task", id.0),
+            };
+            let chained = workload.on_complete(unit, done.binary_search(&n).is_ok());
+            if !chained.is_empty() {
+                return Err(VineError::Protocol(format!(
+                    "simulate_sharded routes static workloads only: completing {kind} {n} \
+                     submits {} more unit(s)",
+                    chained.len()
+                )));
+            }
+        }
+    }
+
     let routed: Vec<u64> = results
         .iter()
         .map(|r| r.trace.invocations.len() as u64 + r.failed_units)
@@ -162,7 +188,7 @@ pub fn simulate_sharded(
         .map(|r| r.makespan.as_secs_f64())
         .fold(0.0f64, f64::max);
     let events = results.iter().map(|r| r.events).sum();
-    ShardedResult {
+    Ok(ShardedResult {
         workers: partition.iter().map(Vec::len).collect(),
         routed,
         completed,
@@ -175,7 +201,7 @@ pub fn simulate_sharded(
         },
         events,
         shards: results,
-    }
+    })
 }
 
 /// Every completed unit id across the federation, sorted — the

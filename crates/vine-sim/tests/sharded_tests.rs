@@ -7,7 +7,7 @@ use vine_core::config::ReuseLevel;
 use vine_core::context::{ContextSpec, FileRef, LibrarySpec};
 use vine_core::ids::{ContentHash, FileId, InvocationId};
 use vine_core::resources::Resources;
-use vine_core::task::{FunctionCall, WorkProfile, WorkUnit};
+use vine_core::task::{FunctionCall, UnitId, WorkProfile, WorkUnit};
 use vine_sim::sharded::completed_unit_ids;
 use vine_sim::{simulate, simulate_sharded, SimConfig, Workload};
 
@@ -22,6 +22,22 @@ struct Fleet {
 impl Fleet {
     fn lib_name(l: u32) -> String {
         format!("fleet-lib-{l}")
+    }
+
+    fn unit(&self, i: u64) -> WorkUnit {
+        let mut call = FunctionCall::new(
+            InvocationId(i),
+            Self::lib_name(i as u32 % self.libs),
+            "work",
+            vec![0u8; 32],
+        );
+        call.resources = Resources::lnni_invocation();
+        call.profile = WorkProfile {
+            exec_gflop: 8.0,
+            output_bytes: 256,
+            ..WorkProfile::zero()
+        };
+        WorkUnit::Call(call)
     }
 
     fn params(l: u32) -> FileRef {
@@ -57,23 +73,27 @@ impl Workload for Fleet {
     }
 
     fn initial_units(&mut self) -> Vec<WorkUnit> {
-        (0..self.count)
-            .map(|i| {
-                let mut call = FunctionCall::new(
-                    InvocationId(i),
-                    Self::lib_name(i as u32 % self.libs),
-                    "work",
-                    vec![0u8; 32],
-                );
-                call.resources = Resources::lnni_invocation();
-                call.profile = WorkProfile {
-                    exec_gflop: 8.0,
-                    output_bytes: 256,
-                    ..WorkProfile::zero()
-                };
-                WorkUnit::Call(call)
-            })
-            .collect()
+        (0..self.count).map(|i| self.unit(i)).collect()
+    }
+}
+
+/// A [`Fleet`] whose seventh call chains one more call on completion.
+struct Chaining(Fleet);
+
+impl Workload for Chaining {
+    fn libraries(&self) -> Vec<(LibrarySpec, WorkProfile)> {
+        self.0.libraries()
+    }
+
+    fn initial_units(&mut self) -> Vec<WorkUnit> {
+        self.0.initial_units()
+    }
+
+    fn on_complete(&mut self, unit: UnitId, _success: bool) -> Vec<WorkUnit> {
+        match unit {
+            UnitId::Call(InvocationId(7)) => vec![self.0.unit(self.0.count)],
+            _ => Vec::new(),
+        }
     }
 }
 
@@ -94,7 +114,8 @@ fn single_shard_federation_is_bit_identical_to_standalone() {
             libs: 8,
             count: 300,
         },
-    );
+    )
+    .unwrap();
     assert_eq!(fed.shards.len(), 1);
     assert_eq!(fed.workers, vec![8]);
     let solo = &fed.shards[0];
@@ -117,7 +138,8 @@ fn federation_completes_every_unit_exactly_once() {
             libs: 32,
             count: 400,
         },
-    );
+    )
+    .unwrap();
     assert_eq!(fed.shards.len(), 4);
     assert_eq!(fed.failed, 0);
     let ids = completed_unit_ids(&fed);
@@ -141,7 +163,8 @@ fn routing_concentrates_each_library_on_one_shard() {
             libs: 24,
             count: 240,
         },
-    );
+    )
+    .unwrap();
     // a library's instances deploy only on the shard its context digest
     // hashed to — the "context concentrates where it already lives" policy
     let mut owner: std::collections::BTreeMap<String, usize> = Default::default();
@@ -177,7 +200,19 @@ fn fleet_worker_failure_is_forwarded_to_the_owning_shard() {
             libs: 12,
             count: 200,
         },
-    );
+    )
+    .unwrap();
     assert_eq!(fed.completed, 200, "failures must not lose units");
     assert_eq!(completed_unit_ids(&fed).len(), 200);
+}
+
+#[test]
+fn a_chaining_workload_is_refused_instead_of_truncated() {
+    let cfg = SimConfig::paper(ReuseLevel::L3, 8);
+    let err = simulate_sharded(&cfg, 2, &mut Chaining(Fleet { libs: 8, count: 40 })).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("completing call 7 submits 1 more unit(s)"),
+        "{err}"
+    );
 }

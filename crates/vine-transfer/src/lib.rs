@@ -19,8 +19,9 @@
 //!
 //! Plans are static DAGs of [`TransferStep`]s; the execution substrate
 //! (simulator or live runtime) schedules them respecting the dependencies
-//! and its own link model. [`TransferLimiter`] enforces the per-node cap
-//! for dynamic (on-demand) transfers outside planned broadcasts.
+//! and its own link model. On-demand transfers outside planned broadcasts
+//! are the simulator's: it picks their sources under the same per-node
+//! cap.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -240,63 +241,6 @@ impl BroadcastPlan {
     }
 }
 
-/// Runtime cap on concurrent outbound transfers per node, for on-demand
-/// (unplanned) peer fetches.
-#[derive(Debug, Default)]
-pub struct TransferLimiter {
-    cap: usize,
-    active: BTreeMap<Node, usize>,
-}
-
-impl TransferLimiter {
-    pub fn new(cap: usize) -> TransferLimiter {
-        TransferLimiter {
-            cap: cap.max(1),
-            active: BTreeMap::new(),
-        }
-    }
-
-    /// Try to reserve an outbound slot on `node`.
-    pub fn try_acquire(&mut self, node: Node) -> bool {
-        let n = self.active.entry(node).or_insert(0);
-        if *n >= self.cap {
-            return false;
-        }
-        *n += 1;
-        true
-    }
-
-    pub fn release(&mut self, node: Node) -> Result<()> {
-        match self.active.get_mut(&node) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                Ok(())
-            }
-            _ => Err(VineError::Internal(format!(
-                "transfer slot release without acquire on {node:?}"
-            ))),
-        }
-    }
-
-    pub fn active_on(&self, node: Node) -> usize {
-        self.active.get(&node).copied().unwrap_or(0)
-    }
-
-    /// Pick a source for `hash`-holding candidates with a free slot,
-    /// preferring workers over the manager (offloading the manager uplink,
-    /// as TaskVine does once peer transfer is enabled).
-    pub fn pick_source(&self, holders: &[Node]) -> Option<Node> {
-        holders
-            .iter()
-            .filter(|n| self.active_on(**n) < self.cap)
-            .max_by_key(|n| match n {
-                Node::Worker(_) => (1, usize::MAX - self.active_on(**n)),
-                Node::Manager => (0, usize::MAX - self.active_on(**n)),
-            })
-            .copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,39 +443,6 @@ mod tests {
         let plan = plan_broadcast(&topo, &ws).unwrap();
         assert_coverage(&plan, &ws);
         assert_eq!(plan.manager_sends(), 1);
-    }
-
-    #[test]
-    fn limiter_caps_and_releases() {
-        let mut lim = TransferLimiter::new(2);
-        let w = Node::Worker(WorkerId(1));
-        assert!(lim.try_acquire(w));
-        assert!(lim.try_acquire(w));
-        assert!(!lim.try_acquire(w), "cap reached");
-        lim.release(w).unwrap();
-        assert!(lim.try_acquire(w));
-        assert!(lim.release(Node::Manager).is_err(), "unbalanced release");
-    }
-
-    #[test]
-    fn limiter_prefers_idle_workers_over_manager() {
-        let mut lim = TransferLimiter::new(2);
-        let w1 = Node::Worker(WorkerId(1));
-        let w2 = Node::Worker(WorkerId(2));
-        // w1 is busy, w2 idle, manager idle → pick w2
-        assert!(lim.try_acquire(w1));
-        let src = lim.pick_source(&[Node::Manager, w1, w2]).unwrap();
-        assert_eq!(src, w2);
-        // all workers saturated → fall back to manager
-        assert!(lim.try_acquire(w1));
-        assert!(lim.try_acquire(w2));
-        assert!(lim.try_acquire(w2));
-        let src = lim.pick_source(&[Node::Manager, w1, w2]).unwrap();
-        assert_eq!(src, Node::Manager);
-        // everything saturated → none
-        assert!(lim.try_acquire(Node::Manager));
-        assert!(lim.try_acquire(Node::Manager));
-        assert!(lim.pick_source(&[Node::Manager, w1, w2]).is_none());
     }
 
     #[test]

@@ -61,22 +61,16 @@ fn auto_discovered_context_runs_on_live_cluster() {
     spec.functions = vec!["classify".into()];
     spec.resources = Some(Resources::new(2, 1024, 1024));
     spec.slots = Some(1);
+    // the program's setup hoists the context, then replays the residue
+    // (the mutable counter) once per library boot
     spec.context = ContextSpec {
         setup: Some(SetupSpec {
-            function: "context_setup".into(),
+            function: ctx.setup.clone(),
             args_blob: vec![],
         }),
         ..Default::default()
     };
-    // residue (the mutable counter) re-runs per library boot, outside the
-    // shared reusable context
-    let shipped = format!(
-        "{}\n{}\n{}",
-        ctx.setup_source,
-        ctx.code_source,
-        ctx.residue.join("\n")
-    );
-    rt.install_library(spec, &shipped, vec![], &[]).unwrap();
+    rt.install_library(spec, &ctx.source, vec![], &[]).unwrap();
 
     for i in 0..6u64 {
         rt.submit(WorkUnit::Call(FunctionCall::new(
@@ -107,11 +101,10 @@ fn auto_and_manual_context_agree() {
     let ctx = vine_flow::discover(USER_MODULE, &["classify"])
         .unwrap()
         .context;
+    // booted as a daemon boots it: run the program, then call its setup
     let mut auto = vine_lang::Interp::with_registry(vine_apps::modules::full_registry());
-    auto.exec_source(&ctx.setup_source).unwrap();
-    auto.exec_source(&ctx.code_source).unwrap();
-    auto.exec_source(&ctx.residue.join("\n")).unwrap();
-    auto.exec_source("context_setup()").unwrap();
+    auto.exec_source(&ctx.source).unwrap();
+    auto.call_global(&ctx.setup, &[]).unwrap();
 
     for img in 0..10i64 {
         let a = direct.call_global("classify", &[Value::Int(img)]).unwrap();

@@ -97,26 +97,17 @@ fn flow_install_auto_runs_on_live_cluster() {
 
 #[test]
 fn flow_auto_boot_matches_direct_execution() {
-    // the shipped construction (setup + defs + boot + residue) must agree
-    // with running the module directly — same results, same counter
+    // the shipped program, booted as a daemon boots it (run it, then call
+    // its setup), must agree with running the module directly: same
+    // results, same counter
     let registry = vine_apps::modules::full_registry();
     let mut direct = vine_lang::Interp::with_registry(registry.clone());
     direct.exec_source(USER_MODULE).unwrap();
 
     let flow = vine_flow::discover(USER_MODULE, &["classify", "remaining"]).unwrap();
     let mut auto = vine_lang::Interp::with_registry(registry);
-    auto.exec_source(&flow.context.setup_source).unwrap();
-    let prog = vine_lang::parse(USER_MODULE).unwrap();
-    for s in &prog {
-        if let vine_lang::ast::StmtKind::FuncDef(f) = &s.kind {
-            auto.exec_source(&vine_lang::inspect::format_funcdef(f))
-                .unwrap();
-        }
-    }
-    auto.exec_source("context_setup()").unwrap();
-    for r in &flow.context.residue {
-        auto.exec_source(r).unwrap();
-    }
+    auto.exec_source(&flow.context.source).unwrap();
+    auto.call_global(&flow.context.setup, &[]).unwrap();
 
     for img in 0..10i64 {
         let a = direct.call_global("classify", &[Value::Int(img)]).unwrap();
@@ -131,4 +122,55 @@ fn flow_auto_boot_matches_direct_execution() {
         direct.get_global("served").unwrap(),
         auto.get_global("served").unwrap()
     );
+}
+
+/// A module with its own `context_setup`, which the shipped program's
+/// setup must not replace or be replaced by.
+const OWN_SETUP_MODULE: &str = r#"
+import nn
+model = nn.load_model(2, 4)
+served = 0
+def context_setup() {
+    global tag
+    tag = "t"
+}
+def work(x) {
+    global served
+    served = served + 1
+    return nn.forward(model, x)
+}
+"#;
+
+/// The input `work` classifies as class 3.
+const ARG: i64 = 1;
+
+#[test]
+fn a_module_context_setup_keeps_the_hoisted_context() {
+    let registry = vine_apps::modules::full_registry();
+    let mut direct = vine_lang::Interp::with_registry(registry.clone());
+    direct.exec_source(OWN_SETUP_MODULE).unwrap();
+    let expected = direct.call_global("work", &[Value::Int(ARG)]).unwrap();
+    assert_eq!(expected, Value::Int(3));
+
+    let mut rt = Runtime::new(RuntimeConfig {
+        workers: 1,
+        registry,
+        ..Default::default()
+    });
+    let mut spec = LibrarySpec::new("own-setup");
+    spec.slots = Some(1);
+    let flow = rt
+        .install_library_auto(spec, OWN_SETUP_MODULE, &["work"])
+        .unwrap();
+    assert_eq!(flow.context.setup, "__auto_boot");
+    rt.submit(WorkUnit::Call(FunctionCall::new(
+        InvocationId(1),
+        "own-setup",
+        "work",
+        pickle::serialize_args(&[Value::Int(ARG)]).unwrap(),
+    )));
+    let outcomes = rt.run_until_idle().unwrap();
+    assert_eq!(outcomes.len(), 1);
+    assert_eq!(decode_result(&outcomes[0]).unwrap(), expected);
+    rt.shutdown();
 }
