@@ -46,10 +46,10 @@ fn bench_scheduler_throughput(c: &mut Criterion) {
                         } => {
                             m.library_ready(worker, instance).unwrap();
                         }
-                        Decision::DispatchCall { call, .. } => {
+                        Decision::DispatchCall { worker, call, .. } => {
                             // complete immediately: measures pure
                             // scheduling bookkeeping
-                            m.unit_finished(UnitId::Call(call.id)).unwrap();
+                            m.unit_finished(worker, UnitId::Call(call.id)).unwrap();
                             done += 1;
                         }
                         _ => {}

@@ -585,7 +585,7 @@ pub fn perf(scale: f64) -> Table {
         fn push(&mut self, unit: WorkUnit);
         fn next(&mut self) -> Option<Decision>;
         fn ready(&mut self, w: WorkerId, i: LibraryInstanceId);
-        fn done(&mut self, u: UnitId);
+        fn done(&mut self, w: WorkerId, u: UnitId);
     }
     macro_rules! impl_sched {
         ($t:ty) => {
@@ -605,8 +605,8 @@ pub fn perf(scale: f64) -> Table {
                 fn ready(&mut self, w: WorkerId, i: LibraryInstanceId) {
                     self.library_ready(w, i).expect("install ack");
                 }
-                fn done(&mut self, u: UnitId) {
-                    self.unit_finished(u).expect("finish");
+                fn done(&mut self, w: WorkerId, u: UnitId) {
+                    self.unit_finished(w, u).expect("finish");
                 }
             }
         };
@@ -658,7 +658,7 @@ pub fn perf(scale: f64) -> Table {
             ));
             s.push(WorkUnit::Task(t));
         }
-        let mut running: VecDeque<UnitId> = VecDeque::new();
+        let mut running: VecDeque<(WorkerId, UnitId)> = VecDeque::new();
         let mut decisions = 0u64;
         loop {
             while let Some(d) = s.next() {
@@ -667,11 +667,11 @@ pub fn perf(scale: f64) -> Table {
                     Decision::InstallLibrary {
                         worker, instance, ..
                     } => s.ready(worker, instance),
-                    Decision::DispatchCall { call, .. } => {
-                        running.push_back(UnitId::Call(call.id));
+                    Decision::DispatchCall { worker, call, .. } => {
+                        running.push_back((worker, UnitId::Call(call.id)));
                     }
-                    Decision::DispatchTask { task, .. } => {
-                        running.push_back(UnitId::Task(task.id));
+                    Decision::DispatchTask { worker, task, .. } => {
+                        running.push_back((worker, UnitId::Task(task.id)));
                     }
                     Decision::EvictLibrary { .. } | Decision::Fail { .. } => {}
                 }
@@ -681,8 +681,8 @@ pub fn perf(scale: f64) -> Table {
             }
             // complete the older half to free slots for the next wave
             for _ in 0..(running.len() / 2).max(1) {
-                let u = running.pop_front().expect("non-empty");
-                s.done(u);
+                let (w, u) = running.pop_front().expect("non-empty");
+                s.done(w, u);
             }
         }
         decisions

@@ -256,7 +256,6 @@ impl Workload for ExaMolWorkload {
                 function: "context_setup".into(),
                 args_blob: vec![0u8; 8],
             }),
-            ..Default::default()
         };
         let setup = WorkProfile {
             exec_gflop: 0.0,

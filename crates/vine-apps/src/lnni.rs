@@ -120,17 +120,6 @@ pub struct LnniConfig {
 }
 
 impl LnniConfig {
-    /// Fig 6a / Fig 7 / Table 4: 100k invocations × 16 inferences.
-    pub fn paper_100k(level: ReuseLevel) -> LnniConfig {
-        LnniConfig {
-            invocations: 100_000,
-            inferences_per_invocation: 16,
-            level,
-            seed: 0x6c6e6e69,
-            library_strategy: LibraryStrategy::PerSlot,
-        }
-    }
-
     /// Fig 8 / Fig 9: 10k invocations.
     pub fn paper_10k(level: ReuseLevel, inferences: u64) -> LnniConfig {
         LnniConfig {
@@ -272,7 +261,6 @@ impl Workload for LnniWorkload {
                 function: "context_setup".into(),
                 args_blob: vec![0u8; 16],
             }),
-            ..Default::default()
         };
         let setup_profile = WorkProfile {
             exec_gflop: 0.0,

@@ -109,13 +109,6 @@ impl CodeArtifact {
             CodeArtifact::Source { name, .. } | CodeArtifact::Serialized { name, .. } => name,
         }
     }
-
-    pub fn size_bytes(&self) -> u64 {
-        match self {
-            CodeArtifact::Source { text, .. } => text.len() as u64,
-            CodeArtifact::Serialized { blob, .. } => blob.len() as u64,
-        }
-    }
 }
 
 /// The arbitrary environment-setup element: an executable object run once
@@ -133,10 +126,10 @@ pub struct SetupSpec {
 
 /// The complete discovered context of a function (or a co-packaged set of
 /// functions): everything a worker needs *besides* per-invocation arguments.
+/// Element 1, the function code, ships with the library's install (its
+/// source and serialized functions), not here.
 #[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ContextSpec {
-    /// Element 1 — function code.
-    pub code: Vec<CodeArtifact>,
     /// Element 2 — software dependencies, packaged as an environment
     /// archive (the Poncho/conda-pack tarball analogue).
     pub environment: Option<FileRef>,
@@ -153,28 +146,10 @@ impl ContextSpec {
         self.environment.iter().chain(self.data.iter())
     }
 
-    /// Total bytes shipped over the network for this context.
-    pub fn transfer_bytes(&self) -> u64 {
-        self.files().map(|f| f.size_bytes).sum::<u64>()
-            + self.code.iter().map(|c| c.size_bytes()).sum::<u64>()
-    }
-
-    /// Total bytes occupied on a worker's disk once materialized.
-    pub fn materialized_bytes(&self) -> u64 {
-        self.files().map(|f| f.materialized_bytes()).sum::<u64>()
-            + self.code.iter().map(|c| c.size_bytes()).sum::<u64>()
-    }
-
     /// A stable digest of the whole context, used to deduplicate identical
     /// contexts on a worker (invocation-to-context binding, §2.2.1).
     pub fn digest(&self) -> ContentHash {
         let mut h = ContentHash::of_str("context");
-        for c in &self.code {
-            h = h.combine(match c {
-                CodeArtifact::Source { text, .. } => ContentHash::of_str(text),
-                CodeArtifact::Serialized { blob, .. } => ContentHash::of_bytes(blob),
-            });
-        }
         for f in self.files() {
             h = h.combine(f.hash);
         }
@@ -255,10 +230,6 @@ mod tests {
     #[test]
     fn context_digest_changes_with_any_element() {
         let base = ContextSpec {
-            code: vec![CodeArtifact::Source {
-                name: "f".into(),
-                text: "def f(x): x + 1".into(),
-            }],
             environment: Some(file(1, "env.tar", "envdata", 100)),
             data: vec![file(2, "data.bin", "dataset", 200)],
             setup: Some(SetupSpec {
@@ -267,13 +238,6 @@ mod tests {
             }),
         };
         let d0 = base.digest();
-
-        let mut changed = base.clone();
-        changed.code[0] = CodeArtifact::Source {
-            name: "f".into(),
-            text: "def f(x): x + 2".into(),
-        };
-        assert_ne!(changed.digest(), d0);
 
         let mut changed = base.clone();
         changed.data[0].hash = ContentHash::of_str("other");
@@ -285,21 +249,6 @@ mod tests {
 
         // unchanged clone digests identically
         assert_eq!(base.clone().digest(), d0);
-    }
-
-    #[test]
-    fn transfer_and_materialized_bytes() {
-        let ctx = ContextSpec {
-            code: vec![CodeArtifact::Serialized {
-                name: "g".into(),
-                blob: vec![0u8; 50],
-            }],
-            environment: Some(file(1, "env.tar", "env", 572).packed(3100)),
-            data: vec![file(2, "model.bin", "params", 400)],
-            setup: None,
-        };
-        assert_eq!(ctx.transfer_bytes(), 50 + 572 + 400);
-        assert_eq!(ctx.materialized_bytes(), 50 + 3100 + 400);
     }
 
     #[test]

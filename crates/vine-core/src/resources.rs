@@ -107,10 +107,6 @@ impl Resources {
         }
     }
 
-    pub fn is_zero(&self) -> bool {
-        *self == Resources::ZERO
-    }
-
     /// Component-wise max, used when sizing a library to the largest of its
     /// functions' requests.
     pub fn max(&self, other: &Resources) -> Resources {

@@ -154,9 +154,6 @@ pub fn lint_library(
     facts
         .defined_functions
         .extend(pre.serialized_functions.iter().cloned());
-    for code in &spec.context.code {
-        facts.defined_functions.insert(code.name().to_string());
-    }
 
     let parsed = if source.is_empty() {
         None

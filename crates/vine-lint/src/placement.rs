@@ -46,7 +46,7 @@ pub fn lint_placement(spec: &LibrarySpec, workers: &[Resources]) -> Vec<Diagnost
             ),
         );
     }
-    let ctx_bytes = spec.context.materialized_bytes();
+    let ctx_bytes: u64 = spec.context.files().map(|f| f.materialized_bytes()).sum();
     if !workers.is_empty() {
         let max_disk_bytes = workers
             .iter()

@@ -18,7 +18,9 @@
 //! [`Decision`]s and applies their bookkeeping immediately to its
 //! per-worker model ([`WorkerState`] — slots, resources, cached files and
 //! [`LibraryInstance`]s); the execution substrate (simulator or live
-//! runtime) attaches time and I/O and feeds back completion events.
+//! runtime) attaches time and I/O and feeds back completion events. The
+//! manager alone keeps what it dispatched: it requeues a lost worker's
+//! units itself and decides when to give up on one ([`MAX_FAILURES`]).
 //!
 //! For federated deployments, N substrates each drive their own `Manager`
 //! over a worker partition, behind a [`ShardRouter`] front-end that hashes
@@ -26,6 +28,7 @@
 //! shards ([`router`]).
 
 pub mod index;
+mod ledger;
 pub mod library;
 pub mod manager;
 pub mod reference;
@@ -33,6 +36,7 @@ pub mod ring;
 pub mod router;
 pub mod state;
 
+pub use ledger::MAX_FAILURES;
 pub use library::{LibState, LibraryInstance};
 pub use manager::{Decision, Manager, Placement};
 pub use ring::HashRing;

@@ -93,11 +93,13 @@ impl LibraryInstance {
         Ok(())
     }
 
-    pub(crate) fn finish(&mut self, id: InvocationId) -> Result<()> {
+    /// Free an invocation's slot. Only a `served` invocation counts toward
+    /// the share value; one handed back unrun does not.
+    pub(crate) fn finish(&mut self, id: InvocationId, served: bool) -> Result<()> {
         match self.running.iter().position(|r| *r == id) {
             Some(pos) => {
                 self.running.swap_remove(pos);
-                self.served += 1;
+                self.served += u64::from(served);
                 Ok(())
             }
             None => Err(VineError::Protocol(format!(
@@ -134,7 +136,7 @@ mod tests {
         assert_eq!(l.free_slots(), 0);
         let e = l.begin(InvocationId(3)).unwrap_err();
         assert!(e.to_string().contains("no free slots"));
-        l.finish(InvocationId(1)).unwrap();
+        l.finish(InvocationId(1), true).unwrap();
         assert_eq!(l.free_slots(), 1);
         assert_eq!(l.served, 1);
     }
@@ -165,7 +167,7 @@ mod tests {
     #[test]
     fn finish_unknown_invocation_rejected() {
         let mut l = lib(2);
-        assert!(l.finish(InvocationId(9)).is_err());
+        assert!(l.finish(InvocationId(9), true).is_err());
     }
 
     #[test]
@@ -176,9 +178,9 @@ mod tests {
         }
         assert_eq!(l.served, 0);
         for i in 0..4 {
-            l.finish(InvocationId(i)).unwrap();
+            l.finish(InvocationId(i), i != 0).unwrap();
         }
-        assert_eq!(l.served, 4);
+        assert_eq!(l.served, 3, "a hand-back is not served");
         assert!(l.is_empty());
     }
 

@@ -23,6 +23,7 @@
 //! `tests/differential.rs`).
 
 use crate::index::FitIndex;
+use crate::ledger::{Ledger, RunningUnit};
 use crate::library::LibraryInstance;
 use crate::ring::HashRing;
 use crate::state::WorkerState;
@@ -78,7 +79,8 @@ pub enum Decision {
         task: TaskSpec,
         missing: Vec<FileRef>,
     },
-    /// A unit is unschedulable forever (e.g. unknown library).
+    /// A unit is unschedulable forever (unknown library) or given up on
+    /// (see [`crate::MAX_FAILURES`]).
     Fail { unit: UnitId, error: String },
 }
 
@@ -97,7 +99,7 @@ pub struct Manager {
     queue_calls: BTreeMap<String, VecDeque<FunctionCall>>,
     /// Total calls across `queue_calls` (so `pending` is O(1)).
     queued_calls: usize,
-    running: BTreeMap<UnitId, Placement>,
+    ledger: Ledger,
     /// Ready instances with free slots, per library.
     ready_slots: SlotIndex,
     /// Slots promised per library: all slots of Starting instances plus
@@ -106,8 +108,6 @@ pub struct Manager {
     pending_supply: BTreeMap<String, i64>,
     instance_owner: BTreeMap<LibraryInstanceId, WorkerId>,
     next_instance: u64,
-    /// Completed units (telemetry).
-    pub completed: u64,
     /// Libraries with queued calls and no registered spec.
     unknown_pending: BTreeSet<String>,
     /// Libraries with queued calls and a ready free slot.
@@ -136,12 +136,11 @@ impl Manager {
             queue_tasks: VecDeque::new(),
             queue_calls: BTreeMap::new(),
             queued_calls: 0,
-            running: BTreeMap::new(),
+            ledger: Ledger::default(),
             ready_slots: BTreeMap::new(),
             pending_supply: BTreeMap::new(),
             instance_owner: BTreeMap::new(),
             next_instance: 0,
-            completed: 0,
             unknown_pending: BTreeSet::new(),
             dispatchable: BTreeSet::new(),
             demand_over: BTreeSet::new(),
@@ -154,10 +153,6 @@ impl Manager {
         let name = spec.name.clone();
         self.specs.insert(name.clone(), Arc::new(spec));
         self.reindex_lib(&name);
-    }
-
-    pub fn library_spec(&self, name: &str) -> Option<&LibrarySpec> {
-        self.specs.get(name).map(|s| s.as_ref())
     }
 
     // ---- index maintenance ----
@@ -213,10 +208,12 @@ impl Manager {
         self.rebuild_fit();
     }
 
-    /// A worker died or disconnected. Its instances and running placements
-    /// are dropped and the units that were running there are returned: the
-    /// substrate cancels their in-flight activity and hands them back with
-    /// [`Manager::requeue`] (at the front — they have waited longest).
+    /// A worker died or disconnected. Its instances are dropped and the
+    /// units that were running there are requeued, one by one in dispatch
+    /// order, each at the front of its queue (they have waited longest);
+    /// a unit lost [`crate::MAX_FAILURES`] times fails instead. Returns
+    /// their ids in dispatch order: the substrate cancels whatever they
+    /// still had in flight.
     pub fn worker_left(&mut self, id: WorkerId) -> Vec<UnitId> {
         self.ring.remove(id);
         let Some(state) = self.workers.remove(&id) else {
@@ -249,15 +246,9 @@ impl Manager {
             !ws.is_empty()
         });
         self.rebuild_fit();
-        // hand back its running units
-        let lost: Vec<UnitId> = self
-            .running
-            .iter()
-            .filter(|(_, p)| p.worker == id)
-            .map(|(u, _)| *u)
-            .collect();
-        for unit in &lost {
-            self.running.remove(unit);
+        let (lost, requeue) = self.ledger.worker_lost(id);
+        for unit in requeue {
+            self.push_front(unit);
         }
         lost
     }
@@ -300,7 +291,7 @@ impl Manager {
     }
 
     /// Requeue a unit at the front (fault recovery).
-    pub fn requeue(&mut self, unit: WorkUnit) {
+    fn push_front(&mut self, unit: WorkUnit) {
         match unit {
             WorkUnit::Task(t) => self.queue_tasks.push_front(t),
             WorkUnit::Call(c) => {
@@ -318,19 +309,31 @@ impl Manager {
     /// Units waiting + running (drives the paper's scale-dependent manager
     /// bookkeeping cost).
     pub fn pending(&self) -> usize {
-        self.queue_tasks.len() + self.queued_calls + self.running.len()
+        self.queued() + self.ledger.running_count()
     }
 
+    /// Units waiting for a decision, including those given up on and not
+    /// yet reported.
     pub fn queued(&self) -> usize {
-        self.queue_tasks.len() + self.queued_calls
+        self.queue_tasks.len() + self.queued_calls + self.ledger.failures_pending()
     }
 
     pub fn running_count(&self) -> usize {
-        self.running.len()
+        self.ledger.running_count()
     }
 
     pub fn is_idle(&self) -> bool {
-        self.queued() == 0 && self.running.is_empty()
+        self.queued() == 0 && self.ledger.running_count() == 0
+    }
+
+    /// Units completed since boot.
+    pub fn completed(&self) -> u64 {
+        self.ledger.completed
+    }
+
+    /// Units requeued since boot, after a worker loss or a hand-back.
+    pub fn requeues(&self) -> u64 {
+        self.ledger.requeues
     }
 
     // ---- scheduling ----
@@ -338,6 +341,10 @@ impl Manager {
     /// Produce the next scheduling decision, applying its bookkeeping.
     /// Returns `None` when nothing can progress until an event arrives.
     pub fn next_decision(&mut self) -> Option<Decision> {
+        // 0. report units given up on
+        if let Some(d) = self.ledger.next_failure() {
+            return Some(d);
+        }
         // 1. unknown-library calls fail fast
         if let Some(d) = self.fail_unknown_library() {
             return Some(d);
@@ -396,12 +403,12 @@ impl Manager {
         self.consume_slot(&lib_name, worker, instance);
         *self.pending_supply.entry(lib_name.clone()).or_insert(0) -= 1;
         self.reindex_lib(&lib_name);
-        self.running.insert(
-            UnitId::Call(call.id),
+        self.ledger.dispatched(
             Placement {
                 worker,
                 library: Some(instance),
             },
+            WorkUnit::Call(call.clone()),
         );
         Some(Decision::DispatchCall {
             worker,
@@ -442,12 +449,12 @@ impl Manager {
             self.file_holders.entry(h).or_default().insert(worker);
         }
         self.refresh_fit(worker);
-        self.running.insert(
-            UnitId::Task(task.id),
+        self.ledger.dispatched(
             Placement {
                 worker,
                 library: None,
             },
+            WorkUnit::Task(task.clone()),
         );
         Some(Decision::DispatchTask {
             worker,
@@ -602,6 +609,7 @@ impl Manager {
         let inst = &w.libraries[&instance];
         let name = inst.spec.name.clone();
         let slots = inst.slots;
+        self.ledger.library_ready(&name);
         self.ready_slots
             .entry(name.clone())
             .or_default()
@@ -610,61 +618,85 @@ impl Manager {
         Ok(())
     }
 
-    /// Context setup failed; the instance is removed and its resources
-    /// reclaimed.
+    /// Context setup failed with the daemon's `error`; the instance is
+    /// removed and its resources reclaimed. After
+    /// [`crate::MAX_FAILURES`] such failures of one library in a row, its
+    /// queued calls fail with that error.
     pub fn library_startup_failed(
         &mut self,
         worker: WorkerId,
         instance: LibraryInstanceId,
+        error: &str,
     ) -> Result<()> {
         let w = self
             .workers
             .get_mut(&worker)
             .ok_or_else(|| VineError::Protocol(format!("no worker {worker}")))?;
         w.library_failed(instance)?;
-        self.remove_instance(worker, instance)?;
+        let name = self.remove_instance(worker, instance)?.spec.name.clone();
+        self.queued_calls -= self
+            .ledger
+            .startup_failed(&name, error, &mut self.queue_calls);
+        self.reindex_lib(&name);
         Ok(())
     }
 
-    /// Take every queued call of `library` off the queue, for a substrate
-    /// that gives up on the library (the live runtime does so when its
-    /// context setup keeps failing). The caller reports the returned calls
-    /// as failed.
-    pub fn fail_queued_calls(&mut self, library: &str) -> Vec<UnitId> {
-        let failed: Vec<UnitId> = self
-            .queue_calls
-            .remove(library)
-            .into_iter()
-            .flatten()
-            .map(|c| UnitId::Call(c.id))
-            .collect();
-        self.queued_calls -= failed.len();
-        self.reindex_lib(library);
-        failed
+    /// `worker` reports `unit` done (successfully or not); its slot or
+    /// resources are freed. `Ok(None)` when the unit is not running on
+    /// `worker`: the report is stale (the unit was requeued and runs
+    /// again) and changes nothing.
+    pub fn unit_finished(&mut self, worker: WorkerId, unit: UnitId) -> Result<Option<Placement>> {
+        let Some(done) = self.release(worker, unit, true)? else {
+            return Ok(None);
+        };
+        self.ledger.finished(unit);
+        Ok(Some(done.placement))
     }
 
-    /// A dispatched unit finished (successfully or not); frees its slot or
-    /// resources.
-    pub fn unit_finished(&mut self, unit: UnitId) -> Result<Placement> {
-        let placement = self
-            .running
-            .remove(&unit)
-            .ok_or_else(|| VineError::Protocol(format!("{unit:?} is not running")))?;
+    /// `worker` hands `unit` back unrun, through no fault of the unit (its
+    /// instance vanished). Its slot or resources are freed without
+    /// counting it served or completed, and the manager requeues its own
+    /// copy at the front. `Ok(None)` when the unit is not running on
+    /// `worker`.
+    pub fn unit_handed_back(
+        &mut self,
+        worker: WorkerId,
+        unit: UnitId,
+    ) -> Result<Option<Placement>> {
+        let Some(back) = self.release(worker, unit, false)? else {
+            return Ok(None);
+        };
+        self.ledger.requeues += 1;
+        self.push_front(back.unit);
+        Ok(Some(back.placement))
+    }
+
+    /// Take `unit` off `worker` and free its slot or resources; a call
+    /// counts toward its instance's share value only when `served`.
+    fn release(
+        &mut self,
+        worker: WorkerId,
+        unit: UnitId,
+        served: bool,
+    ) -> Result<Option<RunningUnit>> {
+        let Some(running) = self.ledger.take(worker, unit) else {
+            return Ok(None);
+        };
         let w = self
             .workers
-            .get_mut(&placement.worker)
-            .ok_or_else(|| VineError::Protocol(format!("no worker {}", placement.worker)))?;
-        match (unit, placement.library) {
+            .get_mut(&worker)
+            .ok_or_else(|| VineError::Protocol(format!("no worker {worker}")))?;
+        match (unit, running.placement.library) {
             (UnitId::Call(id), Some(lib)) => {
-                w.finish_call(lib, id)?;
+                w.finish_call(lib, id, served)?;
                 let name = w.libraries[&lib].spec.name.clone();
-                self.return_slot(&name, placement.worker, lib);
+                self.return_slot(&name, worker, lib);
                 *self.pending_supply.entry(name.clone()).or_insert(0) += 1;
                 self.reindex_lib(&name);
             }
             (UnitId::Task(id), _) => {
                 w.finish_task(id)?;
-                self.refresh_fit(placement.worker);
+                self.refresh_fit(worker);
             }
             (UnitId::Call(id), None) => {
                 return Err(VineError::Internal(format!(
@@ -672,8 +704,7 @@ impl Manager {
                 )))
             }
         }
-        self.completed += 1;
-        Ok(placement)
+        Ok(Some(running))
     }
 
     /// Explicitly remove an idle library (application-driven uninstall).
@@ -689,13 +720,14 @@ impl Manager {
     }
 
     pub fn placement_of(&self, unit: UnitId) -> Option<Placement> {
-        self.running.get(&unit).copied()
+        self.ledger.placement(unit)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_FAILURES;
     use vine_core::context::ContextSpec;
     use vine_core::ids::{ContentHash, FileId, InvocationId, TaskId};
 
@@ -727,6 +759,14 @@ mod tests {
             m.worker_joined(WorkerId(i), Resources::paper_worker());
         }
         m
+    }
+
+    /// Report `unit` done from the worker it runs on.
+    fn finish(m: &mut Manager, unit: UnitId) {
+        let worker = m.placement_of(unit).expect("running").worker;
+        m.unit_finished(worker, unit)
+            .unwrap()
+            .expect("placed there");
     }
 
     /// Drive decisions, immediately acking installs as ready.
@@ -776,8 +816,8 @@ mod tests {
             other => panic!("expected dispatch, got {other:?}"),
         }
         assert_eq!(m.running_count(), 1);
-        m.unit_finished(UnitId::Call(InvocationId(1))).unwrap();
-        assert_eq!(m.completed, 1);
+        finish(&mut m, UnitId::Call(InvocationId(1)));
+        assert_eq!(m.completed(), 1);
         assert!(m.is_idle());
     }
 
@@ -786,7 +826,7 @@ mod tests {
         let mut m = manager_with_workers(1);
         m.submit(call(1));
         let decisions = drain(&mut m);
-        m.unit_finished(UnitId::Call(InvocationId(1))).unwrap();
+        finish(&mut m, UnitId::Call(InvocationId(1)));
         let Decision::InstallLibrary {
             worker, instance, ..
         } = &decisions[0]
@@ -855,7 +895,7 @@ mod tests {
         drain(&mut m);
         assert_eq!(m.running_count(), 16);
         assert_eq!(m.queued(), 1);
-        m.unit_finished(UnitId::Call(InvocationId(0))).unwrap();
+        finish(&mut m, UnitId::Call(InvocationId(0)));
         match m.next_decision().unwrap() {
             Decision::DispatchCall { call, .. } => assert_eq!(call.id, InvocationId(16)),
             other => panic!("{other:?}"),
@@ -886,7 +926,7 @@ mod tests {
         // fill the worker with an idle lnni library
         m.submit(call(1));
         drain(&mut m);
-        m.unit_finished(UnitId::Call(InvocationId(1))).unwrap();
+        finish(&mut m, UnitId::Call(InvocationId(1)));
 
         // now demand for a different whole-worker library arrives
         let mut other = LibrarySpec::new("examol");
@@ -928,7 +968,7 @@ mod tests {
         // lnni is busy: nothing can progress
         assert!(m.next_decision().is_none());
         // once idle, eviction unblocks examol
-        m.unit_finished(UnitId::Call(InvocationId(1))).unwrap();
+        finish(&mut m, UnitId::Call(InvocationId(1)));
         let decisions = drain(&mut m);
         assert!(decisions
             .iter()
@@ -951,7 +991,7 @@ mod tests {
             Decision::DispatchTask { missing, .. } => assert_eq!(missing.len(), 1),
             other => panic!("{other:?}"),
         }
-        m.unit_finished(UnitId::Task(TaskId(1))).unwrap();
+        finish(&mut m, UnitId::Task(TaskId(1)));
 
         // second task with the same input: now cached on that worker (the
         // ring walk for the same task name lands on the same worker)
@@ -978,12 +1018,9 @@ mod tests {
         assert_eq!(lost.len(), 4);
         assert_eq!(m.worker_count(), 0);
         assert_eq!(m.running_count(), 0);
+        assert_eq!(m.queued(), 4, "the manager requeued them itself");
+        assert_eq!(m.requeues(), 4);
         // with no workers nothing schedules
-        for unit in lost {
-            if let UnitId::Call(id) = unit {
-                m.requeue(call(id.0));
-            }
-        }
         assert!(m.next_decision().is_none());
         // a replacement worker picks the work back up
         m.worker_joined(WorkerId(1), Resources::paper_worker());
@@ -1008,7 +1045,7 @@ mod tests {
         else {
             panic!()
         };
-        m.library_startup_failed(worker, instance).unwrap();
+        m.library_startup_failed(worker, instance, "boom").unwrap();
         assert_eq!(m.workers[&worker].available, Resources::paper_worker());
         // demand still queued: the manager tries again
         match m.next_decision().unwrap() {
@@ -1017,22 +1054,157 @@ mod tests {
         }
     }
 
+    /// Fail every install of `lnni` that `next_decision` makes, until it
+    /// makes something else; returns that.
+    fn fail_installs(m: &mut Manager, failures: usize) -> Option<Decision> {
+        for _ in 0..failures {
+            let Some(Decision::InstallLibrary {
+                worker, instance, ..
+            }) = m.next_decision()
+            else {
+                panic!("expected an install")
+            };
+            m.library_startup_failed(worker, instance, "division by zero")
+                .unwrap();
+        }
+        m.next_decision()
+    }
+
     #[test]
     fn failing_queued_calls_drops_the_librarys_demand() {
         let mut m = manager_with_workers(1);
         m.submit(call(1));
         m.submit(call(2));
-        let Some(Decision::InstallLibrary {
-            worker, instance, ..
-        }) = m.next_decision()
-        else {
-            panic!()
-        };
-        m.library_startup_failed(worker, instance).unwrap();
-        let failed = m.fail_queued_calls("lnni");
-        assert_eq!(failed.len(), 2);
+        let mut failed = Vec::new();
+        let mut next = fail_installs(&mut m, MAX_FAILURES as usize);
+        while let Some(Decision::Fail { unit, error }) = next {
+            assert_eq!(error, "library lnni failed to start: division by zero");
+            failed.push(unit);
+            next = m.next_decision();
+        }
+        assert_eq!(
+            failed,
+            [UnitId::Call(InvocationId(1)), UnitId::Call(InvocationId(2))]
+        );
+        assert!(next.is_none(), "nothing left to install for");
         assert!(m.is_idle());
-        assert!(m.next_decision().is_none(), "nothing left to install for");
+    }
+
+    #[test]
+    fn a_ready_instance_resets_the_startup_failure_count() {
+        let mut m = manager_with_workers(1);
+        m.submit(call(1));
+        assert!(matches!(
+            fail_installs(&mut m, MAX_FAILURES as usize - 1),
+            Some(Decision::InstallLibrary { .. })
+        ));
+        let Some((worker, instance)) = m.instances().map(|(w, l)| (w, l.id)).next() else {
+            panic!("the install is starting")
+        };
+        m.library_ready(worker, instance).unwrap();
+        assert!(matches!(
+            m.next_decision(),
+            Some(Decision::DispatchCall { .. })
+        ));
+        finish(&mut m, UnitId::Call(InvocationId(1)));
+        m.evict_instance(worker, instance).unwrap();
+        // two more failures in a row stay under the limit
+        m.submit(call(2));
+        assert!(matches!(
+            fail_installs(&mut m, MAX_FAILURES as usize - 1),
+            Some(Decision::InstallLibrary { .. })
+        ));
+    }
+
+    #[test]
+    fn a_lost_workers_units_come_back_in_dispatch_order() {
+        let mut m = Manager::new();
+        let mut spec = lnni_spec();
+        spec.resources = Some(Resources::new(16, 32 * 1024, 32 * 1024));
+        m.register_library(spec);
+        m.worker_joined(WorkerId(0), Resources::paper_worker());
+        // dispatch order differs from id order, and mixes tasks and calls
+        for i in [5, 3, 9] {
+            m.submit(call(i));
+        }
+        let mut t = TaskSpec::new(TaskId(1), "t");
+        t.resources = Resources::lnni_invocation();
+        m.submit(WorkUnit::Task(t));
+        let order: Vec<UnitId> = drain(&mut m)
+            .iter()
+            .filter_map(|d| match d {
+                Decision::DispatchCall { call, .. } => Some(UnitId::Call(call.id)),
+                Decision::DispatchTask { task, .. } => Some(UnitId::Task(task.id)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order.len(), 4);
+        assert_ne!(order, {
+            let mut sorted = order.clone();
+            sorted.sort();
+            sorted
+        });
+        assert_eq!(m.worker_left(WorkerId(0)), order);
+        // each went to the front of its queue in turn, so the last one
+        // dispatched is the first one out
+        m.worker_joined(WorkerId(1), Resources::paper_worker());
+        let again: Vec<UnitId> = drain(&mut m)
+            .iter()
+            .filter_map(|d| match d {
+                Decision::DispatchCall { call, .. } => Some(UnitId::Call(call.id)),
+                _ => None,
+            })
+            .collect();
+        let calls: Vec<UnitId> = order
+            .iter()
+            .rev()
+            .filter(|u| matches!(u, UnitId::Call(_)))
+            .copied()
+            .collect();
+        assert_eq!(again, calls);
+    }
+
+    #[test]
+    fn a_unit_whose_worker_is_lost_a_third_time_fails() {
+        let mut m = manager_with_workers(0);
+        m.submit(call(1));
+        for w in 0..MAX_FAILURES {
+            m.worker_joined(WorkerId(w), Resources::paper_worker());
+            drain(&mut m);
+            assert!(m.placement_of(UnitId::Call(InvocationId(1))).is_some());
+            assert_eq!(m.worker_left(WorkerId(w)), [UnitId::Call(InvocationId(1))]);
+        }
+        assert_eq!(m.requeues(), u64::from(MAX_FAILURES) - 1);
+        match m.next_decision() {
+            Some(Decision::Fail { unit, error }) => {
+                assert_eq!(unit, UnitId::Call(InvocationId(1)));
+                assert!(error.contains("losing its worker 3 times"), "{error}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(m.is_idle());
+    }
+
+    #[test]
+    fn only_the_placed_worker_finishes_or_hands_back_a_unit() {
+        let mut m = manager_with_workers(2);
+        m.submit(call(1));
+        drain(&mut m);
+        let unit = UnitId::Call(InvocationId(1));
+        let placed = m.placement_of(unit).unwrap().worker;
+        let other = WorkerId(1 - placed.0);
+        assert_eq!(m.unit_finished(other, unit).unwrap(), None);
+        assert_eq!(m.unit_handed_back(other, unit).unwrap(), None);
+        assert_eq!(m.running_count(), 1, "stale reports change nothing");
+        assert!(m.unit_handed_back(placed, unit).unwrap().is_some());
+        assert_eq!(m.requeues(), 1);
+        // the hand-back is neither served nor completed
+        assert_eq!(m.completed(), 0);
+        assert_eq!(m.instances().map(|(_, l)| l.served).sum::<u64>(), 0);
+        drain(&mut m);
+        finish(&mut m, unit);
+        assert_eq!(m.completed(), 1);
+        assert_eq!(m.instances().map(|(_, l)| l.served).sum::<u64>(), 1);
     }
 
     #[test]
@@ -1057,11 +1229,11 @@ mod tests {
         for i in 0..20 {
             // finish only those actually dispatched
             if m.placement_of(UnitId::Call(InvocationId(i))).is_some() {
-                m.unit_finished(UnitId::Call(InvocationId(i))).unwrap();
+                finish(&mut m, UnitId::Call(InvocationId(i)));
             }
         }
         let served: u64 = m.instances().map(|(_, l)| l.served).sum();
-        assert_eq!(served, m.completed);
+        assert_eq!(served, m.completed());
         assert!(m.instances().count() >= 1);
     }
 

@@ -16,8 +16,10 @@
 //!
 //! Behavior matches [`crate::Manager`] exactly, including the
 //! staging-failure rule (a file the worker's cache rejects is flagged
-//! `cache: false` in the emitted decision).
+//! `cache: false` in the emitted decision). It keeps running units and
+//! give-up counters in the same ledger type, which holds no index.
 
+use crate::ledger::{Ledger, RunningUnit};
 use crate::library::LibraryInstance;
 use crate::manager::{Decision, Placement};
 use crate::ring::HashRing;
@@ -41,12 +43,11 @@ pub struct NaiveManager {
     ring: HashRing,
     queue_tasks: VecDeque<TaskSpec>,
     queue_calls: BTreeMap<String, VecDeque<FunctionCall>>,
-    running: BTreeMap<UnitId, Placement>,
+    ledger: Ledger,
     ready_slots: SlotIndex,
     pending_supply: BTreeMap<String, i64>,
     instance_owner: BTreeMap<LibraryInstanceId, WorkerId>,
     next_instance: u64,
-    pub completed: u64,
 }
 
 impl Default for NaiveManager {
@@ -63,12 +64,11 @@ impl NaiveManager {
             ring: HashRing::new(),
             queue_tasks: VecDeque::new(),
             queue_calls: BTreeMap::new(),
-            running: BTreeMap::new(),
+            ledger: Ledger::default(),
             ready_slots: BTreeMap::new(),
             pending_supply: BTreeMap::new(),
             instance_owner: BTreeMap::new(),
             next_instance: 0,
-            completed: 0,
         }
     }
 
@@ -97,14 +97,9 @@ impl NaiveManager {
                 .or_insert(0);
             *supply -= i64::from(inst.free_slots());
         }
-        let lost: Vec<UnitId> = self
-            .running
-            .iter()
-            .filter(|(_, p)| p.worker == id)
-            .map(|(u, _)| *u)
-            .collect();
-        for unit in &lost {
-            self.running.remove(unit);
+        let (lost, requeue) = self.ledger.worker_lost(id);
+        for unit in requeue {
+            self.push_front(unit);
         }
         lost
     }
@@ -120,7 +115,7 @@ impl NaiveManager {
         }
     }
 
-    pub fn requeue(&mut self, unit: WorkUnit) {
+    fn push_front(&mut self, unit: WorkUnit) {
         match unit {
             WorkUnit::Task(t) => self.queue_tasks.push_front(t),
             WorkUnit::Call(c) => self
@@ -132,24 +127,27 @@ impl NaiveManager {
     }
 
     pub fn pending(&self) -> usize {
-        self.queue_tasks.len()
-            + self.queue_calls.values().map(|q| q.len()).sum::<usize>()
-            + self.running.len()
+        self.queued() + self.ledger.running_count()
     }
 
     pub fn queued(&self) -> usize {
-        self.queue_tasks.len() + self.queue_calls.values().map(|q| q.len()).sum::<usize>()
+        self.queue_tasks.len()
+            + self.queue_calls.values().map(|q| q.len()).sum::<usize>()
+            + self.ledger.failures_pending()
     }
 
     pub fn running_count(&self) -> usize {
-        self.running.len()
+        self.ledger.running_count()
     }
 
     pub fn is_idle(&self) -> bool {
-        self.queued() == 0 && self.running.is_empty()
+        self.queued() == 0 && self.ledger.running_count() == 0
     }
 
     pub fn next_decision(&mut self) -> Option<Decision> {
+        if let Some(d) = self.ledger.next_failure() {
+            return Some(d);
+        }
         if let Some(d) = self.fail_unknown_library() {
             return Some(d);
         }
@@ -203,12 +201,12 @@ impl NaiveManager {
             .expect("slot index promised a free slot");
         self.consume_slot(&lib_name, worker, instance);
         *self.pending_supply.entry(lib_name).or_insert(0) -= 1;
-        self.running.insert(
-            UnitId::Call(call.id),
+        self.ledger.dispatched(
             Placement {
                 worker,
                 library: Some(instance),
             },
+            WorkUnit::Call(call.clone()),
         );
         Some(Decision::DispatchCall {
             worker,
@@ -239,12 +237,12 @@ impl NaiveManager {
             }
         }
         w.begin_task(&task).expect("resources were checked");
-        self.running.insert(
-            UnitId::Task(task.id),
+        self.ledger.dispatched(
             Placement {
                 worker,
                 library: None,
             },
+            WorkUnit::Task(task.clone()),
         );
         Some(Decision::DispatchTask {
             worker,
@@ -380,6 +378,7 @@ impl NaiveManager {
         let inst = &w.libraries[&instance];
         let name = inst.spec.name.clone();
         let slots = inst.slots;
+        self.ledger.library_ready(&name);
         self.ready_slots
             .entry(name)
             .or_default()
@@ -391,30 +390,58 @@ impl NaiveManager {
         &mut self,
         worker: WorkerId,
         instance: LibraryInstanceId,
+        error: &str,
     ) -> Result<()> {
         let w = self
             .workers
             .get_mut(&worker)
             .ok_or_else(|| VineError::Protocol(format!("no worker {worker}")))?;
         w.library_failed(instance)?;
-        self.remove_instance(worker, instance)?;
+        let name = self.remove_instance(worker, instance)?.spec.name.clone();
+        self.ledger
+            .startup_failed(&name, error, &mut self.queue_calls);
         Ok(())
     }
 
-    pub fn unit_finished(&mut self, unit: UnitId) -> Result<Placement> {
-        let placement = self
-            .running
-            .remove(&unit)
-            .ok_or_else(|| VineError::Protocol(format!("{unit:?} is not running")))?;
+    pub fn unit_finished(&mut self, worker: WorkerId, unit: UnitId) -> Result<Option<Placement>> {
+        let Some(done) = self.release(worker, unit, true)? else {
+            return Ok(None);
+        };
+        self.ledger.finished(unit);
+        Ok(Some(done.placement))
+    }
+
+    pub fn unit_handed_back(
+        &mut self,
+        worker: WorkerId,
+        unit: UnitId,
+    ) -> Result<Option<Placement>> {
+        let Some(back) = self.release(worker, unit, false)? else {
+            return Ok(None);
+        };
+        self.ledger.requeues += 1;
+        self.push_front(back.unit);
+        Ok(Some(back.placement))
+    }
+
+    fn release(
+        &mut self,
+        worker: WorkerId,
+        unit: UnitId,
+        served: bool,
+    ) -> Result<Option<RunningUnit>> {
+        let Some(running) = self.ledger.take(worker, unit) else {
+            return Ok(None);
+        };
         let w = self
             .workers
-            .get_mut(&placement.worker)
-            .ok_or_else(|| VineError::Protocol(format!("no worker {}", placement.worker)))?;
-        match (unit, placement.library) {
+            .get_mut(&worker)
+            .ok_or_else(|| VineError::Protocol(format!("no worker {worker}")))?;
+        match (unit, running.placement.library) {
             (UnitId::Call(id), Some(lib)) => {
-                w.finish_call(lib, id)?;
+                w.finish_call(lib, id, served)?;
                 let name = w.libraries[&lib].spec.name.clone();
-                self.return_slot(&name, placement.worker, lib);
+                self.return_slot(&name, worker, lib);
                 *self.pending_supply.entry(name).or_insert(0) += 1;
             }
             (UnitId::Task(id), _) => {
@@ -426,8 +453,7 @@ impl NaiveManager {
                 )))
             }
         }
-        self.completed += 1;
-        Ok(placement)
+        Ok(Some(running))
     }
 
     pub fn evict_instance(&mut self, worker: WorkerId, instance: LibraryInstanceId) -> Result<()> {
@@ -435,6 +461,6 @@ impl NaiveManager {
     }
 
     pub fn placement_of(&self, unit: UnitId) -> Option<Placement> {
-        self.running.get(&unit).copied()
+        self.ledger.placement(unit)
     }
 }

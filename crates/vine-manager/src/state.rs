@@ -178,10 +178,15 @@ impl WorkerState {
         l.begin(call.id)
     }
 
-    /// Finish an invocation: free the slot and bump the share value (§3.4
-    /// step 4).
-    pub fn finish_call(&mut self, lib: LibraryInstanceId, id: InvocationId) -> Result<()> {
-        self.library_mut(lib)?.finish(id)
+    /// Finish an invocation: free the slot and, if it ran (`served`), bump
+    /// the share value (§3.4 step 4).
+    pub fn finish_call(
+        &mut self,
+        lib: LibraryInstanceId,
+        id: InvocationId,
+        served: bool,
+    ) -> Result<()> {
+        self.library_mut(lib)?.finish(id, served)
     }
 
     // ---- plain tasks ----
@@ -302,8 +307,8 @@ mod tests {
         // busy library cannot be removed
         assert!(w.remove_library(id).is_err());
 
-        w.finish_call(id, InvocationId(1)).unwrap();
-        w.finish_call(id, InvocationId(2)).unwrap();
+        w.finish_call(id, InvocationId(1), true).unwrap();
+        w.finish_call(id, InvocationId(2), true).unwrap();
         assert_eq!(w.libraries[&id].served, 2);
         assert!(w.libraries[&id].is_empty());
 

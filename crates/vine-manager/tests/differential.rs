@@ -5,14 +5,14 @@
 //! Each case generates a random op script — call/task submissions across
 //! several libraries (including one that is never registered), install
 //! acks and startup failures, completion waves, worker joins and losses
-//! with requeues, and explicit evictions — and interprets it against both
-//! managers in lockstep, asserting every decision, lost-unit list, and
-//! placement is identical. This is what licenses the index rewrite: the
+//! (each manager requeues a lost worker's units itself), and explicit
+//! evictions — and interprets it against both managers in lockstep,
+//! asserting every decision, lost-unit list, and placement is identical. This is what licenses the index rewrite: the
 //! indexes are pure accelerations, not policy changes.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use vine_core::context::{ContextSpec, FileRef, LibrarySpec};
 use vine_core::ids::{ContentHash, FileId, InvocationId, LibraryInstanceId, TaskId, WorkerId};
 use vine_core::resources::Resources;
@@ -37,7 +37,7 @@ enum Op {
     /// Connect a new worker with seed-derived resources (some have tiny
     /// disks so staging fails and the uncacheable path triggers).
     Join { seed: u64 },
-    /// Disconnect an existing worker and requeue its lost units.
+    /// Disconnect an existing worker (the managers requeue its units).
     Leave { pick: usize },
     /// Explicitly evict a ready instance.
     Evict { pick: usize },
@@ -132,8 +132,7 @@ fn call(id: u64, lib: usize) -> FunctionCall {
 struct Harness {
     idx: Manager,
     naive: NaiveManager,
-    running: VecDeque<UnitId>,
-    units: BTreeMap<UnitId, WorkUnit>,
+    running: VecDeque<(WorkerId, UnitId)>,
     starting: Vec<(WorkerId, LibraryInstanceId)>,
     ready: Vec<(WorkerId, LibraryInstanceId)>,
     workers: Vec<WorkerId>,
@@ -147,7 +146,6 @@ impl Harness {
             idx: Manager::new(),
             naive: NaiveManager::new(),
             running: VecDeque::new(),
-            units: BTreeMap::new(),
             starting: Vec::new(),
             ready: Vec::new(),
             workers: Vec::new(),
@@ -173,11 +171,6 @@ impl Harness {
     }
 
     fn submit(&mut self, unit: WorkUnit) {
-        let id = match &unit {
-            WorkUnit::Task(t) => UnitId::Task(t.id),
-            WorkUnit::Call(c) => UnitId::Call(c.id),
-        };
-        self.units.insert(id, unit.clone());
         self.idx.submit(unit.clone());
         self.naive.submit(unit);
     }
@@ -193,15 +186,13 @@ impl Harness {
                 self.ready.retain(|e| e != &(*worker, *instance));
                 self.starting.retain(|e| e != &(*worker, *instance));
             }
-            Decision::DispatchCall { call, .. } => {
-                self.running.push_back(UnitId::Call(call.id));
+            Decision::DispatchCall { worker, call, .. } => {
+                self.running.push_back((*worker, UnitId::Call(call.id)));
             }
-            Decision::DispatchTask { task, .. } => {
-                self.running.push_back(UnitId::Task(task.id));
+            Decision::DispatchTask { worker, task, .. } => {
+                self.running.push_back((*worker, UnitId::Task(task.id)));
             }
-            Decision::Fail { unit, .. } => {
-                self.units.remove(unit);
-            }
+            Decision::Fail { .. } => {}
         }
     }
 }
@@ -234,8 +225,8 @@ fn run_script(ops: &[Op]) -> Result<(), TestCaseError> {
             Op::Ack { fail_mask } => {
                 for (w, inst) in std::mem::take(&mut h.starting) {
                     if fail_mask >> (inst.0 % 61) & 1 == 1 {
-                        let ra = h.idx.library_startup_failed(w, inst);
-                        let rb = h.naive.library_startup_failed(w, inst);
+                        let ra = h.idx.library_startup_failed(w, inst, "boom");
+                        let rb = h.naive.library_startup_failed(w, inst, "boom");
                         prop_assert_eq!(ra.is_ok(), rb.is_ok());
                     } else {
                         let ra = h.idx.library_ready(w, inst);
@@ -247,14 +238,13 @@ fn run_script(ops: &[Op]) -> Result<(), TestCaseError> {
             }
             Op::Finish { count } => {
                 for _ in 0..*count {
-                    let Some(u) = h.running.pop_front() else {
+                    let Some((w, u)) = h.running.pop_front() else {
                         break;
                     };
-                    let pa = h.idx.unit_finished(u);
-                    let pb = h.naive.unit_finished(u);
+                    let pa = h.idx.unit_finished(w, u);
+                    let pb = h.naive.unit_finished(w, u);
                     prop_assert_eq!(pa.as_ref().ok(), pb.as_ref().ok());
                     prop_assert_eq!(pa.is_ok(), pb.is_ok());
-                    h.units.remove(&u);
                 }
             }
             Op::Join { seed } => h.join(*seed),
@@ -269,12 +259,7 @@ fn run_script(ops: &[Op]) -> Result<(), TestCaseError> {
                 h.starting.retain(|(ww, _)| *ww != w);
                 h.ready.retain(|(ww, _)| *ww != w);
                 for lost in la {
-                    h.running.retain(|u| *u != lost);
-                    // the substrate requeues lost units (run.rs fail_worker)
-                    if let Some(unit) = h.units.get(&lost).cloned() {
-                        h.idx.requeue(unit.clone());
-                        h.naive.requeue(unit);
-                    }
+                    h.running.retain(|(_, u)| *u != lost);
                 }
             }
             Op::Evict { pick } => {
@@ -389,8 +374,8 @@ fn apply_non_drain(h: &mut Harness, op: &Op) {
         Op::Ack { fail_mask } => {
             for (w, inst) in std::mem::take(&mut h.starting) {
                 if fail_mask >> (inst.0 % 61) & 1 == 1 {
-                    let _ = h.idx.library_startup_failed(w, inst);
-                    let _ = h.naive.library_startup_failed(w, inst);
+                    let _ = h.idx.library_startup_failed(w, inst, "boom");
+                    let _ = h.naive.library_startup_failed(w, inst, "boom");
                 } else {
                     let _ = h.idx.library_ready(w, inst);
                     let _ = h.naive.library_ready(w, inst);
@@ -400,12 +385,11 @@ fn apply_non_drain(h: &mut Harness, op: &Op) {
         }
         Op::Finish { count } => {
             for _ in 0..*count {
-                let Some(u) = h.running.pop_front() else {
+                let Some((w, u)) = h.running.pop_front() else {
                     break;
                 };
-                let _ = h.idx.unit_finished(u);
-                let _ = h.naive.unit_finished(u);
-                h.units.remove(&u);
+                let _ = h.idx.unit_finished(w, u);
+                let _ = h.naive.unit_finished(w, u);
             }
         }
         Op::Join { seed } => h.join(*seed),
@@ -417,11 +401,7 @@ fn apply_non_drain(h: &mut Harness, op: &Op) {
                 h.starting.retain(|(ww, _)| *ww != w);
                 h.ready.retain(|(ww, _)| *ww != w);
                 for lost in la {
-                    h.running.retain(|u| *u != lost);
-                    if let Some(unit) = h.units.get(&lost).cloned() {
-                        h.idx.requeue(unit.clone());
-                        h.naive.requeue(unit);
-                    }
+                    h.running.retain(|(_, u)| *u != lost);
                 }
             }
         }

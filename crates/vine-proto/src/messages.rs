@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use vine_core::context::{FileRef, SetupSpec};
 use vine_core::ids::{ContentHash, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
-use vine_core::task::{ExecMode, FunctionCall, Outcome, TaskSpec, WorkUnit};
+use vine_core::task::{ExecMode, FunctionCall, Outcome, TaskSpec, UnitId};
 
 /// A compiled library module, content-addressed by the digest of the
 /// source it was compiled from. The manager compiles once per distinct
@@ -88,8 +88,8 @@ pub enum WorkerToManager {
     UnitDone { outcome: Outcome },
     /// The worker cannot execute a dispatched unit through no fault of
     /// the unit itself (e.g. the target instance vanished in an eviction
-    /// race); the manager should reschedule it elsewhere.
-    Requeue { unit: WorkUnit },
+    /// race); the manager requeues its own copy of the unit.
+    Requeue { unit: UnitId },
     /// Graceful leave: the worker is about to disconnect.
     Leave,
 }

@@ -8,7 +8,7 @@ use std::io::Cursor;
 use vine_core::context::{CodeArtifact, FileRef, FileSource, SetupSpec};
 use vine_core::ids::{ContentHash, FileId, InvocationId, LibraryInstanceId, TaskId, WorkerId};
 use vine_core::resources::Resources;
-use vine_core::task::{ExecMode, FunctionCall, Outcome, TaskSpec, UnitId, WorkProfile, WorkUnit};
+use vine_core::task::{ExecMode, FunctionCall, Outcome, TaskSpec, UnitId, WorkProfile};
 use vine_proto::{
     read_frame, write_frame, CompiledBlob, Frame, FrameDecoder, FrameError, LibraryImage,
     LibraryToWorker, ManagerToWorker, WorkerToLibrary, WorkerToManager, MAX_FRAME,
@@ -125,13 +125,6 @@ fn arb_call() -> impl Strategy<Value = FunctionCall> {
         })
 }
 
-fn arb_work_unit() -> impl Strategy<Value = WorkUnit> {
-    prop_oneof![
-        arb_task_spec().prop_map(WorkUnit::Task),
-        arb_call().prop_map(WorkUnit::Call),
-    ]
-}
-
 fn arb_unit_id() -> impl Strategy<Value = UnitId> {
     prop_oneof![
         any::<u64>().prop_map(|n| UnitId::Task(TaskId(n))),
@@ -213,7 +206,7 @@ fn arb_worker_to_manager() -> impl Strategy<Value = WorkerToManager> {
             error
         }),
         arb_outcome().prop_map(|outcome| WorkerToManager::UnitDone { outcome }),
-        arb_work_unit().prop_map(|unit| WorkerToManager::Requeue { unit }),
+        arb_unit_id().prop_map(|unit| WorkerToManager::Requeue { unit }),
         Just(WorkerToManager::Leave),
     ]
 }

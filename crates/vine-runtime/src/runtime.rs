@@ -1,6 +1,9 @@
 //! The live runtime: the same [`vine_manager::Manager`] brain driving real
 //! workers through a pluggable [`Transport`] — threads-and-channels in
-//! process, or framed TCP to workers in other OS processes.
+//! process, or framed TCP to workers in other OS processes. The runtime
+//! turns transport events into manager calls and decisions into messages;
+//! what runs where, and what a lost or failed unit becomes, is the
+//! manager's.
 
 use crate::transport::{InProcTransport, RecvError, Transport, TransportEvent, TransportStats};
 use std::collections::{BTreeMap, BTreeSet};
@@ -8,7 +11,7 @@ use std::time::Duration;
 use vine_core::context::{LibrarySpec, SetupSpec};
 use vine_core::ids::{ContentHash, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
-use vine_core::task::{Outcome, UnitId, WorkUnit};
+use vine_core::task::{Outcome, WorkUnit};
 use vine_core::{Result, VineError};
 use vine_data::CompiledImageStore;
 use vine_lang::ast::StmtKind;
@@ -16,10 +19,6 @@ use vine_lang::pickle;
 use vine_lang::{ModuleRegistry, Value};
 use vine_manager::{Decision, Manager};
 use vine_proto::{CompiledBlob, LibraryImage, ManagerToWorker, WorkerToManager};
-
-/// Startup failures in a row after which a library's queued calls fail
-/// with the daemon's error instead of waiting for yet another install.
-const MAX_STARTUP_FAILURES: u32 = 3;
 
 /// Live cluster configuration.
 #[derive(Clone)]
@@ -54,21 +53,14 @@ pub struct Runtime {
     /// Parameter count per exported function of each installed library,
     /// for submit-time validation.
     arities: BTreeMap<String, BTreeMap<String, usize>>,
-    in_flight: BTreeMap<UnitId, WorkUnit>,
     outcomes: Vec<Outcome>,
     idle_timeout: Duration,
     /// Module names the workers' activated environment provides, retained
     /// for install-time pre-flight analysis.
     module_names: BTreeSet<String>,
-    /// Units re-admitted after a worker loss or an explicit worker-side
-    /// requeue — the load-report counter a federated shard exposes.
-    requeues: u64,
     /// Compiled library modules interned by source digest: installing the
     /// same source N times compiles once.
     compiled: CompiledImageStore,
-    /// Startup failures in a row per library, reset by a `LibraryReady`
-    /// and when the count reaches [`MAX_STARTUP_FAILURES`].
-    startup_failures: BTreeMap<String, u32>,
 }
 
 impl Runtime {
@@ -91,13 +83,10 @@ impl Runtime {
             transport,
             images: BTreeMap::new(),
             arities: BTreeMap::new(),
-            in_flight: BTreeMap::new(),
             outcomes: Vec::new(),
             idle_timeout: cfg.idle_timeout,
             module_names,
-            requeues: 0,
             compiled: CompiledImageStore::new(),
-            startup_failures: BTreeMap::new(),
         };
         while rt.mgr.worker_count() < cfg.workers {
             let joined = rt.mgr.worker_count();
@@ -239,27 +228,12 @@ impl Runtime {
     }
 
     /// Kill a worker (fault injection): its thread or connection is torn
-    /// down; running units are requeued and rescheduled elsewhere.
+    /// down; the manager requeues its running units onto the survivors.
+    /// A leave observed twice (this kill, then the transport's own report)
+    /// changes nothing the second time.
     pub fn kill_worker(&mut self, id: WorkerId) {
         self.transport.disconnect(id);
-        self.worker_left(id);
-    }
-
-    /// A worker is gone (kill, crash, or disconnect): tell the manager and
-    /// requeue everything that was in flight there. A leave observed twice
-    /// (an explicit kill, then the transport's own report) is a no-op the
-    /// second time: the manager no longer admits the worker.
-    fn worker_left(&mut self, id: WorkerId) {
-        if !self.mgr.workers.contains_key(&id) {
-            return;
-        }
-        let lost = self.mgr.worker_left(id);
-        for unit in lost {
-            if let Some(w) = self.in_flight.remove(&unit) {
-                self.requeues += 1;
-                self.mgr.requeue(w);
-            }
-        }
+        self.mgr.worker_left(id);
     }
 
     /// Drive the cluster until the *next* unit completes, returning its
@@ -348,8 +322,6 @@ impl Runtime {
                     library,
                     call,
                 } => {
-                    self.in_flight
-                        .insert(UnitId::Call(call.id), WorkUnit::Call(call.clone()));
                     self.send(
                         worker,
                         ManagerToWorker::Invoke {
@@ -363,8 +335,6 @@ impl Runtime {
                     task,
                     missing,
                 } => {
-                    self.in_flight
-                        .insert(UnitId::Task(task.id), WorkUnit::Task(task.clone()));
                     self.send(
                         worker,
                         ManagerToWorker::RunTask {
@@ -381,13 +351,13 @@ impl Runtime {
         Ok(())
     }
 
-    /// Deliver one message; a worker found dead mid-send flows into the
-    /// same leave-and-requeue path as an observed disconnect, and the
-    /// decision that targeted it is re-made on the survivors.
+    /// Deliver one message; a worker found dead mid-send is a worker loss
+    /// like an observed disconnect, and the decision that targeted it is
+    /// re-made on the survivors.
     fn send(&mut self, worker: WorkerId, msg: ManagerToWorker) -> Result<()> {
         match self.transport.send(worker, msg) {
             Err(VineError::WorkerLost(w)) => {
-                self.worker_left(w);
+                self.mgr.worker_left(w);
                 Ok(())
             }
             sent => sent,
@@ -401,7 +371,9 @@ impl Runtime {
                     self.mgr.worker_joined(worker, resources);
                 }
             }
-            TransportEvent::Left { worker } => self.worker_left(worker),
+            TransportEvent::Left { worker } => {
+                self.mgr.worker_left(worker);
+            }
             TransportEvent::Message { worker, msg } => {
                 if !self.mgr.workers.contains_key(&worker) {
                     // stragglers from a worker we already gave up on
@@ -410,38 +382,23 @@ impl Runtime {
                 match msg {
                     WorkerToManager::LibraryReady { instance } => {
                         self.mgr.library_ready(worker, instance)?;
-                        if let Some(library) = self.library_of(worker, instance) {
-                            self.startup_failures.remove(&library);
-                        }
                     }
                     WorkerToManager::LibraryFailed { instance, error } => {
-                        let library = self.library_of(worker, instance);
-                        self.mgr.library_startup_failed(worker, instance)?;
-                        if let Some(library) = library {
-                            self.startup_failed(library, &error);
-                        }
+                        self.mgr.library_startup_failed(worker, instance, &error)?;
                     }
                     WorkerToManager::UnitDone { outcome } => {
-                        let unit = outcome.unit;
-                        // a result from a worker we already gave up on is
-                        // stale: the unit was requeued and will run again
-                        if self.in_flight.remove(&unit).is_none() {
-                            return Ok(());
+                        // a result counts only from the worker the unit is
+                        // placed on; anything else is stale and dropped
+                        if self.mgr.unit_finished(worker, outcome.unit)?.is_some() {
+                            self.outcomes.push(outcome);
                         }
-                        self.mgr.unit_finished(unit)?;
-                        self.outcomes.push(outcome);
                     }
                     WorkerToManager::Requeue { unit } => {
-                        let id = unit.id();
-                        if self.in_flight.remove(&id).is_some() {
-                            self.mgr.unit_finished(id)?;
-                            self.requeues += 1;
-                            self.mgr.requeue(unit);
-                        }
+                        self.mgr.unit_handed_back(worker, unit)?;
                     }
                     WorkerToManager::Leave => {
                         self.transport.disconnect(worker);
-                        self.worker_left(worker);
+                        self.mgr.worker_left(worker);
                     }
                     WorkerToManager::Join { .. } => {
                         // joins are transport-level handshakes; a repeat on
@@ -454,28 +411,6 @@ impl Runtime {
             }
         }
         Ok(())
-    }
-
-    /// The library a deployed instance belongs to.
-    fn library_of(&self, worker: WorkerId, instance: LibraryInstanceId) -> Option<String> {
-        let lib = self.mgr.workers.get(&worker)?.libraries.get(&instance)?;
-        Some(lib.spec.name.clone())
-    }
-
-    /// Count a failed startup of `library`. A context setup that fails on
-    /// every install would otherwise be reinstalled forever, each failure
-    /// counting as progress, so the run would neither finish nor time out.
-    fn startup_failed(&mut self, library: String, error: &str) {
-        let failures = self.startup_failures.entry(library.clone()).or_insert(0);
-        *failures += 1;
-        if *failures < MAX_STARTUP_FAILURES {
-            return;
-        }
-        self.startup_failures.remove(&library);
-        for unit in self.mgr.fail_queued_calls(&library) {
-            let error = format!("library {library} failed to start: {error}");
-            self.outcomes.push(Outcome::failed(unit, error));
-        }
     }
 
     /// Hit/miss counters of the manager's compiled-image store: misses are
@@ -505,10 +440,10 @@ impl Runtime {
         self.mgr.running_count()
     }
 
-    /// Units re-admitted after worker loss since boot (a load-report
-    /// counter).
+    /// Units requeued since boot, after a worker loss or a worker-side
+    /// hand-back (a load-report counter).
     pub fn requeues(&self) -> u64 {
-        self.requeues
+        self.mgr.requeues()
     }
 
     /// Shut the cluster down, stopping every worker.

@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use vine_core::context::CodeArtifact;
 use vine_core::ids::{LibraryInstanceId, WorkerId};
-use vine_core::task::{Outcome, TaskSpec, UnitId, WorkUnit};
+use vine_core::task::{Outcome, TaskSpec, UnitId};
 use vine_lang::interp::USER_STACK_BYTES;
 use vine_lang::pickle;
 use vine_lang::{Interp, ModuleRegistry};
@@ -177,7 +177,7 @@ impl Worker {
                         // dispatch and arrival — not the invocation's
                         // fault, hand it back
                         self.uplink.send(WorkerToManager::Requeue {
-                            unit: WorkUnit::Call(call),
+                            unit: UnitId::Call(call.id),
                         });
                     }
                 }
@@ -451,7 +451,7 @@ mod tests {
         assert_eq!(
             msg,
             WorkerToManager::Requeue {
-                unit: WorkUnit::Call(call)
+                unit: UnitId::Call(call.id)
             }
         );
         h.tx.send(ManagerToWorker::Shutdown).unwrap();

@@ -1,14 +1,16 @@
 //! End-to-end tests of the live threaded cluster.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vine_core::context::{ContextSpec, LibrarySpec, SetupSpec};
 use vine_core::ids::{ContentHash, InvocationId, TaskId, WorkerId};
 use vine_core::resources::Resources;
-use vine_core::task::{ExecMode, FunctionCall, TaskSpec, UnitId, WorkUnit};
+use vine_core::task::{ExecMode, FunctionCall, Outcome, TaskSpec, UnitId, WorkUnit};
+use vine_core::VineError;
 use vine_lang::pickle;
 use vine_lang::Value;
-use vine_proto::{Frame, LibraryImage, ManagerToWorker};
+use vine_proto::{Frame, LibraryImage, ManagerToWorker, WorkerToManager};
 use vine_runtime::{
     decode_result, InProcTransport, RecvError, Runtime, RuntimeConfig, Transport, TransportEvent,
 };
@@ -439,5 +441,180 @@ fn every_installed_library_ships_a_compiled_image() {
         assert_eq!(compiled.source_digest, ContentHash::of_str(&image.source));
         assert!(vine_lang::bytecode::from_bytes(&compiled.bytes).is_ok());
     }
+    rt.shutdown();
+}
+
+/// What [`Tamper`] does when the runtime sends its chosen call.
+#[derive(Clone, Copy)]
+enum Tampering {
+    /// Sever whichever worker the call is sent to.
+    DropWorker,
+    /// The worker hands the call back unrun the first time it gets it.
+    HandBackOnce,
+    /// Another worker reports a forged result for the call.
+    ForgeResult,
+}
+
+/// In-process workers behind a transport that tampers with the traffic of
+/// one chosen call.
+struct Tamper {
+    inner: InProcTransport,
+    call: InvocationId,
+    mode: Tampering,
+    /// Times the chosen call was sent.
+    sent: Arc<Mutex<u32>>,
+    injected: VecDeque<TransportEvent>,
+}
+
+impl Tamper {
+    fn cluster(workers: usize, call: u64, mode: Tampering) -> (Runtime, Arc<Mutex<u32>>) {
+        let cfg = RuntimeConfig {
+            workers,
+            ..Default::default()
+        };
+        let sent = Arc::new(Mutex::new(0));
+        let transport = Tamper {
+            inner: InProcTransport::new(workers, cfg.worker_resources, cfg.registry.clone()),
+            call: InvocationId(call),
+            mode,
+            sent: Arc::clone(&sent),
+            injected: VecDeque::new(),
+        };
+        let mut rt = Runtime::with_transport(cfg, Box::new(transport)).unwrap();
+        rt.install_library(
+            lnni_like_spec(2, ExecMode::Direct),
+            LIB_SOURCE,
+            vec![],
+            &[Value::Int(3)],
+        )
+        .unwrap();
+        (rt, sent)
+    }
+}
+
+impl Transport for Tamper {
+    fn send(&mut self, worker: WorkerId, msg: ManagerToWorker) -> vine_core::Result<()> {
+        if !matches!(&msg, ManagerToWorker::Invoke { call, .. } if call.id == self.call) {
+            return self.inner.send(worker, msg);
+        }
+        let sent = {
+            let mut sent = self.sent.lock().unwrap();
+            *sent += 1;
+            *sent
+        };
+        let unit = UnitId::Call(self.call);
+        match self.mode {
+            Tampering::DropWorker => {
+                self.inner.disconnect(worker);
+                return Err(VineError::WorkerLost(worker));
+            }
+            Tampering::HandBackOnce if sent == 1 => {
+                let msg = WorkerToManager::Requeue { unit };
+                self.injected
+                    .push_back(TransportEvent::Message { worker, msg });
+                return Ok(());
+            }
+            Tampering::HandBackOnce => {}
+            Tampering::ForgeResult => {
+                let forged = pickle::serialize_value(&Value::Int(-1)).unwrap();
+                let msg = WorkerToManager::UnitDone {
+                    outcome: Outcome::ok(unit, forged),
+                };
+                self.injected.push_back(TransportEvent::Message {
+                    worker: WorkerId(1 - worker.0),
+                    msg,
+                });
+            }
+        }
+        self.inner.send(worker, msg)
+    }
+
+    fn send_frame(&mut self, _: WorkerId, _: &Frame) -> vine_core::Result<()> {
+        panic!("the runtime sends each message through `send`")
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<TransportEvent, RecvError> {
+        match self.injected.pop_front() {
+            Some(ev) => Ok(ev),
+            None => self.inner.recv_timeout(timeout),
+        }
+    }
+
+    fn try_recv(&mut self) -> Option<TransportEvent> {
+        self.injected.pop_front().or_else(|| self.inner.try_recv())
+    }
+
+    fn disconnect(&mut self, worker: WorkerId) {
+        self.inner.disconnect(worker)
+    }
+
+    fn shutdown(&mut self) {
+        self.inner.shutdown()
+    }
+}
+
+#[test]
+fn a_call_that_loses_its_worker_three_times_fails() {
+    let (mut rt, sent) = Tamper::cluster(4, 5, Tampering::DropWorker);
+    for i in 0..12 {
+        rt.submit(call(i, "f", i as i64));
+    }
+    let outcomes = rt.run_until_idle().unwrap();
+    assert_eq!(outcomes.len(), 12);
+    assert_eq!(
+        *sent.lock().unwrap(),
+        3,
+        "each send cost the call its worker"
+    );
+    for o in &outcomes {
+        if o.unit == UnitId::Call(InvocationId(5)) {
+            assert!(!o.success);
+            let error = o.error.as_deref().unwrap_or_default();
+            assert!(error.contains("losing its worker 3 times"), "{error}");
+        } else {
+            let UnitId::Call(InvocationId(i)) = o.unit else {
+                panic!("{:?}", o.unit)
+            };
+            assert!(o.success, "{:?}", o.error);
+            assert_eq!(decode_result(o).unwrap(), Value::Int(3000 + i as i64));
+        }
+    }
+    assert_eq!(rt.worker_capacities().len(), 1, "one survivor");
+    rt.shutdown();
+}
+
+#[test]
+fn a_handed_back_call_runs_again_and_is_served_once() {
+    let (mut rt, sent) = Tamper::cluster(2, 3, Tampering::HandBackOnce);
+    for i in 0..8 {
+        rt.submit(call(i, "f", i as i64));
+    }
+    let outcomes = rt.run_until_idle().unwrap();
+    assert_eq!(outcomes.len(), 8);
+    for o in &outcomes {
+        assert!(o.success, "{:?}", o.error);
+    }
+    assert_eq!(*sent.lock().unwrap(), 2, "handed back, then sent again");
+    assert_eq!(rt.requeues(), 1);
+    let served: u64 = rt.library_share_values().iter().map(|(_, s)| s).sum();
+    assert_eq!(served, 8, "share values count calls served, not hand-backs");
+    rt.shutdown();
+}
+
+#[test]
+fn a_result_from_a_worker_the_call_is_not_placed_on_is_dropped() {
+    let (mut rt, sent) = Tamper::cluster(2, 1, Tampering::ForgeResult);
+    for i in 0..4 {
+        rt.submit(call(i, "f", i as i64));
+    }
+    let mut outcomes = rt.run_until_idle().unwrap();
+    outcomes.sort_by_key(|o| o.unit);
+    let values: Vec<Value> = outcomes.iter().map(|o| decode_result(o).unwrap()).collect();
+    assert_eq!(
+        values,
+        [3000, 3001, 3002, 3003].map(Value::Int),
+        "the forged result was returned"
+    );
+    assert_eq!(*sent.lock().unwrap(), 1);
     rt.shutdown();
 }

@@ -76,10 +76,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Pop the next event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(s) = self.heap.pop()?;

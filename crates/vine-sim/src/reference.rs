@@ -207,8 +207,6 @@ struct Job {
     step_started: SimTime,
     dispatched: SimTime,
     phases: PhaseBreakdown,
-    /// Original unit for requeueing on worker loss.
-    unit: Option<WorkUnit>,
 }
 
 enum Ev {
@@ -495,7 +493,6 @@ impl<'w> Driver<'w> {
                         step_started: start,
                         dispatched: start,
                         phases: PhaseBreakdown::default(),
-                        unit: Some(WorkUnit::Call(call)),
                     },
                 );
             }
@@ -611,7 +608,6 @@ impl<'w> Driver<'w> {
                         step_started: start,
                         dispatched: start,
                         phases: PhaseBreakdown::default(),
-                        unit: Some(WorkUnit::Task(task)),
                     },
                 );
             }
@@ -693,7 +689,6 @@ impl<'w> Driver<'w> {
                         step_started: start,
                         dispatched: start,
                         phases: PhaseBreakdown::default(),
-                        unit: None,
                     },
                 );
             }
@@ -832,7 +827,7 @@ impl<'w> Driver<'w> {
                 if let Some(idx) = self.lib_records.get(&library) {
                     self.trace.libraries[*idx].served += 1;
                 }
-                let _ = self.mgr.unit_finished(UnitId::Call(id));
+                let _ = self.mgr.unit_finished(job.worker, UnitId::Call(id));
                 self.end = self.end.max(t);
                 let more = self.workload.on_complete(UnitId::Call(id), true);
                 for u in more {
@@ -853,7 +848,7 @@ impl<'w> Driver<'w> {
                     phases: job.phases,
                     success: true,
                 });
-                let _ = self.mgr.unit_finished(UnitId::Task(id));
+                let _ = self.mgr.unit_finished(job.worker, UnitId::Task(id));
                 self.end = self.end.max(t);
                 let more = self.workload.on_complete(UnitId::Task(id), true);
                 for u in more {
@@ -884,9 +879,9 @@ impl<'w> Driver<'w> {
     }
 
     fn fail_worker(&mut self, t: SimTime, w: WorkerId) {
-        let lost = self.mgr.worker_left(w);
-        // cancel this worker's in-flight jobs and requeue their units —
-        // pre-overhaul shape: a scan over *all* live jobs
+        // the manager requeues the worker's units; cancel its in-flight
+        // jobs — pre-overhaul shape: a scan over *all* live jobs
+        self.mgr.worker_left(w);
         let doomed: Vec<u64> = self
             .jobs
             .iter()
@@ -898,10 +893,7 @@ impl<'w> Driver<'w> {
                 self.pools.get_mut(&pool).unwrap().cancel(t, job_id);
                 self.touch_pool(pool, t);
             }
-            let job = self.jobs.remove(&job_id).unwrap();
-            if let Some(unit) = job.unit {
-                self.mgr.requeue(unit);
-            }
+            self.jobs.remove(&job_id);
         }
         // close out the worker's library records
         for (lib, idx) in &self.lib_records {
@@ -911,7 +903,6 @@ impl<'w> Driver<'w> {
                 rec.removed = Some(t);
             }
         }
-        let _ = lost;
         self.wake_mgr(t);
     }
 

@@ -267,8 +267,6 @@ struct Job {
     step_started: SimTime,
     dispatched: SimTime,
     phases: PhaseBreakdown,
-    /// Original unit for requeueing on worker loss.
-    unit: Option<WorkUnit>,
 }
 
 enum Ev {
@@ -577,7 +575,6 @@ impl<'w> Driver<'w> {
                         step_started: start,
                         dispatched: start,
                         phases: PhaseBreakdown::default(),
-                        unit: Some(WorkUnit::Call(call)),
                     },
                 );
             }
@@ -704,7 +701,6 @@ impl<'w> Driver<'w> {
                         step_started: start,
                         dispatched: start,
                         phases: PhaseBreakdown::default(),
-                        unit: Some(WorkUnit::Task(task)),
                     },
                 );
             }
@@ -789,7 +785,6 @@ impl<'w> Driver<'w> {
                         step_started: start,
                         dispatched: start,
                         phases: PhaseBreakdown::default(),
-                        unit: None,
                     },
                 );
             }
@@ -965,7 +960,7 @@ impl<'w> Driver<'w> {
                 if let Some(idx) = self.lib_records.get(&library) {
                     self.trace.libraries[*idx].served += 1;
                 }
-                let _ = self.mgr.unit_finished(UnitId::Call(id));
+                let _ = self.mgr.unit_finished(job.worker, UnitId::Call(id));
                 self.submit_times.remove(&UnitId::Call(id));
                 self.end = self.end.max(t);
                 let more = self.workload.on_complete(UnitId::Call(id), true);
@@ -987,7 +982,7 @@ impl<'w> Driver<'w> {
                     phases: job.phases,
                     success: true,
                 });
-                let _ = self.mgr.unit_finished(UnitId::Task(id));
+                let _ = self.mgr.unit_finished(job.worker, UnitId::Task(id));
                 self.submit_times.remove(&UnitId::Task(id));
                 self.end = self.end.max(t);
                 let more = self.workload.on_complete(UnitId::Task(id), true);
@@ -1019,10 +1014,10 @@ impl<'w> Driver<'w> {
     }
 
     fn fail_worker(&mut self, t: SimTime, w: WorkerId) {
+        // the manager requeues the worker's units; cancel its in-flight
+        // jobs, in dispatch order (ascending JobId = the order the old
+        // full scan visited them); only this worker's jobs are touched
         self.mgr.worker_left(w);
-        // cancel this worker's in-flight jobs and requeue their units, in
-        // dispatch order (ascending JobId = the order the old full-scan
-        // visited them); only this worker's jobs are touched
         let mut doomed = std::mem::take(&mut self.worker_jobs[w.0 as usize]);
         doomed.sort_unstable();
         for job_id in doomed {
@@ -1032,9 +1027,6 @@ impl<'w> Driver<'w> {
             if let Some(pool) = job.active_flow {
                 self.pools[pool.0 as usize].cancel(t, job_id.flow());
                 self.touch_pool(pool, t);
-            }
-            if let Some(unit) = job.unit {
-                self.mgr.requeue(unit);
             }
         }
         // close out the worker's library records

@@ -10,8 +10,9 @@
 # the in-process run, with and without a worker killed mid-run), the
 # federated-sharding smoke (router + 2 shard processes byte-match the
 # single manager, with and without a shard killed -9 mid-run), a live
-# end-to-end smoke of the livebench workloads, and the benchmark
-# trajectory table merged from every committed BENCH_*.json. Smoke-scale
+# end-to-end smoke of the livebench workloads (livebench/ is left as
+# committed), and the benchmark trajectory table merged from every
+# committed BENCH_*.json. Smoke-scale
 # benchmarks write their BENCH_*.json under target/bench-smoke/, and the
 # run fails if any committed BENCH_*.json changed.
 set -euo pipefail
@@ -75,6 +76,12 @@ echo "federated sharding sweep: OK (BENCH_shard.json in $smoke)"
 # reactor, worker reader and library daemons or task threads, and every
 # result is checked; a hang, a lost UnitDone or a wrong result fails.
 # tenant-churn is the one that installs and evicts daemons mid-run.
+# A livebench build rewrites its stale Cargo.lock, and the benchmark's
+# directory stays as committed: the lock is saved here and put back after
+# the smokes and on any exit.
+lock_saved="$(mktemp)"
+cp livebench/Cargo.lock "$lock_saved"
+trap 'rm -f "$seq_out" "$par_out"; cp "$lock_saved" livebench/Cargo.lock; rm -f "$lock_saved"' EXIT
 for workload in lnni-invoke lnni-task tenant-churn; do
     last="$(timeout 300 cargo run --release --offline --quiet --manifest-path livebench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
@@ -86,6 +93,7 @@ for workload in lnni-invoke lnni-task tenant-churn; do
             ;;
     esac
 done
+cp "$lock_saved" livebench/Cargo.lock
 
 # one-page performance picture across every benchmark artifact
 ./scripts/bench_summary.sh
