@@ -1,9 +1,10 @@
 //! `repro perf --net`: transport-scaling self-benchmark (not a paper
 //! figure).
 //!
-//! Proves the reactor transport's claim to fame: **one** manager thread
-//! serving a fleet of live worker connections — 2, 64, 256, 1000 — with
-//! flat per-message cost, plus the serialize-once broadcast win
+//! Proves the reactor transport's claim to fame: **one** manager thread,
+//! which runs the transport's epoll loop itself, serving a fleet of live
+//! worker connections — 2, 64, 256, 1000 — with flat per-message cost,
+//! plus the serialize-once broadcast win
 //! ([`vine_proto::Frame`]): a library-image install fanned out to N
 //! workers encoded once instead of N times. One more row sizes the frame
 //! codec on its largest message: a compiled-image install's frame over
@@ -119,7 +120,7 @@ impl EchoFleet {
     }
 
     fn run(addr: SocketAddr, n: usize) -> std::io::Result<()> {
-        let ep = Epoll::new()?;
+        let mut ep = Epoll::new()?;
         let join_frame = encode_frame(&WorkerToManager::Join {
             resources: Resources::new(4, 1024, 1024),
         })
@@ -146,7 +147,7 @@ impl EchoFleet {
         let mut events: Vec<Event> = Vec::new();
         let mut scratch = vec![0u8; 64 * 1024];
         while live > 0 {
-            ep.wait(&mut events, 256, Some(10_000))?;
+            ep.wait(&mut events, Some(10_000))?;
             if events.is_empty() {
                 // nothing moved for 10 s: the manager died without saying
                 // Shutdown; bail rather than hang the benchmark

@@ -149,6 +149,13 @@ impl FunctionCall {
             profile: WorkProfile::zero(),
         }
     }
+
+    /// The mode this call runs in: its own `exec_mode` when set, otherwise
+    /// its library's default (§3.4 step 4). The live worker and both
+    /// simulator drivers ask this one rule.
+    pub fn mode(&self, library_default: ExecMode) -> ExecMode {
+        self.exec_mode.unwrap_or(library_default)
+    }
 }
 
 /// Anything the manager can schedule.

@@ -54,12 +54,8 @@ impl Default for ShardRouter {
 
 impl ShardRouter {
     pub fn new() -> ShardRouter {
-        ShardRouter::with_vnodes(SHARD_VNODES)
-    }
-
-    pub fn with_vnodes(vnodes: u32) -> ShardRouter {
         ShardRouter {
-            ring: HashRing::with_replicas(vnodes),
+            ring: HashRing::with_replicas(SHARD_VNODES),
             shards: Vec::new(),
             digests: BTreeMap::new(),
             outstanding: BTreeMap::new(),

@@ -38,6 +38,9 @@ use vine_core::wire::{Reader, Writer};
 /// large — but never unbounded.
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
+/// What [`read_frame`] reserves for a payload before any of it arrives.
+const FIRST_RESERVATION: usize = 64 * 1024;
+
 /// Every way reading or writing a frame can fail.
 #[derive(Debug)]
 pub enum FrameError {
@@ -118,8 +121,10 @@ pub fn read_frame<T: Deserialize>(r: &mut impl Read) -> Result<T, FrameError> {
             max: MAX_FRAME,
         });
     }
-    let mut payload = vec![0u8; len];
-    let got = read_full(r, &mut payload)?;
+    // the buffer grows with the bytes that arrive, not with what the
+    // header claims: a lying header costs at most the first reservation
+    let mut payload = Vec::with_capacity(len.min(FIRST_RESERVATION));
+    let got = r.take(len as u64).read_to_end(&mut payload)?;
     if got < len {
         return Err(FrameError::Truncated { expected: len, got });
     }
@@ -341,7 +346,7 @@ mod tests {
 
     #[test]
     fn deep_nesting_is_malformed_not_a_stack_overflow() {
-        // on a thread with the default 2 MiB stack, as the reactor and
+        // on a thread with the default 2 MiB stack, as the manager and
         // worker threads that decode peer frames run
         let err = std::thread::Builder::new()
             .stack_size(2 << 20)

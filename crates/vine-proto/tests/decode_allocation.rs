@@ -4,19 +4,27 @@
 //! global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use vine_proto::{decode_frame, FrameError, ManagerToWorker};
+use std::cell::Cell;
+use vine_proto::{decode_frame, FrameError, ManagerToWorker, MAX_FRAME};
 
 struct Counting;
 
-static REQUESTED: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Bytes this thread has requested: the tests run side by side, and
+    /// each counts only its own decodes.
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn requested_so_far() -> usize {
+    REQUESTED.with(Cell::get)
+}
 
 // SAFETY: every call forwards unchanged to `System`, which upholds the
 // `GlobalAlloc` contract. The default `realloc` allocates anew through
 // `alloc`, so growth counts too.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
+        REQUESTED.with(|r| r.set(r.get() + layout.size()));
         System.alloc(layout)
     }
 
@@ -60,9 +68,9 @@ fn false_counts_and_lengths_cannot_reserve_memory() {
     ];
     for (name, body) in cases {
         let frame = frame(&body);
-        let before = REQUESTED.load(Ordering::Relaxed);
+        let before = requested_so_far();
         let decoded = decode_frame::<ManagerToWorker>(&frame);
-        let requested = REQUESTED.load(Ordering::Relaxed) - before;
+        let requested = requested_so_far() - before;
         assert!(
             matches!(decoded, Err(FrameError::Malformed(_))),
             "{name}: {decoded:?}"
@@ -72,4 +80,28 @@ fn false_counts_and_lengths_cannot_reserve_memory() {
             "{name}: decoding requested {requested} bytes"
         );
     }
+}
+
+#[test]
+fn a_frame_header_cannot_reserve_its_claimed_payload() {
+    // the largest payload a header may announce, over a 10-byte body
+    let mut frame = (MAX_FRAME as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(b"VFR1short.");
+    let before = requested_so_far();
+    let decoded = decode_frame::<ManagerToWorker>(&frame);
+    let requested = requested_so_far() - before;
+    assert!(
+        matches!(
+            decoded,
+            Err(FrameError::Truncated {
+                expected: MAX_FRAME,
+                got: 10
+            })
+        ),
+        "{decoded:?}"
+    );
+    assert!(
+        requested < 1 << 20,
+        "reading the frame requested {requested} bytes"
+    );
 }

@@ -26,7 +26,7 @@
 //! trait: the in-process backend keeps the historical threads-and-channels
 //! substrate, the TCP backend ([`reactor`]) frames the same [`vine_proto`]
 //! messages over sockets to workers in other OS processes — one epoll
-//! reactor thread serving the whole fleet.
+//! loop, run on the manager's own thread, serving the whole fleet.
 
 pub mod library_host;
 pub mod reactor;

@@ -1,71 +1,69 @@
-//! The TCP manager backend: one epoll reactor thread serving the whole
-//! worker fleet.
+//! The TCP manager backend: one epoll loop, run by the thread that owns
+//! the transport, serving the whole worker fleet.
 //!
-//! The first TCP backend was thread-per-connection: a sleep-polled accept
-//! loop, one OS thread + `BufReader` per worker, and a global stream map
-//! mutex held across blocking writes — one slow worker stalled sends to
-//! everyone, and a thousand workers meant a thousand reader threads. This
-//! module replaces all of it with a readiness-driven design, funcX-style:
-//! a single `vine-reactor` thread accepts, reads and closes every socket
-//! and multiplexes them through an [`epoll`] instance (the shim under
-//! `shims/epoll` — raw `epoll_create1`/`epoll_ctl`/`epoll_wait` against
-//! the C library std already links).
+//! [`TcpTransport`] multiplexes the listener and every connection through
+//! an [`epoll`] instance (the shim under `shims/epoll` — raw
+//! `epoll_create1`/`epoll_ctl`/`epoll_wait` against the C library std
+//! already links) and runs the loop on the calling thread, inside its own
+//! [`Transport`] calls: no thread per connection, no reactor thread, and
+//! so no lock. funcX serves fleets of thousands of endpoints from one
+//! service; this is one thread.
 //!
 //! Shape of the machine:
 //!
-//! * **Accept** — the listener is nonblocking and registered for
-//!   readability; a burst of dialing workers is drained in one wake with
-//!   no accept thread and no sleep loop.
+//! * **Owner-driven** — `send`, `send_frame`, `recv_timeout`, `try_recv`,
+//!   `disconnect` and `shutdown` accept, handshake, read, flush and close
+//!   on the caller's thread. The transport makes progress only while its
+//!   owner is inside one of those calls; in between, the kernel buffers
+//!   whatever workers send and holds dialers in the accept queue (its
+//!   backlog widened from std's 128 to 4096, so a burst of joins waits
+//!   there instead of retransmitting SYNs).
 //! * **Read** — each connection owns a [`FrameDecoder`]; whatever byte
 //!   chunk the socket yields (half a header, three coalesced frames) is
-//!   buffered and decoded incrementally. Complete messages flow into the
-//!   same [`TransportEvent`] channel the runtime already drains.
-//! * **Write** — [`Transport::send`] encodes the message and, when that
-//!   worker's outbound queue is empty, writes the frame to the nonblocking
-//!   socket from the caller's thread: a frame the socket takes whole
-//!   costs no hand-off and no wake. Only a tail the socket does not take
-//!   now, and frames queued behind it, go to the reactor, which flushes
-//!   the queue with vectored writes on `EPOLLOUT` — many queued frames
-//!   coalesce into one `writev`-style syscall. Direct writes and flushes
-//!   take the same per-worker lock, so frames never reorder or
-//!   interleave. A broadcast (one [`Frame`] to N workers) writes or
-//!   queues the same shared bytes (`Arc<[u8]>`): serialized once, not N
-//!   times.
+//!   buffered and decoded incrementally, and complete messages queue as
+//!   [`TransportEvent`]s for the owner to take.
+//! * **Write** — a frame for a worker whose outbound queue is empty is
+//!   written to the nonblocking socket at once. Only a tail the socket
+//!   does not take now, and frames sent behind it, are queued; `EPOLLOUT`
+//!   is armed while a tail waits, and the queue is flushed with vectored
+//!   writes when it fires — many queued frames coalesce into one
+//!   `writev`-style syscall. A broadcast (one [`Frame`] to N workers)
+//!   writes or queues the same shared bytes (`Arc<[u8]>`): serialized
+//!   once, not N times.
 //! * **Backpressure** — each worker's outbound queue is bounded
-//!   ([`TcpConfig::max_queued_bytes`]). A slow worker fills *its* queue;
-//!   senders targeting it block until the reactor drains it or
-//!   [`TcpConfig::send_timeout`] expires, at which point the worker is
-//!   declared lost and its connection closed — the rest of the fleet
-//!   never waits behind it. A send that fails on the socket leaves its
-//!   frame queued, and the reactor's flush meets the error, so one place
-//!   reports [`TransportEvent::Left`].
+//!   ([`TcpConfig::max_queued_bytes`]). A send to a full queue keeps the
+//!   loop turning — reading every worker's frames into the pending events
+//!   and flushing every writable queue, so no peer deadlocks on a manager
+//!   that stopped reading — until that queue has room or
+//!   [`TcpConfig::send_timeout`] passes; then that worker, and only that
+//!   worker, is closed as lost. A send that fails on the socket leaves its
+//!   frame queued, and the flush meets the error, so one place reports
+//!   [`TransportEvent::Left`].
 //! * **Handshake deadline** — a connection that dials in but never sends
-//!   `Join` used to pin a reader thread forever; now it is closed and
-//!   counted ([`TransportStats::handshake_rejects`]) once
-//!   [`TcpConfig::handshake_timeout`] passes.
+//!   `Join` is closed and counted ([`TransportStats::handshake_rejects`])
+//!   once [`TcpConfig::handshake_timeout`] passes: a waiting owner never
+//!   sleeps past the nearest deadline.
 //!
-//! Crash semantics are unchanged from the threaded backend: a connection
-//! dying — graceful leave, `kill -9`, mid-frame truncation — surfaces as
-//! [`TransportEvent::Left`] and feeds the same requeue path. The worker
-//! side is [`crate::transport::run_tcp_worker`].
-//! Frames carry binary payloads ([`vine_proto::codec`]) with no version
-//! negotiation: a worker that still sends JSON frames fails the handshake
-//! on its first frame and is counted in `handshake_rejects`.
+//! A connection dying — graceful leave, `kill -9`, mid-frame truncation —
+//! surfaces as [`TransportEvent::Left`], after every message already read
+//! from it, and feeds the runtime's requeue path. The worker side is
+//! [`crate::transport::run_tcp_worker`]. Frames carry binary payloads
+//! ([`vine_proto::codec`]) with no version negotiation: a worker that
+//! still sends JSON frames fails the handshake on its first frame and is
+//! counted in `handshake_rejects`.
 
 use crate::transport::{
     RecvError, Transport, TransportEvent, TransportStats, WorkerTransportStats,
 };
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use epoll::{Epoll, Event, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use epoll::{Epoll, Event, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vine_core::ids::WorkerId;
+use vine_core::resources::Resources;
 use vine_core::{Result, VineError};
 use vine_proto::{encode_frame, Frame, FrameDecoder, ManagerToWorker, WorkerToManager};
 
@@ -76,8 +74,8 @@ pub struct TcpConfig {
     /// How long a freshly accepted connection may sit without sending
     /// `Join` before it is closed and counted as rejected.
     pub handshake_timeout: Duration,
-    /// Outbound queue bound per worker, in bytes. Sends beyond it block
-    /// the caller (that worker only) until the reactor drains the queue.
+    /// Outbound queue bound per worker, in bytes. A send beyond it waits,
+    /// turning the loop, until that worker's queue drains.
     pub max_queued_bytes: usize,
     /// How long a send may wait on a full queue before the worker is
     /// declared lost.
@@ -94,142 +92,61 @@ impl Default for TcpConfig {
     }
 }
 
-/// One worker's connection as senders and the reactor share it: the
-/// outbound side under one lock, plus traffic accounting. All counters are
-/// monotonic over the connection's life and survive its death, so stats
-/// cover departed workers too.
-struct Peer {
-    /// Whoever writes to the socket holds this lock: a sender writing a
-    /// frame directly, or the reactor flushing the queue. Frames therefore
-    /// reach the wire whole and in send order.
-    out: Mutex<Outbound>,
-    queued_bytes: AtomicUsize,
-    queue_hwm_bytes: AtomicUsize,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    alive: AtomicBool,
-    /// Senders park here when the queue is full; the reactor notifies
-    /// after draining or on connection death. Never take `out` while
-    /// holding this lock.
-    drain_lock: Mutex<()>,
-    drained: Condvar,
-}
+/// The listener's accept queue: room for a whole burst of dialers while
+/// the owner is busy elsewhere (Linux caps it at `net.core.somaxconn`).
+const LISTEN_BACKLOG: i32 = 4096;
 
-/// The outbound side of one connection.
-struct Outbound {
-    /// The socket, shared with the reactor's connection; `None` once the
-    /// reactor has closed it, so a dead connection is not held open.
-    stream: Option<Arc<TcpStream>>,
+/// Slab token 0 is the listener; connections start at 1.
+const TOKEN_LISTENER: u64 = 0;
+const TOKEN_CONNS: u64 = 1;
+
+/// Cap on socket reads consumed per readiness event, so one firehose
+/// connection cannot starve the rest of a turn (level-triggered epoll
+/// re-reports whatever is left).
+const MAX_READS_PER_EVENT: usize = 16;
+
+/// Bytes one socket read takes at most.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Frames coalesced into one vectored write.
+const MAX_IOVECS: usize = 64;
+
+/// How long shutdown waits for outbound queues (the `Shutdown` broadcast
+/// included) to drain before closing sockets anyway.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// One live connection.
+struct Conn {
+    stream: TcpStream,
+    /// `None` until the `Join` handshake lands.
+    worker: Option<WorkerId>,
+    /// Join-or-die deadline, read only while `worker` is `None`.
+    deadline: Instant,
+    decoder: FrameDecoder,
     /// Frames the socket has not taken yet; the front one may be partially
-    /// written. Charged whole to `queued_bytes`.
+    /// written. `EPOLLOUT` is armed exactly while it is non-empty.
     queue: VecDeque<Arc<[u8]>>,
     /// Bytes of `queue[0]` already on the wire.
     off: usize,
+    /// Bytes in `queue`, each frame charged whole.
+    queued: usize,
 }
 
-impl Peer {
-    fn new(stream: Arc<TcpStream>) -> Peer {
-        Peer {
-            out: Mutex::new(Outbound {
-                stream: Some(stream),
-                queue: VecDeque::new(),
-                off: 0,
-            }),
-            queued_bytes: AtomicUsize::new(0),
-            queue_hwm_bytes: AtomicUsize::new(0),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            alive: AtomicBool::new(true),
-            drain_lock: Mutex::new(()),
-            drained: Condvar::new(),
-        }
-    }
-
-    fn outbound(&self) -> MutexGuard<'_, Outbound> {
-        self.out
-            .lock()
-            .expect("no writer panics while holding a worker's outbound side")
-    }
-
-    /// Charge `len` queued bytes and track the high-water mark.
-    fn charge(&self, len: usize) {
-        let now = self.queued_bytes.fetch_add(len, Ordering::Relaxed) + len;
-        self.queue_hwm_bytes.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Release `len` queued bytes and wake parked senders.
-    fn release(&self, len: usize) {
-        self.queued_bytes.fetch_sub(len, Ordering::Relaxed);
-        let _g = self.drain_lock.lock().unwrap();
-        self.drained.notify_all();
-    }
-
-    /// Mark the worker gone and wake parked senders so they fail fast.
-    fn kill(&self) {
-        self.alive.store(false, Ordering::Relaxed);
-        let _g = self.drain_lock.lock().unwrap();
-        self.drained.notify_all();
-    }
-
-    /// Write a frame from the calling thread when nothing is queued ahead
-    /// of it; otherwise, and for whatever part the socket does not take
-    /// now, queue it for the reactor. A frame written whole is never
-    /// charged. Returns whether the reactor must be asked to flush (a tail
-    /// was left on a queue that was empty), or `None` if the connection is
-    /// closed. A write error also leaves the frame queued: the reactor's
-    /// flush meets the error and reports the worker lost.
-    fn write_or_queue<B: AsRef<[u8]> + Into<Arc<[u8]>>>(&self, frame: B) -> Option<bool> {
-        let mut out = self.outbound();
-        let Outbound { stream, queue, off } = &mut *out;
-        let stream = stream.as_ref()?;
-        let len = frame.as_ref().len();
-        if !queue.is_empty() {
-            self.charge(len);
-            queue.push_back(frame.into());
-            return Some(false);
-        }
-        let wrote = loop {
-            match (&**stream).write(frame.as_ref()) {
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Ok(n) => break n,
-                Err(_) => break 0,
-            }
-        };
-        self.bytes_out.fetch_add(wrote as u64, Ordering::Relaxed);
-        if wrote == len {
-            self.frames_out.fetch_add(1, Ordering::Relaxed);
-            return Some(false);
-        }
-        self.charge(len);
-        queue.push_back(frame.into());
-        *off = wrote;
-        Some(true)
-    }
-
+impl Conn {
     /// Write as much of the queue as the socket accepts, coalescing queued
     /// frames into vectored writes. `Ok(true)` once the queue is empty,
     /// `Ok(false)` if the socket would block first.
-    fn flush(&self) -> std::io::Result<bool> {
-        let mut out = self.outbound();
-        let Outbound { stream, queue, off } = &mut *out;
-        let Some(stream) = stream.as_ref() else {
-            return Ok(true);
-        };
-        while !queue.is_empty() {
+    fn flush(&mut self, meter: &mut WorkerTransportStats) -> std::io::Result<bool> {
+        while !self.queue.is_empty() {
             let wrote = {
-                let iov: Vec<IoSlice> = queue
+                let iov: Vec<IoSlice> = self
+                    .queue
                     .iter()
                     .take(MAX_IOVECS)
                     .enumerate()
-                    .map(|(i, frame)| {
-                        IoSlice::new(if i == 0 { &frame[*off..] } else { &frame[..] })
-                    })
+                    .map(|(i, frame)| IoSlice::new(if i == 0 { &frame[self.off..] } else { frame }))
                     .collect();
-                (&**stream).write_vectored(&iov)
+                (&self.stream).write_vectored(&iov)
             };
             let mut n = match wrote {
                 Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
@@ -238,83 +155,60 @@ impl Peer {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             };
-            self.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-            let mut released = 0;
+            meter.bytes_out += n as u64;
             while n > 0 {
-                let front = queue[0].len();
-                if n < front - *off {
-                    *off += n;
+                let front = self.queue[0].len();
+                if n < front - self.off {
+                    self.off += n;
                     break;
                 }
-                n -= front - *off;
-                queue.pop_front();
-                *off = 0;
-                released += front;
-                self.frames_out.fetch_add(1, Ordering::Relaxed);
-            }
-            if released > 0 {
-                self.release(released);
+                n -= front - self.off;
+                self.queue.pop_front();
+                self.off = 0;
+                self.queued -= front;
+                meter.frames_out += 1;
             }
         }
         Ok(true)
     }
-
-    /// Whether frames are still waiting for the socket.
-    fn has_queued(&self) -> bool {
-        !self.outbound().queue.is_empty()
-    }
-
-    /// Drop the shared socket handle and the unwritten frames, un-charge
-    /// them, and mark the worker dead so parked senders fail fast.
-    fn close(&self) {
-        let undelivered: usize = {
-            let mut out = self.outbound();
-            out.stream = None;
-            out.off = 0;
-            out.queue.drain(..).map(|f| f.len()).sum()
-        };
-        if undelivered > 0 {
-            self.release(undelivered);
-        }
-        self.kill();
-    }
 }
 
-/// What the manager thread asks the reactor to do.
-enum Command {
-    /// Flush the tail a direct write left on one worker's queue.
-    Flush(WorkerId),
-    /// Sever one worker's connection.
-    Disconnect(WorkerId),
-    /// Broadcast `Shutdown`, drain, close everything, exit.
-    Shutdown,
-}
-
-/// State shared between the [`TcpTransport`] handle and its reactor.
-struct SharedState {
-    peers: Mutex<BTreeMap<WorkerId, Arc<Peer>>>,
-    commands: Mutex<VecDeque<Command>>,
-    wake: WakeFd,
-    handshake_rejects: AtomicU64,
-}
-
-impl SharedState {
-    fn push(&self, cmd: Command) {
-        self.commands.lock().unwrap().push_back(cmd);
-        self.wake.wake();
-    }
+/// Why a connection is being closed — controls which events surface.
+enum Close {
+    /// A joined worker is gone: emit [`TransportEvent::Left`].
+    Lost,
+    /// Handshake never completed (timeout or a non-`Join` first message):
+    /// count the rejection, emit nothing.
+    Rejected,
+    /// Deliberate teardown (shutdown): emit nothing.
+    Quiet,
 }
 
 /// The manager side of the TCP backend: bind once, let workers dial in,
-/// serve thousands of them from one reactor thread.
+/// serve thousands of them from the owner's thread.
 pub struct TcpTransport {
-    shared: Arc<SharedState>,
-    events: Receiver<TransportEvent>,
-    /// Held so the event channel outlives transient disconnect storms.
-    _events_tx: Sender<TransportEvent>,
-    local_addr: SocketAddr,
     cfg: TcpConfig,
-    reactor: Option<JoinHandle<()>>,
+    local_addr: SocketAddr,
+    ep: Epoll,
+    ready: Vec<Event>,
+    /// `None` once shut down: nobody is admitted any more.
+    listener: Option<TcpListener>,
+    /// Connections by slot (token − [`TOKEN_CONNS`]), with a free list.
+    conns: Vec<Option<Conn>>,
+    free: Vec<usize>,
+    by_worker: BTreeMap<WorkerId, usize>,
+    /// `(deadline, slot)` of each connection accepted without a `Join`
+    /// yet, in accept order, which is deadline order. An entry whose slot
+    /// has joined, closed or been reused is stale and skipped.
+    handshakes: VecDeque<(Instant, usize)>,
+    /// Events read and not yet taken by the owner.
+    events: VecDeque<TransportEvent>,
+    /// One per admitted worker, indexed by its id: the lifetime traffic
+    /// meter, which outlives the connection.
+    meters: Vec<WorkerTransportStats>,
+    handshake_rejects: u64,
+    /// What each socket read lands in before the decoder buffers it.
+    scratch: Box<[u8]>,
 }
 
 impl TcpTransport {
@@ -327,31 +221,25 @@ impl TcpTransport {
     /// Bind with explicit reactor tuning.
     pub fn listen_with(addr: impl ToSocketAddrs, cfg: TcpConfig) -> std::io::Result<TcpTransport> {
         let listener = TcpListener::bind(addr)?;
+        epoll::set_listen_backlog(&listener, LISTEN_BACKLOG)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-
-        let shared = Arc::new(SharedState {
-            peers: Mutex::new(BTreeMap::new()),
-            commands: Mutex::new(VecDeque::new()),
-            wake: WakeFd::new()?,
-            handshake_rejects: AtomicU64::new(0),
-        });
-        let (etx, erx) = crossbeam::channel::unbounded();
-
-        let reactor = {
-            let mut r = Reactor::new(listener, Arc::clone(&shared), etx.clone(), cfg.clone())?;
-            std::thread::Builder::new()
-                .name("vine-reactor".into())
-                .spawn(move || r.run())?
-        };
-
+        let ep = Epoll::new()?;
+        ep.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
         Ok(TcpTransport {
-            shared,
-            events: erx,
-            _events_tx: etx,
-            local_addr,
             cfg,
-            reactor: Some(reactor),
+            local_addr,
+            ep,
+            ready: Vec::new(),
+            listener: Some(listener),
+            conns: Vec::new(),
+            free: Vec::new(),
+            by_worker: BTreeMap::new(),
+            handshakes: VecDeque::new(),
+            events: VecDeque::new(),
+            meters: Vec::new(),
+            handshake_rejects: 0,
+            scratch: vec![0; READ_CHUNK].into_boxed_slice(),
         })
     }
 
@@ -360,71 +248,300 @@ impl TcpTransport {
         self.local_addr
     }
 
-    /// Send one encoded frame to a worker. It is written from this thread
-    /// when the worker's queue is empty; a tail the socket does not take
-    /// now, and frames queued behind it, go to the reactor. Blocks on that
-    /// worker's (and only that worker's) backpressure when its queue is
-    /// full.
+    /// Send one encoded frame to a worker once its queue admits it. An
+    /// empty queue always admits one frame, even an oversized one —
+    /// otherwise a frame bigger than the bound could never be sent. A full
+    /// queue turns the loop until it has room, or closes the worker as
+    /// lost at the send deadline.
     fn send_bytes<B: AsRef<[u8]> + Into<Arc<[u8]>>>(
-        &self,
+        &mut self,
         worker: WorkerId,
         frame: B,
     ) -> Result<()> {
-        let peer = self
-            .shared
-            .peers
-            .lock()
-            .unwrap()
-            .get(&worker)
-            .cloned()
-            .ok_or(VineError::WorkerLost(worker))?;
-        if !peer.alive.load(Ordering::Relaxed) {
-            return Err(VineError::WorkerLost(worker));
-        }
-        if !self.has_room(&peer, frame.as_ref().len()) {
-            self.wait_for_room(worker, &peer, frame.as_ref().len())?;
-        }
-        let tail = peer
-            .write_or_queue(frame)
-            .ok_or(VineError::WorkerLost(worker))?;
-        if tail {
-            self.shared.push(Command::Flush(worker));
-        }
-        Ok(())
-    }
-
-    /// Whether `peer`'s queue admits `len` more bytes. An empty queue
-    /// always admits one frame, even an oversized one — otherwise a frame
-    /// bigger than the bound could never be sent at all.
-    fn has_room(&self, peer: &Peer, len: usize) -> bool {
-        let queued = peer.queued_bytes.load(Ordering::Relaxed);
-        queued == 0 || queued + len <= self.cfg.max_queued_bytes
-    }
-
-    /// Park until the reactor drains `peer`'s queue enough for `len` more
-    /// bytes, or declare the worker lost at the send deadline.
-    fn wait_for_room(&self, worker: WorkerId, peer: &Peer, len: usize) -> Result<()> {
-        let deadline = Instant::now() + self.cfg.send_timeout;
-        let mut guard = peer.drain_lock.lock().unwrap();
+        let len = frame.as_ref().len();
+        let mut deadline = None;
         loop {
-            if !peer.alive.load(Ordering::Relaxed) {
-                return Err(VineError::WorkerLost(worker));
-            }
-            if self.has_room(peer, len) {
+            let slot = *self
+                .by_worker
+                .get(&worker)
+                .ok_or(VineError::WorkerLost(worker))?;
+            let queued = self.conns[slot].as_ref().map_or(0, |c| c.queued);
+            if queued == 0 || queued + len <= self.cfg.max_queued_bytes {
+                self.write_or_queue(slot, frame);
                 return Ok(());
             }
-            let now = Instant::now();
-            if now >= deadline {
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.cfg.send_timeout);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 // the worker has not drained its queue within the send
                 // budget: declare it lost so its in-flight work requeues
-                // elsewhere, and let the reactor reap the connection
-                drop(guard);
-                self.shared.push(Command::Disconnect(worker));
+                // elsewhere
+                self.close(slot, Close::Lost);
                 return Err(VineError::WorkerLost(worker));
             }
-            let (g, _) = peer.drained.wait_timeout(guard, deadline - now).unwrap();
-            guard = g;
+            self.turn(left);
         }
+    }
+
+    /// Write a frame to a joined worker's socket when nothing is queued
+    /// ahead of it; otherwise, and for whatever part the socket does not
+    /// take now, queue it and arm `EPOLLOUT`. A frame written whole is
+    /// never charged. A write error also leaves the frame queued: the
+    /// flush meets the error and closes the connection.
+    fn write_or_queue<B: AsRef<[u8]> + Into<Arc<[u8]>>>(&mut self, slot: usize, frame: B) {
+        let conn = self.conns[slot]
+            .as_mut()
+            .expect("writing to a live connection");
+        let worker = conn.worker.expect("only joined workers are written to");
+        let meter = &mut self.meters[worker.0 as usize];
+        let len = frame.as_ref().len();
+        if conn.queue.is_empty() {
+            let wrote = loop {
+                match (&conn.stream).write(frame.as_ref()) {
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Ok(n) => break n,
+                    Err(_) => break 0,
+                }
+            };
+            meter.bytes_out += wrote as u64;
+            if wrote == len {
+                meter.frames_out += 1;
+                return;
+            }
+            conn.off = wrote;
+            let _ = self.ep.modify(
+                conn.stream.as_raw_fd(),
+                EPOLLIN | EPOLLRDHUP | EPOLLOUT,
+                TOKEN_CONNS + slot as u64,
+            );
+        }
+        conn.queued += len;
+        meter.queue_hwm_bytes = meter.queue_hwm_bytes.max(conn.queued as u64);
+        conn.queue.push_back(frame.into());
+    }
+
+    /// One turn of the loop: wait up to `timeout`, cut short by the
+    /// nearest handshake deadline, for readiness; accept, read, flush and
+    /// close whatever it reports; then close overdue handshakes.
+    fn turn(&mut self, timeout: Duration) {
+        let timeout = match self.handshakes.front() {
+            Some(&(deadline, _)) => timeout.min(deadline.saturating_duration_since(Instant::now())),
+            None => timeout,
+        };
+        // round up: a sub-millisecond wait must not become a busy poll
+        let ms = timeout.as_nanos().div_ceil(1_000_000).min(u32::MAX as u128) as u32;
+        let mut ready = std::mem::take(&mut self.ready);
+        if self.ep.wait(&mut ready, Some(ms)).is_ok() {
+            for ev in &ready {
+                match ev.token {
+                    TOKEN_LISTENER => self.accept_burst(),
+                    t => self.conn_event((t - TOKEN_CONNS) as usize, ev.readiness),
+                }
+            }
+        }
+        self.ready = ready;
+        self.reap_handshakes();
+    }
+
+    fn accept_burst(&mut self) {
+        while let Some(Ok((stream, _))) = self.listener.as_ref().map(TcpListener::accept) {
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            // frames are small and latency-bound: never sit on one waiting
+            // for Nagle + delayed ACK to agree
+            stream.set_nodelay(true).ok();
+            let slot = self.free.pop().unwrap_or_else(|| {
+                self.conns.push(None);
+                self.conns.len() - 1
+            });
+            let token = TOKEN_CONNS + slot as u64;
+            if self
+                .ep
+                .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)
+                .is_err()
+            {
+                self.free.push(slot);
+                continue;
+            }
+            let deadline = Instant::now() + self.cfg.handshake_timeout;
+            self.conns[slot] = Some(Conn {
+                stream,
+                worker: None,
+                deadline,
+                decoder: FrameDecoder::new(),
+                queue: VecDeque::new(),
+                off: 0,
+                queued: 0,
+            });
+            self.handshakes.push_back((deadline, slot));
+        }
+    }
+
+    /// Drop stale entries off the front of the handshake queue and close
+    /// every connection whose deadline has passed without a `Join`.
+    fn reap_handshakes(&mut self) {
+        let now = Instant::now();
+        while let Some(&(deadline, slot)) = self.handshakes.front() {
+            let waiting = matches!(
+                &self.conns[slot],
+                Some(c) if c.worker.is_none() && c.deadline == deadline
+            );
+            if waiting && deadline > now {
+                break;
+            }
+            self.handshakes.pop_front();
+            if waiting {
+                self.close(slot, Close::Rejected);
+            }
+        }
+    }
+
+    fn conn_event(&mut self, slot: usize, readiness: u32) {
+        if !matches!(self.conns.get(slot), Some(Some(_))) {
+            return; // stale event for a slot already reaped this turn
+        }
+        if readiness & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
+            self.readable(slot);
+        }
+        if readiness & EPOLLOUT != 0 {
+            self.flush(slot);
+        }
+    }
+
+    fn readable(&mut self, slot: usize) {
+        for _ in 0..MAX_READS_PER_EVENT {
+            let Some(conn) = self.conns[slot].as_mut() else {
+                return;
+            };
+            let n = match (&conn.stream).read(&mut self.scratch) {
+                Ok(0) => {
+                    // peer closed; whether it is a crash or a graceful
+                    // leave, the worker is gone
+                    self.close(slot, Close::Lost);
+                    return;
+                }
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.close(slot, Close::Lost);
+                    return;
+                }
+            };
+            if let Some(worker) = conn.worker {
+                self.meters[worker.0 as usize].bytes_in += n as u64;
+            }
+            conn.decoder.extend(&self.scratch[..n]);
+            // a short read drained the socket: level-triggered epoll
+            // reports whatever arrives next
+            if !self.decode(slot) || n < READ_CHUNK {
+                return;
+            }
+        }
+    }
+
+    /// Decode every complete frame buffered on `slot`. Returns false if
+    /// the connection was closed (handshake violation or garbage bytes).
+    fn decode(&mut self, slot: usize) -> bool {
+        loop {
+            let Some(conn) = self.conns[slot].as_mut() else {
+                return false;
+            };
+            match (conn.decoder.decode::<WorkerToManager>(), conn.worker) {
+                (Ok(None), _) => return true,
+                (Ok(Some(msg)), Some(worker)) => {
+                    self.meters[worker.0 as usize].frames_in += 1;
+                    self.events
+                        .push_back(TransportEvent::Message { worker, msg });
+                }
+                // §3.5 step 1: the first frame must be Join
+                (Ok(Some(WorkerToManager::Join { resources })), None) => {
+                    self.admit(slot, resources)
+                }
+                (Ok(Some(_)), None) => {
+                    self.close(slot, Close::Rejected);
+                    return false;
+                }
+                // unframeable garbage or an oversized header: the stream
+                // cannot be resynchronized
+                (Err(_), worker) => {
+                    let why = if worker.is_some() {
+                        Close::Lost
+                    } else {
+                        Close::Rejected
+                    };
+                    self.close(slot, why);
+                    return false;
+                }
+            }
+        }
+    }
+
+    /// Admit a handshaking connection: assign a [`WorkerId`], start its
+    /// meter, send `Welcome`, announce the join.
+    fn admit(&mut self, slot: usize, resources: Resources) {
+        let worker = WorkerId(self.meters.len() as u32);
+        self.meters.push(WorkerTransportStats {
+            worker,
+            frames_in: 0,
+            frames_out: 0,
+            bytes_in: 0,
+            bytes_out: 0,
+            queue_hwm_bytes: 0,
+            alive: true,
+        });
+        self.by_worker.insert(worker, slot);
+        self.conns[slot]
+            .as_mut()
+            .expect("admitting a live connection")
+            .worker = Some(worker);
+        let welcome = encode_frame(&ManagerToWorker::Welcome { worker }).expect("welcome encodes");
+        self.write_or_queue(slot, welcome);
+        self.events
+            .push_back(TransportEvent::Joined { worker, resources });
+    }
+
+    /// Flush `slot`'s outbound queue, and disarm `EPOLLOUT` once it is
+    /// empty.
+    fn flush(&mut self, slot: usize) {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        let Some(worker) = conn.worker else {
+            return; // nothing is written before the handshake
+        };
+        match conn.flush(&mut self.meters[worker.0 as usize]) {
+            Ok(true) => {
+                let _ = self.ep.modify(
+                    conn.stream.as_raw_fd(),
+                    EPOLLIN | EPOLLRDHUP,
+                    TOKEN_CONNS + slot as u64,
+                );
+            }
+            Ok(false) => {}
+            Err(_) => self.close(slot, Close::Lost),
+        }
+    }
+
+    fn close(&mut self, slot: usize, why: Close) {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) else {
+            return;
+        };
+        let _ = self.ep.delete(conn.stream.as_raw_fd());
+        self.free.push(slot);
+        match conn.worker {
+            Some(worker) => {
+                self.by_worker.remove(&worker);
+                self.meters[worker.0 as usize].alive = false;
+                if matches!(why, Close::Lost) {
+                    self.events.push_back(TransportEvent::Left { worker });
+                }
+            }
+            None if matches!(why, Close::Rejected) => self.handshake_rejects += 1,
+            None => {}
+        }
+        // dropping `conn` closes the socket and its unwritten frames
     }
 }
 
@@ -445,54 +562,72 @@ impl Transport for TcpTransport {
         &mut self,
         timeout: Duration,
     ) -> std::result::Result<TransportEvent, RecvError> {
-        match self.events.recv_timeout(timeout) {
-            Ok(ev) => Ok(ev),
-            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
-        }
-    }
-
-    fn try_recv(&mut self) -> Option<TransportEvent> {
-        self.events.try_recv().ok()
-    }
-
-    fn disconnect(&mut self, worker: WorkerId) {
-        if let Some(p) = self.shared.peers.lock().unwrap().get(&worker) {
-            p.kill();
-        }
-        self.shared.push(Command::Disconnect(worker));
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(t) = self.reactor.take() {
-            self.shared.push(Command::Shutdown);
-            let _ = t.join();
-            for p in self.shared.peers.lock().unwrap().values() {
-                p.kill();
+        let deadline = Instant::now().checked_add(timeout);
+        loop {
+            if let Some(ev) = self.events.pop_front() {
+                return Ok(ev);
+            }
+            if self.listener.is_none() {
+                return Err(RecvError::Closed);
+            }
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            self.turn(left);
+            if left.is_zero() && self.events.is_empty() {
+                return Err(RecvError::Timeout);
             }
         }
     }
 
+    fn try_recv(&mut self) -> Option<TransportEvent> {
+        if self.events.is_empty() && self.listener.is_some() {
+            self.turn(Duration::ZERO);
+        }
+        self.events.pop_front()
+    }
+
+    fn disconnect(&mut self, worker: WorkerId) {
+        if let Some(&slot) = self.by_worker.get(&worker) {
+            self.close(slot, Close::Lost);
+        }
+    }
+
+    /// Encode `Shutdown` once and send the same bytes to every joined
+    /// worker, drain until the queues are empty or [`DRAIN_TIMEOUT`]
+    /// passes, then close every socket and the listener.
+    fn shutdown(&mut self) {
+        if self.listener.take().is_none() {
+            return;
+        }
+        let frame = Frame::encode_once(ManagerToWorker::Shutdown).expect("shutdown encodes");
+        for slot in 0..self.conns.len() {
+            match self.conns[slot].as_ref().map(|c| c.worker.is_some()) {
+                Some(true) => self.write_or_queue(slot, Arc::clone(frame.bytes())),
+                // never completed the handshake and the fleet is going
+                // away: not a protocol violation, just a quiet close
+                Some(false) => self.close(slot, Close::Quiet),
+                None => {}
+            }
+        }
+        self.handshakes.clear();
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
+        while self.conns.iter().flatten().any(|c| !c.queue.is_empty()) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            self.turn(left);
+        }
+        for slot in 0..self.conns.len() {
+            self.close(slot, Close::Quiet);
+        }
+    }
+
     fn stats(&self) -> TransportStats {
-        let workers = self
-            .shared
-            .peers
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(w, p)| WorkerTransportStats {
-                worker: *w,
-                frames_in: p.frames_in.load(Ordering::Relaxed),
-                frames_out: p.frames_out.load(Ordering::Relaxed),
-                bytes_in: p.bytes_in.load(Ordering::Relaxed),
-                bytes_out: p.bytes_out.load(Ordering::Relaxed),
-                queue_hwm_bytes: p.queue_hwm_bytes.load(Ordering::Relaxed) as u64,
-                alive: p.alive.load(Ordering::Relaxed),
-            })
-            .collect();
         TransportStats {
-            workers,
-            handshake_rejects: self.shared.handshake_rejects.load(Ordering::Relaxed),
+            workers: self.meters.clone(),
+            handshake_rejects: self.handshake_rejects,
         }
     }
 }
@@ -500,430 +635,5 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-// ---------------------------------------------------------------- reactor
-
-/// Slab tokens 0 and 1 are the listener and the wake fd; connections
-/// start at 2.
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKE: u64 = 1;
-const TOKEN_CONNS: u64 = 2;
-
-/// Cap on socket reads consumed per readiness event, so one firehose
-/// connection cannot starve the rest of a wake cycle (level-triggered
-/// epoll re-reports whatever is left).
-const MAX_READS_PER_EVENT: usize = 16;
-
-/// Frames coalesced into one vectored write.
-const MAX_IOVECS: usize = 64;
-
-/// How long shutdown waits for outbound queues (the `Shutdown` broadcast
-/// included) to drain before closing sockets anyway.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// One live connection owned by the reactor.
-struct Conn {
-    /// Shared with the worker's [`Peer`], through which every write goes.
-    stream: Arc<TcpStream>,
-    /// `None` until the `Join` handshake lands.
-    worker: Option<WorkerId>,
-    peer: Option<Arc<Peer>>,
-    decoder: FrameDecoder,
-    /// Whether EPOLLOUT is currently part of the interest set.
-    want_write: bool,
-    /// Join-or-die deadline for handshaking connections.
-    handshake_deadline: Option<Instant>,
-}
-
-/// Why a connection is being closed — controls which events surface.
-enum Close {
-    /// A joined worker is gone: emit [`TransportEvent::Left`].
-    Lost,
-    /// Handshake never completed (timeout or a non-`Join` first message):
-    /// count the rejection, emit nothing.
-    Rejected,
-    /// Deliberate teardown (shutdown drain): emit nothing.
-    Quiet,
-}
-
-struct Reactor {
-    ep: Epoll,
-    listener: TcpListener,
-    shared: Arc<SharedState>,
-    events: Sender<TransportEvent>,
-    cfg: TcpConfig,
-    conns: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    by_worker: BTreeMap<WorkerId, usize>,
-    /// Connections still waiting for `Join` (guards the deadline scan).
-    handshaking: usize,
-    next_worker: u32,
-    /// Set once `Shutdown` arrives: drain until this deadline, then exit.
-    drain_until: Option<Instant>,
-}
-
-impl Reactor {
-    fn new(
-        listener: TcpListener,
-        shared: Arc<SharedState>,
-        events: Sender<TransportEvent>,
-        cfg: TcpConfig,
-    ) -> std::io::Result<Reactor> {
-        let ep = Epoll::new()?;
-        ep.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        ep.add(shared.wake.as_raw_fd(), EPOLLIN, TOKEN_WAKE)?;
-        Ok(Reactor {
-            ep,
-            listener,
-            shared,
-            events,
-            cfg,
-            conns: Vec::new(),
-            free: Vec::new(),
-            by_worker: BTreeMap::new(),
-            handshaking: 0,
-            next_worker: 0,
-            drain_until: None,
-        })
-    }
-
-    fn run(&mut self) {
-        let mut ready: Vec<Event> = Vec::new();
-        loop {
-            let timeout = self.next_timeout();
-            if self.ep.wait(&mut ready, 256, timeout).is_err() {
-                break;
-            }
-            let batch = std::mem::take(&mut ready);
-            for ev in &batch {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_burst(),
-                    TOKEN_WAKE => {
-                        self.shared.wake.drain();
-                        self.drain_commands();
-                    }
-                    t => self.conn_event((t - TOKEN_CONNS) as usize, ev.readiness),
-                }
-            }
-            ready = batch;
-            // commands may have queued while sockets were being served
-            self.drain_commands();
-            self.reap_handshake_timeouts();
-            if self.drain_finished() {
-                break;
-            }
-        }
-        // teardown: close every socket; parked senders fail fast
-        for slot in 0..self.conns.len() {
-            self.close(slot, Close::Quiet);
-        }
-    }
-
-    /// Milliseconds until the nearest deadline (handshakes, drain), or
-    /// `None` to block until a socket or the wake fd stirs.
-    fn next_timeout(&self) -> Option<u32> {
-        let mut next: Option<Instant> = self.drain_until;
-        if self.handshaking > 0 {
-            for conn in self.conns.iter().flatten() {
-                if let Some(d) = conn.handshake_deadline {
-                    next = Some(next.map_or(d, |n| n.min(d)));
-                }
-            }
-        }
-        next.map(|d| {
-            d.saturating_duration_since(Instant::now())
-                .as_millis()
-                .min(u32::MAX as u128) as u32
-        })
-    }
-
-    fn accept_burst(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    // frames are small and latency-bound: never sit on one
-                    // waiting for Nagle + delayed ACK to agree
-                    stream.set_nodelay(true).ok();
-                    let slot = self.free.pop().unwrap_or_else(|| {
-                        self.conns.push(None);
-                        self.conns.len() - 1
-                    });
-                    let token = TOKEN_CONNS + slot as u64;
-                    if self
-                        .ep
-                        .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)
-                        .is_err()
-                    {
-                        self.free.push(slot);
-                        continue;
-                    }
-                    self.conns[slot] = Some(Conn {
-                        stream: Arc::new(stream),
-                        worker: None,
-                        peer: None,
-                        decoder: FrameDecoder::new(),
-                        want_write: false,
-                        handshake_deadline: Some(Instant::now() + self.cfg.handshake_timeout),
-                    });
-                    self.handshaking += 1;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn drain_commands(&mut self) {
-        loop {
-            let cmd = self.shared.commands.lock().unwrap().pop_front();
-            let Some(cmd) = cmd else { break };
-            match cmd {
-                Command::Flush(worker) => {
-                    // a connection that died since has released its queue
-                    if let Some(slot) = self.by_worker.get(&worker).copied() {
-                        self.flush(slot);
-                    }
-                }
-                Command::Disconnect(worker) => {
-                    if let Some(slot) = self.by_worker.get(&worker).copied() {
-                        self.close(slot, Close::Lost);
-                    }
-                }
-                Command::Shutdown => self.begin_drain(),
-            }
-        }
-    }
-
-    /// `Shutdown` broadcast: encode the frame **once**, queue the same
-    /// bytes to every joined worker, then drain until queues empty or the
-    /// deadline passes. Handshaking connections are closed immediately.
-    fn begin_drain(&mut self) {
-        if self.drain_until.is_some() {
-            return;
-        }
-        self.drain_until = Some(Instant::now() + DRAIN_TIMEOUT);
-        let frame = Frame::encode_once(ManagerToWorker::Shutdown).expect("shutdown encodes");
-        for slot in 0..self.conns.len() {
-            let Some(conn) = self.conns[slot].as_ref() else {
-                continue;
-            };
-            let Some(peer) = &conn.peer else {
-                // never completed the handshake and the fleet is going
-                // away: not a protocol violation, just a quiet close
-                self.close(slot, Close::Quiet);
-                continue;
-            };
-            if peer.write_or_queue(Arc::clone(frame.bytes())) == Some(true) {
-                self.flush(slot);
-            }
-        }
-    }
-
-    /// During drain: true once every queue flushed (or the deadline hit),
-    /// which ends the reactor.
-    fn drain_finished(&self) -> bool {
-        let Some(deadline) = self.drain_until else {
-            return false;
-        };
-        let expired = Instant::now() >= deadline;
-        let pending = self
-            .conns
-            .iter()
-            .flatten()
-            .any(|c| c.peer.as_ref().is_some_and(|p| p.has_queued()));
-        expired || !pending
-    }
-
-    fn reap_handshake_timeouts(&mut self) {
-        if self.handshaking == 0 {
-            return;
-        }
-        let now = Instant::now();
-        for slot in 0..self.conns.len() {
-            let overdue = matches!(
-                self.conns[slot].as_ref().and_then(|c| c.handshake_deadline),
-                Some(d) if now >= d
-            );
-            if overdue {
-                self.close(slot, Close::Rejected);
-            }
-        }
-    }
-
-    fn conn_event(&mut self, slot: usize, readiness: u32) {
-        if !matches!(self.conns.get(slot), Some(Some(_))) {
-            return; // stale event for a slot already reaped this wake
-        }
-        if readiness & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
-            self.readable(slot);
-        }
-        if readiness & EPOLLOUT != 0 {
-            self.flush(slot);
-        }
-    }
-
-    fn readable(&mut self, slot: usize) {
-        let mut scratch = [0u8; 64 * 1024];
-        for _ in 0..MAX_READS_PER_EVENT {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return;
-            };
-            match (&*conn.stream).read(&mut scratch) {
-                Ok(0) => {
-                    // peer closed; whether it is a crash or a graceful
-                    // leave, the worker is gone
-                    self.close(slot, Close::Lost);
-                    return;
-                }
-                Ok(n) => {
-                    if let Some(p) = &conn.peer {
-                        p.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                    }
-                    conn.decoder.extend(&scratch[..n]);
-                    if !self.pump_decoder(slot) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(slot, Close::Lost);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Decode every complete frame buffered on `slot`. Returns false if
-    /// the connection was closed (handshake violation or garbage bytes).
-    fn pump_decoder(&mut self, slot: usize) -> bool {
-        loop {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return false;
-            };
-            match conn.decoder.decode::<WorkerToManager>() {
-                Ok(None) => return true,
-                Ok(Some(msg)) => match conn.worker {
-                    None => {
-                        // §3.5 step 1: the first frame must be Join
-                        let WorkerToManager::Join { resources } = msg else {
-                            self.close(slot, Close::Rejected);
-                            return false;
-                        };
-                        self.admit(slot, resources);
-                    }
-                    Some(worker) => {
-                        if let Some(p) = &conn.peer {
-                            p.frames_in.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let _ = self.events.send(TransportEvent::Message { worker, msg });
-                    }
-                },
-                Err(_) => {
-                    // unframeable garbage or an oversized header: the
-                    // stream cannot be resynchronized
-                    let rejected = conn.worker.is_none();
-                    self.close(
-                        slot,
-                        if rejected {
-                            Close::Rejected
-                        } else {
-                            Close::Lost
-                        },
-                    );
-                    return false;
-                }
-            }
-        }
-    }
-
-    /// Admit a handshaking connection: assign a [`WorkerId`], publish its
-    /// [`Peer`], send `Welcome`, announce the join.
-    fn admit(&mut self, slot: usize, resources: vine_core::resources::Resources) {
-        let worker = WorkerId(self.next_worker);
-        self.next_worker += 1;
-        let conn = self.conns[slot].as_mut().expect("admitting a live conn");
-        let peer = Arc::new(Peer::new(Arc::clone(&conn.stream)));
-        conn.worker = Some(worker);
-        conn.peer = Some(Arc::clone(&peer));
-        conn.handshake_deadline = None;
-        self.handshaking -= 1;
-        self.by_worker.insert(worker, slot);
-        // the peer must be visible before Joined is observable, so the
-        // first send the runtime issues finds it; Welcome goes out first
-        self.shared
-            .peers
-            .lock()
-            .unwrap()
-            .insert(worker, Arc::clone(&peer));
-        let welcome = encode_frame(&ManagerToWorker::Welcome { worker }).expect("welcome encodes");
-        if peer.write_or_queue(welcome) == Some(true) {
-            self.flush(slot);
-        }
-        let _ = self
-            .events
-            .send(TransportEvent::Joined { worker, resources });
-    }
-
-    /// Flush `slot`'s outbound queue and arm or disarm EPOLLOUT to match
-    /// what remains. The socket is almost always writable, so a tail left
-    /// by a direct write rarely waits for EPOLLOUT.
-    fn flush(&mut self, slot: usize) {
-        let flushed = match self.conns[slot].as_ref().and_then(|c| c.peer.as_ref()) {
-            Some(peer) => peer.flush(),
-            None => return,
-        };
-        match flushed {
-            Ok(empty) => self.set_write_interest(slot, !empty),
-            Err(_) => self.close(slot, Close::Lost),
-        }
-    }
-
-    fn set_write_interest(&mut self, slot: usize, want: bool) {
-        let Some(conn) = self.conns[slot].as_mut() else {
-            return;
-        };
-        if conn.want_write == want {
-            return;
-        }
-        conn.want_write = want;
-        let interest = if want {
-            EPOLLIN | EPOLLRDHUP | EPOLLOUT
-        } else {
-            EPOLLIN | EPOLLRDHUP
-        };
-        let _ = self
-            .ep
-            .modify(conn.stream.as_raw_fd(), interest, TOKEN_CONNS + slot as u64);
-    }
-
-    fn close(&mut self, slot: usize, why: Close) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) else {
-            return;
-        };
-        let _ = self.ep.delete(conn.stream.as_raw_fd());
-        if conn.handshake_deadline.is_some() {
-            self.handshaking -= 1;
-        }
-        if let Some(worker) = conn.worker {
-            self.by_worker.remove(&worker);
-            if let Some(p) = &conn.peer {
-                p.close();
-            }
-            if matches!(why, Close::Lost) {
-                let _ = self.events.send(TransportEvent::Left { worker });
-            }
-        } else if matches!(why, Close::Rejected) {
-            self.shared
-                .handshake_rejects
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        // dropping `conn` closes the socket
-        self.free.push(slot);
     }
 }

@@ -8,11 +8,11 @@
 //!   crossbeam channels untouched (today's semantics, zero serialization);
 //! * [`TcpTransport`](crate::reactor::TcpTransport) — the manager binds a
 //!   listener, workers dial in and speak [`vine_proto::framing`] frames
-//!   over `std::net` sockets, and a single epoll reactor thread serves
-//!   the whole fleet (see [`crate::reactor`]). A connection dropping
-//!   (worker crash, `kill -9`, network partition) surfaces as
-//!   [`TransportEvent::Left`], which the runtime feeds into the same
-//!   requeue path as an explicit worker kill.
+//!   over `std::net` sockets, and one epoll loop, run by the manager's
+//!   thread inside its transport calls, serves the whole fleet (see
+//!   [`crate::reactor`]). A connection dropping (worker crash, `kill -9`,
+//!   network partition) surfaces as [`TransportEvent::Left`], which the
+//!   runtime feeds into the same requeue path as an explicit worker kill.
 //!
 //! The worker side of the TCP backend is [`run_tcp_worker`]: dial, `Join`
 //! with a capacity announcement, receive `Welcome`, then serve each

@@ -161,9 +161,7 @@ impl Worker {
             ManagerToWorker::Invoke { instance, call } => {
                 match self.libraries.get(&instance) {
                     Some(host) => {
-                        // the invocation's option wins; otherwise the
-                        // library's default (§3.4 step 4)
-                        let mode = call.exec_mode.unwrap_or(host.default_mode);
+                        let mode = call.mode(host.default_mode);
                         let _ = host.tx.send(WorkerToLibrary::Invoke {
                             id: call.id,
                             sandbox: format!("sandbox/{}", call.id),

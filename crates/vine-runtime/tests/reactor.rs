@@ -1,10 +1,12 @@
 //! Reactor-transport behavior the threaded backend never had: handshake
 //! deadlines that reap half-open connections, per-worker backpressure that
-//! isolates a slow worker from the fleet, serialize-once broadcasts, and
-//! per-connection traffic metering — all through one epoll thread.
+//! isolates a slow worker from the fleet, serialize-once broadcasts, a
+//! join burst held in the accept queue, and per-connection traffic
+//! metering — all on the thread that owns the transport.
 
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vine_core::ids::{LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
@@ -49,6 +51,18 @@ fn wait_for(
     }
 }
 
+/// Keep the transport turning — it accepts, reads, reaps and flushes only
+/// inside its own calls — until `client`, blocked on its own socket,
+/// finishes. No event may surface meanwhile.
+fn drive_until<T>(t: &mut TcpTransport, client: JoinHandle<T>) -> T {
+    while !client.is_finished() {
+        if let Ok(ev) = t.recv_timeout(Duration::from_millis(10)) {
+            panic!("unexpected event while a client waits: {ev:?}");
+        }
+    }
+    client.join().unwrap()
+}
+
 #[test]
 fn unjoined_connections_are_reaped_and_counted() {
     let mut t = TcpTransport::listen_with(
@@ -68,23 +82,29 @@ fn unjoined_connections_are_reaped_and_counted() {
     write_frame(&mut rude, &WorkerToManager::Leave).unwrap();
 
     // both sockets must observe a close (read returns 0), well before a
-    // reader thread would have blocked forever in the old backend
-    for (name, sock) in [("mute", &mut mute), ("rude", &mut rude)] {
-        sock.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut buf = [0u8; 16];
-        assert_eq!(sock.read(&mut buf).unwrap(), 0, "{name} socket closed");
-    }
+    // reader thread would have blocked forever in the old backend; they
+    // read on a helper thread while this one drives the transport
+    let closes = std::thread::spawn(move || {
+        for (name, sock) in [("mute", &mut mute), ("rude", &mut rude)] {
+            sock.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut buf = [0u8; 16];
+            assert_eq!(sock.read(&mut buf).unwrap(), 0, "{name} socket closed");
+        }
+    });
+    drive_until(&mut t, closes);
 
     // neither ever became a worker, and both closures were counted
     assert!(t.try_recv().is_none(), "no Joined/Left events for rejects");
     assert_eq!(t.stats().handshake_rejects, 2);
 
-    // the deadline machinery must not break real admissions
-    let (_w, _r, worker) = join(addr);
+    // the deadline machinery must not break real admissions (the client
+    // waits for its Welcome on a helper thread)
+    let client = std::thread::spawn(move || join(addr));
     let ev = wait_for(&mut t, Duration::from_secs(10), |e| {
         matches!(e, TransportEvent::Joined { .. })
     });
+    let (_w, _r, worker) = client.join().unwrap();
     let TransportEvent::Joined { worker: joined, .. } = ev else {
         unreachable!()
     };
@@ -105,9 +125,12 @@ fn json_era_workers_fail_the_handshake() {
     old.write_all(&frame).unwrap();
 
     // closed on arrival, counted, and never admitted
-    old.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut buf = [0u8; 16];
-    assert_eq!(old.read(&mut buf).unwrap(), 0, "old worker's socket closed");
+    let closed = std::thread::spawn(move || {
+        old.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut buf = [0u8; 16];
+        assert_eq!(old.read(&mut buf).unwrap(), 0, "old worker's socket closed");
+    });
+    drive_until(&mut t, closed);
     assert!(t.try_recv().is_none(), "no Joined event for an old worker");
     assert_eq!(t.stats().handshake_rejects, 1);
     t.shutdown();
@@ -126,15 +149,18 @@ fn slow_worker_backpressure_does_not_stall_the_fleet() {
     .unwrap();
     let addr = t.local_addr();
 
-    // the slow worker joins and then never reads again
-    let (_slow_w, slow_r, slow) = join(addr);
-    // the healthy worker echoes everything it is sent
-    let (mut fast_w, mut fast_r, fast) = join(addr);
+    // the slow worker joins and then never reads again; the healthy
+    // worker echoes everything it is sent (both wait for their Welcome on
+    // helper threads)
+    let slow_client = std::thread::spawn(move || join(addr));
+    let fast_client = std::thread::spawn(move || join(addr));
     for _ in 0..2 {
         wait_for(&mut t, Duration::from_secs(10), |e| {
             matches!(e, TransportEvent::Joined { .. })
         });
     }
+    let (_slow_w, slow_r, slow) = slow_client.join().unwrap();
+    let (mut fast_w, mut fast_r, fast) = fast_client.join().unwrap();
 
     // a frame big enough that a handful exhausts socket buffer + queue
     let big = ManagerToWorker::InstallLibrary {
@@ -292,10 +318,12 @@ fn a_64_connection_fleet_roundtrips_through_one_reactor() {
 #[test]
 fn a_stalled_reader_gets_every_frame_once_in_order() {
     let mut t = TcpTransport::listen("127.0.0.1:0").unwrap();
-    let (_w, mut r, worker) = join(t.local_addr());
+    let addr = t.local_addr();
+    let client = std::thread::spawn(move || join(addr));
     wait_for(&mut t, Duration::from_secs(10), |e| {
         matches!(e, TransportEvent::Joined { .. })
     });
+    let (_w, mut r, worker) = client.join().unwrap();
 
     // the client reads nothing while small frames and frames larger than
     // a loopback socket's buffers are sent: some go straight to the
@@ -326,14 +354,19 @@ fn a_stalled_reader_gets_every_frame_once_in_order() {
         t.send(worker, msg.clone()).unwrap();
     }
 
-    // then it resumes: every frame arrives once, whole and in send order
-    for (i, msg) in sent.iter().enumerate() {
-        assert_eq!(
-            &read_frame::<ManagerToWorker>(&mut r).unwrap(),
-            msg,
-            "frame {i}"
-        );
-    }
+    // then it resumes: every frame arrives once, whole and in send order,
+    // read on a helper thread while this one drives the transport
+    let resumed = std::thread::spawn(move || {
+        for (i, msg) in sent.iter().enumerate() {
+            assert_eq!(
+                &read_frame::<ManagerToWorker>(&mut r).unwrap(),
+                msg,
+                "frame {i}"
+            );
+        }
+        (r, sent)
+    });
+    let (mut r, sent) = drive_until(&mut t, resumed);
     t.shutdown();
     assert_eq!(
         read_frame::<ManagerToWorker>(&mut r).unwrap(),
@@ -354,4 +387,52 @@ fn a_stalled_reader_gets_every_frame_once_in_order() {
         "a big frame queued (hwm {})",
         s.queue_hwm_bytes
     );
+}
+
+#[test]
+fn a_join_burst_waits_in_the_accept_queue_until_the_transport_turns() {
+    // as many dialers as the kernel lets any listen backlog hold, at most
+    // 300: more than std's backlog of 128
+    let burst = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+        .ok()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .unwrap_or(128)
+        .min(300);
+    let mut t = TcpTransport::listen("127.0.0.1:0").unwrap();
+    let addr = t.local_addr();
+
+    // every dialer connects and sends Join before the transport is first
+    // polled, so nothing accepts meanwhile; a dialer the accept queue
+    // cannot hold waits ~1 s for its SYN to be retransmitted
+    let started = Instant::now();
+    let dialers: Vec<TcpStream> = (0..burst)
+        .map(|_| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            write_frame(
+                &mut s,
+                &WorkerToManager::Join {
+                    resources: Resources::new(4, 1024, 1024),
+                },
+            )
+            .unwrap();
+            s
+        })
+        .collect();
+    let dialed = started.elapsed();
+    assert!(
+        dialed < Duration::from_secs(1),
+        "{burst} dialers took {dialed:?} to connect"
+    );
+
+    // the first poll admits them all
+    for _ in 0..burst {
+        wait_for(&mut t, Duration::from_secs(10), |e| {
+            matches!(e, TransportEvent::Joined { .. })
+        });
+    }
+    let stats = t.stats();
+    assert_eq!(stats.workers.len(), burst);
+    assert_eq!(stats.handshake_rejects, 0);
+    t.shutdown();
+    drop(dialers);
 }

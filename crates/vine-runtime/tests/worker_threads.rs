@@ -1,13 +1,15 @@
-//! The TCP worker's thread budget. Its own test binary, so that no other
-//! test's threads share the process while it counts `/proc/self/task`.
+//! The thread budgets of both TCP ends: the manager's transport and the
+//! worker. Their own test binary, so that no other test's threads share
+//! the process while they count `/proc/self/task`.
 
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use vine_core::context::CodeArtifact;
 use vine_core::ids::{LibraryInstanceId, TaskId};
 use vine_core::resources::Resources;
 use vine_core::task::{ExecMode, TaskSpec};
 use vine_lang::{ModuleRegistry, Value};
-use vine_proto::{ManagerToWorker, WorkerToManager};
+use vine_proto::{read_frame, write_frame, ManagerToWorker, WorkerToManager};
 use vine_runtime::library_host::compile_image;
 use vine_runtime::{run_tcp_worker, TcpTransport, Transport, TransportEvent};
 
@@ -26,6 +28,53 @@ fn next<T>(t: &mut TcpTransport, mut pick: impl FnMut(TransportEvent) -> Option<
             return v;
         }
     }
+}
+
+/// Wait until the main thread and this one are the process's only
+/// threads. libtest starts both tests of this binary at once, and the
+/// other one counts threads too; this one sorts first, so it starts first
+/// and stays, asleep, until the other has finished.
+fn wait_until_alone() {
+    std::thread::sleep(Duration::from_millis(100));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while threads() > 2 {
+        assert!(Instant::now() < deadline, "other threads never ended");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn a_listening_manager_runs_no_thread_of_its_own() {
+    wait_until_alone();
+    let before = threads();
+    let mut t = TcpTransport::listen("127.0.0.1:0").unwrap();
+
+    // a worker joins from this same thread: its Join waits in the kernel
+    // until the transport's next call accepts and reads it
+    let mut client = TcpStream::connect(t.local_addr()).unwrap();
+    write_frame(
+        &mut client,
+        &WorkerToManager::Join {
+            resources: Resources::new(4, 1024, 1024),
+        },
+    )
+    .unwrap();
+    let worker = next(&mut t, |e| match e {
+        TransportEvent::Joined { worker, .. } => Some(worker),
+        _ => None,
+    });
+    assert_eq!(
+        read_frame::<ManagerToWorker>(&mut client).unwrap(),
+        ManagerToWorker::Welcome { worker }
+    );
+
+    // listening, accepting, the handshake and the Welcome all ran here
+    assert_eq!(threads(), before);
+    t.shutdown();
+    assert_eq!(
+        read_frame::<ManagerToWorker>(&mut client).unwrap(),
+        ManagerToWorker::Shutdown
+    );
 }
 
 #[test]

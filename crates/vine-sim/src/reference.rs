@@ -28,7 +28,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
 use vine_core::context::FileSource;
 use vine_core::ids::{ContentHash, InvocationId, LibraryInstanceId, WorkerId};
-use vine_core::task::{UnitId, WorkProfile, WorkUnit};
+use vine_core::task::{ExecMode, UnitId, WorkProfile, WorkUnit};
 use vine_core::time::{SimDuration, SimTime};
 use vine_core::trace::{InvocationRecord, LibraryRecord, PhaseBreakdown, Trace};
 use vine_manager::{Decision, Manager};
@@ -229,6 +229,8 @@ struct Driver<'w> {
     trace: Trace,
     lib_records: BTreeMap<LibraryInstanceId, usize>,
     setup_profiles: BTreeMap<String, WorkProfile>,
+    /// Each library's default execution mode, for calls that set none.
+    default_modes: BTreeMap<String, ExecMode>,
     submit_times: BTreeMap<UnitId, SimTime>,
     mgr_free_at: SimTime,
     mgr_wake_at: Option<SimTime>,
@@ -246,8 +248,10 @@ struct Driver<'w> {
 pub fn simulate_reference(cfg: SimConfig, workload: &mut dyn Workload) -> SimResult {
     let mut mgr = Manager::new();
     let mut setup_profiles = BTreeMap::new();
+    let mut default_modes = BTreeMap::new();
     for (spec, profile) in workload.libraries() {
         setup_profiles.insert(spec.name.clone(), profile);
+        default_modes.insert(spec.name.clone(), spec.exec_mode);
         mgr.register_library(spec);
     }
 
@@ -292,6 +296,7 @@ pub fn simulate_reference(cfg: SimConfig, workload: &mut dyn Workload) -> SimRes
         trace: Trace::default(),
         lib_records: BTreeMap::new(),
         setup_profiles,
+        default_modes,
         submit_times: BTreeMap::new(),
         mgr_free_at: SimTime::ZERO,
         mgr_wake_at: None,
@@ -458,8 +463,7 @@ impl<'w> Driver<'w> {
                     phase: Phase::Transfer,
                 });
                 let mut worker_overhead = c.call_sandbox_setup + c.invocation_handoff;
-                let mode = call.exec_mode.unwrap_or(vine_core::task::ExecMode::Direct);
-                if mode == vine_core::task::ExecMode::Fork {
+                if call.mode(self.default_modes[&call.library]) == ExecMode::Fork {
                     worker_overhead += c.fork_overhead;
                 }
                 steps.push_back(Step {

@@ -32,7 +32,7 @@ use vine_core::config::{CostModel, ReuseLevel};
 use vine_core::context::{FileSource, LibrarySpec};
 use vine_core::ids::{InvocationId, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
-use vine_core::task::{UnitId, WorkProfile, WorkUnit};
+use vine_core::task::{ExecMode, UnitId, WorkProfile, WorkUnit};
 use vine_core::time::{SimDuration, SimTime};
 use vine_core::trace::{InvocationRecord, LibraryRecord, PhaseBreakdown, Trace};
 use vine_manager::{Decision, Manager};
@@ -291,6 +291,8 @@ struct Driver<'w> {
     trace: Trace,
     lib_records: BTreeMap<LibraryInstanceId, usize>,
     setup_profiles: BTreeMap<String, WorkProfile>,
+    /// Each library's default execution mode, for calls that set none.
+    default_modes: BTreeMap<String, ExecMode>,
     /// Submit time of each *pending or in-flight* unit: entries are removed
     /// when a unit finishes or fails (requeues keep theirs), so long
     /// resubmission loops don't grow this map forever.
@@ -309,8 +311,10 @@ struct Driver<'w> {
 pub fn simulate(cfg: SimConfig, workload: &mut dyn Workload) -> SimResult {
     let mut mgr = Manager::new();
     let mut setup_profiles = BTreeMap::new();
+    let mut default_modes = BTreeMap::new();
     for (spec, profile) in workload.libraries() {
         setup_profiles.insert(spec.name.clone(), profile);
+        default_modes.insert(spec.name.clone(), spec.exec_mode);
         mgr.register_library(spec);
     }
 
@@ -348,6 +352,7 @@ pub fn simulate(cfg: SimConfig, workload: &mut dyn Workload) -> SimResult {
         trace: Trace::default(),
         lib_records: BTreeMap::new(),
         setup_profiles,
+        default_modes,
         submit_times: BTreeMap::new(),
         mgr_free_at: SimTime::ZERO,
         mgr_wake_at: None,
@@ -537,8 +542,7 @@ impl<'w> Driver<'w> {
                     phase: Phase::Transfer,
                 });
                 let mut worker_overhead = c.call_sandbox_setup + c.invocation_handoff;
-                let mode = call.exec_mode.unwrap_or(vine_core::task::ExecMode::Direct);
-                if mode == vine_core::task::ExecMode::Fork {
+                if call.mode(self.default_modes[&call.library]) == ExecMode::Fork {
                     worker_overhead += c.fork_overhead;
                 }
                 steps.push_back(Step {

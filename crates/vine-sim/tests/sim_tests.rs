@@ -4,7 +4,7 @@ use vine_core::config::ReuseLevel;
 use vine_core::context::{ContextSpec, FileRef, LibrarySpec};
 use vine_core::ids::{ContentHash, FileId, InvocationId, TaskId};
 use vine_core::resources::Resources;
-use vine_core::task::{FunctionCall, TaskSpec, UnitId, WorkProfile, WorkUnit};
+use vine_core::task::{ExecMode, FunctionCall, TaskSpec, UnitId, WorkProfile, WorkUnit};
 use vine_sim::{simulate, simulate_reference, SimConfig, Workload};
 
 /// A synthetic function-centric workload runnable at any reuse level.
@@ -16,6 +16,8 @@ struct Synthetic {
     chain: u64,
     chained: u64,
     next_id: u64,
+    /// The L3 library's default execution mode; calls set none.
+    lib_mode: ExecMode,
 }
 
 impl Synthetic {
@@ -27,6 +29,7 @@ impl Synthetic {
             chain: 0,
             chained: 0,
             next_id: 0,
+            lib_mode: ExecMode::Direct,
         }
     }
 
@@ -100,6 +103,7 @@ impl Workload for Synthetic {
         }
         let mut spec = LibrarySpec::new("synlib");
         spec.functions = vec!["work".into()];
+        spec.exec_mode = self.lib_mode;
         spec.context = ContextSpec {
             environment: Some(Self::env_file()),
             data: vec![Self::params_file(ReuseLevel::L3)],
@@ -362,6 +366,26 @@ fn dense_driver_matches_reference_colocated() {
         || Synthetic::new(ReuseLevel::L3, 150),
         "colocated",
     );
+}
+
+#[test]
+fn calls_without_a_mode_run_in_their_librarys_default() {
+    // the library's spec says Fork and no call sets a mode: every call
+    // pays the fork on the worker, in both drivers alike
+    let make = || {
+        let mut w = Synthetic::new(ReuseLevel::L3, 40);
+        w.lib_mode = ExecMode::Fork;
+        w
+    };
+    let cfg = quick_config(ReuseLevel::L3, 3);
+    let c = &cfg.cost;
+    let forked = c.call_sandbox_setup + c.invocation_handoff + c.fork_overhead;
+    let r = simulate(cfg.clone(), &mut make());
+    assert_eq!(r.trace.invocations.len(), 40);
+    for rec in &r.trace.invocations {
+        assert_eq!(rec.phases.worker_overhead, forked, "{:?}", rec.id);
+    }
+    assert_drivers_agree(cfg, make, "fork by default");
 }
 
 #[test]

@@ -63,6 +63,16 @@ echo "repro all: OK (byte-identical to repro_output.txt)"
 # 256-connection loopback fleet (the full 1000-connection run is the
 # local `repro perf --net`; CI keeps the bounded variant)
 (cd "$smoke" && "$repro" perf --net --conns 256 --scale 0.1)
+# a join wave of a second or more is the sign of a dialer whose SYN was
+# retransmitted after the listen queue overflowed
+python3 - "$smoke/BENCH_net.json" <<'EOF'
+import json, sys
+wave = next(s['join_wave_s'] for s in json.load(open(sys.argv[1]))['sizes']
+            if s['connections'] == 256)
+if wave >= 1.0:
+    sys.exit(f"256-connection join wave took {wave:.3f} s: a SYN was retransmitted")
+print(f"256-connection join wave: {wave:.3f} s")
+EOF
 echo "reactor connection-scaling smoke: OK (BENCH_net.json in $smoke)"
 
 # federated sharding: the simulated 1→8 shard sweep (bounded; the

@@ -1,14 +1,13 @@
 //! Offline stand-in for an epoll binding, covering exactly what the
 //! vine-runtime reactor needs: an epoll instance (`epoll_create1` /
-//! `epoll_ctl` / `epoll_wait`), readiness constants, and an `eventfd`
-//! wake handle so other threads can interrupt a blocked `wait`.
+//! `epoll_ctl` / `epoll_wait`), readiness constants, and `listen(2)` to
+//! widen a bound listener's accept queue.
 //!
 //! There is no `libc` crate in this container, so the syscall surface is
 //! declared directly as `extern "C"` bindings against the C library the
 //! Rust standard library already links on Linux. The surface is five
-//! symbols — `epoll_create1`, `epoll_ctl`, `epoll_wait`, `eventfd`, and
-//! the `read`/`write`/`close` trio std itself uses — all stable POSIX/
-//! Linux ABI for decades.
+//! symbols — `epoll_create1`, `epoll_ctl`, `epoll_wait`, `listen` and
+//! `close` — all stable POSIX/Linux ABI for decades.
 //!
 //! Divergences from real epoll bindings, deliberately accepted: only
 //! level-triggered mode is exposed (the reactor re-arms interest
@@ -25,8 +24,6 @@ use std::os::unix::io::{AsRawFd, RawFd};
 
 #[allow(non_camel_case_types)]
 type c_int = i32;
-#[allow(non_camel_case_types)]
-type c_uint = u32;
 
 /// The kernel's epoll_event. On x86-64 the glibc/kernel ABI packs this
 /// struct (a 32-bit event mask immediately followed by the 64-bit user
@@ -44,9 +41,7 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut epoll_event, maxevents: c_int, timeout: c_int)
         -> c_int;
-    fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-    fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
+    fn listen(sockfd: c_int, backlog: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
 }
 
@@ -54,8 +49,10 @@ const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
-const EFD_CLOEXEC: c_int = 0o2000000;
-const EFD_NONBLOCK: c_int = 0o4000;
+
+/// Events one [`Epoll::wait`] returns at most; level-triggered epoll
+/// reports the rest on the next call.
+const MAX_EVENTS: usize = 256;
 
 // ------------------------------------------------------- readiness flags
 
@@ -78,6 +75,17 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
     }
 }
 
+// ----------------------------------------------------------------- listen
+
+/// Call `listen(2)` again on an already listening socket, which on Linux
+/// resizes its accept queue to `backlog` (capped by
+/// `net.core.somaxconn`). std listens with a backlog of 128.
+pub fn set_listen_backlog(listener: &impl AsRawFd, backlog: i32) -> io::Result<()> {
+    // SAFETY: `listen` takes two integers and touches no memory of ours;
+    // the borrow keeps the fd open for the call.
+    cvt(unsafe { listen(listener.as_raw_fd(), backlog) }).map(|_| ())
+}
+
 // ------------------------------------------------------------------ epoll
 
 /// One readiness notification out of [`Epoll::wait`].
@@ -93,12 +101,17 @@ pub struct Event {
 /// caller-chosen `u64` token that comes back in its events.
 pub struct Epoll {
     fd: RawFd,
+    /// The kernel-side event buffer, reused by every [`Epoll::wait`].
+    raw: Vec<epoll_event>,
 }
 
 impl Epoll {
     pub fn new() -> io::Result<Epoll> {
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        Ok(Epoll { fd })
+        Ok(Epoll {
+            fd,
+            raw: vec![epoll_event { events: 0, data: 0 }; MAX_EVENTS],
+        })
     }
 
     fn ctl(&self, op: c_int, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
@@ -129,36 +142,32 @@ impl Epoll {
     }
 
     /// Block until at least one watched fd is ready or `timeout_ms`
-    /// elapses (`None` blocks indefinitely). Appends up to `max` events
-    /// into `out` (cleared first) and returns how many arrived; zero
-    /// means the timeout fired.
-    pub fn wait(
-        &self,
-        out: &mut Vec<Event>,
-        max: usize,
-        timeout_ms: Option<u32>,
-    ) -> io::Result<usize> {
+    /// elapses (`None` blocks indefinitely). Puts up to 256 events into
+    /// `out` (cleared first) and returns how many arrived; zero means the
+    /// timeout fired.
+    pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: Option<u32>) -> io::Result<usize> {
         out.clear();
-        let max = max.clamp(1, 1024);
-        let mut raw: Vec<epoll_event> = vec![epoll_event { events: 0, data: 0 }; max];
         let timeout = match timeout_ms {
             None => -1,
             Some(ms) => ms.min(i32::MAX as u32) as c_int,
         };
         let n = loop {
-            match cvt(unsafe { epoll_wait(self.fd, raw.as_mut_ptr(), max as c_int, timeout) }) {
+            // SAFETY: `raw` holds `MAX_EVENTS` initialized entries that
+            // this call borrows mutably, and the kernel writes at most
+            // `MAX_EVENTS` of them.
+            match cvt(unsafe {
+                epoll_wait(self.fd, self.raw.as_mut_ptr(), MAX_EVENTS as c_int, timeout)
+            }) {
                 Ok(n) => break n as usize,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         };
-        for ev in &raw[..n] {
-            out.push(Event {
-                readiness: ev.events,
-                // a packed field cannot be borrowed; copy it out
-                token: { ev.data },
-            });
-        }
+        out.extend(self.raw[..n].iter().map(|ev| Event {
+            readiness: ev.events,
+            // a packed field cannot be borrowed; copy it out
+            token: { ev.data },
+        }));
         Ok(n)
     }
 }
@@ -175,56 +184,6 @@ impl Drop for Epoll {
     }
 }
 
-// Registration and waiting are plain syscalls on an owned fd.
-unsafe impl Send for Epoll {}
-unsafe impl Sync for Epoll {}
-
-// ----------------------------------------------------------------- waker
-
-/// An `eventfd`-backed wake handle: any thread may call [`WakeFd::wake`]
-/// to make the fd readable, interrupting an [`Epoll::wait`] that watches
-/// it. The reactor drains it with [`WakeFd::drain`] and goes back to
-/// sleep.
-pub struct WakeFd {
-    fd: RawFd,
-}
-
-impl WakeFd {
-    pub fn new() -> io::Result<WakeFd> {
-        let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-        Ok(WakeFd { fd })
-    }
-
-    /// Make the fd readable. Async-signal-safe, never blocks: eventfd
-    /// writes only fail when the counter would overflow, which just means
-    /// a wake is already pending.
-    pub fn wake(&self) {
-        let one: u64 = 1;
-        unsafe { write(self.fd, one.to_ne_bytes().as_ptr(), 8) };
-    }
-
-    /// Consume all pending wakes.
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        unsafe { read(self.fd, buf.as_mut_ptr(), 8) };
-    }
-}
-
-impl AsRawFd for WakeFd {
-    fn as_raw_fd(&self) -> RawFd {
-        self.fd
-    }
-}
-
-impl Drop for WakeFd {
-    fn drop(&mut self) {
-        unsafe { close(self.fd) };
-    }
-}
-
-unsafe impl Send for WakeFd {}
-unsafe impl Sync for WakeFd {}
-
 // ------------------------------------------------------------------ tests
 
 #[cfg(test)]
@@ -236,10 +195,10 @@ mod tests {
 
     #[test]
     fn waits_time_out_with_no_events() {
-        let ep = Epoll::new().unwrap();
+        let mut ep = Epoll::new().unwrap();
         let mut events = Vec::new();
         let started = Instant::now();
-        let n = ep.wait(&mut events, 16, Some(30)).unwrap();
+        let n = ep.wait(&mut events, Some(30)).unwrap();
         assert_eq!(n, 0);
         assert!(started.elapsed() >= Duration::from_millis(25));
     }
@@ -252,25 +211,25 @@ mod tests {
         let (server, _) = listener.accept().unwrap();
         server.set_nonblocking(true).unwrap();
 
-        let ep = Epoll::new().unwrap();
+        let mut ep = Epoll::new().unwrap();
         ep.add(server.as_raw_fd(), EPOLLIN, 42).unwrap();
 
         let mut events = Vec::new();
         // nothing to read yet
-        assert_eq!(ep.wait(&mut events, 16, Some(20)).unwrap(), 0);
+        assert_eq!(ep.wait(&mut events, Some(20)).unwrap(), 0);
 
         client.write_all(b"ping").unwrap();
-        assert_eq!(ep.wait(&mut events, 16, Some(2000)).unwrap(), 1);
+        assert_eq!(ep.wait(&mut events, Some(2000)).unwrap(), 1);
         assert_eq!(events[0].token, 42);
         assert!(events[0].readiness & EPOLLIN != 0);
 
         // level-triggered: still readable until drained
-        assert_eq!(ep.wait(&mut events, 16, Some(2000)).unwrap(), 1);
+        assert_eq!(ep.wait(&mut events, Some(2000)).unwrap(), 1);
         let mut srv = &server;
         let mut buf = [0u8; 8];
         let n = srv.read(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"ping");
-        assert_eq!(ep.wait(&mut events, 16, Some(20)).unwrap(), 0);
+        assert_eq!(ep.wait(&mut events, Some(20)).unwrap(), 0);
     }
 
     #[test]
@@ -280,43 +239,20 @@ mod tests {
         let mut client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
 
-        let ep = Epoll::new().unwrap();
+        let mut ep = Epoll::new().unwrap();
         // a fresh socket has write space: EPOLLOUT fires immediately
         ep.add(server.as_raw_fd(), EPOLLOUT, 7).unwrap();
         let mut events = Vec::new();
-        assert_eq!(ep.wait(&mut events, 16, Some(2000)).unwrap(), 1);
+        assert_eq!(ep.wait(&mut events, Some(2000)).unwrap(), 1);
         assert!(events[0].readiness & EPOLLOUT != 0);
 
         // switch to read interest only: quiescent until the peer writes
         ep.modify(server.as_raw_fd(), EPOLLIN, 7).unwrap();
-        assert_eq!(ep.wait(&mut events, 16, Some(20)).unwrap(), 0);
+        assert_eq!(ep.wait(&mut events, Some(20)).unwrap(), 0);
         client.write_all(b"x").unwrap();
-        assert_eq!(ep.wait(&mut events, 16, Some(2000)).unwrap(), 1);
+        assert_eq!(ep.wait(&mut events, Some(2000)).unwrap(), 1);
 
         ep.delete(server.as_raw_fd()).unwrap();
-        assert_eq!(ep.wait(&mut events, 16, Some(20)).unwrap(), 0);
-    }
-
-    #[test]
-    fn wake_fd_interrupts_a_blocked_wait() {
-        let ep = Epoll::new().unwrap();
-        let wake = std::sync::Arc::new(WakeFd::new().unwrap());
-        ep.add(wake.as_raw_fd(), EPOLLIN, 1).unwrap();
-
-        let w = std::sync::Arc::clone(&wake);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            w.wake();
-            w.wake(); // coalesces with the first
-        });
-
-        let mut events = Vec::new();
-        let n = ep.wait(&mut events, 16, Some(5000)).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(events[0].token, 1);
-        wake.drain();
-        // drained: quiescent again
-        assert_eq!(ep.wait(&mut events, 16, Some(20)).unwrap(), 0);
-        t.join().unwrap();
+        assert_eq!(ep.wait(&mut events, Some(20)).unwrap(), 0);
     }
 }
