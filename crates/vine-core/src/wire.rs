@@ -1,15 +1,15 @@
-//! The byte-level core of every binary codec in the workspace: `VPK1`
+//! The byte-level core of every binary codec in the workspace: `VPK2`
 //! pickles and `VBC2` compiled images (`vine_lang::pickle`,
 //! `vine_lang::bytecode`) and `VFR1` frame payloads (`vine_proto::codec`).
 //!
 //! Fixed-width integers and floats are little-endian; [`Writer::bytes`]
 //! and [`Writer::str`] carry a u32 length prefix, and [`Writer::varint`]
-//! is LEB128 for formats that prefer small numbers small. The decoding
-//! limits live here, in one reader, so every codec enforces them alike:
-//! one nesting budget shared by every recursive structure, element counts
-//! checked against the bytes left, and small up-front reservations. No
-//! input can overflow the decoding thread's stack or reserve memory it
-//! cannot fill.
+//! is LEB128 (zigzagged for signed values, [`Writer::zigzag`]) for
+//! formats that prefer small numbers small. The decoding limits live
+//! here, in one reader, so every codec enforces them alike: one nesting
+//! budget shared by every recursive structure, element counts checked
+//! against the bytes left, and small up-front reservations. No input can
+//! overflow the decoding thread's stack or reserve memory it cannot fill.
 
 use crate::{Result, VineError};
 
@@ -72,6 +72,12 @@ impl Writer {
             v >>= 7;
         }
         self.buf.push(v as u8);
+    }
+
+    /// A signed varint: zigzag-mapped so that small magnitudes of either
+    /// sign stay small, then [`Writer::varint`].
+    pub fn zigzag(&mut self, v: i64) {
+        self.varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
     /// Bytes with no length prefix.
@@ -198,6 +204,12 @@ impl<'a> Reader<'a> {
         unreachable!("the tenth byte ends the varint or fails")
     }
 
+    /// A signed varint written by [`Writer::zigzag`].
+    pub fn zigzag(&mut self) -> Result<i64> {
+        let z = self.varint()?;
+        Ok((z >> 1) as i64 ^ -((z & 1) as i64))
+    }
+
     /// A varint length or count, not yet checked against the input.
     pub fn varint_len(&mut self) -> Result<usize> {
         let n = self.varint()?;
@@ -267,5 +279,20 @@ mod tests {
         }
         let mut r = Reader::new(b"TEST\x80", b"TEST").unwrap();
         assert!(r.varint().unwrap_err().to_string().contains("truncated"));
+    }
+
+    #[test]
+    fn zigzag_varints_keep_small_magnitudes_small() {
+        let values = [0, -1, 1, -64, 63, -65, i64::MIN, i64::MAX];
+        let mut w = Writer::new(b"TEST");
+        for v in values {
+            w.zigzag(v);
+        }
+        assert_eq!(&w.buf[4..9], &[0, 1, 2, 0x7f, 0x7e]);
+        let mut r = Reader::new(&w.buf, b"TEST").unwrap();
+        for v in values {
+            assert_eq!(r.zigzag().unwrap(), v);
+        }
+        r.finish().unwrap();
     }
 }

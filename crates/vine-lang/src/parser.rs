@@ -8,7 +8,7 @@
 //! level down. Past [`MAX_DEPTH`] levels the parse fails, which keeps the
 //! parser and every recursive pass over its output (compiler, both
 //! engines, pickling) within a small thread stack, and every function it
-//! accepts within what a `VPK1` pickle may nest.
+//! accepts within what a `VPK2` pickle may nest.
 
 use crate::ast::{BinOp, Expr, FuncDef, Program, Span, Stmt, StmtKind, Target, UnOp};
 use crate::lexer::{Tok, Token};

@@ -8,9 +8,13 @@
 //! way (§3.4: the library "serializes the result into a result file in the
 //! invocation's sandbox").
 //!
-//! The format is a tagged byte stream with a 4-byte magic header `VPK1`,
+//! The format is a tagged byte stream with a 4-byte magic header `VPK2`,
 //! built on the bounded [`vine_core::wire`] core it shares with compiled
-//! images.
+//! images. A value is a tag byte and a body: integers are zigzag varints
+//! and list and dict counts are varints, so a small result stays small;
+//! floats and tensor data are 8 bytes little-endian, and strings and
+//! bytes carry a u32 length. Function code objects (the AST encoding)
+//! use u32 counts and 8-byte integers.
 
 use crate::ast::{Expr, FuncDef, Stmt, StmtKind, Target, UnOp};
 use crate::value::{Function, Tensor, Value};
@@ -21,7 +25,7 @@ use std::rc::Rc;
 use vine_core::wire::{Reader, Writer};
 use vine_core::{Result, VineError};
 
-const MAGIC: &[u8; 4] = b"VPK1";
+const MAGIC: &[u8; 4] = b"VPK2";
 
 // ---------- value encoding ----------
 
@@ -47,7 +51,7 @@ fn write_value(w: &mut Writer, v: &Value) -> Result<()> {
         }
         Value::Int(x) => {
             w.u8(tag::INT);
-            w.i64(*x);
+            w.zigzag(*x);
         }
         Value::Float(x) => {
             w.u8(tag::FLOAT);
@@ -64,7 +68,7 @@ fn write_value(w: &mut Writer, v: &Value) -> Result<()> {
         Value::List(items) => {
             w.u8(tag::LIST);
             let items = items.borrow();
-            w.u32(items.len() as u32);
+            w.varint(items.len() as u64);
             for item in items.iter() {
                 write_value(w, item)?;
             }
@@ -72,7 +76,7 @@ fn write_value(w: &mut Writer, v: &Value) -> Result<()> {
         Value::Dict(d) => {
             w.u8(tag::DICT);
             let d = d.borrow();
-            w.u32(d.len() as u32);
+            w.varint(d.len() as u64);
             for (k, val) in d.iter() {
                 w.str(k);
                 write_value(w, val)?;
@@ -114,13 +118,17 @@ fn read_value(r: &mut Reader, globals: &Rc<RefCell<BTreeMap<String, Value>>>) ->
     let v = match t {
         tag::NONE => Value::None,
         tag::BOOL => Value::Bool(r.u8()? != 0),
-        tag::INT => Value::Int(r.i64()?),
+        tag::INT => Value::Int(r.zigzag()?),
         tag::FLOAT => Value::Float(r.f64()?),
         tag::STR => Value::str(r.str()?),
         tag::BYTES => Value::Bytes(Rc::new(r.bytes()?.to_vec())),
-        tag::LIST => Value::list(r.seq(|r| read_value(r, globals))?),
+        tag::LIST => {
+            let n = r.varint_len()?;
+            Value::list(r.items(n, |r| read_value(r, globals))?)
+        }
         tag::DICT => {
-            let d = r.seq(|r| Ok((r.str()?, read_value(r, globals)?)))?;
+            let n = r.varint_len()?;
+            let d = r.items(n, |r| Ok((r.str()?, read_value(r, globals)?)))?;
             Value::Dict(Rc::new(RefCell::new(d.into_iter().collect())))
         }
         tag::TENSOR => {
@@ -505,7 +513,7 @@ pub fn deserialize_args(
     match deserialize_value(data, globals)? {
         Value::List(items) => Ok(items.borrow().clone()),
         other => Err(VineError::Serialization(format!(
-            "VPK1: argument blob is {}, expected list",
+            "VPK2: argument blob is {}, expected list",
             other.type_name()
         ))),
     }
@@ -540,6 +548,23 @@ mod tests {
             Value::str("hello \u{1F600} world"),
             Value::Bytes(Rc::new(vec![0, 255, 128])),
         ] {
+            assert_eq!(roundtrip(&v), v);
+        }
+    }
+
+    #[test]
+    fn small_integers_and_counts_take_one_byte() {
+        // sixteen class labels, as an LNNI inference returns them:
+        // magic, list tag, count, then a tag and one byte per label
+        let labels = Value::list((0..16).map(|i| Value::Int(i % 10)).collect());
+        assert_eq!(serialize_value(&labels).unwrap().len(), 4 + 2 + 16 * 2);
+        // multi-byte counts and integers of every width round-trip
+        let wide: Vec<Value> = (0..300)
+            .map(|i| Value::Int(i64::MIN >> (i % 64)))
+            .chain([Value::Int(i64::MAX), Value::Int(-1), Value::Int(64)])
+            .collect();
+        let dict = Value::dict((0..200).map(|i| (format!("k{i}"), Value::Int(-i))));
+        for v in [Value::list(wide), dict] {
             assert_eq!(roundtrip(&v), v);
         }
     }
@@ -709,7 +734,7 @@ mod tests {
         let mut blob = MAGIC.to_vec();
         for _ in 0..100_000 {
             blob.push(tag::LIST);
-            blob.extend_from_slice(&1u32.to_le_bytes());
+            blob.push(1);
         }
         blob.push(tag::NONE);
         let err = on_small_stack(move || {

@@ -1,4 +1,4 @@
-//! The language's share of its two binary codecs, `VPK1` pickles
+//! The language's share of its two binary codecs, `VPK2` pickles
 //! ([`crate::pickle`]) and `VBC2` compiled images ([`crate::bytecode`]):
 //! the binary-operator table both encode. The bounded reader and writer
 //! they are built on are [`vine_core::wire`].

@@ -31,13 +31,14 @@ static ALLOCATOR: Counting = Counting;
 
 #[test]
 fn false_counts_cannot_reserve_memory() {
-    // 250 nested VPK1 LIST headers (tag 6), each claiming u32::MAX items
-    let mut blob = b"VPK1".to_vec();
+    // 250 nested VPK2 LIST headers (tag 6), each claiming 2^32 items in
+    // a five-byte varint count
+    let mut blob = b"VPK2".to_vec();
     for _ in 0..250 {
         blob.push(6);
-        blob.extend_from_slice(&u32::MAX.to_le_bytes());
+        blob.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]);
     }
-    assert_eq!(blob.len(), 1254);
+    assert_eq!(blob.len(), 1504);
     let globals = Rc::new(RefCell::new(BTreeMap::new()));
 
     let before = REQUESTED.load(Ordering::Relaxed);

@@ -214,7 +214,7 @@ proptest! {
         let _ = pickle::deserialize_value(&blob, &fresh_globals());
         // and with a valid header prefix:
         if blob.len() >= 4 {
-            blob[..4].copy_from_slice(b"VPK1");
+            blob[..4].copy_from_slice(b"VPK2");
             let _ = pickle::deserialize_value(&blob, &fresh_globals());
             let _ = pickle::deserialize_funcdef(&blob);
         }

@@ -3,9 +3,10 @@
 //!
 //! A substrate keeps no copy of a running unit. When a worker is lost the
 //! manager requeues that worker's units from here itself, in dispatch
-//! order; when a unit is lost [`MAX_FAILURES`] times, or a library's
-//! daemon fails to start that many times in a row, the manager fails the
-//! units instead and reports them through [`Decision::Fail`].
+//! order, and it requeues a unit a worker hands back unrun; when a unit
+//! has been lost or handed back [`MAX_FAILURES`] times in all, or a
+//! library's daemon fails to start that many times in a row, the manager
+//! fails the units instead and reports them through [`Decision::Fail`].
 //!
 //! The ledger holds ground truth and no scheduling index, so
 //! [`crate::Manager`] and its oracle [`crate::reference::NaiveManager`]
@@ -16,10 +17,10 @@ use std::collections::{BTreeMap, VecDeque};
 use vine_core::ids::WorkerId;
 use vine_core::task::{FunctionCall, UnitId, WorkUnit};
 
-/// Failures after which the manager gives up: a unit whose worker is lost
-/// this many times fails, and so do a library's queued calls once its
-/// daemon has failed to start this many times in a row (TaskVine's
-/// `max_retries`).
+/// Failures after which the manager gives up: a unit that loses its
+/// worker or is handed back this many times in all fails, and so do a
+/// library's queued calls once its daemon has failed to start this many
+/// times in a row (TaskVine's `max_retries`).
 pub const MAX_FAILURES: u32 = 3;
 
 /// A dispatched unit the manager has not yet heard back about.
@@ -32,13 +33,21 @@ pub(crate) struct RunningUnit {
     seq: u64,
 }
 
+/// How often a unit not yet done lost its worker or was handed back.
+#[derive(Debug, Default)]
+struct Retries {
+    lost: u32,
+    handed_back: u32,
+}
+
 /// Running units and give-up counters (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
     running: BTreeMap<UnitId, RunningUnit>,
     next_seq: u64,
-    /// Worker losses of each unit lost at least once and not yet done.
-    losses: BTreeMap<UnitId, u32>,
+    /// Worker losses and hand-backs of each unit that has had one and is
+    /// not yet done.
+    retries: BTreeMap<UnitId, Retries>,
     /// Startup failures in a row per library, reset by a ready instance.
     startup_failures: BTreeMap<String, u32>,
     /// Units given up on, reported by the next decisions.
@@ -82,14 +91,23 @@ impl Ledger {
 
     /// A unit taken off with [`Ledger::take`] is done.
     pub(crate) fn finished(&mut self, unit: UnitId) {
-        self.losses.remove(&unit);
+        self.retries.remove(&unit);
         self.completed += 1;
+    }
+
+    /// A unit taken off with [`Ledger::take`] was handed back unrun: count
+    /// the hand-back against it. Returns the unit for the caller to
+    /// requeue, or `None` when this was its [`MAX_FAILURES`]th retry and
+    /// it fails.
+    pub(crate) fn handed_back(&mut self, unit: WorkUnit) -> Option<WorkUnit> {
+        self.retry(unit.id(), |n| n.handed_back += 1)
+            .then_some(unit)
     }
 
     /// Take every unit running on `worker` and count a loss against each.
     /// Returns their ids in dispatch order, and in the same order the
-    /// units for the caller to requeue: all but those lost
-    /// [`MAX_FAILURES`] times, which fail.
+    /// units for the caller to requeue: all but those at their
+    /// [`MAX_FAILURES`]th retry, which fail.
     pub(crate) fn worker_lost(&mut self, worker: WorkerId) -> (Vec<UnitId>, Vec<WorkUnit>) {
         let mut lost: Vec<RunningUnit> = self
             .running
@@ -100,18 +118,31 @@ impl Ledger {
         let ids = lost.iter().map(|r| r.unit.id()).collect();
         let mut requeue = Vec::with_capacity(lost.len());
         for r in lost {
-            let unit = r.unit.id();
-            let losses = self.losses.entry(unit).or_insert(0);
-            *losses += 1;
-            if *losses < MAX_FAILURES {
+            if self.retry(r.unit.id(), |n| n.lost += 1) {
                 requeue.push(r.unit);
-            } else {
-                let error = format!("gave up after losing its worker {MAX_FAILURES} times");
-                self.fail(unit, error);
             }
         }
-        self.requeues += requeue.len() as u64;
         (ids, requeue)
+    }
+
+    /// Count one retry of `unit` with `count`. True if the unit runs
+    /// again; false if that was its [`MAX_FAILURES`]th and it failed.
+    fn retry(&mut self, unit: UnitId, count: impl FnOnce(&mut Retries)) -> bool {
+        let r = self.retries.entry(unit).or_default();
+        count(r);
+        if r.lost + r.handed_back < MAX_FAILURES {
+            self.requeues += 1;
+            return true;
+        }
+        let error = match r.handed_back {
+            0 => format!("gave up after losing its worker {} times", r.lost),
+            back => format!(
+                "gave up after {back} hand-backs and {} worker losses",
+                r.lost
+            ),
+        };
+        self.fail(unit, error);
+        false
     }
 
     /// An instance of `library` booted: its earlier startup failures no
@@ -147,7 +178,7 @@ impl Ledger {
     }
 
     fn fail(&mut self, unit: UnitId, error: String) {
-        self.losses.remove(&unit);
+        self.retries.remove(&unit);
         self.failed.push_back((unit, error));
     }
 

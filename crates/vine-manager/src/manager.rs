@@ -211,9 +211,9 @@ impl Manager {
     /// A worker died or disconnected. Its instances are dropped and the
     /// units that were running there are requeued, one by one in dispatch
     /// order, each at the front of its queue (they have waited longest);
-    /// a unit lost [`crate::MAX_FAILURES`] times fails instead. Returns
-    /// their ids in dispatch order: the substrate cancels whatever they
-    /// still had in flight.
+    /// a unit lost or handed back [`crate::MAX_FAILURES`] times in all
+    /// fails instead. Returns their ids in dispatch order: the substrate
+    /// cancels whatever they still had in flight.
     pub fn worker_left(&mut self, id: WorkerId) -> Vec<UnitId> {
         self.ring.remove(id);
         let Some(state) = self.workers.remove(&id) else {
@@ -656,8 +656,10 @@ impl Manager {
     /// `worker` hands `unit` back unrun, through no fault of the unit (its
     /// instance vanished). Its slot or resources are freed without
     /// counting it served or completed, and the manager requeues its own
-    /// copy at the front. `Ok(None)` when the unit is not running on
-    /// `worker`.
+    /// copy at the front. A hand-back counts toward
+    /// [`crate::MAX_FAILURES`] like a worker loss, so a unit handed back
+    /// or lost that many times in all fails instead. `Ok(None)` when the
+    /// unit is not running on `worker`.
     pub fn unit_handed_back(
         &mut self,
         worker: WorkerId,
@@ -666,8 +668,9 @@ impl Manager {
         let Some(back) = self.release(worker, unit, false)? else {
             return Ok(None);
         };
-        self.ledger.requeues += 1;
-        self.push_front(back.unit);
+        if let Some(unit) = self.ledger.handed_back(back.unit) {
+            self.push_front(unit);
+        }
         Ok(Some(back.placement))
     }
 
@@ -1183,6 +1186,78 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(m.is_idle());
+    }
+
+    /// Hand `unit` back from the worker it runs on, then drive decisions.
+    fn hand_back(m: &mut Manager, unit: UnitId) -> Vec<Decision> {
+        let worker = m.placement_of(unit).expect("running").worker;
+        m.unit_handed_back(worker, unit)
+            .unwrap()
+            .expect("placed there");
+        drain(m)
+    }
+
+    #[test]
+    fn a_call_handed_back_a_third_time_fails() {
+        let mut m = manager_with_workers(1);
+        m.submit(call(1));
+        drain(&mut m);
+        let unit = UnitId::Call(InvocationId(1));
+        for _ in 1..MAX_FAILURES {
+            let again = hand_back(&mut m, unit);
+            assert!(
+                matches!(&again[..], [Decision::DispatchCall { call, .. }] if call.id == InvocationId(1)),
+                "{again:?}"
+            );
+        }
+        match &hand_back(&mut m, unit)[..] {
+            [Decision::Fail {
+                unit: failed,
+                error,
+            }] => {
+                assert_eq!(*failed, unit);
+                assert!(error.contains("3 hand-backs"), "{error}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(m.is_idle());
+        assert_eq!((m.requeues(), m.completed()), (2, 0));
+
+        // hand-backs and worker losses count against one cap
+        m.submit(call(2));
+        drain(&mut m);
+        let unit = UnitId::Call(InvocationId(2));
+        let mut last = hand_back(&mut m, unit);
+        for w in 1..MAX_FAILURES {
+            m.worker_joined(WorkerId(w), Resources::paper_worker());
+            let lost = m.placement_of(unit).unwrap().worker;
+            assert_eq!(m.worker_left(lost), [unit]);
+            last = drain(&mut m);
+        }
+        match &last[..] {
+            [Decision::Fail { error, .. }] => {
+                assert!(
+                    error.contains("1 hand-backs and 2 worker losses"),
+                    "{error}"
+                )
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_call_handed_back_twice_and_then_finished_succeeds() {
+        let mut m = manager_with_workers(1);
+        m.submit(call(1));
+        drain(&mut m);
+        let unit = UnitId::Call(InvocationId(1));
+        for _ in 1..MAX_FAILURES {
+            hand_back(&mut m, unit);
+        }
+        finish(&mut m, unit);
+        assert_eq!(drain(&mut m), []);
+        assert!(m.is_idle());
+        assert_eq!((m.requeues(), m.completed()), (2, 1));
     }
 
     #[test]

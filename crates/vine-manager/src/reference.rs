@@ -419,8 +419,9 @@ impl NaiveManager {
         let Some(back) = self.release(worker, unit, false)? else {
             return Ok(None);
         };
-        self.ledger.requeues += 1;
-        self.push_front(back.unit);
+        if let Some(unit) = self.ledger.handed_back(back.unit) {
+            self.push_front(unit);
+        }
         Ok(Some(back.placement))
     }
 

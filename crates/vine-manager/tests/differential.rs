@@ -4,8 +4,9 @@
 //!
 //! Each case generates a random op script — call/task submissions across
 //! several libraries (including one that is never registered), install
-//! acks and startup failures, completion waves, worker joins and losses
-//! (each manager requeues a lost worker's units itself), and explicit
+//! acks and startup failures, completion waves, hand-backs, worker joins
+//! and losses (each manager requeues a lost worker's units itself, and
+//! gives up on a unit lost or handed back three times), and explicit
 //! evictions — and interprets it against both managers in lockstep,
 //! asserting every decision, lost-unit list, and placement is identical. This is what licenses the index rewrite: the
 //! indexes are pure accelerations, not policy changes.
@@ -34,6 +35,8 @@ enum Op {
     Ack { fail_mask: u64 },
     /// Finish the `count` oldest running units.
     Finish { count: usize },
+    /// Hand the `count` oldest running units back unrun.
+    HandBack { count: usize },
     /// Connect a new worker with seed-derived resources (some have tiny
     /// disks so staging fails and the uncacheable path triggers).
     Join { seed: u64 },
@@ -247,6 +250,17 @@ fn run_script(ops: &[Op]) -> Result<(), TestCaseError> {
                     prop_assert_eq!(pa.is_ok(), pb.is_ok());
                 }
             }
+            Op::HandBack { count } => {
+                for _ in 0..*count {
+                    let Some((w, u)) = h.running.pop_front() else {
+                        break;
+                    };
+                    let pa = h.idx.unit_handed_back(w, u);
+                    let pb = h.naive.unit_handed_back(w, u);
+                    prop_assert_eq!(pa.as_ref().ok(), pb.as_ref().ok());
+                    prop_assert_eq!(pa.is_ok(), pb.is_ok());
+                }
+            }
             Op::Join { seed } => h.join(*seed),
             Op::Leave { pick } => {
                 if h.workers.len() <= 1 {
@@ -297,6 +311,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (1usize..24).prop_map(|limit| Op::Drain { limit }),
         any::<u64>().prop_map(|fail_mask| Op::Ack { fail_mask }),
         (1usize..8).prop_map(|count| Op::Finish { count }),
+        (1usize..4).prop_map(|count| Op::HandBack { count }),
         any::<u64>().prop_map(|seed| Op::Join { seed }),
         (0usize..64).prop_map(|pick| Op::Leave { pick }),
         (0usize..64).prop_map(|pick| Op::Evict { pick }),
@@ -390,6 +405,15 @@ fn apply_non_drain(h: &mut Harness, op: &Op) {
                 };
                 let _ = h.idx.unit_finished(w, u);
                 let _ = h.naive.unit_finished(w, u);
+            }
+        }
+        Op::HandBack { count } => {
+            for _ in 0..*count {
+                let Some((w, u)) = h.running.pop_front() else {
+                    break;
+                };
+                let _ = h.idx.unit_handed_back(w, u);
+                let _ = h.naive.unit_handed_back(w, u);
             }
         }
         Op::Join { seed } => h.join(*seed),

@@ -19,7 +19,7 @@
 //!
 //! Varints are LEB128. Byte fields travel raw, so a frame is its payload
 //! plus a few bytes per field. Decoding shares the reader's limits with
-//! `VPK1` and `VBC2`: sequences and maps spend the one nesting budget,
+//! `VPK2` and `VBC2`: sequences and maps spend the one nesting budget,
 //! and counts and lengths are checked against the bytes left before
 //! anything is reserved.
 
@@ -52,7 +52,7 @@ pub(crate) fn write_value(w: &mut Writer, v: &Value) {
         Value::Bool(true) => w.u8(tag::TRUE),
         Value::I64(n) => {
             w.u8(tag::I64);
-            w.varint(((n << 1) ^ (n >> 63)) as u64);
+            w.zigzag(*n);
         }
         Value::U64(n) => {
             w.u8(tag::U64);
@@ -99,10 +99,7 @@ pub(crate) fn read_value(r: &mut Reader) -> Result<Value> {
         tag::NULL => Value::Null,
         tag::FALSE => Value::Bool(false),
         tag::TRUE => Value::Bool(true),
-        tag::I64 => {
-            let z = r.varint()?;
-            Value::I64((z >> 1) as i64 ^ -((z & 1) as i64))
-        }
+        tag::I64 => Value::I64(r.zigzag()?),
         tag::U64 => Value::U64(r.varint()?),
         tag::U128 => Value::U128(r.u128()?),
         tag::F64 => Value::F64(r.f64()?),

@@ -9,12 +9,19 @@
 //! on their own threads and send it through the worker's `Uplink`,
 //! straight onto the transport's event channel in process, or as a frame
 //! each writes to the socket over TCP.
+//!
+//! A stateless task rebuilds its context on every run: a fresh
+//! interpreter runs the task's module code, imports and setup each time.
+//! Its code is compiled once per task thread: each thread keeps the
+//! compiled module of every source text it has run (`CodeCache`), as
+//! CPython keeps the bytecode of what it imported.
 
 use crate::library_host::{catch_panic, spawn_daemon, LibraryHost};
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use vine_core::context::CodeArtifact;
@@ -22,7 +29,7 @@ use vine_core::ids::{LibraryInstanceId, WorkerId};
 use vine_core::task::{Outcome, TaskSpec, UnitId};
 use vine_lang::interp::USER_STACK_BYTES;
 use vine_lang::pickle;
-use vine_lang::{Interp, ModuleRegistry};
+use vine_lang::{CompiledModule, Interp, ModuleRegistry};
 use vine_proto::{
     encode_frame, LibraryToWorker, ManagerToWorker, WorkerToLibrary, WorkerToManager,
 };
@@ -97,12 +104,23 @@ impl Uplink {
             Uplink::Socket(stream) => {
                 // encode outside the lock, then one write under it, so
                 // frames from concurrent writers never interleave
-                if let Ok(frame) = encode_frame(&msg) {
-                    let mut stream = stream
-                        .lock()
-                        .expect("no writer panics while holding the socket");
-                    let _ = stream.write_all(&frame);
-                }
+                let frame = match (encode_frame(&msg), msg) {
+                    (Ok(frame), _) => frame,
+                    // a result too big for a frame would never arrive, and
+                    // the manager would wait for it: its unit fails instead
+                    (Err(e), WorkerToManager::UnitDone { outcome })
+                        if !outcome.result_blob.is_empty() =>
+                    {
+                        let error = format!("result of {} bytes: {e}", outcome.result_blob.len());
+                        let outcome = Outcome::failed(outcome.unit, error);
+                        return self.send(WorkerToManager::UnitDone { outcome });
+                    }
+                    (Err(_), _) => return,
+                };
+                let mut stream = stream
+                    .lock()
+                    .expect("no writer panics while holding the socket");
+                let _ = stream.write_all(&frame);
             }
         }
     }
@@ -221,7 +239,9 @@ fn library_reply(instance: LibraryInstanceId, msg: LibraryToWorker) -> WorkerToM
 /// processes; a thread that finishes its task waits for the next one
 /// instead of exiting. A task therefore pays no thread spawn, which on
 /// `USER_STACK_BYTES` stacks costs more than the interpreter work of a
-/// small task.
+/// small task. Each thread keeps its own [`CodeCache`], so a source text
+/// is parsed and compiled only the first time that thread runs it; its
+/// context is still rebuilt by every task.
 struct TaskThreads {
     worker: WorkerId,
     registry: ModuleRegistry,
@@ -272,9 +292,11 @@ impl TaskThreads {
             .name(format!("worker-{}-task-{i}", self.worker))
             .stack_size(USER_STACK_BYTES)
             .spawn(move || {
+                let mut code = CodeCache::default();
                 let mut next = Some(first);
                 while let Some(task) = next {
-                    let outcome = catch_panic(|| execute_task(&task, registry.clone()))
+                    let interp = Interp::with_registry(registry.clone());
+                    let outcome = catch_panic(|| execute_task_in(&task, interp, &mut code))
                         .unwrap_or_else(|panic| Outcome::failed(UnitId::Task(task.id), panic));
                     // idle before the reply: the manager's next task for
                     // this worker then always finds this thread free
@@ -319,21 +341,72 @@ fn reap_exited(libraries: &mut BTreeMap<LibraryInstanceId, LibraryHost>) {
     });
 }
 
+/// Source bytes of the compiled code one task thread keeps. A task whose
+/// sources exceed it still runs; its thread compiles them again next
+/// time. Compiled code takes ~24 times its source (each function embeds
+/// its AST), so a full cache is ~1.5 MiB, the code of ~170 distinct
+/// LNNI tasks, and emptying it takes ~0.5 ms. A 1 MiB budget would hold
+/// ~25 MiB per thread and take ~20 ms to empty.
+const CODE_CACHE_BYTES: usize = 64 << 10;
+
+/// The compiled module of each source text a task thread has run, keyed by
+/// the full text, so two texts share an entry only when they are equal.
+/// It holds code, never values: every task runs the module on a fresh
+/// interpreter. Compiled code holds `Rc`s, so each thread keeps its own.
+/// The keys stay within [`CODE_CACHE_BYTES`]: a text that would pass it
+/// empties the cache first, and a larger one is never kept.
+#[derive(Default)]
+struct CodeCache {
+    modules: BTreeMap<String, Rc<CompiledModule>>,
+    /// Bytes of the keys.
+    bytes: usize,
+}
+
+impl CodeCache {
+    /// `text`'s compiled module, parsed and compiled only if this cache
+    /// does not hold it. A text that fails to parse is not kept, so it
+    /// fails again, with the same error, every time it is run.
+    fn module(&mut self, text: &str) -> vine_core::Result<Rc<CompiledModule>> {
+        if let Some(module) = self.modules.get(text) {
+            return Ok(Rc::clone(module));
+        }
+        let module = Rc::new(vine_lang::compile_module(&vine_lang::parse(text)?, text));
+        if text.len() <= CODE_CACHE_BYTES {
+            if self.bytes + text.len() > CODE_CACHE_BYTES {
+                self.modules.clear();
+                self.bytes = 0;
+            }
+            self.bytes += text.len();
+            self.modules.insert(text.to_string(), Rc::clone(&module));
+        }
+        Ok(module)
+    }
+}
+
 /// Run a stateless task: fresh interpreter, reconstruct shipped code,
 /// execute, serialize the result — the full context reload the paper's
-/// L1/L2 levels pay per execution.
+/// L1/L2 levels pay per execution. Its sources are parsed and compiled
+/// here; a task thread runs the same steps but compiles each source text
+/// only once (`CodeCache`).
 pub fn execute_task(task: &TaskSpec, registry: ModuleRegistry) -> Outcome {
-    execute_task_in(task, Interp::with_registry(registry))
+    execute_task_in(
+        task,
+        Interp::with_registry(registry),
+        &mut CodeCache::default(),
+    )
 }
 
 /// [`execute_task`] on a given interpreter, which is released afterwards:
-/// only the result bytes leave a task, so its namespace is freed.
-fn execute_task_in(task: &TaskSpec, mut interp: Interp) -> Outcome {
+/// only the result bytes leave a task, so its namespace is freed. Source
+/// artifacts compile through `code`.
+fn execute_task_in(task: &TaskSpec, mut interp: Interp, code: &mut CodeCache) -> Outcome {
     let unit = UnitId::Task(task.id);
     let outcome = (|| {
         for artifact in &task.code {
             let result = match artifact {
-                CodeArtifact::Source { text, .. } => interp.exec_source(text),
+                CodeArtifact::Source { text, .. } => code
+                    .module(text)
+                    .and_then(|module| interp.exec_compiled(&module)),
                 CodeArtifact::Serialized { blob, .. } => {
                     pickle::deserialize_funcdef(blob).map(|def| interp.bind_function(def))
                 }
@@ -455,6 +528,102 @@ mod tests {
         h.tx.send(ManagerToWorker::Shutdown).unwrap();
     }
 
+    /// A task running `text`'s function `f`, with no arguments.
+    fn task_of(id: u64, text: &str) -> TaskSpec {
+        let mut task = TaskSpec::new(TaskId(id), "t");
+        task.code = vec![CodeArtifact::Source {
+            name: "f".into(),
+            text: text.into(),
+        }];
+        task.function = Some("f".into());
+        task.args_blob = pickle::serialize_args(&[]).unwrap();
+        task
+    }
+
+    fn run_cached(task: &TaskSpec, code: &mut CodeCache) -> Outcome {
+        execute_task_in(task, Interp::with_registry(ModuleRegistry::new()), code)
+    }
+
+    #[test]
+    fn tasks_of_one_compiled_source_start_from_fresh_globals() {
+        let text = "seen = []\npush(seen, 1)\ndef f() { return len(seen) }";
+        let mut code = CodeCache::default();
+        for id in 1..=2 {
+            let outcome = run_cached(&task_of(id, text), &mut code);
+            assert!(outcome.success, "{:?}", outcome.error);
+            assert_eq!(crate::decode_result(&outcome).unwrap(), Value::Int(1));
+        }
+        assert_eq!((code.modules.len(), code.bytes), (1, text.len()));
+    }
+
+    #[test]
+    fn a_source_that_fails_to_parse_fails_alike_every_time() {
+        let mut code = CodeCache::default();
+        let errors: Vec<_> = (1..=2)
+            .map(|id| run_cached(&task_of(id, "def f( {"), &mut code).error)
+            .collect();
+        let error = errors[0].as_deref().expect("the task fails");
+        assert!(error.starts_with("reconstructing f: "), "{error}");
+        assert_eq!(errors[0], errors[1]);
+        assert!(code.modules.is_empty());
+    }
+
+    #[test]
+    fn sources_past_the_code_budget_all_run_within_it() {
+        // distinct 16 KiB sources adding up to twice the budget, then one
+        // larger than the whole budget
+        let pad = format!("# {}\n", "-".repeat(16 << 10));
+        let mut code = CodeCache::default();
+        for i in 0..=(2 * CODE_CACHE_BYTES / pad.len()) as i64 {
+            let outcome = run_cached(
+                &task_of(1, &format!("{pad}def f() {{ return {i} }}")),
+                &mut code,
+            );
+            assert!(outcome.success, "{:?}", outcome.error);
+            assert_eq!(crate::decode_result(&outcome).unwrap(), Value::Int(i));
+            let kept: usize = code.modules.keys().map(String::len).sum();
+            assert_eq!(kept, code.bytes);
+            assert!(code.bytes <= CODE_CACHE_BYTES, "{} bytes kept", code.bytes);
+        }
+        let huge = format!(
+            "{}def f() {{ return -1 }}",
+            pad.repeat(CODE_CACHE_BYTES / pad.len() + 1)
+        );
+        let outcome = run_cached(&task_of(2, &huge), &mut code);
+        assert_eq!(crate::decode_result(&outcome).unwrap(), Value::Int(-1));
+        assert!(!code.modules.contains_key(&huge));
+    }
+
+    #[test]
+    fn a_result_too_big_for_a_frame_fails_its_unit() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut reader, _) = listener.accept().unwrap();
+        let uplink = Uplink::Socket(Arc::new(Mutex::new(writer)));
+        let unit = UnitId::Task(TaskId(9));
+        let size = 65 << 20;
+        uplink.send(WorkerToManager::UnitDone {
+            outcome: Outcome::ok(unit, vec![7; size]),
+        });
+        drop(uplink);
+
+        let outcome = match vine_proto::read_frame(&mut reader) {
+            Ok(WorkerToManager::UnitDone { outcome }) => outcome,
+            other => panic!("expected UnitDone, got {other:?}"),
+        };
+        assert_eq!((outcome.unit, outcome.success), (unit, false));
+        let error = outcome.error.unwrap();
+        let cap = vine_proto::MAX_FRAME.to_string();
+        assert!(
+            error.contains(&size.to_string()) && error.contains(&cap),
+            "{error}"
+        );
+        assert!(matches!(
+            vine_proto::read_frame::<WorkerToManager>(&mut reader),
+            Err(vine_proto::FrameError::Closed)
+        ));
+    }
+
     #[test]
     fn execute_task_frees_its_globals() {
         // a function bound in globals points back at globals; the task's
@@ -468,7 +637,7 @@ mod tests {
         task.args_blob = pickle::serialize_args(&[]).unwrap();
         let interp = Interp::with_registry(ModuleRegistry::new());
         let globals = std::rc::Rc::downgrade(&interp.globals);
-        let outcome = execute_task_in(&task, interp);
+        let outcome = execute_task_in(&task, interp, &mut CodeCache::default());
         assert!(outcome.success, "{:?}", outcome.error);
         assert!(globals.upgrade().is_none(), "the task's globals leaked");
     }

@@ -290,3 +290,66 @@ fn concurrent_daemon_and_task_replies_reach_the_manager_whole() {
     rt.shutdown();
     worker.join().unwrap();
 }
+
+#[test]
+fn tasks_that_repeat_their_sources_each_get_one_correct_outcome() {
+    // task threads compile each source once; every task must still run
+    // on fresh globals, and a source that fails to parse must fail every
+    // task that ships it
+    const TASKS: u64 = 1000;
+    const SOURCES: [&str; 3] = [
+        "calls = []\ndef f(x) {\n    push(calls, x)\n    return 3 * x + len(calls)\n}",
+        "def f(x) { return x * x }",
+        "def f(x) { return x",
+    ];
+    let transport = TcpTransport::listen("127.0.0.1:0").unwrap();
+    let addr = transport.local_addr();
+    let worker = std::thread::spawn(move || {
+        run_tcp_worker(
+            addr,
+            Resources::new(8, 16 * 1024, 16 * 1024),
+            ModuleRegistry::new(),
+        )
+        .unwrap();
+    });
+    let cfg = RuntimeConfig {
+        workers: 1,
+        idle_timeout: Duration::from_secs(30),
+        ..Default::default()
+    };
+    let mut rt = Runtime::with_transport(cfg, Box::new(transport)).unwrap();
+    for i in 0..TASKS {
+        let mut task = TaskSpec::new(TaskId(i), "t");
+        task.code = vec![CodeArtifact::Source {
+            name: "f".into(),
+            text: SOURCES[i as usize % 3].into(),
+        }];
+        task.function = Some("f".into());
+        task.args_blob = pickle::serialize_args(&[Value::Int(i as i64)]).unwrap();
+        rt.submit(WorkUnit::Task(task));
+    }
+    let mut outcomes = rt.run_until_idle().unwrap();
+    outcomes.sort_by_key(|o| o.unit);
+    assert_eq!(outcomes.len() as u64, TASKS);
+    for (i, o) in outcomes.iter().enumerate() {
+        assert_eq!(o.unit, UnitId::Task(TaskId(i as u64)));
+        let x = i as i64;
+        match i % 3 {
+            2 => {
+                let error = o.error.as_deref().unwrap_or_default();
+                assert!(error.starts_with("reconstructing f: "), "{error}");
+            }
+            k => {
+                let want = if k == 0 { 3 * x + 1 } else { x * x };
+                assert_eq!(
+                    decode_result(o).ok(),
+                    Some(Value::Int(want)),
+                    "{:?}",
+                    o.error
+                );
+            }
+        }
+    }
+    rt.shutdown();
+    worker.join().unwrap();
+}
