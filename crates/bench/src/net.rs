@@ -120,7 +120,7 @@ impl EchoFleet {
     }
 
     fn run(addr: SocketAddr, n: usize) -> std::io::Result<()> {
-        let mut ep = Epoll::new()?;
+        let ep = Epoll::new()?;
         let join_frame = encode_frame(&WorkerToManager::Join {
             resources: Resources::new(4, 1024, 1024),
         })
@@ -144,7 +144,7 @@ impl EchoFleet {
         }
 
         let mut live = clients.iter().filter(|c| c.open).count();
-        let mut events: Vec<Event> = Vec::new();
+        let mut events: Vec<Event> = Vec::with_capacity(256);
         let mut scratch = vec![0u8; 64 * 1024];
         while live > 0 {
             ep.wait(&mut events, Some(10_000))?;
@@ -154,12 +154,12 @@ impl EchoFleet {
                 break;
             }
             for ev in &events {
-                let token = ev.token;
+                let token = ev.token();
                 let client = &mut clients[token as usize];
                 if !client.open {
                     continue;
                 }
-                if ev.readiness & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
+                if ev.readiness() & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
                     'read: loop {
                         match client.stream.read(&mut scratch) {
                             Ok(0) => {
@@ -210,7 +210,7 @@ impl EchoFleet {
                         }
                     }
                 }
-                if client.open && ev.readiness & EPOLLOUT != 0 {
+                if client.open && ev.readiness() & EPOLLOUT != 0 {
                     client.flush(&ep, token);
                 }
                 if !client.open {

@@ -29,7 +29,7 @@ use vine_core::{Result, VineError};
 pub const MAX_CALL_DEPTH: u32 = 800;
 
 /// Stack size for threads that run user code (library daemons, fork-mode
-/// children, task threads). It fits [`MAX_CALL_DEPTH`] activations of
+/// children, worker pool threads). It fits [`MAX_CALL_DEPTH`] activations of
 /// either engine in debug builds, which need ~18 KiB per level (~920
 /// levels fit); release builds need ~2 KiB. Thread spawns cost more with
 /// larger stacks, so it is no larger than that.

@@ -39,7 +39,7 @@ pub(crate) fn read_binop(r: &mut Reader) -> Result<BinOp> {
 
 /// Run `f` on a thread with the default 2 MiB stack. Decoding and parsing
 /// peer input must fit in it, well inside the `USER_STACK_BYTES` of the
-/// library daemons and task threads that do it.
+/// library daemons and worker pool threads that do it.
 #[cfg(test)]
 pub(crate) fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     std::thread::Builder::new()

@@ -90,22 +90,37 @@ where
     let instance = image.instance;
     let default_mode = image.default_mode;
     let daemon_reply = reply.clone();
-    let thread = std::thread::Builder::new()
-        .name(format!("library-{instance}"))
-        .stack_size(USER_STACK_BYTES)
-        .spawn(move || daemon_main(image, registry, rx, daemon_reply))
-        .map_err(|e| {
-            reply(LibraryToWorker::StartupFailed {
-                error: format!("spawning library thread: {e}"),
-            })
+    let thread = spawn_user_thread(format!("library-{instance}"), move || {
+        daemon_main(image, registry, rx, daemon_reply)
+    })
+    .map_err(|e| {
+        reply(LibraryToWorker::StartupFailed {
+            error: format!("spawning library thread: {e}"),
         })
-        .ok();
+    })
+    .ok();
     LibraryHost {
         instance,
         default_mode,
         tx,
         thread,
     }
+}
+
+/// Spawn a thread that runs user code: named `name`, on a
+/// [`USER_STACK_BYTES`] stack. Library daemons, fork-mode children and the
+/// worker's pool threads all start here, so a test can make the OS refuse
+/// any of them (`tests::refuse_spawn`).
+pub(crate) fn spawn_user_thread<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::io::Result<JoinHandle<T>> {
+    #[cfg(test)]
+    tests::refused(&name)?;
+    std::thread::Builder::new()
+        .name(name)
+        .stack_size(USER_STACK_BYTES)
+        .spawn(f)
 }
 
 /// Run `f`, turning a panic into an error that names it, so a bug that
@@ -248,43 +263,40 @@ fn run_forked(interp: &Interp, function: &str, args_blob: &[u8]) -> Result<Vec<u
 
     // Values are thread-local (Rc), so the "fork" moves only bytes —
     // exactly like a real fork boundary
-    let child = std::thread::Builder::new()
-        .name("library-fork".into())
-        .stack_size(USER_STACK_BYTES)
-        .spawn(move || -> Result<Vec<u8>, String> {
-            let mut child_interp = Interp::with_registry(registry);
-            let result = (|| {
-                for (k, (module, member)) in imports {
-                    let v = reimport(&mut child_interp, &module, member.as_deref())?;
-                    child_interp.set_global(k, v);
-                }
-                for (k, blob) in plain {
-                    let v = pickle::deserialize_value(&blob, &child_interp.globals)
-                        .map_err(|e| e.to_string())?;
-                    child_interp.set_global(k, v);
-                }
-                for blob in funcs {
-                    let v = pickle::deserialize_value(&blob, &child_interp.globals)
-                        .map_err(|e| e.to_string())?;
-                    if let Value::Func(f) = &v {
-                        let name = f.def.name.clone();
-                        if !name.is_empty() {
-                            child_interp.set_global(name, v);
-                        }
+    let child = spawn_user_thread("library-fork".into(), move || -> Result<Vec<u8>, String> {
+        let mut child_interp = Interp::with_registry(registry);
+        let result = (|| {
+            for (k, (module, member)) in imports {
+                let v = reimport(&mut child_interp, &module, member.as_deref())?;
+                child_interp.set_global(k, v);
+            }
+            for (k, blob) in plain {
+                let v = pickle::deserialize_value(&blob, &child_interp.globals)
+                    .map_err(|e| e.to_string())?;
+                child_interp.set_global(k, v);
+            }
+            for blob in funcs {
+                let v = pickle::deserialize_value(&blob, &child_interp.globals)
+                    .map_err(|e| e.to_string())?;
+                if let Value::Func(f) = &v {
+                    let name = f.def.name.clone();
+                    if !name.is_empty() {
+                        child_interp.set_global(name, v);
                     }
                 }
-                let args = pickle::deserialize_args(&args_blob, &child_interp.globals)
-                    .map_err(|e| e.to_string())?;
-                let out = child_interp
-                    .call_global(&function, &args)
-                    .map_err(|e| e.to_string())?;
-                pickle::serialize_value(&out).map_err(|e| e.to_string())
-            })();
-            // only the result bytes leave the child: free its namespace
-            child_interp.release();
-            result
-        })
-        .map_err(|e| format!("fork failed: {e}"))?;
+            }
+            let args = pickle::deserialize_args(&args_blob, &child_interp.globals)
+                .map_err(|e| e.to_string())?;
+            let out = child_interp
+                .call_global(&function, &args)
+                .map_err(|e| e.to_string())?;
+            pickle::serialize_value(&out).map_err(|e| e.to_string())
+        })();
+        // only the result bytes leave the child: free its namespace
+        child_interp.release();
+        result
+    })
+    .map_err(|e| format!("fork failed: {e}"))?;
     child.join().map_err(panicked)?
 }
 
@@ -303,8 +315,34 @@ fn reimport(interp: &mut Interp, module: &str, member: Option<&str>) -> Result<V
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// Names of threads whose next spawn fails: each entry refuses one.
+    static REFUSED: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+    /// Make the next spawn of a thread named `name` fail, as it does when
+    /// the OS is out of threads or memory.
+    pub(crate) fn refuse_spawn(name: &str) {
+        REFUSED
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(name.to_string());
+    }
+
+    /// The refusal [`refuse_spawn`] left for a thread named `name`, if any,
+    /// taken.
+    pub(super) fn refused(name: &str) -> std::io::Result<()> {
+        let mut refused = REFUSED.lock().unwrap_or_else(PoisonError::into_inner);
+        match refused.iter().position(|n| n == name) {
+            Some(i) => {
+                refused.remove(i);
+                Err(std::io::Error::other("refused by a test"))
+            }
+            None => Ok(()),
+        }
+    }
 
     const SRC: &str = r#"
         def context_setup(base) {

@@ -111,6 +111,10 @@ const READ_CHUNK: usize = 64 * 1024;
 /// Frames coalesced into one vectored write.
 const MAX_IOVECS: usize = 64;
 
+/// Readiness events one turn takes at most; level-triggered epoll reports
+/// the rest on the next turn.
+const MAX_EVENTS: usize = 256;
+
 /// How long shutdown waits for outbound queues (the `Shutdown` broadcast
 /// included) to drain before closing sockets anyway.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
@@ -190,6 +194,7 @@ pub struct TcpTransport {
     cfg: TcpConfig,
     local_addr: SocketAddr,
     ep: Epoll,
+    /// The buffer every turn's wait fills.
     ready: Vec<Event>,
     /// `None` once shut down: nobody is admitted any more.
     listener: Option<TcpListener>,
@@ -230,7 +235,7 @@ impl TcpTransport {
             cfg,
             local_addr,
             ep,
-            ready: Vec::new(),
+            ready: Vec::with_capacity(MAX_EVENTS),
             listener: Some(listener),
             conns: Vec::new(),
             free: Vec::new(),
@@ -333,9 +338,9 @@ impl TcpTransport {
         let mut ready = std::mem::take(&mut self.ready);
         if self.ep.wait(&mut ready, Some(ms)).is_ok() {
             for ev in &ready {
-                match ev.token {
+                match ev.token() {
                     TOKEN_LISTENER => self.accept_burst(),
-                    t => self.conn_event((t - TOKEN_CONNS) as usize, ev.readiness),
+                    t => self.conn_event((t - TOKEN_CONNS) as usize, ev.readiness()),
                 }
             }
         }

@@ -15,20 +15,20 @@
 //!   runtime feeds into the same requeue path as an explicit worker kill.
 //!
 //! The worker side of the TCP backend is [`run_tcp_worker`]: dial, `Join`
-//! with a capacity announcement, receive `Welcome`, then serve each
-//! command on the thread that reads it, with the same engine the
-//! in-process backend's [`worker_engine`](crate::worker_host::worker_engine)
-//! loop runs — one engine, two substrates. Library daemons and task
-//! threads encode their own replies and write them to the socket, so a
-//! unit crosses no worker thread that only moves it along. In process,
-//! they send them straight onto the transport's event channel.
+//! with a capacity announcement, receive `Welcome`, then serve the
+//! commands with a pool of threads that wait on the socket through one
+//! epoll instance, the same pool the in-process backend's
+//! [`worker_engine`](crate::worker_host::worker_engine) runs over its
+//! channel — one engine, two substrates. The thread a frame wakes serves
+//! it, and runs a task it carries itself. Library daemons and pool threads
+//! encode their own replies and write them to the socket, so a unit
+//! crosses no worker thread that only moves it along. In process, they
+//! send them straight onto the transport's event channel.
 
-use crate::worker_host::{spawn_worker, Uplink, Worker, WorkerHandle};
+use crate::worker_host::{serve_socket, spawn_worker, WorkerHandle};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vine_core::ids::WorkerId;
 use vine_core::resources::Resources;
@@ -316,10 +316,12 @@ impl Drop for InProcTransport {
 // ----------------------------------------------------------- worker side
 
 /// Dial a manager and serve as a worker until it says `Shutdown` (or the
-/// connection dies). This is the whole worker process: handshake, then
-/// the calling thread reads commands and runs the shared engine on each
-/// one, while library daemons and task threads write their own replies to
-/// the socket.
+/// connection dies). This is the whole worker process: handshake, then a
+/// pool of threads that wait on the socket together; the one a frame wakes
+/// serves it, and runs a task it carries itself. Library daemons and pool
+/// threads write their own replies to the socket. The calling thread runs
+/// no user code: it returns once the pool has ended and the daemons have
+/// stopped, with every reply they owed written.
 pub fn run_tcp_worker(
     addr: impl ToSocketAddrs,
     resources: Resources,
@@ -328,14 +330,12 @@ pub fn run_tcp_worker(
     let stream = TcpStream::connect(addr)
         .map_err(|e| VineError::Protocol(format!("dialing manager: {e}")))?;
     stream.set_nodelay(true).ok();
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| VineError::Protocol(format!("cloning socket: {e}")))?;
-    let mut reader = BufReader::new(stream);
 
-    write_frame(&mut writer, &WorkerToManager::Join { resources })
+    write_frame(&mut &stream, &WorkerToManager::Join { resources })
         .map_err(|e| VineError::Protocol(format!("join: {e}")))?;
-    let id = match read_frame::<ManagerToWorker>(&mut reader) {
+    // unbuffered: the read takes the Welcome frame and nothing after it,
+    // which the pool reads
+    let id = match read_frame::<ManagerToWorker>(&mut &stream) {
         Ok(ManagerToWorker::Welcome { worker }) => worker,
         Ok(other) => {
             return Err(VineError::Protocol(format!(
@@ -344,15 +344,6 @@ pub fn run_tcp_worker(
         }
         Err(e) => return Err(VineError::Protocol(format!("welcome: {e}"))),
     };
-
-    let mut worker = Worker::new(id, registry, Uplink::Socket(Arc::new(Mutex::new(writer))));
-    // a read error means the manager is gone (clean close or otherwise):
-    // drain and exit like a shutdown
-    while let Ok(cmd) = read_frame::<ManagerToWorker>(&mut reader) {
-        if !worker.handle(cmd) {
-            break;
-        }
-    }
-    worker.shutdown();
-    Ok(())
+    serve_socket(id, registry, stream)
+        .map_err(|e| VineError::Protocol(format!("starting worker {id}: {e}")))
 }

@@ -1,49 +1,63 @@
-//! The worker engine: hands manager protocol messages to library daemons
-//! and runs stateless tasks, mirroring the paper's worker process.
+//! The worker: a pool of threads that serves the manager's commands, runs
+//! stateless tasks and hosts library daemons, mirroring the paper's worker
+//! process.
 //!
-//! The engine speaks [`vine_proto`] on both sides and is substrate-blind.
-//! `Worker::handle` serves one command on whichever thread reads them:
-//! the TCP worker's socket reader itself, or the in-process backend's
-//! worker thread ([`worker_engine`]). Nothing relays replies: library
-//! daemons and task threads map what they report to [`WorkerToManager`]
-//! on their own threads and send it through the worker's `Uplink`,
-//! straight onto the transport's event channel in process, or as a frame
-//! each writes to the socket over TCP.
+//! Every pool thread waits for the worker's next command. Over TCP they
+//! wait on one epoll instance that holds the socket one-shot, so a frame
+//! that arrives wakes exactly one idle thread (`serve_socket`); in
+//! process they take turns receiving from the command channel
+//! ([`worker_engine`]). The woken thread reads, decodes and serves the
+//! commands in arrival order under the worker's lock: it installs and
+//! removes library daemons and forwards invocations to them, and it runs
+//! a `RunTask` itself once another pool thread is idle to keep reading,
+//! so a stateless task costs the worker one wake. Frames read behind that
+//! task go to an idle thread, which a waker in the same epoll instance
+//! wakes. The thread that started the worker runs no user code: it waits
+//! for the pool to end, then stops the daemons.
+//!
+//! Nothing relays replies: library daemons and pool threads map what they
+//! report to [`WorkerToManager`] on their own threads and send it through
+//! the worker's `Uplink`, straight onto the transport's event channel in
+//! process, or as a frame each writes to the socket over TCP.
 //!
 //! A stateless task rebuilds its context on every run: a fresh
 //! interpreter runs the task's module code, imports and setup each time.
-//! Its code is compiled once per task thread: each thread keeps the
+//! Its code is compiled once per pool thread: each thread keeps the
 //! compiled module of every source text it has run (`CodeCache`), as
 //! CPython keeps the bytecode of what it imported.
 
-use crate::library_host::{catch_panic, spawn_daemon, LibraryHost};
+use crate::library_host::{catch_panic, spawn_daemon, spawn_user_thread, LibraryHost};
 use crossbeam::channel::{Receiver, Sender};
+use epoll::{Epoll, Event, EPOLLIN, EPOLLONESHOT, EPOLLRDHUP};
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use vine_core::context::CodeArtifact;
 use vine_core::ids::{LibraryInstanceId, WorkerId};
 use vine_core::task::{Outcome, TaskSpec, UnitId};
-use vine_lang::interp::USER_STACK_BYTES;
 use vine_lang::pickle;
 use vine_lang::{CompiledModule, Interp, ModuleRegistry};
 use vine_proto::{
-    encode_frame, LibraryToWorker, ManagerToWorker, WorkerToLibrary, WorkerToManager,
+    encode_frame, FrameDecoder, FrameError, LibraryToWorker, ManagerToWorker, WorkerToLibrary,
+    WorkerToManager,
 };
 
-/// Handle to a spawned in-process worker engine.
+/// Handle to a spawned in-process worker.
 pub struct WorkerHandle {
     pub id: WorkerId,
     pub tx: Sender<ManagerToWorker>,
     pub thread: Option<JoinHandle<()>>,
 }
 
-/// Spawn a worker engine on its own thread (the in-process backend).
-/// Everything the worker tells the manager arrives on `events`, tagged
-/// with the worker's id.
+/// Spawn an in-process worker on its own thread, which runs
+/// [`worker_engine`]. Everything the worker tells the manager arrives on
+/// `events`, tagged with the worker's id.
 pub fn spawn_worker(
     id: WorkerId,
     registry: ModuleRegistry,
@@ -61,26 +75,48 @@ pub fn spawn_worker(
     }
 }
 
-/// The worker's command loop over a channel: serve [`ManagerToWorker`]
-/// messages until `Shutdown` (or the command stream closes). Daemons and
-/// task threads send what they report onto `events` themselves.
+/// The in-process worker: a pool of threads that take turns receiving the
+/// [`ManagerToWorker`] messages on `rx` and serve them until `Shutdown`
+/// (or the channel closes). Daemons and pool threads send what they report
+/// onto `events` themselves. Returns once every reply owed has been sent;
+/// a worker whose first pool thread the OS refuses returns at once, and
+/// the manager sees it gone.
 pub fn worker_engine(
     id: WorkerId,
     registry: ModuleRegistry,
     rx: Receiver<ManagerToWorker>,
     events: Sender<(WorkerId, WorkerToManager)>,
 ) {
-    let mut worker = Worker::new(id, registry, Uplink::Channel { worker: id, events });
-    while let Ok(cmd) = rx.recv() {
-        if !worker.handle(cmd) {
-            break;
-        }
-    }
-    worker.shutdown();
+    let uplink = Uplink::Channel { worker: id, events };
+    let commands = Commands::Channel(Mutex::new(Some(rx)));
+    let _ = Pool::new(id, registry, uplink, commands).run();
+}
+
+/// Serve a TCP worker's commands from `stream`, its connection to the
+/// manager after the handshake, until `Shutdown` or the connection ends.
+/// Returns once every reply owed has been written.
+pub(crate) fn serve_socket(
+    id: WorkerId,
+    registry: ModuleRegistry,
+    stream: TcpStream,
+) -> std::io::Result<()> {
+    let uplink = Uplink::Socket(Arc::new(Mutex::new(stream.try_clone()?)));
+    let ep = Epoll::new()?;
+    let (waker, wakee) = UnixStream::pair()?;
+    wakee.set_nonblocking(true)?;
+    ep.add(stream.as_raw_fd(), SOCKET_INTEREST, SOCKET)?;
+    ep.add(wakee.as_raw_fd(), WAKER_INTEREST, WAKER)?;
+    let socket = Socket {
+        ep,
+        stream,
+        waker,
+        wakee,
+    };
+    Pool::new(id, registry, uplink, Commands::Socket(socket)).run()
 }
 
 /// Where a worker's messages to the manager go. Every library daemon and
-/// task thread holds a clone and sends its own replies.
+/// pool thread holds a clone and sends its own replies.
 #[derive(Clone)]
 pub(crate) enum Uplink {
     /// In process: onto the transport's event channel, tagged with the
@@ -95,7 +131,7 @@ pub(crate) enum Uplink {
 
 impl Uplink {
     /// Send one message. A failure means the manager is gone, which the
-    /// command reader sees too and answers by shutting the worker down.
+    /// pool sees too on its commands and answers by closing the worker.
     pub(crate) fn send(&self, msg: WorkerToManager) {
         match self {
             Uplink::Channel { worker, events } => {
@@ -104,18 +140,16 @@ impl Uplink {
             Uplink::Socket(stream) => {
                 // encode outside the lock, then one write under it, so
                 // frames from concurrent writers never interleave
-                let frame = match (encode_frame(&msg), msg) {
-                    (Ok(frame), _) => frame,
-                    // a result too big for a frame would never arrive, and
-                    // the manager would wait for it: its unit fails instead
-                    (Err(e), WorkerToManager::UnitDone { outcome })
-                        if !outcome.result_blob.is_empty() =>
-                    {
-                        let error = format!("result of {} bytes: {e}", outcome.result_blob.len());
-                        let outcome = Outcome::failed(outcome.unit, error);
-                        return self.send(WorkerToManager::UnitDone { outcome });
+                let frame = match encode_frame(&msg) {
+                    Ok(frame) => frame,
+                    // a reply too big for a frame would never arrive, and
+                    // the manager would wait for it: send one that fits
+                    Err(e) => {
+                        if let Some(msg) = fitted(msg, e) {
+                            self.send(msg);
+                        }
+                        return;
                     }
-                    (Err(_), _) => return,
                 };
                 let mut stream = stream
                     .lock()
@@ -126,34 +160,331 @@ impl Uplink {
     }
 }
 
-/// One worker's library daemons and task threads, driven one command at a
-/// time by the thread that reads the commands.
-pub(crate) struct Worker {
-    registry: ModuleRegistry,
-    uplink: Uplink,
-    libraries: BTreeMap<LibraryInstanceId, LibraryHost>,
-    tasks: TaskThreads,
+/// Bytes of an error text that a reply keeps when the whole text would
+/// not fit in a frame.
+const ERROR_CUT_BYTES: usize = 64 << 10;
+
+/// `msg`, which `why` kept from a frame, made to fit: a result gives way
+/// to an error that names its size, and an error text is cut. `None` for
+/// a message that holds neither.
+fn fitted(msg: WorkerToManager, why: FrameError) -> Option<WorkerToManager> {
+    match msg {
+        WorkerToManager::UnitDone { outcome } if !outcome.result_blob.is_empty() => {
+            let error = format!("result of {} bytes: {why}", outcome.result_blob.len());
+            let outcome = Outcome::failed(outcome.unit, error);
+            Some(WorkerToManager::UnitDone { outcome })
+        }
+        WorkerToManager::UnitDone { mut outcome } => {
+            let error = outcome
+                .error
+                .as_deref()
+                .filter(|e| e.len() > ERROR_CUT_BYTES)?;
+            outcome.error = Some(cut(error));
+            Some(WorkerToManager::UnitDone { outcome })
+        }
+        WorkerToManager::LibraryFailed { instance, error } if error.len() > ERROR_CUT_BYTES => {
+            let error = cut(&error);
+            Some(WorkerToManager::LibraryFailed { instance, error })
+        }
+        _ => None,
+    }
 }
 
-impl Worker {
-    pub(crate) fn new(id: WorkerId, registry: ModuleRegistry, uplink: Uplink) -> Worker {
-        Worker {
-            tasks: TaskThreads::new(id, registry.clone(), uplink.clone()),
-            registry,
-            uplink,
-            libraries: BTreeMap::new(),
+/// The first [`ERROR_CUT_BYTES`] of `error`, cut on a character boundary,
+/// naming the length it had.
+fn cut(error: &str) -> String {
+    let mut end = ERROR_CUT_BYTES;
+    while !error.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{}… [cut from {} bytes]", &error[..end], error.len())
+}
+
+/// Where a worker's commands come from.
+enum Commands {
+    /// In process: the manager's channel. Idle pool threads take turns
+    /// receiving from it; `None` once the worker has closed.
+    Channel(Mutex<Option<Receiver<ManagerToWorker>>>),
+    /// Over TCP: the connection to the manager.
+    Socket(Socket),
+}
+
+/// A TCP worker's connection to the manager and the epoll instance its
+/// idle pool threads wait on. Both fds in it are one-shot: the thread an
+/// event wakes re-arms the fd once it has read it.
+struct Socket {
+    ep: Epoll,
+    /// Blocking: a thread reads it once per wake, when epoll has reported
+    /// it readable.
+    stream: TcpStream,
+    /// Written to wake an idle thread for frames already read.
+    waker: UnixStream,
+    /// The waker's other end, which `ep` watches; nonblocking.
+    wakee: UnixStream,
+}
+
+/// Epoll tokens of a [`Socket`]'s two fds.
+const SOCKET: u64 = 0;
+const WAKER: u64 = 1;
+const SOCKET_INTEREST: u32 = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
+const WAKER_INTEREST: u32 = EPOLLIN | EPOLLONESHOT;
+
+/// Bytes one socket read takes at most, as a std `BufReader` does: a
+/// larger buffer is zeroed memory every pool thread keeps resident.
+const READ_CHUNK: usize = 8 << 10;
+
+/// What the socket's reads have brought in and the pool has not served.
+#[derive(Default)]
+struct Inbox {
+    frames: FrameDecoder,
+    /// The socket has ended: once `frames` is served, the worker closes.
+    ended: bool,
+    /// A byte sits in the waker: an idle thread will wake to serve
+    /// `frames`.
+    woken: bool,
+}
+
+impl Socket {
+    /// Read what the socket holds and re-arm it. One read: epoll reported
+    /// the socket readable, so it does not block, and whatever it leaves
+    /// fires again once re-armed.
+    fn read(&self, inbox: &mut Inbox) {
+        let mut chunk = [0; READ_CHUNK];
+        let read = loop {
+            match (&self.stream).read(&mut chunk) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                read => break read,
+            }
+        };
+        match read {
+            Ok(n) if n > 0 => {
+                inbox.frames.extend(&chunk[..n]);
+                self.re_arm(inbox, &self.stream, SOCKET_INTEREST, SOCKET);
+            }
+            // the manager closed the connection, or it broke
+            _ => inbox.ended = true,
         }
     }
 
-    /// Serve one command. Returns false on `Shutdown`.
-    pub(crate) fn handle(&mut self, cmd: ManagerToWorker) -> bool {
+    /// Take the waker's byte and re-arm it.
+    fn drain(&self, inbox: &mut Inbox) {
+        let _ = (&self.wakee).read(&mut [0]);
+        inbox.woken = false;
+        self.re_arm(inbox, &self.wakee, WAKER_INTEREST, WAKER);
+    }
+
+    /// An fd that cannot be re-armed would never wake a thread again: the
+    /// worker ends as if the connection had.
+    fn re_arm(&self, inbox: &mut Inbox, fd: &impl AsRawFd, interest: u32, token: u64) {
+        if self.ep.modify(fd.as_raw_fd(), interest, token).is_err() {
+            inbox.ended = true;
+        }
+    }
+
+    /// Wake one idle thread, unless one is already being woken.
+    fn wake(&self, inbox: &mut Inbox) {
+        if !std::mem::replace(&mut inbox.woken, true) {
+            let _ = (&self.waker).write(&[1]);
+        }
+    }
+
+    /// Wake every thread that waits now or will: the waker stays readable
+    /// and turns level-triggered.
+    fn wake_all(&self, inbox: &mut Inbox) {
+        self.wake(inbox);
+        let _ = self.ep.modify(self.wakee.as_raw_fd(), EPOLLIN, WAKER);
+    }
+}
+
+/// One worker's pool threads and what they share. See the module docs.
+struct Pool {
+    id: WorkerId,
+    registry: ModuleRegistry,
+    uplink: Uplink,
+    commands: Commands,
+    /// Pool threads running a task. A thread deciding whether to take a
+    /// task reads it under `state`'s lock; a thread that finishes one
+    /// lowers it without the lock, before its reply.
+    busy: AtomicUsize,
+    state: Mutex<State>,
+}
+
+/// What the pool's threads change, under its lock.
+#[derive(Default)]
+struct State {
+    libraries: BTreeMap<LibraryInstanceId, LibraryHost>,
+    /// Pool threads started so far.
+    threads: usize,
+    /// Pool threads not joined yet.
+    handles: Vec<JoinHandle<()>>,
+    /// No command is served any more: `Shutdown` came, or the commands
+    /// ended.
+    closed: bool,
+    /// Over TCP: what has been read and not yet served.
+    inbox: Inbox,
+}
+
+impl Pool {
+    fn new(id: WorkerId, registry: ModuleRegistry, uplink: Uplink, commands: Commands) -> Pool {
+        Pool {
+            id,
+            registry,
+            uplink,
+            commands,
+            busy: AtomicUsize::new(0),
+            state: Mutex::default(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .expect("no pool thread panics while serving a command")
+    }
+
+    /// The starting thread's part: start the first pool thread, wait for
+    /// the pool to end, then stop the daemons, so every reply the worker
+    /// owes has been sent when this returns. A thread joined here has
+    /// pushed the handles of the threads it started before it ended, so
+    /// an empty list means all have ended. A pool thread's panic, which
+    /// only a bug in this module causes, is raised here once all have.
+    fn run(self) -> std::io::Result<()> {
+        let pool = Arc::new(self);
+        pool.spawn(&mut pool.lock())?;
+        let mut panicked = None;
+        loop {
+            let handles = std::mem::take(&mut pool.lock().handles);
+            if handles.is_empty() {
+                break;
+            }
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    panicked.get_or_insert(panic);
+                }
+            }
+        }
+        if let Some(panic) = panicked {
+            std::panic::resume_unwind(panic);
+        }
+        for (_, host) in std::mem::take(&mut pool.lock().libraries) {
+            stop(host);
+        }
+        Ok(())
+    }
+
+    /// Start one more pool thread.
+    fn spawn(self: &Arc<Self>, state: &mut State) -> std::io::Result<()> {
+        let pool = Arc::clone(self);
+        let name = format!("worker-{}-{}", self.id, state.threads);
+        let handle = spawn_user_thread(name, move || pool.serve())?;
+        state.threads += 1;
+        state.handles.push(handle);
+        Ok(())
+    }
+
+    /// A pool thread: serve commands until the worker closes, and run each
+    /// task taken on a fresh interpreter, with this thread's compiled code.
+    fn serve(self: Arc<Self>) {
+        let mut code = CodeCache::default();
+        let mut events = Vec::with_capacity(2);
+        while let Some(task) = self.next_task(&mut events) {
+            let interp = Interp::with_registry(self.registry.clone());
+            let outcome = catch_panic(|| execute_task_in(&task, interp, &mut code))
+                .unwrap_or_else(|panic| Outcome::failed(UnitId::Task(task.id), panic));
+            // free before the reply: the manager's next task for this
+            // worker then finds this thread idle, and no thread is started
+            self.busy.fetch_sub(1, Ordering::SeqCst);
+            self.uplink.send(WorkerToManager::UnitDone { outcome });
+        }
+    }
+
+    /// Wait for commands and serve them until this thread takes a task;
+    /// `None` once the worker has closed.
+    fn next_task(self: &Arc<Self>, events: &mut Vec<Event>) -> Option<TaskSpec> {
+        loop {
+            let state = match &self.commands {
+                Commands::Channel(turn) => {
+                    // the thread that receives takes the worker's lock
+                    // before it passes the turn on, so commands are served
+                    // in the order they were sent
+                    let mut rx = turn.lock().expect("no thread panics while receiving");
+                    let cmd = rx.as_ref().and_then(|rx| rx.recv().ok());
+                    let cmd = cmd.unwrap_or(ManagerToWorker::Shutdown);
+                    if matches!(cmd, ManagerToWorker::Shutdown) {
+                        *rx = None;
+                    }
+                    let mut state = self.lock();
+                    drop(rx);
+                    if let Some(task) = self.serve_command(&mut state, cmd) {
+                        return Some(task);
+                    }
+                    state
+                }
+                Commands::Socket(socket) => {
+                    let woke = socket.ep.wait(events, None);
+                    let mut state = self.lock();
+                    if state.closed {
+                        return None;
+                    }
+                    match woke {
+                        Ok(_) => {
+                            for ev in events.iter() {
+                                match ev.token() {
+                                    SOCKET => socket.read(&mut state.inbox),
+                                    _ => socket.drain(&mut state.inbox),
+                                }
+                            }
+                        }
+                        Err(_) => state.inbox.ended = true,
+                    }
+                    if let Some(task) = self.serve_inbox(socket, &mut state) {
+                        return Some(task);
+                    }
+                    state
+                }
+            };
+            if state.closed {
+                return None;
+            }
+        }
+    }
+
+    /// Serve the frames read so far, in order, until this thread takes a
+    /// task. The frames behind that task are left to an idle thread, which
+    /// the waker wakes.
+    fn serve_inbox(self: &Arc<Self>, socket: &Socket, state: &mut State) -> Option<TaskSpec> {
+        while !state.closed {
+            let cmd = match state.inbox.frames.decode::<ManagerToWorker>() {
+                Ok(Some(cmd)) => cmd,
+                Ok(None) if !state.inbox.ended => return None,
+                // the connection ended, or sent bytes that decode to no
+                // frame, after which nothing on it can be read
+                Ok(None) | Err(_) => ManagerToWorker::Shutdown,
+            };
+            if let Some(task) = self.serve_command(state, cmd) {
+                if state.inbox.ended || state.inbox.frames.buffered() > 0 {
+                    socket.wake(&mut state.inbox);
+                }
+                return Some(task);
+            }
+        }
+        None
+    }
+
+    /// Serve one command under the lock. Returns the task of a `RunTask`
+    /// that this thread takes.
+    fn serve_command(
+        self: &Arc<Self>,
+        state: &mut State,
+        cmd: ManagerToWorker,
+    ) -> Option<TaskSpec> {
         match cmd {
             ManagerToWorker::Welcome { .. } => {
                 // handshake concern; the transport consumed it already, a
                 // stray copy is harmless
             }
             ManagerToWorker::InstallLibrary { image, stage: _ } => {
-                reap_exited(&mut self.libraries);
+                reap_exited(&mut state.libraries);
                 // the in-process substrate shares one filesystem, so staged
                 // context files are already local; the directive matters to
                 // remote data planes
@@ -165,19 +496,16 @@ impl Worker {
                 // a daemon whose thread was refused has already reported
                 // its failed startup
                 if host.thread.is_some() {
-                    self.libraries.insert(instance, host);
+                    state.libraries.insert(instance, host);
                 }
             }
             ManagerToWorker::RemoveLibrary { instance } => {
-                if let Some(mut host) = self.libraries.remove(&instance) {
-                    let _ = host.tx.send(WorkerToLibrary::Shutdown);
-                    if let Some(t) = host.thread.take() {
-                        let _ = t.join();
-                    }
+                if let Some(host) = state.libraries.remove(&instance) {
+                    stop(host);
                 }
             }
             ManagerToWorker::Invoke { instance, call } => {
-                match self.libraries.get(&instance) {
+                match state.libraries.get(&instance) {
                     Some(host) => {
                         let mode = call.mode(host.default_mode);
                         let _ = host.tx.send(WorkerToLibrary::Invoke {
@@ -198,22 +526,43 @@ impl Worker {
                     }
                 }
             }
-            ManagerToWorker::RunTask { task, stage: _ } => self.tasks.run(task),
-            ManagerToWorker::Shutdown => return false,
-        }
-        true
-    }
-
-    /// Stop the libraries and join the task threads, so every reply they
-    /// owe has been sent before this returns.
-    pub(crate) fn shutdown(self) {
-        for (_, mut host) in self.libraries {
-            let _ = host.tx.send(WorkerToLibrary::Shutdown);
-            if let Some(t) = host.thread.take() {
-                let _ = t.join();
+            ManagerToWorker::RunTask { task, stage: _ } => return self.take(state, task),
+            ManagerToWorker::Shutdown => {
+                state.closed = true;
+                if let Commands::Socket(socket) = &self.commands {
+                    socket.wake_all(&mut state.inbox);
+                }
             }
         }
-        self.tasks.join();
+        None
+    }
+
+    /// Take `task` to run on this thread, once another pool thread is free
+    /// to read on: start one if every other thread is running a task. A
+    /// thread the OS refuses fails the task instead of the worker.
+    fn take(self: &Arc<Self>, state: &mut State, task: TaskSpec) -> Option<TaskSpec> {
+        if self.busy.fetch_add(1, Ordering::SeqCst) + 1 < state.threads {
+            return Some(task);
+        }
+        match self.spawn(state) {
+            Ok(()) => Some(task),
+            Err(e) => {
+                self.busy.fetch_sub(1, Ordering::SeqCst);
+                let error = format!("spawning worker thread: {e}");
+                self.uplink.send(WorkerToManager::UnitDone {
+                    outcome: Outcome::failed(UnitId::Task(task.id), error),
+                });
+                None
+            }
+        }
+    }
+}
+
+/// Stop a daemon: it serves what it was sent first, then exits.
+fn stop(mut host: LibraryHost) {
+    let _ = host.tx.send(WorkerToLibrary::Shutdown);
+    if let Some(thread) = host.thread.take() {
+        let _ = thread.join();
     }
 }
 
@@ -234,98 +583,6 @@ fn library_reply(instance: LibraryInstanceId, msg: LibraryToWorker) -> WorkerToM
     }
 }
 
-/// The worker's task threads. Each runs one task at a time, on a fresh
-/// interpreter, so tasks stay stateless and run concurrently like separate
-/// processes; a thread that finishes its task waits for the next one
-/// instead of exiting. A task therefore pays no thread spawn, which on
-/// `USER_STACK_BYTES` stacks costs more than the interpreter work of a
-/// small task. Each thread keeps its own [`CodeCache`], so a source text
-/// is parsed and compiled only the first time that thread runs it; its
-/// context is still rebuilt by every task.
-struct TaskThreads {
-    worker: WorkerId,
-    registry: ModuleRegistry,
-    uplink: Uplink,
-    /// Each thread's task channel, by thread index.
-    senders: Vec<Sender<TaskSpec>>,
-    threads: Vec<JoinHandle<()>>,
-    /// Indices of threads waiting for a task.
-    idle_tx: Sender<usize>,
-    idle_rx: Receiver<usize>,
-}
-
-impl TaskThreads {
-    fn new(worker: WorkerId, registry: ModuleRegistry, uplink: Uplink) -> TaskThreads {
-        let (idle_tx, idle_rx) = crossbeam::channel::unbounded();
-        TaskThreads {
-            worker,
-            registry,
-            uplink,
-            senders: Vec::new(),
-            threads: Vec::new(),
-            idle_tx,
-            idle_rx,
-        }
-    }
-
-    /// Hand `task` to an idle thread, or to a new one when all are busy.
-    fn run(&mut self, task: TaskSpec) {
-        match self.idle_rx.try_recv() {
-            Ok(i) => {
-                let _ = self.senders[i].send(task);
-            }
-            Err(_) => self.spawn(task),
-        }
-    }
-
-    /// Start a thread on its first task, which it takes at spawn rather
-    /// than from its channel, so it need not be woken for it. A thread the
-    /// OS refuses fails the task instead of the worker.
-    fn spawn(&mut self, first: TaskSpec) {
-        let i = self.senders.len();
-        let unit = UnitId::Task(first.id);
-        let (tx, rx) = crossbeam::channel::unbounded::<TaskSpec>();
-        let registry = self.registry.clone();
-        let uplink = self.uplink.clone();
-        let idle = self.idle_tx.clone();
-        let spawned = std::thread::Builder::new()
-            .name(format!("worker-{}-task-{i}", self.worker))
-            .stack_size(USER_STACK_BYTES)
-            .spawn(move || {
-                let mut code = CodeCache::default();
-                let mut next = Some(first);
-                while let Some(task) = next {
-                    let interp = Interp::with_registry(registry.clone());
-                    let outcome = catch_panic(|| execute_task_in(&task, interp, &mut code))
-                        .unwrap_or_else(|panic| Outcome::failed(UnitId::Task(task.id), panic));
-                    // idle before the reply: the manager's next task for
-                    // this worker then always finds this thread free
-                    let _ = idle.send(i);
-                    uplink.send(WorkerToManager::UnitDone { outcome });
-                    next = rx.recv().ok();
-                }
-            });
-        match spawned {
-            Ok(thread) => {
-                self.senders.push(tx);
-                self.threads.push(thread);
-            }
-            Err(e) => self.uplink.send(WorkerToManager::UnitDone {
-                outcome: Outcome::failed(unit, format!("spawning task thread: {e}")),
-            }),
-        }
-    }
-
-    /// Close every task channel and join the threads once their tasks
-    /// are done, so every `UnitDone` has been sent before this returns.
-    fn join(self) {
-        drop(self.senders);
-        for thread in self.threads {
-            let _ = thread.join();
-        }
-    }
-}
-
 /// Join and forget the daemons that exited on their own, which is what a
 /// daemon does when its startup fails: the manager has already dropped
 /// their instances, and a kept handle pins the thread's stack. A daemon
@@ -341,7 +598,7 @@ fn reap_exited(libraries: &mut BTreeMap<LibraryInstanceId, LibraryHost>) {
     });
 }
 
-/// Source bytes of the compiled code one task thread keeps. A task whose
+/// Source bytes of the compiled code one pool thread keeps. A task whose
 /// sources exceed it still runs; its thread compiles them again next
 /// time. Compiled code takes ~24 times its source (each function embeds
 /// its AST), so a full cache is ~1.5 MiB, the code of ~170 distinct
@@ -349,7 +606,7 @@ fn reap_exited(libraries: &mut BTreeMap<LibraryInstanceId, LibraryHost>) {
 /// ~25 MiB per thread and take ~20 ms to empty.
 const CODE_CACHE_BYTES: usize = 64 << 10;
 
-/// The compiled module of each source text a task thread has run, keyed by
+/// The compiled module of each source text a pool thread has run, keyed by
 /// the full text, so two texts share an entry only when they are equal.
 /// It holds code, never values: every task runs the module on a fresh
 /// interpreter. Compiled code holds `Rc`s, so each thread keeps its own.
@@ -386,7 +643,7 @@ impl CodeCache {
 /// Run a stateless task: fresh interpreter, reconstruct shipped code,
 /// execute, serialize the result — the full context reload the paper's
 /// L1/L2 levels pay per execution. Its sources are parsed and compiled
-/// here; a task thread runs the same steps but compiles each source text
+/// here; a pool thread runs the same steps but compiles each source text
 /// only once (`CodeCache`).
 pub fn execute_task(task: &TaskSpec, registry: ModuleRegistry) -> Outcome {
     execute_task_in(
@@ -622,6 +879,355 @@ mod tests {
             vine_proto::read_frame::<WorkerToManager>(&mut reader),
             Err(vine_proto::FrameError::Closed)
         ));
+    }
+
+    #[test]
+    fn errors_too_long_for_a_frame_arrive_cut() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut reader, _) = listener.accept().unwrap();
+        let uplink = Uplink::Socket(Arc::new(Mutex::new(writer)));
+        let size = 65 << 20;
+        let unit = UnitId::Task(TaskId(9));
+        uplink.send(WorkerToManager::UnitDone {
+            outcome: Outcome::failed(unit, "x".repeat(size)),
+        });
+        // three-byte characters: the cut falls inside one
+        let instance = LibraryInstanceId(4);
+        uplink.send(WorkerToManager::LibraryFailed {
+            instance,
+            error: "€".repeat(size / 3),
+        });
+        drop(uplink);
+
+        let cut_to = |error: &str, from: usize| {
+            assert!(error.len() <= ERROR_CUT_BYTES + 64, "{} bytes", error.len());
+            assert!(
+                error.contains(&from.to_string()),
+                "{}",
+                &error[error.len() - 64..]
+            );
+        };
+        match vine_proto::read_frame(&mut reader) {
+            Ok(WorkerToManager::UnitDone { outcome }) => {
+                assert_eq!((outcome.unit, outcome.success), (unit, false));
+                cut_to(outcome.error.as_deref().unwrap(), size);
+            }
+            other => panic!("expected UnitDone, got {other:?}"),
+        }
+        match vine_proto::read_frame(&mut reader) {
+            Ok(WorkerToManager::LibraryFailed {
+                instance: got,
+                error,
+            }) => {
+                assert_eq!(got, instance);
+                assert!(error.starts_with('€'));
+                cut_to(&error, size / 3 * 3);
+            }
+            other => panic!("expected LibraryFailed, got {other:?}"),
+        }
+        assert!(matches!(
+            vine_proto::read_frame::<WorkerToManager>(&mut reader),
+            Err(vine_proto::FrameError::Closed)
+        ));
+    }
+
+    /// A latch that a test opens: `gate.pass()` in vinescript reports its
+    /// caller on `entered`, then blocks until the test calls
+    /// [`Gate::open`].
+    struct Gate {
+        open: Mutex<bool>,
+        opened: std::sync::Condvar,
+        entered: Sender<()>,
+    }
+
+    impl Gate {
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    /// A registry with the `gate` module, and the channel its callers are
+    /// reported on.
+    fn gated() -> (Arc<Gate>, ModuleRegistry, Receiver<()>) {
+        let (entered, callers) = crossbeam::channel::unbounded();
+        let gate = Arc::new(Gate {
+            open: Mutex::new(false),
+            opened: std::sync::Condvar::new(),
+            entered,
+        });
+        let mut registry = ModuleRegistry::new();
+        let shared = Arc::clone(&gate);
+        registry.register_native("gate", move || {
+            let gate = Arc::clone(&shared);
+            vec![vine_lang::modules::native("pass", move |_| {
+                let _ = gate.entered.send(());
+                let open = gate.open.lock().unwrap();
+                drop(gate.opened.wait_while(open, |open| !*open).unwrap());
+                Ok(Value::Int(0))
+            })]
+        });
+        (gate, registry, callers)
+    }
+
+    const GATED: &str = "import gate\ndef f() { return gate.pass() }";
+
+    /// The manager's end of a TCP worker that `run_tcp_worker` runs on
+    /// its own thread, admitted as worker `id`, and that thread.
+    fn tcp_worker(
+        id: u32,
+        registry: ModuleRegistry,
+    ) -> (TcpStream, JoinHandle<vine_core::Result<()>>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let resources = vine_core::resources::Resources::new(4, 4096, 4096);
+        let worker = std::thread::spawn(move || crate::run_tcp_worker(addr, resources, registry));
+        let (mut conn, _) = listener.accept().unwrap();
+        match vine_proto::read_frame(&mut conn) {
+            Ok(WorkerToManager::Join { .. }) => {}
+            other => panic!("expected Join, got {other:?}"),
+        }
+        let welcome = ManagerToWorker::Welcome {
+            worker: WorkerId(id),
+        };
+        vine_proto::write_frame(&mut conn, &welcome).unwrap();
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        (conn, worker)
+    }
+
+    /// The frames of `msgs`, back to back, for one `write_all`.
+    fn frames(msgs: &[ManagerToWorker]) -> Vec<u8> {
+        msgs.iter()
+            .flat_map(|msg| encode_frame(msg).unwrap())
+            .collect()
+    }
+
+    fn run_task(id: u64, text: &str) -> ManagerToWorker {
+        ManagerToWorker::RunTask {
+            task: task_of(id, text),
+            stage: vec![],
+        }
+    }
+
+    fn install_double(instance: u64) -> ManagerToWorker {
+        let source = "def double(x) { return 2 * x }";
+        let image = compile_image(LibraryInstanceId(instance), source, None, ExecMode::Direct);
+        ManagerToWorker::InstallLibrary {
+            image: image.unwrap(),
+            stage: vec![],
+        }
+    }
+
+    fn invoke_double(instance: u64, id: u64, x: i64) -> ManagerToWorker {
+        let args = pickle::serialize_args(&[Value::Int(x)]).unwrap();
+        let call = vine_core::task::FunctionCall::new(
+            vine_core::ids::InvocationId(id),
+            "lib",
+            "double",
+            args,
+        );
+        ManagerToWorker::Invoke {
+            instance: LibraryInstanceId(instance),
+            call,
+        }
+    }
+
+    /// The next frame from the worker, which must be a `UnitDone`: its
+    /// unit and its result.
+    fn unit_done(conn: &mut TcpStream) -> (UnitId, Value) {
+        match vine_proto::read_frame(conn) {
+            Ok(WorkerToManager::UnitDone { outcome }) => {
+                assert!(outcome.success, "{:?}", outcome.error);
+                (outcome.unit, crate::decode_result(&outcome).unwrap())
+            }
+            other => panic!("expected UnitDone, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_task_at_a_gate_holds_up_no_frame_behind_it() {
+        let (gate, registry, callers) = gated();
+        let (mut conn, worker) = tcp_worker(9001, registry);
+        conn.write_all(&frames(&[install_double(1)])).unwrap();
+        assert!(matches!(
+            vine_proto::read_frame(&mut conn),
+            Ok(WorkerToManager::LibraryReady { .. })
+        ));
+        conn.write_all(&frames(&[run_task(1, GATED)])).unwrap();
+        callers.recv().unwrap();
+
+        // the thread that reads these two takes the task, so the call
+        // behind it is read and served by a third
+        let behind = [
+            run_task(2, "def f() { return 6 * 7 }"),
+            invoke_double(1, 3, 21),
+        ];
+        conn.write_all(&frames(&behind)).unwrap();
+        let mut done = [unit_done(&mut conn), unit_done(&mut conn)];
+        done.sort_by_key(|(unit, _)| *unit);
+        let expected = [
+            (UnitId::Task(TaskId(2)), Value::Int(42)),
+            (
+                UnitId::Call(vine_core::ids::InvocationId(3)),
+                Value::Int(42),
+            ),
+        ];
+        assert_eq!(done, expected);
+
+        gate.open();
+        assert_eq!(
+            unit_done(&mut conn),
+            (UnitId::Task(TaskId(1)), Value::Int(0))
+        );
+        conn.write_all(&frames(&[ManagerToWorker::Shutdown]))
+            .unwrap();
+        worker.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn frames_in_one_write_are_all_served() {
+        let (mut conn, worker) = tcp_worker(9002, ModuleRegistry::new());
+        let batch = [
+            install_double(1),
+            invoke_double(1, 1, 1),
+            run_task(2, "def f() { return 6 * 7 }"),
+            invoke_double(1, 3, 3),
+        ];
+        conn.write_all(&frames(&batch)).unwrap();
+        let mut done = Vec::new();
+        for _ in 0..4 {
+            match vine_proto::read_frame(&mut conn) {
+                Ok(WorkerToManager::LibraryReady { instance }) => {
+                    assert_eq!(instance, LibraryInstanceId(1))
+                }
+                Ok(WorkerToManager::UnitDone { outcome }) => {
+                    assert!(outcome.success, "{:?}", outcome.error);
+                    done.push((outcome.unit, crate::decode_result(&outcome).unwrap()));
+                }
+                other => panic!("expected LibraryReady or UnitDone, got {other:?}"),
+            }
+        }
+        done.sort_by_key(|(unit, _)| *unit);
+        let call = |id| UnitId::Call(vine_core::ids::InvocationId(id));
+        let expected = [
+            (UnitId::Task(TaskId(2)), Value::Int(42)),
+            (call(1), Value::Int(2)),
+            (call(3), Value::Int(6)),
+        ];
+        assert_eq!(done, expected);
+        conn.write_all(&frames(&[ManagerToWorker::Shutdown]))
+            .unwrap();
+        worker.join().unwrap().unwrap();
+    }
+
+    /// Threads of this process whose name starts with `prefix`.
+    fn threads_named(prefix: &str) -> usize {
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return 0;
+        };
+        tasks
+            .flatten()
+            .filter(|task| {
+                std::fs::read_to_string(task.path().join("comm"))
+                    .is_ok_and(|name| name.starts_with(prefix))
+            })
+            .count()
+    }
+
+    #[test]
+    fn a_shutdown_during_a_task_still_delivers_its_reply() {
+        let (gate, registry, callers) = gated();
+        let (mut conn, worker) = tcp_worker(9003, registry);
+        conn.write_all(&frames(&[run_task(1, GATED)])).unwrap();
+        callers.recv().unwrap();
+        // the pool thread at the gate, and the one it started to read on
+        let pool = format!("worker-{}-", WorkerId(9003));
+        assert_eq!(threads_named(&pool), 2);
+        conn.write_all(&frames(&[ManagerToWorker::Shutdown]))
+            .unwrap();
+
+        // the idle pool thread read the Shutdown and ended; the one at the
+        // gate is left, and the worker has not returned
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while threads_named(&pool) > 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the pool never closed"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert!(!worker.is_finished());
+
+        gate.open();
+        assert_eq!(
+            unit_done(&mut conn),
+            (UnitId::Task(TaskId(1)), Value::Int(0))
+        );
+        worker.join().unwrap().unwrap();
+        assert!(matches!(
+            vine_proto::read_frame::<WorkerToManager>(&mut conn),
+            Err(vine_proto::FrameError::Closed)
+        ));
+    }
+
+    #[test]
+    fn a_refused_spare_thread_fails_its_task_and_the_worker_reads_on() {
+        // the worker's first pool thread is its thread 0; a task needs a
+        // second to be left reading, and the OS refuses it once
+        let id = WorkerId(9004);
+        crate::library_host::tests::refuse_spawn(&format!("worker-{id}-1"));
+        let (etx, erx) = crossbeam::channel::unbounded();
+        let mut h = spawn_worker(id, ModuleRegistry::new(), etx);
+        for id in 1..=2 {
+            h.tx.send(run_task(id, "def f() { return 6 * 7 }")).unwrap();
+        }
+        let outcomes: Vec<Outcome> = (0..2)
+            .map(
+                |_| match erx.recv_timeout(std::time::Duration::from_secs(30)) {
+                    Ok((_, WorkerToManager::UnitDone { outcome })) => outcome,
+                    other => panic!("expected UnitDone, got {other:?}"),
+                },
+            )
+            .collect();
+        assert_eq!(outcomes[0].unit, UnitId::Task(TaskId(1)));
+        let error = outcomes[0].error.as_deref().expect("the first task fails");
+        assert!(error.starts_with("spawning worker thread: "), "{error}");
+        assert_eq!(outcomes[1].unit, UnitId::Task(TaskId(2)));
+        assert_eq!(crate::decode_result(&outcomes[1]).unwrap(), Value::Int(42));
+        h.tx.send(ManagerToWorker::Shutdown).unwrap();
+        h.thread.take().unwrap().join().unwrap();
+    }
+
+    #[test]
+    fn a_refused_daemon_reports_library_failed() {
+        let instance = LibraryInstanceId(9005);
+        crate::library_host::tests::refuse_spawn(&format!("library-{instance}"));
+        let (etx, erx) = crossbeam::channel::unbounded();
+        let mut h = spawn_worker(WorkerId(9005), ModuleRegistry::new(), etx);
+        h.tx.send(install_double(9005)).unwrap();
+        match erx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok((
+                _,
+                WorkerToManager::LibraryFailed {
+                    instance: got,
+                    error,
+                },
+            )) => {
+                assert_eq!(got, instance);
+                assert!(error.starts_with("spawning library thread: "), "{error}");
+            }
+            other => panic!("expected LibraryFailed, got {other:?}"),
+        }
+        // the worker holds no instance for it: a call is handed back
+        h.tx.send(invoke_double(9005, 1, 1)).unwrap();
+        assert!(matches!(
+            erx.recv_timeout(std::time::Duration::from_secs(30)),
+            Ok((_, WorkerToManager::Requeue { .. }))
+        ));
+        h.tx.send(ManagerToWorker::Shutdown).unwrap();
+        h.thread.take().unwrap().join().unwrap();
     }
 
     #[test]

@@ -114,33 +114,44 @@ fn a_tcp_worker_runs_on_its_reader_a_daemon_and_a_task_thread() {
         _ => None,
     });
 
-    let mut task = TaskSpec::new(TaskId(1), "t");
-    task.code = vec![CodeArtifact::Source {
-        name: "g".into(),
-        text: "def g(x) { return x * 2 }".into(),
-    }];
-    task.function = Some("g".into());
-    task.args_blob = vine_lang::pickle::serialize_args(&[Value::Int(21)]).unwrap();
-    t.send(
-        worker,
-        ManagerToWorker::RunTask {
-            task,
-            stage: vec![],
-        },
-    )
-    .unwrap();
-    let outcome = next(&mut t, |e| match e {
-        TransportEvent::Message {
-            msg: WorkerToManager::UnitDone { outcome },
-            ..
-        } => Some(outcome),
-        _ => None,
-    });
-    assert!(outcome.success, "{:?}", outcome.error);
+    // a closed loop of tasks, one at a time, as one client drives them
+    let mut run_task = |id: u64| {
+        let mut task = TaskSpec::new(TaskId(id), "t");
+        task.code = vec![CodeArtifact::Source {
+            name: "g".into(),
+            text: "def g(x) { return x * 2 }".into(),
+        }];
+        task.function = Some("g".into());
+        task.args_blob = vine_lang::pickle::serialize_args(&[Value::Int(21)]).unwrap();
+        t.send(
+            worker,
+            ManagerToWorker::RunTask {
+                task,
+                stage: vec![],
+            },
+        )
+        .unwrap();
+        let outcome = next(&mut t, |e| match e {
+            TransportEvent::Message {
+                msg: WorkerToManager::UnitDone { outcome },
+                ..
+            } => Some(outcome),
+            _ => None,
+        });
+        assert!(outcome.success, "{:?}", outcome.error);
+    };
+    run_task(1);
 
-    // the reader (the thread that called run_tcp_worker), the library
-    // daemon and one task thread: nothing relays between them
-    assert_eq!(threads() - before, 3);
+    // the caller of run_tcp_worker, which runs no user code; the library
+    // daemon; the pool thread that ran the task, and the one it started
+    // so that a thread was left to read: nothing relays between them
+    assert_eq!(threads() - before, 4);
+    // a task that finishes frees its thread before it replies, so the
+    // next task always finds one to read it and one to run it
+    for id in 2..=201 {
+        run_task(id);
+    }
+    assert_eq!(threads() - before, 4);
 
     t.shutdown();
     reader.join().unwrap();

@@ -3,7 +3,8 @@
 # working tree, run alternating parent/change pairs of each workload, and
 # print, per workload and end-to-end metric, each side's median [Q1, Q3],
 # the change/parent ratio, the pairs the change wins, and whether the
-# median gap beats the parent's spread. A gain counts only with at least
+# median gap beats the parent's spread; then each side's median attempted
+# units and median peak_rss_mb per 1000 attempted units, with ratios. A gain counts only with at least
 # 9/10 wins and a gap in the better direction wider than the parent's
 # Q3 - Q1: a smaller gap is within what the parent alone varies by.
 #
@@ -152,6 +153,17 @@ for workload in dict.fromkeys(r['workload'] for r in runs):
         fmt = lambda med, q1, q3: f"{med:.5g} [{q1:.5g}, {q3:.5g}]"
         print(f"  {name:<16} {fmt(pm, pq1, pq3):>34} {fmt(cm, cq1, cq3):>34} "
               f"{ratio:>7.3f} {wins:>3}/{len(pairs):<2}  {beats}")
+    # the harness keeps every result, so peak RSS grows with the units a
+    # run attempts: per 1000 of them, an RSS change that only follows the
+    # units reads apart from one the change causes
+    units = {s: statistics.median(by[s][i]['attempted'] for i in pairs) for s in by}
+    per_k = {s: statistics.median(by[s][i]['metrics']['peak_rss_mb']['value'] * 1000
+                                  / by[s][i]['attempted'] for i in pairs) for s in by}
+    for label, v, f in (('attempted units', units, '.0f'),
+                        ('peak_rss_mb per 1000 attempted', per_k, '.4g')):
+        ratio = v['change'] / v['parent'] if v['parent'] else float('nan')
+        print(f"  {label}: median parent {v['parent']:{f}}, change {v['change']:{f}}, "
+              f"ratio {ratio:.3f}")
 print(f"\nruns: {runs_path}")
 sys.exit(1 if bad else 0)
 EOF

@@ -83,22 +83,26 @@ echo "federated sharding sweep: OK (BENCH_shard.json in $smoke)"
 ./scripts/shard_smoke.sh ./target/release/repro
 
 # live end-to-end smoke: the benchmark workloads run through manager,
-# reactor, worker reader and library daemons or task threads, and every
+# reactor, the worker's pool threads and library daemons, and every
 # result is checked; a hang, a lost UnitDone or a wrong result fails.
-# tenant-churn is the one that installs and evicts daemons mid-run.
+# tenant-churn is the one that installs and evicts daemons mid-run. The
+# traced lnni-task run drives worker_engine, the in-process side of the
+# worker's pool (livebench's traced worker feeds it from its own socket
+# reader), which no other smoke reaches.
 # A livebench build rewrites its stale Cargo.lock, and the benchmark's
 # directory stays as committed: the lock is saved here and put back after
 # the smokes and on any exit.
 lock_saved="$(mktemp)"
 cp livebench/Cargo.lock "$lock_saved"
 trap 'rm -f "$seq_out" "$par_out"; cp "$lock_saved" livebench/Cargo.lock; rm -f "$lock_saved"' EXIT
-for workload in lnni-invoke lnni-task tenant-churn; do
+for run in "lnni-invoke 0" "lnni-task 0" "tenant-churn 0" "lnni-task 1"; do
+    read -r workload trace <<<"$run"
     last="$(timeout 300 cargo run --release --offline --quiet --manifest-path livebench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+        --workload "$workload" --seed 1 --seconds 2 --trace "$trace" | tail -n 1)"
     case "$last" in
-        *'"correct": true'*) echo "livebench $workload smoke: OK" ;;
+        *'"correct": true'*) echo "livebench $workload --trace $trace smoke: OK" ;;
         *)
-            echo "livebench $workload smoke failed: $last" >&2
+            echo "livebench $workload --trace $trace smoke failed: $last" >&2
             exit 1
             ;;
     esac

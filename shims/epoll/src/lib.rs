@@ -1,7 +1,7 @@
-//! Offline stand-in for an epoll binding, covering exactly what the
-//! vine-runtime reactor needs: an epoll instance (`epoll_create1` /
-//! `epoll_ctl` / `epoll_wait`), readiness constants, and `listen(2)` to
-//! widen a bound listener's accept queue.
+//! Offline stand-in for an epoll binding, covering exactly what
+//! vine-runtime needs: an epoll instance (`epoll_create1` / `epoll_ctl` /
+//! `epoll_wait`), readiness constants, and `listen(2)` to widen a bound
+//! listener's accept queue.
 //!
 //! There is no `libc` crate in this container, so the syscall surface is
 //! declared directly as `extern "C"` bindings against the C library the
@@ -9,11 +9,13 @@
 //! symbols — `epoll_create1`, `epoll_ctl`, `epoll_wait`, `listen` and
 //! `close` — all stable POSIX/Linux ABI for decades.
 //!
-//! Divergences from real epoll bindings, deliberately accepted: only
-//! level-triggered mode is exposed (the reactor re-arms interest
-//! explicitly and never uses `EPOLLET`), and the `data` field is always a
-//! `u64` token (the reactor indexes a slab with it; nobody stores
-//! pointers).
+//! Divergences from real epoll bindings, deliberately accepted: interest
+//! is level-triggered, optionally one-shot ([`EPOLLONESHOT`], which the
+//! worker's thread pool uses so that one readiness wakes one thread);
+//! `EPOLLET` is not exposed. The `data` field is always a `u64` token
+//! (callers index a slab or name an fd with it; nobody stores pointers).
+//! [`Epoll::wait`] takes `&self` and fills a buffer its caller owns, so
+//! several threads can wait on one instance at once.
 
 #![cfg(target_os = "linux")]
 
@@ -25,22 +27,10 @@ use std::os::unix::io::{AsRawFd, RawFd};
 #[allow(non_camel_case_types)]
 type c_int = i32;
 
-/// The kernel's epoll_event. On x86-64 the glibc/kernel ABI packs this
-/// struct (a 32-bit event mask immediately followed by the 64-bit user
-/// datum, 12 bytes total); other architectures use natural alignment.
-#[repr(C)]
-#[cfg_attr(target_arch = "x86_64", repr(packed))]
-#[derive(Clone, Copy)]
-struct epoll_event {
-    events: u32,
-    data: u64,
-}
-
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
-    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;
-    fn epoll_wait(epfd: c_int, events: *mut epoll_event, maxevents: c_int, timeout: c_int)
-        -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut Event) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut Event, maxevents: c_int, timeout: c_int) -> c_int;
     fn listen(sockfd: c_int, backlog: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
 }
@@ -49,10 +39,6 @@ const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
-
-/// Events one [`Epoll::wait`] returns at most; level-triggered epoll
-/// reports the rest on the next call.
-const MAX_EVENTS: usize = 256;
 
 // ------------------------------------------------------- readiness flags
 
@@ -66,6 +52,9 @@ pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 /// Peer shut down its writing half.
 pub const EPOLLRDHUP: u32 = 0x2000;
+/// Report the fd once, then disarm it until [`Epoll::modify`] re-arms it:
+/// of the threads waiting on one instance, one readiness wakes one.
+pub const EPOLLONESHOT: u32 = 1 << 30;
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
     if ret < 0 {
@@ -88,36 +77,48 @@ pub fn set_listen_backlog(listener: &impl AsRawFd, backlog: i32) -> io::Result<(
 
 // ------------------------------------------------------------------ epoll
 
-/// One readiness notification out of [`Epoll::wait`].
+/// One readiness notification out of [`Epoll::wait`]: the kernel's
+/// `epoll_event`, so `wait` fills its caller's buffer directly. On x86-64
+/// the glibc/kernel ABI packs it (a 32-bit event mask immediately
+/// followed by the 64-bit user datum, 12 bytes in all); other
+/// architectures use natural alignment, so the fields are read through
+/// methods, which copy them: a packed field cannot be borrowed.
+#[repr(C)]
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
 #[derive(Clone, Copy, Debug)]
 pub struct Event {
+    readiness: u32,
+    token: u64,
+}
+
+impl Event {
     /// Bitwise OR of `EPOLL*` readiness flags.
-    pub readiness: u32,
+    pub fn readiness(&self) -> u32 {
+        self.readiness
+    }
+
     /// The token registered with the fd.
-    pub token: u64,
+    pub fn token(&self) -> u64 {
+        self.token
+    }
 }
 
 /// An epoll instance. Registration is keyed by fd; each fd carries a
 /// caller-chosen `u64` token that comes back in its events.
 pub struct Epoll {
     fd: RawFd,
-    /// The kernel-side event buffer, reused by every [`Epoll::wait`].
-    raw: Vec<epoll_event>,
 }
 
 impl Epoll {
     pub fn new() -> io::Result<Epoll> {
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        Ok(Epoll {
-            fd,
-            raw: vec![epoll_event { events: 0, data: 0 }; MAX_EVENTS],
-        })
+        Ok(Epoll { fd })
     }
 
     fn ctl(&self, op: c_int, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
-        let mut ev = epoll_event {
-            events: interest,
-            data: token,
+        let mut ev = Event {
+            readiness: interest,
+            token,
         };
         cvt(unsafe { epoll_ctl(self.fd, op, fd, &mut ev) }).map(|_| ())
     }
@@ -137,37 +138,34 @@ impl Epoll {
     pub fn delete(&self, fd: RawFd) -> io::Result<()> {
         // the event argument must be non-null on pre-2.6.9 kernels; pass
         // a dummy unconditionally, it is ignored on delete
-        let mut ev = epoll_event { events: 0, data: 0 };
-        cvt(unsafe { epoll_ctl(self.fd, EPOLL_CTL_DEL, fd, &mut ev) }).map(|_| ())
+        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Block until at least one watched fd is ready or `timeout_ms`
-    /// elapses (`None` blocks indefinitely). Puts up to 256 events into
-    /// `out` (cleared first) and returns how many arrived; zero means the
-    /// timeout fired.
-    pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: Option<u32>) -> io::Result<usize> {
-        out.clear();
+    /// elapses (`None` blocks indefinitely). Puts up to
+    /// `events.capacity()` events into `events` (cleared first) and
+    /// returns how many arrived; zero means the timeout fired. A buffer
+    /// without capacity is an error (`EINVAL`). Any number of threads may
+    /// wait on one instance at once, each with its own buffer.
+    pub fn wait(&self, events: &mut Vec<Event>, timeout_ms: Option<u32>) -> io::Result<usize> {
+        events.clear();
         let timeout = match timeout_ms {
             None => -1,
             Some(ms) => ms.min(i32::MAX as u32) as c_int,
         };
+        let max = events.capacity().min(i32::MAX as usize) as c_int;
         let n = loop {
-            // SAFETY: `raw` holds `MAX_EVENTS` initialized entries that
-            // this call borrows mutably, and the kernel writes at most
-            // `MAX_EVENTS` of them.
-            match cvt(unsafe {
-                epoll_wait(self.fd, self.raw.as_mut_ptr(), MAX_EVENTS as c_int, timeout)
-            }) {
+            // SAFETY: the kernel writes at most `max` events, which is
+            // within the vector's allocation, and `set_len` below covers
+            // only the ones it wrote.
+            match cvt(unsafe { epoll_wait(self.fd, events.as_mut_ptr(), max, timeout) }) {
                 Ok(n) => break n as usize,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         };
-        out.extend(self.raw[..n].iter().map(|ev| Event {
-            readiness: ev.events,
-            // a packed field cannot be borrowed; copy it out
-            token: { ev.data },
-        }));
+        // SAFETY: the kernel initialized the first `n` entries.
+        unsafe { events.set_len(n) };
         Ok(n)
     }
 }
@@ -195,8 +193,8 @@ mod tests {
 
     #[test]
     fn waits_time_out_with_no_events() {
-        let mut ep = Epoll::new().unwrap();
-        let mut events = Vec::new();
+        let ep = Epoll::new().unwrap();
+        let mut events = Vec::with_capacity(8);
         let started = Instant::now();
         let n = ep.wait(&mut events, Some(30)).unwrap();
         assert_eq!(n, 0);
@@ -211,17 +209,17 @@ mod tests {
         let (server, _) = listener.accept().unwrap();
         server.set_nonblocking(true).unwrap();
 
-        let mut ep = Epoll::new().unwrap();
+        let ep = Epoll::new().unwrap();
         ep.add(server.as_raw_fd(), EPOLLIN, 42).unwrap();
 
-        let mut events = Vec::new();
+        let mut events = Vec::with_capacity(8);
         // nothing to read yet
         assert_eq!(ep.wait(&mut events, Some(20)).unwrap(), 0);
 
         client.write_all(b"ping").unwrap();
         assert_eq!(ep.wait(&mut events, Some(2000)).unwrap(), 1);
-        assert_eq!(events[0].token, 42);
-        assert!(events[0].readiness & EPOLLIN != 0);
+        assert_eq!(events[0].token(), 42);
+        assert!(events[0].readiness() & EPOLLIN != 0);
 
         // level-triggered: still readable until drained
         assert_eq!(ep.wait(&mut events, Some(2000)).unwrap(), 1);
@@ -239,12 +237,12 @@ mod tests {
         let mut client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
 
-        let mut ep = Epoll::new().unwrap();
+        let ep = Epoll::new().unwrap();
         // a fresh socket has write space: EPOLLOUT fires immediately
         ep.add(server.as_raw_fd(), EPOLLOUT, 7).unwrap();
-        let mut events = Vec::new();
+        let mut events = Vec::with_capacity(8);
         assert_eq!(ep.wait(&mut events, Some(2000)).unwrap(), 1);
-        assert!(events[0].readiness & EPOLLOUT != 0);
+        assert!(events[0].readiness() & EPOLLOUT != 0);
 
         // switch to read interest only: quiescent until the peer writes
         ep.modify(server.as_raw_fd(), EPOLLIN, 7).unwrap();
@@ -254,5 +252,31 @@ mod tests {
 
         ep.delete(server.as_raw_fd()).unwrap();
         assert_eq!(ep.wait(&mut events, Some(20)).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_one_shot_fd_reports_once_until_re_armed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+
+        let ep = Epoll::new().unwrap();
+        ep.add(server.as_raw_fd(), EPOLLIN | EPOLLONESHOT, 3)
+            .unwrap();
+        client.write_all(b"x").unwrap();
+        let mut events = Vec::with_capacity(8);
+        assert_eq!(ep.wait(&mut events, Some(2000)).unwrap(), 1);
+        assert_eq!(events[0].token(), 3);
+        // unread bytes, but the fd is disarmed
+        assert_eq!(ep.wait(&mut events, Some(20)).unwrap(), 0);
+        ep.modify(server.as_raw_fd(), EPOLLIN | EPOLLONESHOT, 3)
+            .unwrap();
+        assert_eq!(ep.wait(&mut events, Some(2000)).unwrap(), 1);
+    }
+
+    #[test]
+    fn a_buffer_without_capacity_is_refused() {
+        let ep = Epoll::new().unwrap();
+        assert!(ep.wait(&mut Vec::new(), Some(0)).is_err());
     }
 }
