@@ -27,6 +27,23 @@ use bench::{experiments, live, net};
 use rayon::prelude::*;
 use std::collections::BTreeSet;
 
+/// The value after `flag`, parsed and accepted by `ok`; anything else
+/// exits 2 with "`flag` expects `what`".
+fn value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<String>,
+    flag: &str,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> T {
+    it.next()
+        .and_then(|s| s.parse().ok())
+        .filter(|v| ok(v))
+        .unwrap_or_else(|| {
+            eprintln!("{flag} expects {what}");
+            std::process::exit(2);
+        })
+}
+
 /// `repro serve [--listen ADDR | --local] [--workers N] [--n N]` — run the
 /// small live LNNI workload as a manager, printing the deterministic
 /// digest on stdout. With `--listen`, worker processes must dial in via
@@ -49,36 +66,11 @@ fn run_serve(args: &[String]) -> ! {
         match a.as_str() {
             "--listen" => listen = it.next().cloned(),
             "--local" => local = true,
-            "--workers" => {
-                workers = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--workers expects an integer >= 1");
-                    std::process::exit(2);
-                })
-            }
-            "--n" => {
-                n = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--n expects an integer >= 1");
-                    std::process::exit(2);
-                })
-            }
-            "--shard" => {
-                shard = it.next().and_then(|s| s.parse().ok());
-                if shard.is_none() {
-                    eprintln!("--shard expects an integer shard id");
-                    std::process::exit(2);
-                }
-            }
+            "--workers" => workers = value(&mut it, a, "an integer >= 1", |_| true),
+            "--n" => n = value(&mut it, a, "an integer >= 1", |_| true),
+            "--shard" => shard = Some(value(&mut it, a, "an integer shard id", |_| true)),
             "--router" => router = it.next().cloned(),
-            "--libs" => {
-                libs = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|l| *l >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--libs expects an integer >= 1");
-                        std::process::exit(2);
-                    })
-            }
+            "--libs" => libs = value(&mut it, a, "an integer >= 1", |l| *l >= 1),
             other => {
                 eprintln!("serve: unknown argument '{other}'");
                 std::process::exit(2);
@@ -139,32 +131,9 @@ fn run_route(args: &[String]) -> ! {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--listen" => listen = it.next().cloned(),
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|s| *s >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--shards expects an integer >= 1");
-                        std::process::exit(2);
-                    })
-            }
-            "--n" => {
-                n = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--n expects an integer >= 1");
-                    std::process::exit(2);
-                })
-            }
-            "--libs" => {
-                libs = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|l| *l >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--libs expects an integer >= 1");
-                        std::process::exit(2);
-                    })
-            }
+            "--shards" => shards = value(&mut it, a, "an integer >= 1", |s| *s >= 1),
+            "--n" => n = value(&mut it, a, "an integer >= 1", |_| true),
+            "--libs" => libs = value(&mut it, a, "an integer >= 1", |l| *l >= 1),
             other => {
                 eprintln!("route: unknown argument '{other}'");
                 std::process::exit(2);
@@ -233,6 +202,31 @@ fn run_disasm(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
+/// The sources of `paths`, or with none given of every
+/// `examples/vinescript/*.vine` file, by path; an unreadable file exits 2.
+fn vine_sources(paths: &[String]) -> Vec<(String, String)> {
+    let mut files = paths.to_vec();
+    if paths.is_empty() {
+        let entries = std::fs::read_dir("examples/vinescript")
+            .into_iter()
+            .flatten();
+        files = entries
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.extension().is_some_and(|x| x == "vine"))
+            .map(|p| p.display().to_string())
+            .collect();
+        files.sort();
+    }
+    let read = |p: String| match std::fs::read_to_string(&p) {
+        Ok(src) => (p, src),
+        Err(e) => {
+            eprintln!("{p}: {e}");
+            std::process::exit(2);
+        }
+    };
+    files.into_iter().map(read).collect()
+}
+
 /// `repro lint [paths...]` — run the vine-lint language + environment
 /// layers over vinescript sources. With no paths, lints the embedded
 /// application sources (LNNI, ExaMol) and every `examples/vinescript/*.vine`
@@ -257,34 +251,8 @@ fn run_lint(paths: &[String]) -> ! {
             "examol".into(),
             vine_apps::examol::EXAMOL_SOURCE.to_string(),
         ));
-        if let Ok(entries) = std::fs::read_dir("examples/vinescript") {
-            let mut files: Vec<_> = entries
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "vine"))
-                .collect();
-            files.sort();
-            for p in files {
-                match std::fs::read_to_string(&p) {
-                    Ok(src) => targets.push((p.display().to_string(), src)),
-                    Err(e) => {
-                        eprintln!("{}: {e}", p.display());
-                        std::process::exit(2);
-                    }
-                }
-            }
-        }
-    } else {
-        for p in paths {
-            match std::fs::read_to_string(p) {
-                Ok(src) => targets.push((p.clone(), src)),
-                Err(e) => {
-                    eprintln!("{p}: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
     }
+    targets.extend(vine_sources(paths));
 
     let mut errors = 0;
     for (origin, src) in &targets {
@@ -334,34 +302,12 @@ fn run_analyze(args: &[String]) -> ! {
             vine_apps::examol::EXAMOL_SOURCE.to_string(),
             Some(vec!["simulate".into(), "train".into(), "infer".into()]),
         ));
-        if let Ok(entries) = std::fs::read_dir("examples/vinescript") {
-            let mut files: Vec<_> = entries
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "vine"))
-                .collect();
-            files.sort();
-            for p in files {
-                match std::fs::read_to_string(&p) {
-                    Ok(src) => targets.push((p.display().to_string(), src, None)),
-                    Err(e) => {
-                        eprintln!("{}: {e}", p.display());
-                        std::process::exit(2);
-                    }
-                }
-            }
-        }
-    } else {
-        for p in &paths {
-            match std::fs::read_to_string(p) {
-                Ok(src) => targets.push((p.clone(), src, None)),
-                Err(e) => {
-                    eprintln!("{p}: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
     }
+    targets.extend(
+        vine_sources(&paths)
+            .into_iter()
+            .map(|(p, src)| (p, src, None)),
+    );
 
     let registry = vine_apps::modules::full_registry();
     let boot = |ctx: &vine_flow::DiscoveredContext| -> vine_core::Result<()> {
@@ -458,23 +404,14 @@ fn run_analyze(args: &[String]) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("lint") {
-        run_lint(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("analyze") {
-        run_analyze(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("disasm") {
-        run_disasm(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        run_serve(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("join") {
-        run_join(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("route") {
-        run_route(&args[1..]);
+    match args.first().map(String::as_str) {
+        Some("lint") => run_lint(&args[1..]),
+        Some("analyze") => run_analyze(&args[1..]),
+        Some("disasm") => run_disasm(&args[1..]),
+        Some("serve") => run_serve(&args[1..]),
+        Some("join") => run_join(&args[1..]),
+        Some("route") => run_route(&args[1..]),
+        _ => {}
     }
     let mut scale = 1.0f64;
     let mut json = false;
@@ -488,40 +425,13 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|s| *s > 0.0 && *s <= 1.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--scale expects a number in (0, 1]");
-                        std::process::exit(2);
-                    });
-            }
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|j| *j >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--jobs expects an integer >= 1");
-                        std::process::exit(2);
-                    });
-            }
+            "--scale" => scale = value(&mut it, a, "a number in (0, 1]", |s| *s > 0.0 && *s <= 1.0),
+            "--jobs" => jobs = value(&mut it, a, "an integer >= 1", |j| *j >= 1),
             "--json" => json = true,
             "--sim" => sim = true,
             "--lang" => lang = true,
             "--net" => net_flag = true,
-            "--conns" => {
-                conns = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|c| *c >= 2)
-                    .unwrap_or_else(|| {
-                        eprintln!("--conns expects an integer >= 2");
-                        std::process::exit(2);
-                    });
-            }
+            "--conns" => conns = value(&mut it, a, "an integer >= 2", |c| *c >= 2),
             "--transport" => {
                 transport = it
                     .next()

@@ -15,10 +15,9 @@ use vine_core::context::{ContextSpec, LibrarySpec, SetupSpec};
 use vine_core::ids::InvocationId;
 use vine_core::resources::Resources;
 use vine_core::task::{ExecMode, FunctionCall, Outcome, UnitId, WorkUnit};
+use vine_core::VineError;
 use vine_lang::{pickle, Value};
-use vine_runtime::{
-    decode_result, run_tcp_worker, Runtime, RuntimeConfig, TcpTransport, Transport,
-};
+use vine_runtime::{decode_result, run_tcp_worker, Runtime, RuntimeConfig, TcpTransport};
 
 /// Capacity a dialing worker announces (`repro join`): a developer-laptop
 /// slice, not the paper's 32-core node.
@@ -47,7 +46,7 @@ pub(crate) fn lnni_spec_named(name: &str) -> LibrarySpec {
 }
 
 /// Install the LNNI library into a live runtime under `name`.
-pub(crate) fn install_lnni(rt: &mut Runtime, name: &str) -> Result<(), vine_core::VineError> {
+pub(crate) fn install_lnni(rt: &mut Runtime, name: &str) -> Result<(), VineError> {
     rt.install_library(
         lnni_spec_named(name),
         vine_apps::lnni::LNNI_SOURCE,
@@ -59,7 +58,7 @@ pub(crate) fn install_lnni(rt: &mut Runtime, name: &str) -> Result<(), vine_core
 /// The i-th LNNI inference call, against `library`. The arguments (and so
 /// the result, and so the digest line) depend only on `i`, never on which
 /// library name or shard served it.
-pub(crate) fn lnni_call(i: u64, library: &str) -> Result<FunctionCall, vine_core::VineError> {
+pub(crate) fn lnni_call(i: u64, library: &str) -> Result<FunctionCall, VineError> {
     let mut c = FunctionCall::new(
         InvocationId(i),
         library,
@@ -72,7 +71,7 @@ pub(crate) fn lnni_call(i: u64, library: &str) -> Result<FunctionCall, vine_core
 
 /// Install the LNNI library, submit `n` inference invocations, run to
 /// completion, and render the deterministic digest.
-pub fn run_lnni_live(mut rt: Runtime, n: u64) -> Result<String, vine_core::VineError> {
+pub fn run_lnni_live(mut rt: Runtime, n: u64) -> Result<String, VineError> {
     install_lnni(&mut rt, "lnni")?;
     for i in 0..n {
         rt.submit(WorkUnit::Call(lnni_call(i, "lnni")?));
@@ -114,43 +113,43 @@ pub fn digest(outcomes: &[Outcome]) -> String {
     lines.join("\n")
 }
 
-/// `repro serve --local`: the whole workload in this process over the
-/// in-proc transport — the reference digest for loopback comparison.
-pub fn serve_local(workers: usize, n: u64) -> Result<String, vine_core::VineError> {
-    let rt = Runtime::new(RuntimeConfig {
+/// Boot a live fleet for the LNNI workload: `workers` in-process threads,
+/// or, with `listen`, the epoll TCP manager that `workers` `repro join`
+/// processes dial; `who` names it in the stderr breadcrumb.
+pub(crate) fn boot(workers: usize, listen: Option<&str>, who: &str) -> Result<Runtime, VineError> {
+    let cfg = RuntimeConfig {
         workers,
         worker_resources: default_worker_resources(),
         registry: vine_apps::modules::full_registry(),
         ..Default::default()
-    });
-    run_lnni_live(rt, n)
+    };
+    let Some(addr) = listen else {
+        return Ok(Runtime::new(cfg));
+    };
+    let transport = TcpTransport::listen(addr)
+        .map_err(|e| VineError::Protocol(format!("binding {addr}: {e}")))?;
+    let at = transport.local_addr();
+    eprintln!("# {who} listening on {at}, waiting for {workers} worker(s)");
+    Runtime::with_transport(cfg, Box::new(transport))
+}
+
+/// `repro serve --local`: the whole workload in this process over the
+/// in-proc transport — the reference digest for loopback comparison.
+pub fn serve_local(workers: usize, n: u64) -> Result<String, VineError> {
+    run_lnni_live(boot(workers, None, "manager")?, n)
 }
 
 /// `repro serve --listen ADDR`: bind, wait for `workers` processes to
 /// dial in (`repro join ADDR`), run the workload, print the digest.
-pub fn serve_tcp(listen: &str, workers: usize, n: u64) -> Result<String, vine_core::VineError> {
-    let transport = TcpTransport::listen(listen)
-        .map_err(|e| vine_core::VineError::Protocol(format!("binding {listen}: {e}")))?;
-    eprintln!(
-        "# manager listening on {}, waiting for {workers} worker(s)",
-        transport.local_addr()
-    );
-    let rt = Runtime::with_transport(
-        RuntimeConfig {
-            workers,
-            worker_resources: default_worker_resources(),
-            registry: vine_apps::modules::full_registry(),
-            ..Default::default()
-        },
-        Box::new(transport),
-    )?;
+pub fn serve_tcp(listen: &str, workers: usize, n: u64) -> Result<String, VineError> {
+    let rt = boot(workers, Some(listen), "manager")?;
     eprintln!("# {workers} worker(s) joined, running {n} invocations");
     run_lnni_live(rt, n)
 }
 
 /// `repro join ADDR`: be a worker process until the manager shuts us down
 /// (or the connection dies).
-pub fn join(addr: &str) -> Result<(), vine_core::VineError> {
+pub fn join(addr: &str) -> Result<(), VineError> {
     run_tcp_worker(
         addr,
         default_worker_resources(),
@@ -232,7 +231,7 @@ pub fn table2_live(scale: f64, tcp: bool) -> Table {
                 worker_resources: default_worker_resources(),
                 ..Default::default()
             },
-            Box::new(transport) as Box<dyn Transport>,
+            Box::new(transport),
         )
         .expect("tcp worker joins");
         let total = run_trivial(rt, n);

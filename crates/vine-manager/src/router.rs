@@ -11,8 +11,8 @@
 //!
 //! This type is the pure state machine both substrates share: the
 //! simulator drives it directly (`vine_sim::sharded`), and the live
-//! `repro route` process wraps it in TCP framing (`vine-proto`'s
-//! `Route`/`ShardJoin`/`ShardLeave`/`ShardStats` messages).
+//! `vine_runtime::Router` wraps it in TCP framing (`vine-proto`'s
+//! `Route`/`ShardJoin`/`UnitDone`/`ShardStats` messages).
 
 use std::collections::BTreeMap;
 

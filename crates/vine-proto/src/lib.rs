@@ -10,7 +10,7 @@
 //! * [`library`] — worker ↔ library: the §3.4 step 1–4 daemon protocol.
 //!
 //! Federated deployments add a third plane, [`routing`] — router ↔ shard:
-//! shard join/leave, submission forwarding, and load reports.
+//! shard join, submission forwarding, results, and load reports.
 //!
 //! Both planes are plain serde types with no substrate baked in. The
 //! in-process runtime moves them over channels untouched; the TCP runtime

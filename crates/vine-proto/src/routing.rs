@@ -32,11 +32,10 @@ pub enum RouterToShard {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ShardToRouter {
     /// Handshake: announce this shard's identity and worker count. The id
-    /// is the shard's ring position key, so it must be unique; the router
-    /// rejects duplicate announcements.
+    /// is the shard's ring position key: the router refuses an id a live
+    /// shard holds, and closes a shard that announces itself twice. A
+    /// shard leaves by closing its connection.
     ShardJoin { shard: ShardId, workers: u32 },
-    /// Graceful leave; the router re-routes whatever was in flight here.
-    ShardLeave { shard: ShardId },
     /// One routed unit finished (success or failure).
     UnitDone { outcome: Outcome },
     /// A load report (answer to [`RouterToShard::StatsRequest`]).
@@ -123,7 +122,6 @@ mod tests {
                 shard: ShardId(2),
                 workers: 4,
             },
-            ShardToRouter::ShardLeave { shard: ShardId(2) },
             ShardToRouter::UnitDone {
                 outcome: Outcome::ok(UnitId::Call(InvocationId(7)), vec![9]),
             },

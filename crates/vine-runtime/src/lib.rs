@@ -26,14 +26,18 @@
 //! trait: the in-process backend keeps the historical threads-and-channels
 //! substrate, the TCP backend ([`reactor`]) frames the same [`vine_proto`]
 //! messages over sockets to workers in other OS processes — one epoll
-//! loop, run on the manager's own thread, serving the whole fleet.
+//! loop, run on the manager's own thread, serving the whole fleet. A
+//! federation's router ([`federation`]) runs a second instance of that
+//! loop over its shards.
 
+pub mod federation;
 pub mod library_host;
 pub mod reactor;
 pub mod runtime;
 pub mod transport;
 pub mod worker_host;
 
+pub use federation::{serve_shard, Router};
 pub use library_host::LibraryImage;
 pub use reactor::{TcpConfig, TcpTransport};
 pub use runtime::{decode_result, Runtime, RuntimeConfig};

@@ -1,28 +1,34 @@
-//! The TCP manager backend: one epoll loop, run by the thread that owns
-//! the transport, serving the whole worker fleet.
+//! The owner-driven connection set: one epoll loop, run by the thread that
+//! owns it, serving every peer of one protocol plane. [`TcpTransport`] is
+//! its manager ↔ worker instance; the federation's
+//! [`Router`](crate::federation::Router) is its router ↔ shard instance.
 //!
-//! [`TcpTransport`] multiplexes the listener and every connection through
-//! an [`epoll`] instance (the shim under `shims/epoll` — raw
+//! [`ConnSet`] multiplexes the listener and every connection through an
+//! [`epoll`] instance (the shim under `shims/epoll` — raw
 //! `epoll_create1`/`epoll_ctl`/`epoll_wait` against the C library std
-//! already links) and runs the loop on the calling thread, inside its own
-//! [`Transport`] calls: no thread per connection, no reactor thread, and
-//! so no lock. funcX serves fleets of thousands of endpoints from one
-//! service; this is one thread.
+//! already links): no thread per connection, no reactor thread, and so no
+//! lock. funcX serves fleets of thousands of endpoints from one service;
+//! this is one thread.
 //!
 //! Shape of the machine:
 //!
-//! * **Owner-driven** — `send`, `send_frame`, `recv_timeout`, `try_recv`,
-//!   `disconnect` and `shutdown` accept, handshake, read, flush and close
-//!   on the caller's thread. The transport makes progress only while its
-//!   owner is inside one of those calls; in between, the kernel buffers
-//!   whatever workers send and holds dialers in the accept queue (its
-//!   backlog widened from std's 128 to 4096, so a burst of joins waits
-//!   there instead of retransmitting SYNs).
+//! * **Owner-driven** — sending, receiving, `disconnect` and `shutdown`
+//!   accept, admit, read, flush and close on the caller's thread. The set
+//!   makes progress only while its owner is inside one of those calls; in
+//!   between, the kernel buffers whatever peers send and holds dialers in
+//!   the accept queue (its backlog widened from std's 128 to 4096, so a
+//!   burst of joins waits there instead of retransmitting SYNs).
+//! * **Admission** — a connection's first frame decides whether it becomes
+//!   a peer: the plane's admission rule names the peer (and may answer),
+//!   and a name a live peer holds is refused. A refused connection, or one
+//!   still unadmitted at [`TcpConfig::handshake_timeout`], is closed and
+//!   counted ([`TransportStats::handshake_rejects`]); a waiting owner never
+//!   sleeps past the nearest deadline.
 //! * **Read** — each connection owns a [`FrameDecoder`]; whatever byte
 //!   chunk the socket yields (half a header, three coalesced frames) is
 //!   buffered and decoded incrementally, and complete messages queue as
-//!   [`TransportEvent`]s for the owner to take.
-//! * **Write** — a frame for a worker whose outbound queue is empty is
+//!   events for the owner to take.
+//! * **Write** — a frame for a peer whose outbound queue is empty is
 //!   written to the nonblocking socket at once. Only a tail the socket
 //!   does not take now, and frames sent behind it, are queued; `EPOLLOUT`
 //!   is armed while a tail waits, and the queue is flushed with vectored
@@ -30,32 +36,27 @@
 //!   `writev`-style syscall. A broadcast (one [`Frame`] to N workers)
 //!   writes or queues the same shared bytes (`Arc<[u8]>`): serialized
 //!   once, not N times.
-//! * **Backpressure** — each worker's outbound queue is bounded
+//! * **Backpressure** — each peer's outbound queue is bounded
 //!   ([`TcpConfig::max_queued_bytes`]). A send to a full queue keeps the
-//!   loop turning — reading every worker's frames into the pending events
-//!   and flushing every writable queue, so no peer deadlocks on a manager
+//!   loop turning — reading every peer's frames into the pending events
+//!   and flushing every writable queue, so no peer deadlocks on an owner
 //!   that stopped reading — until that queue has room or
-//!   [`TcpConfig::send_timeout`] passes; then that worker, and only that
-//!   worker, is closed as lost. A send that fails on the socket leaves its
-//!   frame queued, and the flush meets the error, so one place reports
-//!   [`TransportEvent::Left`].
-//! * **Handshake deadline** — a connection that dials in but never sends
-//!   `Join` is closed and counted ([`TransportStats::handshake_rejects`])
-//!   once [`TcpConfig::handshake_timeout`] passes: a waiting owner never
-//!   sleeps past the nearest deadline.
+//!   [`TcpConfig::send_timeout`] passes; then that peer, and only that
+//!   peer, is closed as lost.
 //!
-//! A connection dying — graceful leave, `kill -9`, mid-frame truncation —
-//! surfaces as [`TransportEvent::Left`], after every message already read
-//! from it, and feeds the runtime's requeue path. The worker side is
+//! A connection dying — graceful leave, `kill -9`, mid-frame truncation, a
+//! write error, the send deadline — surfaces as one `Left` event, after
+//! every message already read from it; for the manager it feeds the
+//! runtime's requeue path. The worker side is
 //! [`crate::transport::run_tcp_worker`]. Frames carry binary payloads
 //! ([`vine_proto::codec`]) with no version negotiation: a worker that
-//! still sends JSON frames fails the handshake on its first frame and is
-//! counted in `handshake_rejects`.
+//! still sends JSON frames fails the handshake on its first frame.
 
 use crate::transport::{
     RecvError, Transport, TransportEvent, TransportStats, WorkerTransportStats,
 };
 use epoll::{Epoll, Event, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use serde::Deserialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -63,21 +64,20 @@ use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vine_core::ids::WorkerId;
-use vine_core::resources::Resources;
 use vine_core::{Result, VineError};
 use vine_proto::{encode_frame, Frame, FrameDecoder, ManagerToWorker, WorkerToManager};
 
-/// Tuning knobs of the reactor backend. The defaults serve a real fleet;
+/// Tuning knobs of a connection set. The defaults serve a real fleet;
 /// tests shrink them to provoke the edge paths quickly.
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
-    /// How long a freshly accepted connection may sit without sending
-    /// `Join` before it is closed and counted as rejected.
+    /// How long a freshly accepted connection may sit without being
+    /// admitted before it is closed and counted as rejected.
     pub handshake_timeout: Duration,
-    /// Outbound queue bound per worker, in bytes. A send beyond it waits,
-    /// turning the loop, until that worker's queue drains.
+    /// Outbound queue bound per peer, in bytes. A send beyond it waits,
+    /// turning the loop, until that peer's queue drains.
     pub max_queued_bytes: usize,
-    /// How long a send may wait on a full queue before the worker is
+    /// How long a send may wait on a full queue before the peer is
     /// declared lost.
     pub send_timeout: Duration,
 }
@@ -91,6 +91,14 @@ impl Default for TcpConfig {
         }
     }
 }
+
+/// The manager side of the TCP backend: bind once, let workers dial in,
+/// serve thousands of them from the owner's thread.
+pub type TcpTransport = ConnSet<WorkerToManager, WorkerId>;
+
+/// A plane's admission rule: name the peer a first frame admits, given the
+/// count admitted before it, and the frame that answers it — or `None`.
+pub(crate) type Admit<M, K> = fn(&M, u32) -> Option<(K, Option<Vec<u8>>)>;
 
 /// The listener's accept queue: room for a whole burst of dialers while
 /// the owner is busy elsewhere (Linux caps it at `net.core.somaxconn`).
@@ -115,16 +123,26 @@ const MAX_IOVECS: usize = 64;
 /// the rest on the next turn.
 const MAX_EVENTS: usize = 256;
 
-/// How long shutdown waits for outbound queues (the `Shutdown` broadcast
+/// How long shutdown waits for outbound queues (the farewell broadcast
 /// included) to drain before closing sockets anyway.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// What a connection set tells its owner.
+pub(crate) enum PeerEvent<M, K> {
+    /// A connection's first frame, `first`, admitted it as `peer`.
+    Joined { peer: K, first: M },
+    /// An admitted peer sent a message.
+    Message { peer: K, msg: M },
+    /// An admitted peer's connection is closed, after its last message.
+    Left { peer: K },
+}
+
 /// One live connection.
-struct Conn {
+struct Conn<K> {
     stream: TcpStream,
-    /// `None` until the `Join` handshake lands.
-    worker: Option<WorkerId>,
-    /// Join-or-die deadline, read only while `worker` is `None`.
+    /// The peer's name and meter index; `None` until it is admitted.
+    peer: Option<(K, usize)>,
+    /// Admit-or-die deadline, read only while `peer` is `None`.
     deadline: Instant,
     decoder: FrameDecoder,
     /// Frames the socket has not taken yet; the front one may be partially
@@ -136,7 +154,7 @@ struct Conn {
     queued: usize,
 }
 
-impl Conn {
+impl<K> Conn<K> {
     /// Write as much of the queue as the socket accepts, coalescing queued
     /// frames into vectored writes. `Ok(true)` once the queue is empty,
     /// `Ok(false)` if the socket would block first.
@@ -177,20 +195,20 @@ impl Conn {
     }
 }
 
-/// Why a connection is being closed — controls which events surface.
+/// Why a connection is closed — controls which events surface.
 enum Close {
-    /// A joined worker is gone: emit [`TransportEvent::Left`].
+    /// An admitted peer is gone: emit [`PeerEvent::Left`].
     Lost,
-    /// Handshake never completed (timeout or a non-`Join` first message):
-    /// count the rejection, emit nothing.
+    /// Never admitted (timeout or a first frame the rule refused): count
+    /// the rejection, emit nothing.
     Rejected,
     /// Deliberate teardown (shutdown): emit nothing.
     Quiet,
 }
 
-/// The manager side of the TCP backend: bind once, let workers dial in,
-/// serve thousands of them from the owner's thread.
-pub struct TcpTransport {
+/// Every connection of one protocol plane, served from its owner's
+/// thread: peers send `M`s and are named by `K`s.
+pub struct ConnSet<M: Deserialize, K: Copy + Ord> {
     cfg: TcpConfig,
     local_addr: SocketAddr,
     ep: Epoll,
@@ -199,21 +217,24 @@ pub struct TcpTransport {
     /// `None` once shut down: nobody is admitted any more.
     listener: Option<TcpListener>,
     /// Connections by slot (token − [`TOKEN_CONNS`]), with a free list.
-    conns: Vec<Option<Conn>>,
+    conns: Vec<Option<Conn<K>>>,
     free: Vec<usize>,
-    by_worker: BTreeMap<WorkerId, usize>,
-    /// `(deadline, slot)` of each connection accepted without a `Join`
+    by_peer: BTreeMap<K, usize>,
+    /// `(deadline, slot)` of each connection accepted and not admitted
     /// yet, in accept order, which is deadline order. An entry whose slot
-    /// has joined, closed or been reused is stale and skipped.
+    /// has been admitted, closed or reused is stale and skipped.
     handshakes: VecDeque<(Instant, usize)>,
     /// Events read and not yet taken by the owner.
-    events: VecDeque<TransportEvent>,
-    /// One per admitted worker, indexed by its id: the lifetime traffic
-    /// meter, which outlives the connection.
+    events: VecDeque<PeerEvent<M, K>>,
+    /// Each admitted peer's lifetime traffic meter, which outlives its
+    /// connection, in admission order (a worker's id indexes its own).
     meters: Vec<WorkerTransportStats>,
     handshake_rejects: u64,
     /// What each socket read lands in before the decoder buffers it.
     scratch: Box<[u8]>,
+    admit: Admit<M, K>,
+    /// The frame shutdown sends every admitted peer.
+    farewell: Arc<[u8]>,
 }
 
 impl TcpTransport {
@@ -223,15 +244,39 @@ impl TcpTransport {
         TcpTransport::listen_with(addr, TcpConfig::default())
     }
 
-    /// Bind with explicit reactor tuning.
+    /// Bind with explicit tuning.
     pub fn listen_with(addr: impl ToSocketAddrs, cfg: TcpConfig) -> std::io::Result<TcpTransport> {
+        let farewell = encode_frame(&ManagerToWorker::Shutdown).expect("shutdown encodes");
+        ConnSet::bind(addr, cfg, admit_worker, farewell)
+    }
+}
+
+/// §3.5 step 1: a worker's first frame must be `Join`. It is named by its
+/// admission order and welcomed by that name.
+fn admit_worker(first: &WorkerToManager, index: u32) -> Option<(WorkerId, Option<Vec<u8>>)> {
+    matches!(first, WorkerToManager::Join { .. }).then(|| {
+        let worker = WorkerId(index);
+        let welcome = encode_frame(&ManagerToWorker::Welcome { worker }).expect("welcome encodes");
+        (worker, Some(welcome))
+    })
+}
+
+impl<M: Deserialize, K: Copy + Ord> ConnSet<M, K> {
+    /// Bind `addr` and admit connections by `admit`; `farewell` is the
+    /// frame [`ConnSet::shutdown`] sends every peer.
+    pub(crate) fn bind(
+        addr: impl ToSocketAddrs,
+        cfg: TcpConfig,
+        admit: Admit<M, K>,
+        farewell: Vec<u8>,
+    ) -> std::io::Result<ConnSet<M, K>> {
         let listener = TcpListener::bind(addr)?;
         epoll::set_listen_backlog(&listener, LISTEN_BACKLOG)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let ep = Epoll::new()?;
         ep.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        Ok(TcpTransport {
+        Ok(ConnSet {
             cfg,
             local_addr,
             ep,
@@ -239,56 +284,57 @@ impl TcpTransport {
             listener: Some(listener),
             conns: Vec::new(),
             free: Vec::new(),
-            by_worker: BTreeMap::new(),
+            by_peer: BTreeMap::new(),
             handshakes: VecDeque::new(),
             events: VecDeque::new(),
             meters: Vec::new(),
             handshake_rejects: 0,
             scratch: vec![0; READ_CHUNK].into_boxed_slice(),
+            admit,
+            farewell: farewell.into(),
         })
     }
 
-    /// The address workers should dial (resolves `:0` bindings).
+    /// The address peers should dial (resolves `:0` bindings).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
-    /// Send one encoded frame to a worker once its queue admits it. An
-    /// empty queue always admits one frame, even an oversized one —
-    /// otherwise a frame bigger than the bound could never be sent. A full
-    /// queue turns the loop until it has room, or closes the worker as
-    /// lost at the send deadline.
-    fn send_bytes<B: AsRef<[u8]> + Into<Arc<[u8]>>>(
+    /// Send one encoded frame to a peer once its queue admits it; `false`
+    /// if the peer is gone. An empty queue always admits one frame, even
+    /// an oversized one — otherwise a frame bigger than the bound could
+    /// never be sent. A full queue turns the loop until it has room, or
+    /// closes the peer as lost at the send deadline.
+    pub(crate) fn send_bytes<B: AsRef<[u8]> + Into<Arc<[u8]>>>(
         &mut self,
-        worker: WorkerId,
+        peer: K,
         frame: B,
-    ) -> Result<()> {
+    ) -> bool {
         let len = frame.as_ref().len();
         let mut deadline = None;
         loop {
-            let slot = *self
-                .by_worker
-                .get(&worker)
-                .ok_or(VineError::WorkerLost(worker))?;
+            let Some(&slot) = self.by_peer.get(&peer) else {
+                return false;
+            };
             let queued = self.conns[slot].as_ref().map_or(0, |c| c.queued);
             if queued == 0 || queued + len <= self.cfg.max_queued_bytes {
                 self.write_or_queue(slot, frame);
-                return Ok(());
+                return true;
             }
             let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.cfg.send_timeout);
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                // the worker has not drained its queue within the send
-                // budget: declare it lost so its in-flight work requeues
+                // the peer has not drained its queue within the send
+                // budget: declare it lost so its in-flight work goes
                 // elsewhere
                 self.close(slot, Close::Lost);
-                return Err(VineError::WorkerLost(worker));
+                return false;
             }
             self.turn(left);
         }
     }
 
-    /// Write a frame to a joined worker's socket when nothing is queued
+    /// Write a frame to an admitted peer's socket when nothing is queued
     /// ahead of it; otherwise, and for whatever part the socket does not
     /// take now, queue it and arm `EPOLLOUT`. A frame written whole is
     /// never charged. A write error also leaves the frame queued: the
@@ -297,8 +343,8 @@ impl TcpTransport {
         let conn = self.conns[slot]
             .as_mut()
             .expect("writing to a live connection");
-        let worker = conn.worker.expect("only joined workers are written to");
-        let meter = &mut self.meters[worker.0 as usize];
+        let (_, meter) = conn.peer.expect("only admitted peers are written to");
+        let meter = &mut self.meters[meter];
         let len = frame.as_ref().len();
         if conn.queue.is_empty() {
             let wrote = loop {
@@ -323,6 +369,30 @@ impl TcpTransport {
         conn.queued += len;
         meter.queue_hwm_bytes = meter.queue_hwm_bytes.max(conn.queued as u64);
         conn.queue.push_back(frame.into());
+    }
+
+    /// Wait up to `timeout` for the next event. `Closed` once shut down
+    /// and every event read before is taken.
+    pub(crate) fn next_event(
+        &mut self,
+        timeout: Duration,
+    ) -> std::result::Result<PeerEvent<M, K>, RecvError> {
+        let deadline = Instant::now().checked_add(timeout);
+        loop {
+            if let Some(ev) = self.events.pop_front() {
+                return Ok(ev);
+            }
+            if self.listener.is_none() {
+                return Err(RecvError::Closed);
+            }
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            self.turn(left);
+            if left.is_zero() && self.events.is_empty() {
+                return Err(RecvError::Timeout);
+            }
+        }
     }
 
     /// One turn of the loop: wait up to `timeout`, cut short by the
@@ -372,7 +442,7 @@ impl TcpTransport {
             let deadline = Instant::now() + self.cfg.handshake_timeout;
             self.conns[slot] = Some(Conn {
                 stream,
-                worker: None,
+                peer: None,
                 deadline,
                 decoder: FrameDecoder::new(),
                 queue: VecDeque::new(),
@@ -384,13 +454,13 @@ impl TcpTransport {
     }
 
     /// Drop stale entries off the front of the handshake queue and close
-    /// every connection whose deadline has passed without a `Join`.
+    /// every connection whose deadline has passed unadmitted.
     fn reap_handshakes(&mut self) {
         let now = Instant::now();
         while let Some(&(deadline, slot)) = self.handshakes.front() {
             let waiting = matches!(
                 &self.conns[slot],
-                Some(c) if c.worker.is_none() && c.deadline == deadline
+                Some(c) if c.peer.is_none() && c.deadline == deadline
             );
             if waiting && deadline > now {
                 break;
@@ -422,7 +492,7 @@ impl TcpTransport {
             let n = match (&conn.stream).read(&mut self.scratch) {
                 Ok(0) => {
                     // peer closed; whether it is a crash or a graceful
-                    // leave, the worker is gone
+                    // leave, the peer is gone
                     self.close(slot, Close::Lost);
                     return;
                 }
@@ -434,8 +504,8 @@ impl TcpTransport {
                     return;
                 }
             };
-            if let Some(worker) = conn.worker {
-                self.meters[worker.0 as usize].bytes_in += n as u64;
+            if let Some((_, meter)) = conn.peer {
+                self.meters[meter].bytes_in += n as u64;
             }
             conn.decoder.extend(&self.scratch[..n]);
             // a short read drained the socket: level-triggered epoll
@@ -447,31 +517,31 @@ impl TcpTransport {
     }
 
     /// Decode every complete frame buffered on `slot`. Returns false if
-    /// the connection was closed (handshake violation or garbage bytes).
+    /// the connection was closed (refused first frame or garbage bytes).
     fn decode(&mut self, slot: usize) -> bool {
         loop {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return false;
             };
-            match (conn.decoder.decode::<WorkerToManager>(), conn.worker) {
+            match (conn.decoder.decode::<M>(), conn.peer) {
                 (Ok(None), _) => return true,
-                (Ok(Some(msg)), Some(worker)) => {
-                    self.meters[worker.0 as usize].frames_in += 1;
-                    self.events
-                        .push_back(TransportEvent::Message { worker, msg });
+                (Ok(Some(msg)), Some((peer, meter))) => {
+                    self.meters[meter].frames_in += 1;
+                    self.events.push_back(PeerEvent::Message { peer, msg });
                 }
-                // §3.5 step 1: the first frame must be Join
-                (Ok(Some(WorkerToManager::Join { resources })), None) => {
-                    self.admit(slot, resources)
-                }
-                (Ok(Some(_)), None) => {
-                    self.close(slot, Close::Rejected);
-                    return false;
-                }
+                (Ok(Some(first)), None) => match (self.admit)(&first, self.meters.len() as u32) {
+                    Some((peer, welcome)) if !self.by_peer.contains_key(&peer) => {
+                        self.admitted(slot, peer, welcome, first)
+                    }
+                    _ => {
+                        self.close(slot, Close::Rejected);
+                        return false;
+                    }
+                },
                 // unframeable garbage or an oversized header: the stream
                 // cannot be resynchronized
-                (Err(_), worker) => {
-                    let why = if worker.is_some() {
+                (Err(_), peer) => {
+                    let why = if peer.is_some() {
                         Close::Lost
                     } else {
                         Close::Rejected
@@ -483,28 +553,24 @@ impl TcpTransport {
         }
     }
 
-    /// Admit a handshaking connection: assign a [`WorkerId`], start its
-    /// meter, send `Welcome`, announce the join.
-    fn admit(&mut self, slot: usize, resources: Resources) {
-        let worker = WorkerId(self.meters.len() as u32);
+    /// Make a handshaking connection the peer `peer`: start its meter,
+    /// answer it, announce the join.
+    fn admitted(&mut self, slot: usize, peer: K, welcome: Option<Vec<u8>>, first: M) {
+        let meter = self.meters.len();
         self.meters.push(WorkerTransportStats {
-            worker,
-            frames_in: 0,
-            frames_out: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            queue_hwm_bytes: 0,
+            worker: WorkerId(meter as u32),
             alive: true,
+            ..Default::default()
         });
-        self.by_worker.insert(worker, slot);
+        self.by_peer.insert(peer, slot);
         self.conns[slot]
             .as_mut()
             .expect("admitting a live connection")
-            .worker = Some(worker);
-        let welcome = encode_frame(&ManagerToWorker::Welcome { worker }).expect("welcome encodes");
-        self.write_or_queue(slot, welcome);
-        self.events
-            .push_back(TransportEvent::Joined { worker, resources });
+            .peer = Some((peer, meter));
+        if let Some(welcome) = welcome {
+            self.write_or_queue(slot, welcome);
+        }
+        self.events.push_back(PeerEvent::Joined { peer, first });
     }
 
     /// Flush `slot`'s outbound queue, and disarm `EPOLLOUT` once it is
@@ -513,10 +579,10 @@ impl TcpTransport {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        let Some(worker) = conn.worker else {
-            return; // nothing is written before the handshake
+        let Some((_, meter)) = conn.peer else {
+            return; // nothing is written before admission
         };
-        match conn.flush(&mut self.meters[worker.0 as usize]) {
+        match conn.flush(&mut self.meters[meter]) {
             Ok(true) => {
                 let _ = self.ep.modify(
                     conn.stream.as_raw_fd(),
@@ -535,12 +601,12 @@ impl TcpTransport {
         };
         let _ = self.ep.delete(conn.stream.as_raw_fd());
         self.free.push(slot);
-        match conn.worker {
-            Some(worker) => {
-                self.by_worker.remove(&worker);
-                self.meters[worker.0 as usize].alive = false;
+        match conn.peer {
+            Some((peer, meter)) => {
+                self.by_peer.remove(&peer);
+                self.meters[meter].alive = false;
                 if matches!(why, Close::Lost) {
-                    self.events.push_back(TransportEvent::Left { worker });
+                    self.events.push_back(PeerEvent::Left { peer });
                 }
             }
             None if matches!(why, Close::Rejected) => self.handshake_rejects += 1,
@@ -548,69 +614,26 @@ impl TcpTransport {
         }
         // dropping `conn` closes the socket and its unwritten frames
     }
-}
 
-impl Transport for TcpTransport {
-    fn send(&mut self, worker: WorkerId, msg: ManagerToWorker) -> Result<()> {
-        let frame =
-            encode_frame(&msg).map_err(|e| VineError::Protocol(format!("encoding frame: {e}")))?;
-        self.send_bytes(worker, frame)
-    }
-
-    fn send_frame(&mut self, worker: WorkerId, frame: &Frame) -> Result<()> {
-        // the serialize-once path: the frame was encoded by the caller,
-        // possibly for many recipients; a queued copy is a shared reference
-        self.send_bytes(worker, Arc::clone(frame.bytes()))
-    }
-
-    fn recv_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> std::result::Result<TransportEvent, RecvError> {
-        let deadline = Instant::now().checked_add(timeout);
-        loop {
-            if let Some(ev) = self.events.pop_front() {
-                return Ok(ev);
-            }
-            if self.listener.is_none() {
-                return Err(RecvError::Closed);
-            }
-            let left = deadline.map_or(Duration::MAX, |d| {
-                d.saturating_duration_since(Instant::now())
-            });
-            self.turn(left);
-            if left.is_zero() && self.events.is_empty() {
-                return Err(RecvError::Timeout);
-            }
-        }
-    }
-
-    fn try_recv(&mut self) -> Option<TransportEvent> {
-        if self.events.is_empty() && self.listener.is_some() {
-            self.turn(Duration::ZERO);
-        }
-        self.events.pop_front()
-    }
-
-    fn disconnect(&mut self, worker: WorkerId) {
-        if let Some(&slot) = self.by_worker.get(&worker) {
+    /// Close a peer's connection as lost: its `Left` event follows.
+    pub fn disconnect(&mut self, peer: K) {
+        if let Some(&slot) = self.by_peer.get(&peer) {
             self.close(slot, Close::Lost);
         }
     }
 
-    /// Encode `Shutdown` once and send the same bytes to every joined
-    /// worker, drain until the queues are empty or [`DRAIN_TIMEOUT`]
-    /// passes, then close every socket and the listener.
-    fn shutdown(&mut self) {
+    /// Send the farewell frame to every admitted peer, drain until the
+    /// queues are empty or [`DRAIN_TIMEOUT`] passes, then close every
+    /// socket and the listener. Idempotent.
+    pub fn shutdown(&mut self) {
         if self.listener.take().is_none() {
             return;
         }
-        let frame = Frame::encode_once(ManagerToWorker::Shutdown).expect("shutdown encodes");
         for slot in 0..self.conns.len() {
-            match self.conns[slot].as_ref().map(|c| c.worker.is_some()) {
-                Some(true) => self.write_or_queue(slot, Arc::clone(frame.bytes())),
-                // never completed the handshake and the fleet is going
-                // away: not a protocol violation, just a quiet close
+            match self.conns[slot].as_ref().map(|c| c.peer.is_some()) {
+                Some(true) => self.write_or_queue(slot, Arc::clone(&self.farewell)),
+                // never admitted and the set is going away: not a
+                // protocol violation, just a quiet close
                 Some(false) => self.close(slot, Close::Quiet),
                 None => {}
             }
@@ -629,7 +652,9 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn stats(&self) -> TransportStats {
+    /// Every admitted peer's traffic meter, in admission order, and the
+    /// connections rejected unadmitted.
+    pub fn stats(&self) -> TransportStats {
         TransportStats {
             workers: self.meters.clone(),
             handshake_rejects: self.handshake_rejects,
@@ -637,7 +662,64 @@ impl Transport for TcpTransport {
     }
 }
 
-impl Drop for TcpTransport {
+/// A worker-plane event as the runtime sees it.
+fn worker_event(ev: PeerEvent<WorkerToManager, WorkerId>) -> TransportEvent {
+    match ev {
+        PeerEvent::Joined {
+            peer: worker,
+            first: WorkerToManager::Join { resources },
+        } => TransportEvent::Joined { worker, resources },
+        PeerEvent::Joined { .. } => unreachable!("only Join admits a worker"),
+        PeerEvent::Message { peer: worker, msg } => TransportEvent::Message { worker, msg },
+        PeerEvent::Left { peer: worker } => TransportEvent::Left { worker },
+    }
+}
+
+impl Transport for TcpTransport {
+    fn send(&mut self, worker: WorkerId, msg: ManagerToWorker) -> Result<()> {
+        let frame =
+            encode_frame(&msg).map_err(|e| VineError::Protocol(format!("encoding frame: {e}")))?;
+        self.send_bytes(worker, frame)
+            .then_some(())
+            .ok_or(VineError::WorkerLost(worker))
+    }
+
+    fn send_frame(&mut self, worker: WorkerId, frame: &Frame) -> Result<()> {
+        // the serialize-once path: the frame was encoded by the caller,
+        // possibly for many recipients; a queued copy is a shared reference
+        self.send_bytes(worker, Arc::clone(frame.bytes()))
+            .then_some(())
+            .ok_or(VineError::WorkerLost(worker))
+    }
+
+    fn recv_timeout(
+        &mut self,
+        timeout: Duration,
+    ) -> std::result::Result<TransportEvent, RecvError> {
+        self.next_event(timeout).map(worker_event)
+    }
+
+    fn try_recv(&mut self) -> Option<TransportEvent> {
+        if self.events.is_empty() && self.listener.is_some() {
+            self.turn(Duration::ZERO);
+        }
+        self.events.pop_front().map(worker_event)
+    }
+
+    fn disconnect(&mut self, worker: WorkerId) {
+        ConnSet::disconnect(self, worker)
+    }
+
+    fn shutdown(&mut self) {
+        ConnSet::shutdown(self)
+    }
+
+    fn stats(&self) -> TransportStats {
+        ConnSet::stats(self)
+    }
+}
+
+impl<M: Deserialize, K: Copy + Ord> Drop for ConnSet<M, K> {
     fn drop(&mut self) {
         self.shutdown();
     }

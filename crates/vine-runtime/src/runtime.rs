@@ -374,43 +374,38 @@ impl Runtime {
             TransportEvent::Left { worker } => {
                 self.mgr.worker_left(worker);
             }
-            TransportEvent::Message { worker, msg } => {
-                if !self.mgr.workers.contains_key(&worker) {
-                    // stragglers from a worker we already gave up on
-                    return Ok(());
-                }
-                match msg {
-                    WorkerToManager::LibraryReady { instance } => {
-                        self.mgr.library_ready(worker, instance)?;
-                    }
-                    WorkerToManager::LibraryFailed { instance, error } => {
-                        self.mgr.library_startup_failed(worker, instance, &error)?;
-                    }
-                    WorkerToManager::UnitDone { outcome } => {
-                        // a result counts only from the worker the unit is
-                        // placed on; anything else is stale and dropped
-                        if self.mgr.unit_finished(worker, outcome.unit)?.is_some() {
-                            self.outcomes.push(outcome);
-                        }
-                    }
-                    WorkerToManager::Requeue { unit } => {
-                        self.mgr.unit_handed_back(worker, unit)?;
-                    }
-                    WorkerToManager::Leave => {
-                        self.transport.disconnect(worker);
-                        self.mgr.worker_left(worker);
-                    }
-                    WorkerToManager::Join { .. } => {
-                        // joins are transport-level handshakes; a repeat on
-                        // an admitted connection is a protocol violation
-                        return Err(VineError::Protocol(format!(
-                            "unexpected Join from admitted worker {worker}"
-                        )));
-                    }
-                }
-            }
+            // stragglers from a worker we already gave up on
+            TransportEvent::Message { worker, .. } if !self.mgr.workers.contains_key(&worker) => {}
+            TransportEvent::Message { worker, msg } => match self.message(worker, msg) {
+                // a frame the manager refuses costs its sender, not the run
+                Err(VineError::Protocol(_) | VineError::WorkerLost(_)) => self.kill_worker(worker),
+                handled => return handled,
+            },
         }
         Ok(())
+    }
+
+    fn message(&mut self, worker: WorkerId, msg: WorkerToManager) -> Result<()> {
+        match msg {
+            WorkerToManager::LibraryReady { instance } => self.mgr.library_ready(worker, instance),
+            WorkerToManager::LibraryFailed { instance, error } => {
+                self.mgr.library_startup_failed(worker, instance, &error)
+            }
+            WorkerToManager::UnitDone { outcome } => {
+                // a result counts only from the worker the unit is placed
+                // on; anything else is stale and dropped
+                if self.mgr.unit_finished(worker, outcome.unit)?.is_some() {
+                    self.outcomes.push(outcome);
+                }
+                Ok(())
+            }
+            WorkerToManager::Requeue { unit } => self.mgr.unit_handed_back(worker, unit).map(drop),
+            // a worker that leaves is gone, and so is one that joins again:
+            // joins are transport-level handshakes
+            WorkerToManager::Leave | WorkerToManager::Join { .. } => {
+                Err(VineError::WorkerLost(worker))
+            }
+        }
     }
 
     /// Hit/miss counters of the manager's compiled-image store: misses are

@@ -109,7 +109,7 @@ pub trait Transport: Send {
 /// Lifetime traffic counters for one worker connection, as metered by the
 /// transport. Counters survive the worker's death so a post-run snapshot
 /// covers the whole fleet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerTransportStats {
     pub worker: WorkerId,
     /// Complete frames decoded from this worker.

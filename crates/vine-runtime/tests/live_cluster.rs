@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vine_core::context::{ContextSpec, LibrarySpec, SetupSpec};
-use vine_core::ids::{ContentHash, InvocationId, TaskId, WorkerId};
+use vine_core::ids::{ContentHash, InvocationId, LibraryInstanceId, TaskId, WorkerId};
 use vine_core::resources::Resources;
 use vine_core::task::{ExecMode, FunctionCall, Outcome, TaskSpec, UnitId, WorkUnit};
 use vine_core::VineError;
@@ -453,6 +453,14 @@ enum Tampering {
     HandBackOnce,
     /// Another worker reports a forged result for the call.
     ForgeResult,
+    /// The worker the call is first sent to sends `Join` again.
+    RepeatJoin,
+    /// The worker the call is first sent to reports an instance it is not
+    /// starting ready.
+    StrayReady,
+    /// The worker the call is first sent to reports an instance it is not
+    /// starting failed.
+    StrayFailed,
 }
 
 /// In-process workers behind a transport that tampers with the traffic of
@@ -515,6 +523,22 @@ impl Transport for Tamper {
                 return Ok(());
             }
             Tampering::HandBackOnce => {}
+            Tampering::RepeatJoin | Tampering::StrayReady | Tampering::StrayFailed if sent == 1 => {
+                let stray = LibraryInstanceId(u64::MAX);
+                let frame = match self.mode {
+                    Tampering::RepeatJoin => WorkerToManager::Join {
+                        resources: Resources::new(8, 1024, 1024),
+                    },
+                    Tampering::StrayReady => WorkerToManager::LibraryReady { instance: stray },
+                    _ => WorkerToManager::LibraryFailed {
+                        instance: stray,
+                        error: "forged".into(),
+                    },
+                };
+                self.injected
+                    .push_back(TransportEvent::Message { worker, msg: frame });
+            }
+            Tampering::RepeatJoin | Tampering::StrayReady | Tampering::StrayFailed => {}
             Tampering::ForgeResult => {
                 let forged = pickle::serialize_value(&Value::Int(-1)).unwrap();
                 let msg = WorkerToManager::UnitDone {
@@ -617,4 +641,30 @@ fn a_result_from_a_worker_the_call_is_not_placed_on_is_dropped() {
     );
     assert_eq!(*sent.lock().unwrap(), 1);
     rt.shutdown();
+}
+
+#[test]
+fn a_worker_frame_the_manager_refuses_costs_that_worker_not_the_run() {
+    for mode in [
+        Tampering::RepeatJoin,
+        Tampering::StrayReady,
+        Tampering::StrayFailed,
+    ] {
+        let (mut rt, sent) = Tamper::cluster(2, 2, mode);
+        for i in 0..8 {
+            rt.submit(call(i, "f", i as i64));
+        }
+        let mut outcomes = rt.run_until_idle().unwrap();
+        outcomes.sort_by_key(|o| o.unit);
+        let values: Vec<Value> = outcomes.iter().map(|o| decode_result(o).unwrap()).collect();
+        let expected: Vec<Value> = (0..8).map(|i| Value::Int(3000 + i)).collect();
+        assert_eq!(values, expected, "every call's value, exactly once");
+        assert_eq!(
+            *sent.lock().unwrap(),
+            2,
+            "sent, then sent again to the survivor"
+        );
+        assert_eq!(rt.worker_capacities().len(), 1, "the sender was closed");
+        rt.shutdown();
+    }
 }

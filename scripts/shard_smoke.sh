@@ -13,6 +13,13 @@
 # units are provably still in flight when the kill lands — no timing
 # window to race.
 #
+# Round 3 stops a shard without killing it: with --libs 8 --n 40000, the
+# shard that owns lnni-0 stays SIGSTOPped from the moment it joins, and
+# the router must still report every unit routed ("# routed 40000
+# submission(s)") within 10 s — a router that blocked in a write to the
+# stopped shard never gets there. The shard is then SIGCONTed and the
+# digest must byte-match `repro serve --local --n 40000`.
+#
 # Usage: scripts/shard_smoke.sh [path-to-repro]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -100,3 +107,44 @@ grep -qE "re-routing [1-9]" "$tmp/kill.err" || {
     exit 1
 }
 echo "shard smoke: OK (shard killed -9 mid-run; in-flight ledger re-routed, results identical)"
+
+# ---- round 3: SIGSTOP (not kill) the shard that owns lnni-0 ----------
+N3=40000
+"$REPRO" serve --local --workers 2 --n $N3 > "$tmp/local3.txt" 2>/dev/null
+PORT=$((PORT + 1))
+ADDR="127.0.0.1:$PORT"
+"$REPRO" route --listen "$ADDR" --shards 2 --n $N3 --libs 8 \
+    > "$tmp/stop.txt" 2> "$tmp/stop.err" &
+router=$!
+pids+=("$router")
+wait_for "$tmp/stop.err" "listening"
+# the router names lnni-0's owner only once both shards joined, so each is
+# frozen the moment it joins and the other one is let go afterwards
+shard_pid=()
+for sid in 0 1; do
+    "$REPRO" serve --shard "$sid" --router "$ADDR" --workers 1 --libs 8 \
+        2> "$tmp/stop-s$sid.err" &
+    shard_pid[$sid]=$!
+    pids+=("$!")
+    wait_for "$tmp/stop-s$sid.err" "joined router"
+    kill -STOP "${shard_pid[$sid]}"
+done
+wait_for "$tmp/stop.err" "# route: lnni-0 ->"
+owner="$(grep -oE 'lnni-0 -> s[0-9]+$' "$tmp/stop.err" | grep -oE '[0-9]+$')"
+kill -CONT "${shard_pid[$((1 - owner))]}"
+# wait_for polls for 10 s: the router must route every unit while the
+# owner of lnni-0 stays stopped
+wait_for "$tmp/stop.err" "# routed $N3 submission(s)" || {
+    kill -CONT "${shard_pid[$owner]}"
+    echo "router never finished routing while shard s$owner was stopped" >&2
+    exit 1
+}
+kill -CONT "${shard_pid[$owner]}"
+wait "$router"
+
+cmp "$tmp/local3.txt" "$tmp/stop.txt" || {
+    echo "digest after a stopped shard resumed differs from single-manager digest" >&2
+    diff "$tmp/local3.txt" "$tmp/stop.txt" | head >&2 || true
+    exit 1
+}
+echo "shard smoke: OK (shard s$owner stopped mid-run; router routed all $N3 units, results identical)"

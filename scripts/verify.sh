@@ -9,7 +9,9 @@
 # loopback smoke (a multi-process run over framed sockets must byte-match
 # the in-process run, with and without a worker killed mid-run), the
 # federated-sharding smoke (router + 2 shard processes byte-match the
-# single manager, with and without a shard killed -9 mid-run), a live
+# single manager, with and without a shard killed -9 mid-run, and a
+# SIGSTOP round in which the router must route all 40000 units while the
+# shard owning lnni-0 stays stopped, then match once it resumes), a live
 # end-to-end smoke of the livebench workloads (livebench/ is left as
 # committed), and the benchmark trajectory table merged from every
 # committed BENCH_*.json. Smoke-scale
