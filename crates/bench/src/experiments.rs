@@ -976,11 +976,11 @@ pub fn perf_sim(scale: f64) -> Table {
 /// `perf --lang`: vine-lang invocation-path self-benchmark (not a paper
 /// figure).
 ///
-/// Boots the `overhead_modes` microbenchmark library — `context_setup`
-/// builds a 512-entry table of squares, `lookup` indexes it — into two
-/// retained interpreters, one on the tree-walking evaluator and one on
-/// the bytecode VM, then drives the same invocation stream through both
-/// via `call_global`: exactly the path a warm library daemon serves
+/// Boots a microbenchmark library — `context_setup` builds a 512-entry
+/// table of squares, `lookup` indexes it — into two retained
+/// interpreters, one on the tree-walking evaluator and one on the
+/// bytecode VM, then drives the same invocation stream through both via
+/// `call_global`: exactly the path a warm library daemon serves
 /// (§3.4 step 3). Both engines must produce identical results (the
 /// 256-case differential proptest in vine-lang pins full bit-equality);
 /// results are also written to `BENCH_lang.json`.
@@ -988,10 +988,10 @@ pub fn perf_lang(scale: f64) -> Table {
     use vine_lang::{compile_module, parse, Engine, Interp, Value};
 
     const TABLE_N: i64 = 512;
-    // A representative library module: retained-context setup + lookup (the
-    // overhead_modes shape) plus a handful of pure kernels of the kind a
-    // funcX-style stateless task ships — enough code that re-materializing
-    // it per invocation is the dominant cost of the stateless path.
+    // A representative library module: retained-context setup + lookup
+    // plus a handful of pure kernels of the kind a funcX-style stateless
+    // task ships — enough code that re-materializing it per invocation is
+    // the dominant cost of the stateless path.
     const MODULE_SRC: &str = "\
 def context_setup(n) {
     global table
@@ -1112,7 +1112,7 @@ def rescale(x, num, den) {
     // a fresh interpreter, then calls one pure kernel. The tree walker must
     // re-parse and re-walk the source each time; the VM boots from the
     // compiled module retained at install (content-addressed by source
-    // digest in `CompiledImageStore`, decoded once per distinct digest).
+    // digest, decoded once per distinct digest).
     fn time_stateless(calls: u64) -> (f64, f64) {
         const BATCHES: u64 = 16;
         let batch = (calls / BATCHES).max(1);

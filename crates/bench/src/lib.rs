@@ -4,9 +4,9 @@
 //! figure of the paper's evaluation; [`table::Table`] is the common output
 //! shape (printable and JSON-serializable). [`live`] drives the live
 //! runtime over both transports (`repro serve` / `repro join` and the
-//! `--transport` flag). The `repro` binary dispatches by experiment id;
-//! the Criterion benches in `benches/` measure the latency-critical
-//! substrate paths and the DESIGN.md ablations.
+//! `--transport` flag). The `repro` binary dispatches by experiment id
+//! and runs the self-benchmarks (`repro perf`, `repro shard`) that write
+//! `BENCH_*.json`.
 
 pub mod experiments;
 pub mod live;

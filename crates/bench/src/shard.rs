@@ -204,7 +204,7 @@ pub fn route(listen: &str, shards: usize, n: u64, libs: u32) -> Result<String, V
     router.wait_for_shards(shards)?;
     let names = lnni_library_names(libs);
     for name in &names {
-        router.register_library(&crate::live::lnni_spec_named(name));
+        router.register_library(&crate::live::lnni_spec_named(name))?;
         // stderr breadcrumb: which shard owns each library's context — the
         // fault smoke reads this to pick its victim
         let probe = WorkUnit::Call(crate::live::lnni_call(u64::MAX, name)?);

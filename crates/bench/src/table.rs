@@ -1,9 +1,7 @@
 //! Common result table: printable, serializable, comparable.
 
-use serde::Serialize;
-
 /// One experiment's output: labeled rows of numeric columns.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table {
     pub id: String,
     pub title: String,
@@ -77,8 +75,80 @@ impl Table {
         println!("{}", self.render());
     }
 
+    /// The table as one pretty JSON object: fields in declaration order,
+    /// two-space indents, each row a `[label, [values…]]` pair.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("table serializes")
+        let mut out = String::from("{\n  \"id\": ");
+        push_json_string(&mut out, &self.id);
+        out.push_str(",\n  \"title\": ");
+        push_json_string(&mut out, &self.title);
+        out.push_str(",\n  \"columns\": ");
+        push_json_array(&mut out, 1, &self.columns, |out, c| {
+            push_json_string(out, c)
+        });
+        out.push_str(",\n  \"rows\": ");
+        push_json_array(&mut out, 1, &self.rows, |out, (label, values)| {
+            out.push_str("[\n      ");
+            push_json_string(out, label);
+            out.push_str(",\n      ");
+            push_json_array(out, 3, values, |out, v| out.push_str(&json_number(*v)));
+            out.push_str("\n    ]");
+        });
+        out.push_str(",\n  \"notes\": ");
+        push_json_array(&mut out, 1, &self.notes, |out, n| push_json_string(out, n));
+        out.push_str("\n}");
+        out
+    }
+}
+
+/// A JSON array nested `depth` levels deep: `[]` when empty, else one
+/// item a line, indented one level past the brackets.
+fn push_json_array<T>(
+    out: &mut String,
+    depth: usize,
+    items: &[T],
+    mut item: impl FnMut(&mut String, &T),
+) {
+    if items.is_empty() {
+        out.push_str("[]");
+        return;
+    }
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(depth + 1));
+        item(out, x);
+    }
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
+    out.push(']');
+}
+
+fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Whole floats keep a `.0` below 1e16; JSON has no NaN or infinity, so
+/// those print `null` and the document stays loadable.
+fn json_number(v: f64) -> String {
+    if !v.is_finite() {
+        "null".to_string()
+    } else if v == v.trunc() && v.abs() < 1e16 {
+        format!("{v:.1}")
+    } else {
+        format!("{v}")
     }
 }
 
@@ -112,5 +182,39 @@ mod tests {
         assert!(rendered.contains("4000"));
         assert!(rendered.contains("a note"));
         assert!(t.to_json().contains("\"id\": \"t1\""));
+    }
+
+    #[test]
+    fn json_matches_the_pinned_serde_json_rendering() {
+        // pinned: the text the serde_json shim printed for this table
+        let mut t = Table::new("t\"1", "a \\ b\u{1}\t", &["whole", "frac"]);
+        t.row("r1", vec![2.0, 0.125])
+            .row("r\"2", vec![f64::NAN, 1e16]);
+        let pinned = r#"{
+  "id": "t\"1",
+  "title": "a \\ b\u0001\t",
+  "columns": [
+    "whole",
+    "frac"
+  ],
+  "rows": [
+    [
+      "r1",
+      [
+        2.0,
+        0.125
+      ]
+    ],
+    [
+      "r\"2",
+      [
+        null,
+        10000000000000000
+      ]
+    ]
+  ],
+  "notes": []
+}"#;
+        assert_eq!(t.to_json(), pinned);
     }
 }

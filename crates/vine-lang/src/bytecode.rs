@@ -15,8 +15,8 @@
 //! library image as bytes, content-addressed by the digest of the source
 //! it was compiled from, and retained by the library daemon across
 //! invocations. [`to_bytes`]/[`from_bytes`] are the wire form, built on
-//! the bounded [`vine_core::wire`] core shared with pickles; `vine-data`'s
-//! image store dedups by digest.
+//! the bounded [`vine_core::wire`] core shared with pickles; the manager
+//! reuses an installed image whose source digest matches.
 
 use crate::ast::{BinOp, FuncDef, UnOp};
 use crate::value::Value;

@@ -98,6 +98,11 @@ impl ShardRouter {
             .insert(spec.name.clone(), spec.routing_digest());
     }
 
+    /// The registered libraries' names, in name order.
+    pub fn libraries(&self) -> impl Iterator<Item = &str> + '_ {
+        self.digests.keys().map(String::as_str)
+    }
+
     /// The ring position a unit routes from: the registered
     /// function-context digest for calls, the task name for stateless
     /// tasks (same-named tasks share cacheable inputs, so they co-locate).

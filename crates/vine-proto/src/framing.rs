@@ -200,15 +200,6 @@ impl Frame {
         &self.bytes
     }
 
-    /// Total on-wire size in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
     /// The typed message this frame encodes.
     pub fn message(&self) -> &ManagerToWorker {
         &self.msg
@@ -415,15 +406,15 @@ mod tests {
         let msg = WorkerToManager::Join {
             resources: Resources::new(8, 1024, 1024),
         };
+        let ready = WorkerToManager::LibraryReady {
+            instance: LibraryInstanceId(3),
+        };
         let mut buf = Vec::new();
         write_frame(&mut buf, &msg).unwrap();
-        write_frame(&mut buf, &WorkerToManager::Leave).unwrap();
+        write_frame(&mut buf, &ready).unwrap();
         let mut cursor = &buf[..];
         assert_eq!(read_frame::<WorkerToManager>(&mut cursor).unwrap(), msg);
-        assert_eq!(
-            read_frame::<WorkerToManager>(&mut cursor).unwrap(),
-            WorkerToManager::Leave
-        );
+        assert_eq!(read_frame::<WorkerToManager>(&mut cursor).unwrap(), ready);
         assert!(matches!(
             read_frame::<WorkerToManager>(&mut cursor),
             Err(FrameError::Closed)

@@ -90,6 +90,4 @@ pub enum WorkerToManager {
     /// the unit itself (e.g. the target instance vanished in an eviction
     /// race); the manager requeues its own copy of the unit.
     Requeue { unit: UnitId },
-    /// Graceful leave: the worker is about to disconnect.
-    Leave,
 }

@@ -31,11 +31,16 @@ pub enum RouterToShard {
 /// Messages a shard sends the routing front-end.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ShardToRouter {
-    /// Handshake: announce this shard's identity and worker count. The id
-    /// is the shard's ring position key: the router refuses an id a live
-    /// shard holds, and closes a shard that announces itself twice. A
-    /// shard leaves by closing its connection.
-    ShardJoin { shard: ShardId, workers: u32 },
+    /// Handshake: announce this shard's identity, worker count and the
+    /// libraries it has installed. The id is the shard's ring position
+    /// key: the router refuses an id a live shard holds, and closes a
+    /// shard that announces itself twice. A shard leaves by closing its
+    /// connection.
+    ShardJoin {
+        shard: ShardId,
+        workers: u32,
+        libraries: Vec<String>,
+    },
     /// One routed unit finished (success or failure).
     UnitDone { outcome: Outcome },
     /// A load report (answer to [`RouterToShard::StatsRequest`]).
@@ -121,6 +126,12 @@ mod tests {
             ShardToRouter::ShardJoin {
                 shard: ShardId(2),
                 workers: 4,
+                libraries: vec!["lnni-0".into(), "lnni-1".into()],
+            },
+            ShardToRouter::ShardJoin {
+                shard: ShardId(3),
+                workers: 1,
+                libraries: vec![],
             },
             ShardToRouter::UnitDone {
                 outcome: Outcome::ok(UnitId::Call(InvocationId(7)), vec![9]),

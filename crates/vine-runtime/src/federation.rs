@@ -6,12 +6,14 @@
 //! write. Whatever closes a shard — its connection dropping, a frame that
 //! breaks the protocol, its queue full past `send_timeout` — reaches the
 //! router as one `Left` after the shard's last frame, and the router
-//! re-routes that shard's ledger onto the survivors.
+//! re-routes that shard's ledger onto the survivors. Every live shard
+//! serves every registered library: a shard that lacks one fails the
+//! registration or the join that would route a call to it.
 
 use crate::reactor::{ConnSet, PeerEvent, TcpConfig};
 use crate::runtime::Runtime;
 use crate::transport::TransportStats;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
@@ -40,6 +42,8 @@ fn admit_shard(first: &ShardToRouter, _: u32) -> Option<(ShardId, Option<Vec<u8>
 pub struct Router {
     set: ConnSet<ShardToRouter, ShardId>,
     ring: ShardRouter,
+    /// The libraries each live shard announced in its `ShardJoin`.
+    serves: BTreeMap<ShardId, Vec<String>>,
     /// Units waiting for a live shard.
     queue: VecDeque<WorkUnit>,
     outcomes: Vec<Outcome>,
@@ -55,6 +59,7 @@ impl Router {
         Ok(Router {
             set: ConnSet::bind(addr, cfg, admit_shard, farewell)?,
             ring: ShardRouter::new(),
+            serves: BTreeMap::new(),
             queue: VecDeque::new(),
             outcomes: Vec::new(),
             owed: 0,
@@ -68,9 +73,13 @@ impl Router {
     }
 
     /// Record a library: its routing digest decides the shard that serves
-    /// its calls.
-    pub fn register_library(&mut self, spec: &LibrarySpec) {
+    /// its calls. Fails, naming both, if a live shard lacks the library.
+    pub fn register_library(&mut self, spec: &LibrarySpec) -> Result<()> {
+        if let Some((&shard, _)) = self.serves.iter().find(|(_, l)| !l.contains(&spec.name)) {
+            return Err(lacks(shard, &spec.name));
+        }
         self.ring.register_library(spec);
+        Ok(())
     }
 
     /// The ring and its ledger: live shards, routing, re-route counts.
@@ -163,9 +172,23 @@ impl Router {
     fn handle(&mut self, ev: PeerEvent<ShardToRouter, ShardId>) -> Result<()> {
         match ev {
             PeerEvent::Joined { peer, first } => {
-                if let ShardToRouter::ShardJoin { workers, .. } = first {
-                    eprintln!("# shard {peer} connected ({workers} worker(s))");
+                let ShardToRouter::ShardJoin {
+                    workers, libraries, ..
+                } = first
+                else {
+                    unreachable!("a shard is admitted by its ShardJoin")
+                };
+                if let Some(missing) = self
+                    .ring
+                    .libraries()
+                    .find(|l| !libraries.iter().any(|s| s == l))
+                {
+                    let err = lacks(peer, missing);
+                    self.set.disconnect(peer);
+                    return Err(err);
                 }
+                eprintln!("# shard {peer} connected ({workers} worker(s))");
+                self.serves.insert(peer, libraries);
                 self.ring.shard_joined(peer);
             }
             PeerEvent::Message { peer, msg } => match msg {
@@ -181,6 +204,7 @@ impl Router {
                 ShardToRouter::ShardJoin { .. } => self.set.disconnect(peer),
             },
             PeerEvent::Left { peer } => {
+                self.serves.remove(&peer);
                 let orphans = self.ring.shard_left(peer);
                 eprintln!("# shard {peer} left, re-routing {} unit(s)", orphans.len());
                 self.queue.extend(orphans);
@@ -193,6 +217,11 @@ impl Router {
         }
         Ok(())
     }
+}
+
+/// The error of a live shard that lacks a registered library.
+fn lacks(shard: ShardId, library: &str) -> VineError {
+    VineError::UnknownLibrary(format!("{library} on shard {shard}"))
 }
 
 /// A shard's load report: the routed count from its serve loop, the rest
@@ -229,7 +258,12 @@ pub fn serve_shard(router: &str, shard: ShardId, mut rt: Runtime) -> Result<()> 
         .try_clone()
         .map_err(|e| VineError::Protocol(format!("cloning router socket: {e}")))?;
     let workers = rt.worker_capacities().len() as u32;
-    write_frame(&mut &stream, &ShardToRouter::ShardJoin { shard, workers })
+    let join = ShardToRouter::ShardJoin {
+        shard,
+        workers,
+        libraries: rt.library_arities().into_keys().collect(),
+    };
+    write_frame(&mut &stream, &join)
         .map_err(|e| VineError::Protocol(format!("shard join: {e}")))?;
     eprintln!("# shard {shard} joined router at {router} ({workers} worker(s))");
 

@@ -13,7 +13,6 @@ use vine_core::ids::{ContentHash, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
 use vine_core::task::{Outcome, WorkUnit};
 use vine_core::{Result, VineError};
-use vine_data::CompiledImageStore;
 use vine_lang::ast::StmtKind;
 use vine_lang::pickle;
 use vine_lang::{ModuleRegistry, Value};
@@ -42,13 +41,24 @@ impl Default for RuntimeConfig {
     }
 }
 
+/// How the manager's installs got their compiled modules.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ImageStats {
+    /// Installs that reused the module of an installed library with the
+    /// same source digest.
+    pub hits: u64,
+    /// Installs that compiled their module.
+    pub misses: u64,
+}
+
 /// A live cluster: manager in this struct, workers wherever the transport
 /// put them.
 pub struct Runtime {
     mgr: Manager,
     transport: Box<dyn Transport>,
     /// What a worker boots for each installed library: one image, sent
-    /// with the instance id of each install.
+    /// with the instance id of each install. Its compiled module is the
+    /// only copy the manager keeps.
     images: BTreeMap<String, LibraryImage>,
     /// Parameter count per exported function of each installed library,
     /// for submit-time validation.
@@ -58,9 +68,7 @@ pub struct Runtime {
     /// Module names the workers' activated environment provides, retained
     /// for install-time pre-flight analysis.
     module_names: BTreeSet<String>,
-    /// Compiled library modules interned by source digest: installing the
-    /// same source N times compiles once.
-    compiled: CompiledImageStore,
+    image_stats: ImageStats,
 }
 
 impl Runtime {
@@ -86,7 +94,7 @@ impl Runtime {
             outcomes: Vec::new(),
             idle_timeout: cfg.idle_timeout,
             module_names,
-            compiled: CompiledImageStore::new(),
+            image_stats: ImageStats::default(),
         };
         while rt.mgr.worker_count() < cfg.workers {
             let joined = rt.mgr.worker_count();
@@ -152,11 +160,23 @@ impl Runtime {
         }
         arities.retain(|name, _| spec.hosts_function(name));
         // compile-on-install: the module is context computed once on the
-        // manager, content-addressed by the source digest
+        // manager, and an installed library with the same source digest
+        // already holds it
         let digest = ContentHash::of_str(source);
-        let bytes = self.compiled.intern_with(digest, || {
-            vine_lang::compile_module(&prog, source).to_bytes()
+        let installed = self.images.values().find_map(|image| {
+            let compiled = image.compiled.as_ref()?;
+            (compiled.source_digest == digest).then(|| compiled.bytes.clone())
         });
+        let bytes = match installed {
+            Some(bytes) => {
+                self.image_stats.hits += 1;
+                bytes
+            }
+            None => {
+                self.image_stats.misses += 1;
+                vine_lang::compile_module(&prog, source).to_bytes()
+            }
+        };
         if let Some(setup) = &mut spec.context.setup {
             setup.args_blob = pickle::serialize_args(setup_args)?;
         }
@@ -168,7 +188,7 @@ impl Runtime {
             default_mode: spec.exec_mode,
             compiled: Some(CompiledBlob {
                 source_digest: digest,
-                bytes: (*bytes).clone(),
+                bytes,
             }),
         };
         self.images.insert(spec.name.clone(), image);
@@ -400,18 +420,16 @@ impl Runtime {
                 Ok(())
             }
             WorkerToManager::Requeue { unit } => self.mgr.unit_handed_back(worker, unit).map(drop),
-            // a worker that leaves is gone, and so is one that joins again:
-            // joins are transport-level handshakes
-            WorkerToManager::Leave | WorkerToManager::Join { .. } => {
-                Err(VineError::WorkerLost(worker))
-            }
+            // a worker that joins again is gone: joins are transport-level
+            // handshakes, and a worker leaves by closing its connection
+            WorkerToManager::Join { .. } => Err(VineError::WorkerLost(worker)),
         }
     }
 
-    /// Hit/miss counters of the manager's compiled-image store: misses are
-    /// actual compiles, hits are installs that reused a retained image.
-    pub fn compiled_image_stats(&self) -> vine_data::images::ImageStoreStats {
-        self.compiled.stats()
+    /// Compiled-module counters of the installs so far: misses are
+    /// actual compiles, hits are installs that reused an installed image.
+    pub fn compiled_image_stats(&self) -> ImageStats {
+        self.image_stats
     }
 
     /// Deployed library instances and their share values (live Fig 11).
@@ -462,4 +480,38 @@ pub fn decode_result(outcome: &Outcome) -> Result<Value> {
     }
     let globals = std::rc::Rc::new(std::cell::RefCell::new(BTreeMap::new()));
     pickle::deserialize_value(&outcome.result_blob, &globals)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spec(name: &str) -> LibrarySpec {
+        let mut spec = LibrarySpec::new(name);
+        spec.functions = vec!["f".into()];
+        spec
+    }
+
+    fn compiled_bytes(rt: &Runtime, library: &str) -> Vec<u8> {
+        rt.images[library].compiled.clone().unwrap().bytes
+    }
+
+    #[test]
+    fn one_source_installed_under_two_names_compiles_once() {
+        let mut rt = Runtime::new(RuntimeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let source = "def f(x) { return x + 1 }";
+        rt.install_library(spec("a"), source, vec![], &[]).unwrap();
+        rt.install_library(spec("b"), source, vec![], &[]).unwrap();
+        assert_eq!(rt.compiled_image_stats(), ImageStats { hits: 1, misses: 1 });
+        assert_eq!(compiled_bytes(&rt, "a"), compiled_bytes(&rt, "b"));
+
+        rt.install_library(spec("c"), "def f(x) { return x + 2 }", vec![], &[])
+            .unwrap();
+        assert_eq!(rt.compiled_image_stats(), ImageStats { hits: 1, misses: 2 });
+        assert_ne!(compiled_bytes(&rt, "a"), compiled_bytes(&rt, "c"));
+        rt.shutdown();
+    }
 }

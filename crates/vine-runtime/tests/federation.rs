@@ -2,7 +2,8 @@
 //! gives the digest of one `Runtime` on the same units, and a peer fault —
 //! a dialer that never joins or joins wrongly, a shard that stops reading,
 //! drops its connection or announces itself twice — ends that one
-//! connection, not the run.
+//! connection, not the run. A shard that lacks a registered library fails
+//! the registration or its join, by name.
 
 use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpStream};
@@ -60,17 +61,23 @@ fn call(i: u64, pad: usize) -> WorkUnit {
     WorkUnit::Call(c)
 }
 
-/// A runtime of in-process workers with every library installed.
-fn runtime() -> Runtime {
+/// A runtime of in-process workers with the first `libs` libraries
+/// installed.
+fn runtime_with(libs: usize) -> Runtime {
     let mut rt = Runtime::new(RuntimeConfig {
         workers: 2,
         ..Default::default()
     });
-    for name in LIBS {
+    for name in &LIBS[..libs] {
         rt.install_library(spec(name), SOURCE, vec![], &[Value::Int(3)])
             .unwrap();
     }
     rt
+}
+
+/// A runtime of in-process workers with every library installed.
+fn runtime() -> Runtime {
+    runtime_with(LIBS.len())
 }
 
 /// Each unit's value, by unit: equal digests mean every unit got exactly
@@ -98,25 +105,35 @@ fn single(units: &[WorkUnit]) -> Vec<(UnitId, Value)> {
 fn router(cfg: TcpConfig) -> Router {
     let mut router = Router::listen("127.0.0.1:0", cfg).unwrap();
     for name in LIBS {
-        router.register_library(&spec(name));
+        router.register_library(&spec(name)).unwrap();
     }
     router
 }
 
-/// A shard on its own thread, serving the router at `addr`.
+/// A shard on its own thread, serving the router at `addr` on `rt`.
+fn shard_on(addr: SocketAddr, id: u32, rt: Runtime) -> JoinHandle<()> {
+    std::thread::spawn(move || serve_shard(&addr.to_string(), ShardId(id), rt).unwrap())
+}
+
+/// A shard with every library, on its own thread.
 fn shard(addr: SocketAddr, id: u32) -> JoinHandle<()> {
-    std::thread::spawn(move || serve_shard(&addr.to_string(), ShardId(id), runtime()).unwrap())
+    shard_on(addr, id, runtime())
+}
+
+/// The `ShardJoin` of shard `id`, serving every library.
+fn join(id: u32) -> ShardToRouter {
+    ShardToRouter::ShardJoin {
+        shard: ShardId(id),
+        workers: 1,
+        libraries: LIBS.map(String::from).to_vec(),
+    }
 }
 
 /// A connection that joins as shard `id` and then does what its caller
 /// does with it.
 fn fake_shard(addr: SocketAddr, id: u32) -> TcpStream {
     let mut s = TcpStream::connect(addr).unwrap();
-    let join = ShardToRouter::ShardJoin {
-        shard: ShardId(id),
-        workers: 1,
-    };
-    write_frame(&mut s, &join).unwrap();
+    write_frame(&mut s, &join(id)).unwrap();
     s
 }
 
@@ -234,11 +251,7 @@ fn a_second_shard_join_closes_that_shard_and_reroutes_its_ledger() {
     let rejoined = std::thread::spawn(move || {
         let s = fake_shard(addr, 1);
         first_route(&mut BufReader::new(s.try_clone().unwrap()));
-        let again = ShardToRouter::ShardJoin {
-            shard: ShardId(1),
-            workers: 1,
-        };
-        write_frame(&mut &s, &again).unwrap();
+        write_frame(&mut &s, &join(1)).unwrap();
         wait_closed(s);
     });
     router.wait_for_shards(2).unwrap();
@@ -289,10 +302,7 @@ fn a_dialer_that_never_joins_is_closed_at_the_handshake_deadline() {
 
 #[test]
 fn a_shard_join_with_a_live_shards_id_is_rejected() {
-    a_refused_dialer_costs_only_its_connection(Some(ShardToRouter::ShardJoin {
-        shard: ShardId(0),
-        workers: 1,
-    }));
+    a_refused_dialer_costs_only_its_connection(Some(join(0)));
 }
 
 #[test]
@@ -300,4 +310,40 @@ fn a_first_frame_other_than_shard_join_is_rejected() {
     a_refused_dialer_costs_only_its_connection(Some(ShardToRouter::ShardStats {
         stats: ShardStats::default(),
     }));
+}
+
+/// In both orders shard 0 lacks `lib-7`, which the two-shard ring routes
+/// to it.
+#[test]
+fn a_shard_that_lacks_a_registered_library_fails_its_join_by_name() {
+    // registered first, as the `router()` helper does
+    let mut router = router(TcpConfig::default());
+    let addr = router.local_addr();
+    let full = shard(addr, 1);
+    router.wait_for_shards(1).unwrap();
+    let lacking = shard_on(addr, 0, runtime_with(7));
+    let err = router.wait_for_shards(2).unwrap_err();
+    assert_eq!(err.to_string(), "unknown library: lib-7 on shard s0");
+    assert_eq!(router.ring().shards().collect::<Vec<_>>(), [ShardId(1)]);
+    drop(router);
+    full.join().unwrap();
+    lacking.join().unwrap();
+}
+
+#[test]
+fn registering_a_library_a_live_shard_lacks_fails_by_name() {
+    // shards first, as `repro route` does
+    let mut router = Router::listen("127.0.0.1:0", TcpConfig::default()).unwrap();
+    let addr = router.local_addr();
+    let lacking = shard_on(addr, 0, runtime_with(7));
+    let full = shard(addr, 1);
+    router.wait_for_shards(2).unwrap();
+    for name in &LIBS[..7] {
+        router.register_library(&spec(name)).unwrap();
+    }
+    let err = router.register_library(&spec("lib-7")).unwrap_err();
+    assert_eq!(err.to_string(), "unknown library: lib-7 on shard s0");
+    drop(router);
+    full.join().unwrap();
+    lacking.join().unwrap();
 }

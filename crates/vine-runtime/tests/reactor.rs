@@ -79,7 +79,10 @@ fn unjoined_connections_are_reaped_and_counted() {
     let mut mute = TcpStream::connect(addr).unwrap();
     // a connection whose first message is not Join: rejected on arrival
     let mut rude = TcpStream::connect(addr).unwrap();
-    write_frame(&mut rude, &WorkerToManager::Leave).unwrap();
+    let ready = WorkerToManager::LibraryReady {
+        instance: LibraryInstanceId(0),
+    };
+    write_frame(&mut rude, &ready).unwrap();
 
     // both sockets must observe a close (read returns 0), well before a
     // reader thread would have blocked forever in the old backend; they

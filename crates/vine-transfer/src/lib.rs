@@ -447,7 +447,7 @@ mod tests {
 
     #[test]
     fn star_beats_nothing_tree_beats_star() {
-        // the ablation the benches measure: tree depth ≪ star depth at scale
+        // the ablation `repro fig3` measures: tree depth ≪ star depth at scale
         let ws = workers(150);
         let star = plan_broadcast(&Topology::Star, &ws).unwrap();
         let tree = plan_broadcast(&Topology::FullPeer { fanout_cap: 3 }, &ws).unwrap();

@@ -5,7 +5,8 @@
 # analyze must run clean and its hoisting report is kept as an artifact),
 # a determinism smoke run (the repro sweep must be byte-identical with
 # and without cross-simulation parallelism), the full-scale `repro all`
-# pinned byte for byte to the committed repro_output.txt, the TCP
+# pinned byte for byte to the committed repro_output.txt, a check that
+# `repro all --json` is one JSON document per experiment id, the TCP
 # loopback smoke (a multi-process run over framed sockets must byte-match
 # the in-process run, with and without a worker killed mid-run), the
 # federated-sharding smoke (router + 2 shard processes byte-match the
@@ -58,6 +59,25 @@ echo "repro --jobs determinism: OK (byte-identical at --jobs 1 and 4)"
     exit 1
 }
 echo "repro all: OK (byte-identical to repro_output.txt)"
+
+# tables write their JSON by hand: `repro all --json` must decode as one
+# document per `repro --list` id, in that order, each carrying its id
+./target/release/repro all --json --scale 0.02 --jobs 4 2>/dev/null >"$seq_out"
+python3 - "$seq_out" "$(./target/release/repro --list)" <<'EOF'
+import json, sys
+text, want = open(sys.argv[1]).read(), sys.argv[2].split()
+decoder, pos, got = json.JSONDecoder(), 0, []
+while True:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    if pos == len(text):
+        break
+    doc, pos = decoder.raw_decode(text, pos)
+    got.append(doc.get("id") if isinstance(doc, dict) else None)
+if got != want:
+    sys.exit(f"repro all --json decoded as ids {got}, expected {want}")
+print(f"repro all --json: OK ({len(got)} documents, one per id)")
+EOF
 
 ./scripts/tcp_smoke.sh ./target/release/repro
 

@@ -4,14 +4,15 @@
 //! this crate supplies the subset of serde the workspace actually uses: a
 //! self-describing [`Value`] data model, [`Serialize`]/[`Deserialize`]
 //! traits expressed against it, and `#[derive(Serialize, Deserialize)]`
-//! macros (re-exported from `serde_derive_shim`). `serde_json` (also
-//! shimmed) renders [`Value`] to and from JSON text.
+//! macros (re-exported from `serde_derive_shim`). `vine_proto::codec`
+//! writes [`Value`] as binary frames; nothing renders it as text.
 //!
-//! The wire behaviour mirrors serde's JSON conventions: structs are maps,
-//! newtype structs are transparent, unit enum variants are strings, and
+//! The data model follows serde's conventions: structs are maps, newtype
+//! structs are transparent, unit enum variants are strings, and
 //! data-carrying variants are single-entry maps keyed by the variant name.
-//! Byte vectors and slices lower to one [`Value::Bytes`] rather than a
-//! sequence of numbers, so binary encoders can ship them raw.
+//! Each type reads back only the form it lowers to: byte vectors and
+//! slices are one [`Value::Bytes`] (never a sequence of numbers), and
+//! floats are [`Value::F64`] (never an integer).
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -30,12 +31,10 @@ pub enum Value {
     U128(u128),
     F64(f64),
     Str(String),
-    /// Raw bytes (`Vec<u8>`, `[u8]`). JSON renders them as the sequence
-    /// of numbers serde would.
+    /// Raw bytes (`Vec<u8>`, `[u8]`).
     Bytes(Vec<u8>),
     Seq(Vec<Value>),
-    /// Keys are full values so maps with non-string keys still lower;
-    /// JSON rendering stringifies scalar keys and rejects composite ones.
+    /// Keys are full values so maps with non-string keys still lower.
     Map(Vec<(Value, Value)>),
 }
 
@@ -107,7 +106,7 @@ pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, DeError>;
 
     /// Rebuild a vector of `Self` from a [`Value::Seq`]. `u8` overrides it
-    /// to accept a [`Value::Bytes`] as well.
+    /// to read a [`Value::Bytes`] instead.
     #[doc(hidden)]
     fn __vec_from_value(v: &Value) -> Result<Vec<Self>, DeError> {
         seq_from_value(v)
@@ -201,8 +200,7 @@ impl Deserialize for u8 {
     fn __vec_from_value(v: &Value) -> Result<Vec<u8>, DeError> {
         match v {
             Value::Bytes(b) => Ok(b.clone()),
-            // JSON text has no byte strings: its byte vectors are numbers
-            other => seq_from_value(other),
+            other => Err(DeError(format!("expected bytes, got {other:?}"))),
         }
     }
 }
@@ -247,11 +245,6 @@ impl Deserialize for f64 {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
             Value::F64(x) => Ok(*x),
-            Value::I64(n) => Ok(*n as f64),
-            Value::U64(n) => Ok(*n as f64),
-            // large whole-valued floats print without an exponent and
-            // re-parse as integers wider than u64; still floats to us
-            Value::U128(n) => Ok(*n as f64),
             other => Err(DeError(format!("expected float, got {other:?}"))),
         }
     }
@@ -532,14 +525,17 @@ mod tests {
     }
 
     #[test]
-    fn byte_vectors_lower_to_bytes_and_still_accept_numbers() {
+    fn byte_vectors_lower_to_bytes_and_refuse_numbers() {
         let v = vec![0u8, 7, 255];
         assert_eq!(v.to_value(), Value::Bytes(v.clone()));
         assert_eq!(v[..].to_value(), Value::Bytes(v.clone()));
         assert_eq!(Vec::<u8>::from_value(&v.to_value()).unwrap(), v);
         let numbers = Value::Seq(vec![Value::I64(0), Value::U64(7), Value::I64(255)]);
-        assert_eq!(Vec::<u8>::from_value(&numbers).unwrap(), v);
+        assert!(Vec::<u8>::from_value(&numbers).is_err());
         assert!(Vec::<u8>::from_value(&Value::Seq(vec![Value::I64(256)])).is_err());
+        // and floats read back only as floats
+        assert_eq!(f64::from_value(&2.0f64.to_value()).unwrap(), 2.0);
+        assert!(f64::from_value(&Value::I64(2)).is_err());
         // other element types keep their sequences
         assert!(matches!(vec![1u16].to_value(), Value::Seq(_)));
         assert!(Vec::<u16>::from_value(&Value::Bytes(vec![1])).is_err());
