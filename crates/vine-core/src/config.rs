@@ -29,10 +29,9 @@
 //!   and spreads.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The paper's three levels of context reuse (§4.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ReuseLevel {
     /// No context reuse: invocations run as stateless tasks pulling
     /// everything from the shared filesystem each time.
@@ -65,7 +64,7 @@ impl std::fmt::Display for ReuseLevel {
 }
 
 /// Component-level timing constants. See module docs for calibration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CostModel {
     // ---- network ----
     /// Per-machine NIC bandwidth: 10 Gb/s Ethernet (§4.2).

@@ -9,10 +9,9 @@
 use crate::ids::{ContentHash, FileId};
 use crate::resources::Resources;
 use crate::task::ExecMode;
-use serde::{Deserialize, Serialize};
 
 /// Where a file can be fetched from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileSource {
     /// Staged from the manager node (and, if `peer_transfer`, from peers).
     /// This is the path the paper's L2/L3 levels use.
@@ -26,7 +25,7 @@ pub enum FileSource {
 
 /// A reference to one immutable file: the unit of data the distribute
 /// mechanism moves and the worker cache retains.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileRef {
     pub id: FileId,
     /// Content digest; the cache key for dedup and the safety basis for
@@ -92,7 +91,7 @@ impl FileRef {
 /// Function code in one of the two forms the discover mechanism produces
 /// (§3.2): source text extracted by inspection, or a serialized code object
 /// (the paper uses cloudpickle; we use the `vine-lang` serializer).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodeArtifact {
     /// Source extracted from the defining module; the worker re-parses it
     /// and binds the function by name.
@@ -114,7 +113,7 @@ impl CodeArtifact {
 /// The arbitrary environment-setup element: an executable object run once
 /// on the worker before any invocation; whatever state it builds (globals,
 /// loaded models, open datasets) is what invocations reuse (§2.1.3, Fig 4).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SetupSpec {
     /// Name of the setup function; its code must be included in the context
     /// code artifacts.
@@ -128,7 +127,7 @@ pub struct SetupSpec {
 /// functions): everything a worker needs *besides* per-invocation arguments.
 /// Element 1, the function code, ships with the library's install (its
 /// source and serialized functions), not here.
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct ContextSpec {
     /// Element 2 — software dependencies, packaged as an environment
     /// archive (the Poncho/conda-pack tarball analogue).
@@ -164,7 +163,7 @@ impl ContextSpec {
 /// A *library*: the deployable unit that hosts one function context on a
 /// worker as a daemon and serves invocations (§3.4). Created by
 /// `Manager::create_library_from_functions` in the paper's API (Fig 5).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LibrarySpec {
     /// Library name; invocations address functions as (library, function).
     pub name: String,

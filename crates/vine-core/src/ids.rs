@@ -8,11 +8,10 @@
 //! honest datasets, for which 128 bits of a well-mixed hash is ample — and it
 //! keeps the workspace free of external crypto dependencies.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 128-bit content digest. The canonical name of every immutable file.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContentHash(pub u128);
 
 const FNV64_OFFSET: u64 = 0xcbf29ce484222325;
@@ -83,7 +82,7 @@ macro_rules! typed_id {
     ($(#[$meta:meta])* $name:ident, $inner:ty, $prefix:literal) => {
         $(#[$meta])*
         #[derive(
-            Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+            Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord,
         )]
         pub struct $name(pub $inner);
 

@@ -7,12 +7,11 @@
 //! manager for scheduling. This module provides the vector arithmetic that
 //! accounting is built on.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
 /// A resource allocation or capacity.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Resources {
     pub cores: u32,
     pub memory_mb: u64,

@@ -13,10 +13,9 @@
 use crate::context::{CodeArtifact, FileRef};
 use crate::ids::{InvocationId, TaskId};
 use crate::resources::Resources;
-use serde::{Deserialize, Serialize};
 
 /// How a library executes an invocation (§3.4 step 4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// The library runs the invocation synchronously inside its own process,
     /// sharing its memory space directly.
@@ -36,7 +35,7 @@ pub enum ExecMode {
 /// up a reusable context and one that invokes computations with the given
 /// arguments". Under L1/L2 every execution pays both; under L3 the context
 /// part is paid once per library.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkProfile {
     /// Compute in the invocation-distinct part (GFLOP).
     pub exec_gflop: f64,
@@ -84,7 +83,7 @@ impl Default for WorkProfile {
 /// A stateless task (paper Table 1). For function-centric workloads run at
 /// reuse levels L1/L2, each invocation is *wrapped* as one of these: a
 /// generic runner plus the serialized function and arguments.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TaskSpec {
     pub id: TaskId,
     pub name: String,
@@ -119,7 +118,7 @@ impl TaskSpec {
 
 /// A function invocation (paper Table 1, and `vine.FunctionCall` in Fig 5):
 /// addressed to a named library and function, carrying only arguments.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FunctionCall {
     pub id: InvocationId,
     pub library: String,
@@ -159,7 +158,7 @@ impl FunctionCall {
 }
 
 /// Anything the manager can schedule.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WorkUnit {
     Task(TaskSpec),
     Call(FunctionCall),
@@ -190,14 +189,14 @@ impl WorkUnit {
 }
 
 /// The identifier of a completed unit, carried on results.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum UnitId {
     Task(TaskId),
     Call(InvocationId),
 }
 
 /// A finished unit's result as reported to the application.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Outcome {
     pub unit: UnitId,
     /// Serialized return value (empty on failure).

@@ -5,17 +5,16 @@
 //! ordering total and deterministic (no float drift), and a `u64` of
 //! microseconds spans ~584,000 years, far beyond any workflow.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// An instant in simulated time, in microseconds since simulation start.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time, in microseconds.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {

@@ -9,10 +9,9 @@
 use crate::config::ReuseLevel;
 use crate::ids::{InvocationId, LibraryInstanceId, WorkerId};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Per-invocation phase breakdown, mirroring Table 5's columns.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// "Invoc. & Data Transfer": moving the invocation description, its
     /// arguments and any not-yet-cached data to the worker.
@@ -34,7 +33,7 @@ impl PhaseBreakdown {
 }
 
 /// One completed invocation (or wrapped task at L1/L2).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InvocationRecord {
     pub id: InvocationId,
     pub worker: WorkerId,
@@ -66,7 +65,7 @@ impl InvocationRecord {
 }
 
 /// One deployed library instance's lifecycle (Fig 10 / Fig 11).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LibraryRecord {
     pub id: LibraryInstanceId,
     pub worker: WorkerId,
@@ -87,7 +86,7 @@ pub struct LibraryRecord {
 /// `PartialEq` exists for differential testing: the simulator's dense-layout
 /// driver is held bit-identical to the retained reference driver
 /// (`vine_sim::reference`) by comparing whole traces.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
     pub invocations: Vec<InvocationRecord>,
     pub libraries: Vec<LibraryRecord>,
@@ -96,7 +95,7 @@ pub struct Trace {
 }
 
 /// Summary statistics in seconds (Table 4's columns).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Stats {
     pub count: usize,
     pub mean: f64,
@@ -137,7 +136,7 @@ impl Stats {
 
 /// A fixed-width histogram (Fig 7). Values ≥ `hi` land in `overflow`
 /// (the paper clips Fig 7 at 40 s "for better visualization").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     pub lo: f64,
     pub hi: f64,
@@ -190,7 +189,7 @@ impl Histogram {
 }
 
 /// A point series for Figs 10 & 11: x = invocations completed, y = metric.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Series {
     pub points: Vec<(u64, f64)>,
 }

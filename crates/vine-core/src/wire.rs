@@ -1,6 +1,8 @@
 //! The byte-level core of every binary codec in the workspace: `VPK2`
 //! pickles and `VBC2` compiled images (`vine_lang::pickle`,
-//! `vine_lang::bytecode`) and `VFR1` frame payloads (`vine_proto::codec`).
+//! `vine_lang::bytecode`) and `VFR2` frame payloads (`vine_proto::codec`,
+//! where each message writes and reads its own fields through these two
+//! types).
 //!
 //! Fixed-width integers and floats are little-endian; [`Writer::bytes`]
 //! and [`Writer::str`] carry a u32 length prefix, and [`Writer::varint`]

@@ -9,11 +9,10 @@
 
 use crate::registry::Version;
 use crate::resolve::Resolution;
-use serde::{Deserialize, Serialize};
 use vine_core::ids::ContentHash;
 
 /// A packed environment: identity, contents and exact sizes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EnvironmentArchive {
     pub name: String,
     /// (package, version) pairs in install order.

@@ -1,12 +1,11 @@
 //! Versioned package registry.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use vine_core::{Result, VineError};
 
 /// A semantic-ish version: major.minor.patch.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Version(pub u32, pub u32, pub u32);
 
 impl Version {
@@ -44,7 +43,7 @@ impl fmt::Debug for Version {
 /// A version constraint. The paper notes users may provide dependency
 /// specifications "with or without versions specified"; `Any` covers the
 /// without case.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Constraint {
     Any,
     Exact(Version),
@@ -72,7 +71,7 @@ impl fmt::Display for Constraint {
 }
 
 /// One dependency requirement: a package name plus a constraint.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Requirement {
     pub name: String,
     pub constraint: Constraint,
@@ -108,7 +107,7 @@ impl fmt::Display for Requirement {
 }
 
 /// One installable package version.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PackageSpec {
     pub name: String,
     pub version: Version,
@@ -158,7 +157,7 @@ impl PackageSpec {
 }
 
 /// All known packages, all versions.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PackageRegistry {
     packages: BTreeMap<String, BTreeMap<Version, PackageSpec>>,
 }

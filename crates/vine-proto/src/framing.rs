@@ -4,13 +4,13 @@
 //!
 //! ```text
 //! +----------------+--------------+------------------------------------+
-//! | length: u32 LE | magic `VFR1` | one binary-encoded value           |
+//! | length: u32 LE | magic `VFR2` | one message, in the codec's layout |
 //! +----------------+--------------+------------------------------------+
 //!                  |<------------- payload: `length` bytes ------------->|
 //! ```
 //!
-//! The payload is the serde value of one message in the binary form of
-//! [`crate::codec`]: byte fields ride raw, and lengths, counts and
+//! The payload is one message written by its [`Wire`] impl
+//! ([`crate::codec`]): byte fields ride raw, and lengths, counts and
 //! integers are varints. Frames are self-delimiting, so a reader never
 //! needs lookahead, and every failure mode is explicit:
 //!
@@ -21,14 +21,13 @@
 //! * a header announcing more than [`MAX_FRAME`] bytes is
 //!   [`FrameError::Oversized`] and is rejected *before* any allocation —
 //!   a garbage header cannot make the receiver allocate gigabytes;
-//! * a payload without the magic (a peer speaking the older JSON frames
-//!   fails here), one that does not decode within the codec's nesting and
-//!   count limits, and one that does not decode to the expected message
-//!   type are [`FrameError::Malformed`].
+//! * a payload without the magic (a peer speaking `VFR1` or JSON frames
+//!   fails here), and one that does not decode as the expected message
+//!   type within the codec's count and length limits, are
+//!   [`FrameError::Malformed`].
 
-use crate::codec;
+use crate::codec::{self, Wire};
 use crate::messages::ManagerToWorker;
-use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::sync::Arc;
 use vine_core::wire::{Reader, Writer};
@@ -82,7 +81,7 @@ impl From<std::io::Error> for FrameError {
 }
 
 /// Encode one message and write it as a frame.
-pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), FrameError> {
+pub fn write_frame<T: Wire>(w: &mut impl Write, msg: &T) -> Result<(), FrameError> {
     // one buffer, one write: header and payload must not straddle writes,
     // or Nagle's algorithm turns every frame into a delayed-ACK stall
     w.write_all(&encode_frame(msg)?)?;
@@ -107,7 +106,7 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, FrameError> {
 }
 
 /// Read and decode the next frame.
-pub fn read_frame<T: Deserialize>(r: &mut impl Read) -> Result<T, FrameError> {
+pub fn read_frame<T: Wire>(r: &mut impl Read) -> Result<T, FrameError> {
     let mut header = [0u8; 4];
     match read_full(r, &mut header)? {
         0 => return Err(FrameError::Closed),
@@ -131,21 +130,21 @@ pub fn read_frame<T: Deserialize>(r: &mut impl Read) -> Result<T, FrameError> {
     decode_payload(&payload)
 }
 
-/// Decode one frame payload: the magic, then one value of type `T`.
-fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, FrameError> {
+/// Decode one frame payload: the magic, then one `T` and nothing more.
+fn decode_payload<T: Wire>(payload: &[u8]) -> Result<T, FrameError> {
     let malformed = |e: vine_core::VineError| FrameError::Malformed(e.to_string());
     let mut r = Reader::new(payload, codec::MAGIC).map_err(malformed)?;
-    let value = codec::read_value(&mut r).map_err(malformed)?;
+    let msg = T::get(&mut r).map_err(malformed)?;
     r.finish().map_err(malformed)?;
-    T::from_value(&value).map_err(|e| FrameError::Malformed(e.to_string()))
+    Ok(msg)
 }
 
 /// Encode one message as a standalone frame (header + payload), the bytes
 /// [`write_frame`] writes.
-pub fn encode_frame<T: Serialize>(msg: &T) -> Result<Vec<u8>, FrameError> {
+pub fn encode_frame<T: Wire>(msg: &T) -> Result<Vec<u8>, FrameError> {
     // the header is patched in once the payload's length is known
     let mut w = Writer::after(vec![0; 4], codec::MAGIC);
-    codec::write_value(&mut w, &msg.to_value());
+    msg.put(&mut w);
     let mut frame = w.buf;
     let len = frame.len() - 4;
     if len > MAX_FRAME {
@@ -159,7 +158,7 @@ pub fn encode_frame<T: Serialize>(msg: &T) -> Result<Vec<u8>, FrameError> {
 }
 
 /// Decode one message from a standalone frame.
-pub fn decode_frame<T: Deserialize>(frame: &[u8]) -> Result<T, FrameError> {
+pub fn decode_frame<T: Wire>(frame: &[u8]) -> Result<T, FrameError> {
     let mut cursor = frame;
     read_frame(&mut cursor)
 }
@@ -170,11 +169,13 @@ pub fn decode_frame<T: Deserialize>(frame: &[u8]) -> Result<T, FrameError> {
 /// frame (header + payload, byte-identical to what [`write_frame`] emits —
 /// a proptest pins this).
 ///
-/// Broadcasting the same message to N workers through a `Frame` serializes
-/// it a single time; each recipient's outbound queue holds an `Arc` clone
-/// of the same bytes. The reactor's `Shutdown` broadcast to the whole
-/// fleet is the case. A library install goes to one worker, so it is an
-/// ordinary send.
+/// Broadcasting the same message to N workers through a `Frame` (the
+/// runtime's `Transport::send_frame`) serializes it a single time; each
+/// recipient's outbound queue holds an `Arc` clone of the same bytes.
+/// Outside tests its callers are `repro perf --net`'s broadcast row and
+/// the live benchmark: the runtime sends each install to one worker, and
+/// its connection sets send their `Shutdown` farewell as one
+/// [`encode_frame`] buffer.
 ///
 /// The typed message rides along so substrates that never serialize (the
 /// in-process transport moves typed values over channels) can deliver the
@@ -261,7 +262,7 @@ impl FrameDecoder {
     /// `Ok(None)` asks for more bytes. Any `Err` is fatal to the stream:
     /// the caller cannot resynchronize after a bad header or payload and
     /// should drop the connection.
-    pub fn decode<T: Deserialize>(&mut self) -> Result<Option<T>, FrameError> {
+    pub fn decode<T: Wire>(&mut self) -> Result<Option<T>, FrameError> {
         let avail = self.buffered();
         if avail < 4 {
             return Ok(None);
@@ -317,48 +318,6 @@ mod tests {
     use vine_core::ids::{ContentHash, LibraryInstanceId};
     use vine_core::resources::Resources;
     use vine_core::task::ExecMode;
-    use vine_core::wire::MAX_DEPTH;
-
-    /// A frame whose payload is `depth` sequences, each inside the last.
-    fn nested_frame(depth: usize) -> Vec<u8> {
-        let mut payload = codec::MAGIC.to_vec();
-        for _ in 1..depth {
-            payload.extend_from_slice(&[9, 1]); // a one-element sequence
-        }
-        payload.extend_from_slice(&[9, 0]); // the innermost, empty
-        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&payload);
-        frame
-    }
-
-    /// Nests like [`nested_frame`]'s payload.
-    #[derive(Debug, serde::Deserialize)]
-    struct Nest(Vec<Nest>);
-
-    #[test]
-    fn deep_nesting_is_malformed_not_a_stack_overflow() {
-        // on a thread with the default 2 MiB stack, as the manager and
-        // worker threads that decode peer frames run
-        let err = std::thread::Builder::new()
-            .stack_size(2 << 20)
-            .spawn(|| decode_frame::<Nest>(&nested_frame(100_000)).unwrap_err())
-            .unwrap()
-            .join()
-            .unwrap();
-        assert!(
-            matches!(&err, FrameError::Malformed(m) if m.contains("nesting deeper than")),
-            "{err}"
-        );
-        fn depth(n: &Nest) -> usize {
-            1 + n.0.first().map_or(0, depth)
-        }
-        let at_limit = decode_frame::<Nest>(&nested_frame(MAX_DEPTH)).expect("limit decodes");
-        assert_eq!(depth(&at_limit), MAX_DEPTH);
-        assert!(matches!(
-            decode_frame::<Nest>(&nested_frame(MAX_DEPTH + 1)),
-            Err(FrameError::Malformed(_))
-        ));
-    }
 
     #[test]
     fn install_frame_is_its_blob_plus_a_small_header() {
@@ -386,16 +345,24 @@ mod tests {
         assert_eq!(decode_frame::<ManagerToWorker>(&frame).unwrap(), msg);
     }
 
+    /// The payload of `Join { resources: Resources::new(4, 1024, 1024) }`
+    /// in the `VFR1` format this codec replaced.
+    const VFR1_JOIN: &[u8] = b"VFR1\x0a\x01\x07\x04Join\x0a\x01\x07\x09resources\x0a\x04\
+        \x07\x05cores\x04\x04\x07\x09memory_mb\x04\x80\x08\x07\x07disk_mb\x04\x80\x08\
+        \x07\x04gpus\x04\x00";
+
     #[test]
     fn payloads_without_the_magic_are_malformed() {
-        // an empty frame, and a JSON-era frame: both fail on the magic
+        // an empty frame, a JSON-era frame and a VFR1 frame (the Join a
+        // VFR1 peer sends: one value tree that names every field): all
+        // fail on the magic
         let json =
             br#"{"Join":{"resources":{"cores":4,"memory_mb":1024,"disk_mb":1024,"gpus":0}}}"#;
-        for payload in [&b""[..], json] {
+        for payload in [&b""[..], json, VFR1_JOIN] {
             let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
             frame.extend_from_slice(payload);
             match decode_frame::<WorkerToManager>(&frame) {
-                Err(FrameError::Malformed(m)) => assert!(m.contains("VFR1: bad magic"), "{m}"),
+                Err(FrameError::Malformed(m)) => assert!(m.contains("VFR2: bad magic"), "{m}"),
                 other => panic!("expected Malformed, got {other:?}"),
             }
         }

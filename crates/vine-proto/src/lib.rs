@@ -12,14 +12,17 @@
 //! Federated deployments add a third plane, [`routing`] — router ↔ shard:
 //! shard join, submission forwarding, results, and load reports.
 //!
-//! Both planes are plain serde types with no substrate baked in. The
+//! Every plane is plain Rust types with no substrate baked in. The
 //! in-process runtime moves them over channels untouched; the TCP runtime
-//! moves them through [`framing`] — length-prefixed frames with explicit
-//! maximum-frame, truncation, and garbage-frame error paths — so a worker
-//! can live in a different OS process (or machine) from its manager. A
-//! frame's payload is binary ([`codec`]): byte fields such as arguments,
-//! results and compiled images ride raw, decoded under the same nesting
-//! and count limits as the language's pickles and compiled images.
+//! moves the manager and routing planes through [`framing`] —
+//! length-prefixed frames with explicit maximum-frame, truncation, and
+//! garbage-frame error paths — so a worker can live in a different OS
+//! process (or machine) from its manager. A frame's payload is binary
+//! ([`codec`]): each message writes its fields in order through the
+//! [`Wire`] trait, byte fields such as arguments, results and compiled
+//! images ride raw, and decoding checks lengths and counts through the
+//! same bounded reader as the language's pickles and compiled images. The
+//! library plane moves only over channels, so it has no wire form.
 
 pub mod codec;
 pub mod framing;
@@ -27,6 +30,7 @@ pub mod library;
 pub mod messages;
 pub mod routing;
 
+pub use codec::Wire;
 pub use framing::{
     decode_frame, encode_frame, read_frame, write_frame, Frame, FrameDecoder, FrameError, MAX_FRAME,
 };

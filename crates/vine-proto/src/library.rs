@@ -10,12 +10,11 @@
 //!    worker returns the result file to the manager and destroys the
 //!    sandbox.
 
-use serde::{Deserialize, Serialize};
 use vine_core::ids::InvocationId;
 use vine_core::task::ExecMode;
 
 /// Messages a worker sends to a library daemon.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WorkerToLibrary {
     /// Execute an invocation (§3.4 step 3): metadata, arguments, and the
     /// sandbox path.
@@ -31,7 +30,7 @@ pub enum WorkerToLibrary {
 }
 
 /// Messages a library daemon sends to its worker.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum LibraryToWorker {
     /// Context setup complete; ready to execute invocations (§3.4 step 2).
     Ready,

@@ -6,7 +6,6 @@
 //! the in-process backend moves them over channels, the TCP backend
 //! through [`crate::framing`].
 
-use serde::{Deserialize, Serialize};
 use vine_core::context::{FileRef, SetupSpec};
 use vine_core::ids::{ContentHash, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
@@ -16,7 +15,7 @@ use vine_core::task::{ExecMode, FunctionCall, Outcome, TaskSpec, UnitId};
 /// source it was compiled from. The manager compiles once per distinct
 /// source at install time, and daemons boot by executing it: no worker
 /// parses library source.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompiledBlob {
     pub source_digest: ContentHash,
     pub bytes: Vec<u8>,
@@ -25,7 +24,7 @@ pub struct CompiledBlob {
 /// Everything a worker needs to boot a library daemon (what the manager
 /// ships: code + setup + environment identity). A daemon runs `compiled`,
 /// binds `serialized_functions`, then calls `setup` once.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LibraryImage {
     pub instance: LibraryInstanceId,
     /// vine-lang source of the library's module (functions + setup), the
@@ -44,7 +43,7 @@ pub struct LibraryImage {
 }
 
 /// Messages the manager sends a worker.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ManagerToWorker {
     /// Handshake reply: the manager admits the worker under this id.
     Welcome { worker: WorkerId },
@@ -72,7 +71,7 @@ pub enum ManagerToWorker {
 }
 
 /// Messages a worker sends the manager.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WorkerToManager {
     /// Handshake: announce capacity and ask to join the cluster (§3.5).
     /// Answered with [`ManagerToWorker::Welcome`].

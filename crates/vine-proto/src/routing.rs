@@ -8,15 +8,14 @@
 //! the shard its function-context digest hashes to, results flow back as
 //! [`ShardToRouter::UnitDone`], and load reports ride
 //! [`ShardToRouter::ShardStats`]. Like the worker plane, the messages are
-//! substrate-neutral serde types; the live path frames them with
-//! [`crate::framing`].
+//! substrate-neutral types; the live path frames them with
+//! [`crate::framing`] in the layout of [`crate::codec`].
 
-use serde::{Deserialize, Serialize};
 use vine_core::ids::ShardId;
 use vine_core::task::{Outcome, WorkUnit};
 
 /// Messages the routing front-end sends a shard.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum RouterToShard {
     /// Forward a submission to the shard its function-context digest
     /// hashed to on the shard ring. Boxed so the two small control
@@ -29,7 +28,7 @@ pub enum RouterToShard {
 }
 
 /// Messages a shard sends the routing front-end.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ShardToRouter {
     /// Handshake: announce this shard's identity, worker count and the
     /// libraries it has installed. The id is the shard's ring position
@@ -50,7 +49,7 @@ pub enum ShardToRouter {
 /// Per-shard load and wire aggregates — the shard's scheduling counters
 /// plus its worker-transport totals, rendered in the `repro route` stderr
 /// table.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     pub shard: ShardId,
     pub workers: u32,

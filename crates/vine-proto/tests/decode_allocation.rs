@@ -5,7 +5,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use vine_proto::{decode_frame, FrameError, ManagerToWorker, MAX_FRAME};
+use vine_proto::{codec, decode_frame, FrameError, ManagerToWorker, ShardToRouter, MAX_FRAME};
 
 struct Counting;
 
@@ -39,42 +39,59 @@ static ALLOCATOR: Counting = Counting;
 /// LEB128 of `u32::MAX`.
 const CLAIM: [u8; 5] = [0xff, 0xff, 0xff, 0xff, 0x0f];
 
-fn frame(body: &[u8]) -> Vec<u8> {
-    let mut payload = b"VFR1".to_vec();
-    payload.extend_from_slice(body);
-    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-    frame.extend_from_slice(&payload);
-    frame
+/// A frame whose payload is the magic, `fields`, the false claim, and a
+/// few real bytes.
+fn frame(fields: &[u8]) -> Vec<u8> {
+    let payload = [&codec::MAGIC[..], fields, &CLAIM, b"short"].concat();
+    [&(payload.len() as u32).to_le_bytes()[..], &payload].concat()
+}
+
+type Decode = fn(&[u8]) -> Result<(), FrameError>;
+
+fn manager_to_worker(frame: &[u8]) -> Result<(), FrameError> {
+    decode_frame::<ManagerToWorker>(frame).map(drop)
+}
+
+fn shard_to_router(frame: &[u8]) -> Result<(), FrameError> {
+    decode_frame::<ShardToRouter>(frame).map(drop)
 }
 
 #[test]
 fn false_counts_and_lengths_cannot_reserve_memory() {
-    let claim = |tag: u8| {
-        let mut body = vec![tag];
-        body.extend_from_slice(&CLAIM);
-        body.extend_from_slice(b"short");
-        body
-    };
-    // 250 nested sequences (tag 9) and maps (tag 10), each claiming
-    // u32::MAX elements
-    let nested = |tag: u8| (0..250).flat_map(|_| claim(tag)).collect::<Vec<u8>>();
-    let cases = [
-        ("string", claim(7)),
-        ("bytes", claim(8)),
-        ("sequence", claim(9)),
-        ("map", claim(10)),
-        ("nested sequences", nested(9)),
-        ("nested maps", nested(10)),
+    let length = "truncated input";
+    let count = "count 4294967295 exceeds the input";
+    // each claim lands on a real field: before it come a tag, then zeros
+    // (ids and empty strings)
+    let cases: [(&str, Decode, Vec<u8>, &str); 5] = [
+        // InstallLibrary: instance, then `source`
+        ("install source", manager_to_worker, frame(&[1, 0]), length),
+        // InstallLibrary: instance, source, then `serialized_functions`
+        (
+            "install functions",
+            manager_to_worker,
+            frame(&[1, 0, 0]),
+            count,
+        ),
+        // Invoke: instance, call id, library, function, then `args_blob`
+        (
+            "invoke args",
+            manager_to_worker,
+            frame(&[3, 0, 0, 0, 0]),
+            length,
+        ),
+        // RunTask: task id, name, then `code`
+        ("task code", manager_to_worker, frame(&[4, 0, 0]), count),
+        // ShardJoin: shard, workers, then `libraries`
+        ("shard libraries", shard_to_router, frame(&[0, 0, 0]), count),
     ];
-    for (name, body) in cases {
-        let frame = frame(&body);
+    for (name, decode, frame, want) in cases {
         let before = requested_so_far();
-        let decoded = decode_frame::<ManagerToWorker>(&frame);
+        let decoded = decode(&frame);
         let requested = requested_so_far() - before;
-        assert!(
-            matches!(decoded, Err(FrameError::Malformed(_))),
-            "{name}: {decoded:?}"
-        );
+        match decoded {
+            Err(FrameError::Malformed(m)) => assert!(m.contains(want), "{name}: {m}"),
+            other => panic!("{name}: expected Malformed, got {other:?}"),
+        }
         assert!(
             requested < 1 << 20,
             "{name}: decoding requested {requested} bytes"
@@ -86,7 +103,7 @@ fn false_counts_and_lengths_cannot_reserve_memory() {
 fn a_frame_header_cannot_reserve_its_claimed_payload() {
     // the largest payload a header may announce, over a 10-byte body
     let mut frame = (MAX_FRAME as u32).to_le_bytes().to_vec();
-    frame.extend_from_slice(b"VFR1short.");
+    frame.extend_from_slice(b"VFR2short.");
     let before = requested_so_far();
     let decoded = decode_frame::<ManagerToWorker>(&frame);
     let requested = requested_so_far() - before;

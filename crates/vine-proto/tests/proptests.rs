@@ -1,17 +1,23 @@
-//! Property-based tests for the wire protocol: every message type on both
-//! protocol planes round-trips exactly through the framed codec, and the
-//! decoder rejects — never panics on, never misreads — truncated,
-//! oversized, and corrupt frames.
+//! Property-based tests for the wire protocol: every message type of the
+//! manager and routing planes round-trips exactly through the framed
+//! codec, and both decoders (`read_frame` and the incremental
+//! `FrameDecoder`) reject alike — never panic on, never misread —
+//! truncated, oversized, and corrupt frames.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::fmt::Debug;
 use std::io::Cursor;
 use vine_core::context::{CodeArtifact, FileRef, FileSource, SetupSpec};
-use vine_core::ids::{ContentHash, FileId, InvocationId, LibraryInstanceId, TaskId, WorkerId};
+use vine_core::ids::{
+    ContentHash, FileId, InvocationId, LibraryInstanceId, ShardId, TaskId, WorkerId,
+};
 use vine_core::resources::Resources;
-use vine_core::task::{ExecMode, FunctionCall, Outcome, TaskSpec, UnitId, WorkProfile};
+use vine_core::task::{ExecMode, FunctionCall, Outcome, TaskSpec, UnitId, WorkProfile, WorkUnit};
 use vine_proto::{
-    read_frame, write_frame, CompiledBlob, Frame, FrameDecoder, FrameError, LibraryImage,
-    LibraryToWorker, ManagerToWorker, WorkerToLibrary, WorkerToManager, MAX_FRAME,
+    codec, encode_frame, read_frame, write_frame, CompiledBlob, Frame, FrameDecoder, FrameError,
+    LibraryImage, ManagerToWorker, RouterToShard, ShardStats, ShardToRouter, Wire, WorkerToManager,
+    MAX_FRAME,
 };
 
 // ---- strategies over the core vocabulary ----
@@ -210,43 +216,61 @@ fn arb_worker_to_manager() -> impl Strategy<Value = WorkerToManager> {
     ]
 }
 
-fn arb_worker_to_library() -> impl Strategy<Value = WorkerToLibrary> {
+fn arb_router_to_shard() -> impl Strategy<Value = RouterToShard> {
     prop_oneof![
-        (
-            any::<u64>(),
-            arb_name(),
-            arb_blob(),
-            "[ -~]{0,24}",
-            arb_exec_mode()
-        )
-            .prop_map(
-                |(id, function, args_blob, sandbox, mode)| WorkerToLibrary::Invoke {
-                    id: InvocationId(id),
-                    function,
-                    args_blob,
-                    sandbox,
-                    mode,
-                }
-            ),
-        Just(WorkerToLibrary::Shutdown),
+        arb_task_spec().prop_map(|task| RouterToShard::Route {
+            unit: Box::new(WorkUnit::Task(task))
+        }),
+        arb_call().prop_map(|call| RouterToShard::Route {
+            unit: Box::new(WorkUnit::Call(call))
+        }),
+        Just(RouterToShard::StatsRequest),
+        Just(RouterToShard::Shutdown),
     ]
 }
 
-fn arb_library_to_worker() -> impl Strategy<Value = LibraryToWorker> {
-    prop_oneof![
-        Just(LibraryToWorker::Ready),
-        "[ -~]{0,32}".prop_map(|error| LibraryToWorker::StartupFailed { error }),
-        (
-            any::<u64>(),
-            prop_oneof![
-                arb_blob().prop_map(Ok),
-                "[ -~]{0,32}".prop_map(|e: String| Err(e)),
-            ]
+/// Eleven fields: nested tuples, because strategy tuples stop at eight.
+fn arb_shard_stats() -> impl Strategy<Value = ShardStats> {
+    (
+        (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+    )
+        .prop_map(
+            |(
+                (shard, workers, routed, finished),
+                (requeued, queued, running),
+                (frames_in, frames_out, bytes_in, bytes_out),
+            )| ShardStats {
+                shard: ShardId(shard),
+                workers,
+                routed,
+                finished,
+                requeued,
+                queued,
+                running,
+                frames_in,
+                frames_out,
+                bytes_in,
+                bytes_out,
+            },
         )
-            .prop_map(|(id, result)| LibraryToWorker::ResultReady {
-                id: InvocationId(id),
-                result,
+}
+
+fn arb_shard_to_router() -> impl Strategy<Value = ShardToRouter> {
+    prop_oneof![
+        (
+            any::<u32>(),
+            any::<u32>(),
+            prop::collection::vec(arb_name(), 0..4)
+        )
+            .prop_map(|(shard, workers, libraries)| ShardToRouter::ShardJoin {
+                shard: ShardId(shard),
+                workers,
+                libraries,
             }),
+        arb_outcome().prop_map(|outcome| ShardToRouter::UnitDone { outcome }),
+        arb_shard_stats().prop_map(|stats| ShardToRouter::ShardStats { stats }),
     ]
 }
 
@@ -254,7 +278,7 @@ fn arb_library_to_worker() -> impl Strategy<Value = LibraryToWorker> {
 
 fn roundtrip<T>(msg: &T) -> T
 where
-    T: serde::Serialize + serde::Deserialize + std::fmt::Debug,
+    T: Wire + std::fmt::Debug,
 {
     let mut buf = Vec::new();
     write_frame(&mut buf, msg).expect("encode");
@@ -266,6 +290,97 @@ where
         other => panic!("expected clean EOF after one frame, got {other:?}"),
     }
     back
+}
+
+// ---- both decoders, over any framed type ----
+
+type Verdict = Result<(), TestCaseError>;
+
+/// What `FrameDecoder` makes of `wire` and then the end of the stream, in
+/// `read_frame`'s terms.
+fn decode_incrementally<T: Wire>(wire: &[u8]) -> Result<T, FrameError> {
+    let mut dec = FrameDecoder::new();
+    dec.extend(wire);
+    match dec.decode()? {
+        Some(msg) => Ok(msg),
+        None => dec.finish().and(Err(FrameError::Closed)),
+    }
+}
+
+/// `read_frame` and `FrameDecoder` reach one verdict on `wire` (a
+/// truncation by the length it expected).
+fn decoders_agree<T: Wire + PartialEq + Debug>(wire: &[u8]) -> Verdict {
+    let incremental = decode_incrementally::<T>(wire);
+    let blocking = read_frame::<T>(&mut Cursor::new(wire));
+    match (&incremental, &blocking) {
+        (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+        (Err(FrameError::Malformed(a)), Err(FrameError::Malformed(b))) => prop_assert_eq!(a, b),
+        (
+            Err(FrameError::Truncated { expected: a, .. }),
+            Err(FrameError::Truncated { expected: b, .. }),
+        ) => prop_assert_eq!(a, b),
+        (Err(FrameError::Oversized { .. }), Err(FrameError::Oversized { .. }))
+        | (Err(FrameError::Closed), Err(FrameError::Closed)) => {}
+        _ => prop_assert!(
+            false,
+            "decoders disagree: {:?} vs {:?}",
+            incremental,
+            blocking
+        ),
+    }
+    Ok(())
+}
+
+/// Cut strictly inside `msg`'s frame: both decoders report a truncation.
+fn truncated<T: Wire + PartialEq + Debug>(msg: &T, keep: u16) -> Verdict {
+    let mut wire = encode_frame(msg).unwrap();
+    wire.truncate(1 + keep as usize % (wire.len() - 1));
+    let blocking = read_frame::<T>(&mut Cursor::new(&wire));
+    prop_assert!(
+        matches!(blocking, Err(FrameError::Truncated { .. })),
+        "expected Truncated, got {:?}",
+        blocking
+    );
+    decoders_agree::<T>(&wire)
+}
+
+/// Flip one payload bit (never the length header). The frame may still
+/// decode; either way both decoders agree, and neither panics.
+fn corrupted<T: Wire + PartialEq + Debug>(msg: &T, flip: u16, bit: u8) -> Verdict {
+    let mut wire = encode_frame(msg).unwrap();
+    let idx = 4 + flip as usize % (wire.len() - 4);
+    wire[idx] ^= 1 << bit;
+    decoders_agree::<T>(&wire)
+}
+
+/// Byte soup, bare and behind a valid header and the magic, where it
+/// reaches the message decoder itself.
+fn garbage<T: Wire + PartialEq + Debug>(junk: &[u8]) -> Verdict {
+    decoders_agree::<T>(junk)?;
+    let payload = [&codec::MAGIC[..], junk].concat();
+    let wire = [&(payload.len() as u32).to_le_bytes()[..], &payload].concat();
+    decoders_agree::<T>(&wire)
+}
+
+/// Frames fed one byte at a time decode to `msgs`, as `read_frame` reads
+/// the same bytes.
+fn split<T: Wire + PartialEq + Debug>(msgs: &[T]) -> Verdict {
+    let wire: Vec<u8> = msgs.iter().flat_map(|m| encode_frame(m).unwrap()).collect();
+    let mut dec = FrameDecoder::new();
+    let mut out = Vec::new();
+    for b in &wire {
+        dec.extend(std::slice::from_ref(b));
+        while let Some(m) = dec.decode::<T>().unwrap() {
+            out.push(m);
+        }
+    }
+    prop_assert_eq!(out.as_slice(), msgs);
+    prop_assert!(dec.finish().is_ok(), "clean close on a frame boundary");
+    let mut cursor = Cursor::new(wire);
+    for m in msgs {
+        prop_assert_eq!(&read_frame::<T>(&mut cursor).unwrap(), m);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -280,12 +395,12 @@ proptest! {
     }
 
     #[test]
-    fn worker_to_library_roundtrips(msg in arb_worker_to_library()) {
+    fn router_to_shard_roundtrips(msg in arb_router_to_shard()) {
         prop_assert_eq!(roundtrip(&msg), msg);
     }
 
     #[test]
-    fn library_to_worker_roundtrips(msg in arb_library_to_worker()) {
+    fn shard_to_router_roundtrips(msg in arb_shard_to_router()) {
         prop_assert_eq!(roundtrip(&msg), msg);
     }
 
@@ -352,8 +467,8 @@ proptest! {
 
     #[test]
     fn garbage_bytes_never_panic(junk in prop::collection::vec(any::<u8>(), 0..64)) {
-        let mut cursor = Cursor::new(junk);
-        let _ = read_frame::<WorkerToManager>(&mut cursor);
+        garbage::<WorkerToManager>(&junk)?;
+        garbage::<ManagerToWorker>(&junk)?;
     }
 
     // ---- pre-encoded shared frames (`Frame::encode_once`) ----
@@ -493,5 +608,43 @@ proptest! {
                 (a, b) => prop_assert!(false, "decoders disagree: {:?} vs {:?}", a, b),
             }
         }
+    }
+
+    // ---- the routing plane: every property, over both directions ----
+
+    #[test]
+    fn routing_frames_cut_anywhere_are_truncated(
+        a in arb_router_to_shard(),
+        b in arb_shard_to_router(),
+        keep in any::<u16>(),
+    ) {
+        truncated(&a, keep)?;
+        truncated(&b, keep)?;
+    }
+
+    #[test]
+    fn routing_frames_with_a_flipped_bit_get_one_verdict(
+        a in arb_router_to_shard(),
+        b in arb_shard_to_router(),
+        flip in any::<u16>(),
+        bit in 0u8..8,
+    ) {
+        corrupted(&a, flip, bit)?;
+        corrupted(&b, flip, bit)?;
+    }
+
+    #[test]
+    fn routing_garbage_bytes_never_panic(junk in prop::collection::vec(any::<u8>(), 0..128)) {
+        garbage::<RouterToShard>(&junk)?;
+        garbage::<ShardToRouter>(&junk)?;
+    }
+
+    #[test]
+    fn routing_decoder_split_at_every_byte_boundary_matches_read_frame(
+        a in prop::collection::vec(arb_router_to_shard(), 1..4),
+        b in prop::collection::vec(arb_shard_to_router(), 1..4),
+    ) {
+        split(&a)?;
+        split(&b)?;
     }
 }

@@ -48,15 +48,15 @@
 //! write error, the send deadline — surfaces as one `Left` event, after
 //! every message already read from it; for the manager it feeds the
 //! runtime's requeue path. The worker side is
-//! [`crate::transport::run_tcp_worker`]. Frames carry binary payloads
-//! ([`vine_proto::codec`]) with no version negotiation: a worker that
-//! still sends JSON frames fails the handshake on its first frame.
+//! [`crate::transport::run_tcp_worker`]. Frames carry `VFR2` payloads
+//! ([`vine_proto::codec`]) with no version negotiation: a peer that still
+//! sends `VFR1` or JSON frames fails the handshake on its first frame's
+//! magic and is counted as a reject.
 
 use crate::transport::{
     RecvError, Transport, TransportEvent, TransportStats, WorkerTransportStats,
 };
 use epoll::{Epoll, Event, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use serde::Deserialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -65,7 +65,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vine_core::ids::WorkerId;
 use vine_core::{Result, VineError};
-use vine_proto::{encode_frame, Frame, FrameDecoder, ManagerToWorker, WorkerToManager};
+use vine_proto::{encode_frame, Frame, FrameDecoder, ManagerToWorker, Wire, WorkerToManager};
 
 /// Tuning knobs of a connection set. The defaults serve a real fleet;
 /// tests shrink them to provoke the edge paths quickly.
@@ -208,7 +208,7 @@ enum Close {
 
 /// Every connection of one protocol plane, served from its owner's
 /// thread: peers send `M`s and are named by `K`s.
-pub struct ConnSet<M: Deserialize, K: Copy + Ord> {
+pub struct ConnSet<M: Wire, K: Copy + Ord> {
     cfg: TcpConfig,
     local_addr: SocketAddr,
     ep: Epoll,
@@ -261,7 +261,7 @@ fn admit_worker(first: &WorkerToManager, index: u32) -> Option<(WorkerId, Option
     })
 }
 
-impl<M: Deserialize, K: Copy + Ord> ConnSet<M, K> {
+impl<M: Wire, K: Copy + Ord> ConnSet<M, K> {
     /// Bind `addr` and admit connections by `admit`; `farewell` is the
     /// frame [`ConnSet::shutdown`] sends every peer.
     pub(crate) fn bind(
@@ -719,7 +719,7 @@ impl Transport for TcpTransport {
     }
 }
 
-impl<M: Deserialize, K: Copy + Ord> Drop for ConnSet<M, K> {
+impl<M: Wire, K: Copy + Ord> Drop for ConnSet<M, K> {
     fn drop(&mut self) {
         self.shutdown();
     }

@@ -120,22 +120,30 @@ fn json_era_workers_fail_the_handshake() {
     let mut t = TcpTransport::listen("127.0.0.1:0").unwrap();
     let addr = t.local_addr();
 
-    // the Join frame a worker sent when frame payloads were JSON text
+    // the Join payload a worker sent when frame payloads were JSON text,
+    // and the one it sent in VFR1 frames (one value tree that names every
+    // field), both for `Resources::new(4, 1024, 1024)`
     let json = br#"{"Join":{"resources":{"cores":4,"memory_mb":1024,"disk_mb":1024,"gpus":0}}}"#;
-    let mut old = TcpStream::connect(addr).unwrap();
-    let mut frame = (json.len() as u32).to_le_bytes().to_vec();
-    frame.extend_from_slice(json);
-    old.write_all(&frame).unwrap();
+    let vfr1 = b"VFR1\x0a\x01\x07\x04Join\x0a\x01\x07\x09resources\x0a\x04\
+        \x07\x05cores\x04\x04\x07\x09memory_mb\x04\x80\x08\x07\x07disk_mb\x04\x80\x08\
+        \x07\x04gpus\x04\x00";
+    for payload in [&json[..], &vfr1[..]] {
+        let mut old = TcpStream::connect(addr).unwrap();
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        old.write_all(&frame).unwrap();
 
-    // closed on arrival, counted, and never admitted
-    let closed = std::thread::spawn(move || {
-        old.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let mut buf = [0u8; 16];
-        assert_eq!(old.read(&mut buf).unwrap(), 0, "old worker's socket closed");
-    });
-    drive_until(&mut t, closed);
-    assert!(t.try_recv().is_none(), "no Joined event for an old worker");
-    assert_eq!(t.stats().handshake_rejects, 1);
+        // closed on arrival, and never admitted
+        let closed = std::thread::spawn(move || {
+            old.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut buf = [0u8; 16];
+            assert_eq!(old.read(&mut buf).unwrap(), 0, "old worker's socket closed");
+        });
+        drive_until(&mut t, closed);
+        assert!(t.try_recv().is_none(), "no Joined event for an old worker");
+    }
+    // each counted
+    assert_eq!(t.stats().handshake_rejects, 2);
     t.shutdown();
 }
 

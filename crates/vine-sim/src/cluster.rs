@@ -3,11 +3,10 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// One machine group: a CPU model with a per-core GFLOPS rating and a
 /// machine count (Table 3's "# of Machines, GFlops").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MachineGroup {
     pub name: String,
     pub machines: u32,

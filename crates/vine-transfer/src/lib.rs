@@ -23,13 +23,12 @@
 //! are the simulator's: it picks their sources under the same per-node
 //! cap.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vine_core::ids::WorkerId;
 use vine_core::{Result, VineError};
 
 /// A node that can source a transfer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Node {
     Manager,
     Worker(WorkerId),
@@ -38,7 +37,7 @@ pub enum Node {
 /// One edge of a broadcast plan: move the file from `source` to `dest`,
 /// but not before step `depends_on` (which delivered the file to `source`)
 /// has completed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TransferStep {
     pub source: Node,
     pub dest: WorkerId,
@@ -48,13 +47,13 @@ pub struct TransferStep {
 }
 
 /// A complete broadcast plan.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BroadcastPlan {
     pub steps: Vec<TransferStep>,
 }
 
 /// Broadcast strategy (Figure 3).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Topology {
     /// Fig 3a — no worker-to-worker communication.
     Star,

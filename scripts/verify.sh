@@ -12,10 +12,10 @@
 # federated-sharding smoke (router + 2 shard processes byte-match the
 # single manager, with and without a shard killed -9 mid-run, and a
 # SIGSTOP round in which the router must route all 40000 units while the
-# shard owning lnni-0 stays stopped, then match once it resumes), a live
-# end-to-end smoke of the livebench workloads (livebench/ is left as
-# committed), and the benchmark trajectory table merged from every
-# committed BENCH_*.json. Smoke-scale
+# shard owning lnni-0 stays stopped, then match once it resumes),
+# livebench's own unit tests and a live end-to-end smoke of the livebench
+# workloads (livebench/ is left as committed), and the benchmark
+# trajectory table merged from every committed BENCH_*.json. Smoke-scale
 # benchmarks write their BENCH_*.json under target/bench-smoke/, and the
 # run fails if any committed BENCH_*.json changed.
 set -euo pipefail
@@ -117,6 +117,11 @@ echo "federated sharding sweep: OK (BENCH_shard.json in $smoke)"
 lock_saved="$(mktemp)"
 cp livebench/Cargo.lock "$lock_saved"
 trap 'rm -f "$seq_out" "$par_out"; cp "$lock_saved" livebench/Cargo.lock; rm -f "$lock_saved"' EXIT
+# livebench builds against the workspace's crates by path: its own unit
+# tests (tenant apps, arrival schedules, percentiles and the result line)
+# run here
+cargo test -q --release --offline --manifest-path livebench/Cargo.toml
+echo "livebench unit tests: OK"
 for run in "lnni-invoke 0" "lnni-task 0" "tenant-churn 0" "lnni-task 1"; do
     read -r workload trace <<<"$run"
     last="$(timeout 300 cargo run --release --offline --quiet --manifest-path livebench/Cargo.toml -- \
